@@ -32,20 +32,12 @@ class CentroidBank:
     centroids: np.ndarray  # k x d_h
     momentum: float = 0.9
     tau: int = 0
-    initialized: bool = True
     # clusters whose batch mean was carried forward on the last update
     carried_forward: list = field(default_factory=list)
 
     @property
     def k(self) -> int:
         return self.centroids.shape[0]
-
-    def state_arrays(self, prefix: str = "") -> dict:
-        p = f"{prefix}bank.{self.modality}"
-        return {
-            f"{p}.centroids": self.centroids,
-            f"{p}.meta": np.asarray([self.momentum, float(self.tau)]),
-        }
 
 
 @dataclass

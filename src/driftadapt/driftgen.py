@@ -242,8 +242,8 @@ def cluster_ratio_diag(indices, preds, labels, k: int) -> dict:
 
 
 def _entropy_rows(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
     p = np.maximum(p, 1e-12)
     return -(p * np.log(p)).sum(axis=1)
 

@@ -3,7 +3,10 @@
 Just enough operations for the model and every adaptation loss: matmul,
 elementwise arithmetic with limited broadcasting, softmax, layer norm with
 affine parameters, cosine similarities against constant centroid sets,
-row gather/stack utilities for the fusion block, and cross entropy.
+row gathers, cross entropy, and the fusion block's self-attention with
+mean pooling as one node (``attention_pool``). The per-row helpers
+``rowdot``, ``rowscale``, ``stack_cols`` and ``col`` compose the same
+attention op by op; the tests use them as an oracle for ``attention_pool``.
 Gradients accumulate with ``+=`` so a sum of losses can be backpropagated
 jointly or term by term with identical results.
 """
@@ -200,12 +203,14 @@ def gelu(x: Tensor) -> Tensor:
     x = _wrap(x)
     c = np.sqrt(2.0 / np.pi)
     a = 0.044715
-    u = c * (x.data + a * x.data**3)
+    # x * x * x, not x**3: numpy's pow loop is an order of magnitude slower
+    x2 = x.data * x.data
+    u = c * (x.data + a * (x2 * x.data))
     t = np.tanh(u)
     out_data = 0.5 * x.data * (1.0 + t)
 
     def bwd(g):
-        du = c * (1.0 + 3.0 * a * x.data**2)
+        du = c * (1.0 + 3.0 * a * x2)
         _accum(x, g * (0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t**2) * du))
 
     return _make(out_data, (x,), bwd)
@@ -277,6 +282,57 @@ def col(x: Tensor, j: int) -> Tensor:
         _accum(x, full)
 
     return _make(out_data, (x,), bwd)
+
+
+def attention_pool(tokens, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
+    """Self-attention over n B x d tokens, mean-pooled over the queries.
+
+    Per sample, with x_i the i-th token: a = softmax_j((x_i wq).(x_j wk) / sqrt(d_k))
+    and the output is (1/n) sum_i sum_j a_ij (x_j wv), a B x d_v tensor. One
+    graph node: forward and backward are batched matmuls over the stacked
+    B x n x d tokens.
+    """
+    tokens = [_wrap(t) for t in tokens]
+    wq, wk, wv = _wrap(wq), _wrap(wk), _wrap(wv)
+    shape = tokens[0].data.shape if tokens else None
+    if shape is None or len(shape) != 2 or any(t.data.shape != shape for t in tokens):
+        raise ShapeMismatchError(
+            f"attention tokens must share one B x d shape, got {[t.data.shape for t in tokens]}"
+        )
+    b, d = shape
+    n = len(tokens)
+    if (wq.data.ndim != 2 or wq.data.shape != wk.data.shape
+            or wq.data.shape[0] != d or wv.data.ndim != 2 or wv.data.shape[0] != d):
+        raise ShapeMismatchError(
+            f"attention projections {wq.data.shape}/{wk.data.shape}/{wv.data.shape} "
+            f"do not fit token dim {d}"
+        )
+    x = np.stack([t.data for t in tokens], axis=1).reshape(b * n, d)
+    q = (x @ wq.data).reshape(b, n, -1)
+    k = (x @ wk.data).reshape(b, n, -1)
+    v = (x @ wv.data).reshape(b, n, -1)
+    scale = 1.0 / np.sqrt(q.shape[2])
+    s = (q @ k.transpose(0, 2, 1)) * scale
+    e = np.exp(s - s.max(axis=2, keepdims=True))
+    attn = e / e.sum(axis=2, keepdims=True)
+    out_data = (attn @ v).sum(axis=1) * (1.0 / n)
+
+    def bwd(g):
+        # every query row gets g / n, so d(attn)_ij = v_j . g / n for all i
+        gv = (v @ g[:, :, None]).transpose(0, 2, 1) * (1.0 / n)   # B x 1 x n
+        ds = attn * (gv - (attn * gv).sum(axis=2, keepdims=True)) * scale
+        dq = (ds @ k).reshape(b * n, -1)
+        dk = (ds.transpose(0, 2, 1) @ q).reshape(b * n, -1)
+        dv = (attn.sum(axis=1)[:, :, None] * (g[:, None, :] * (1.0 / n))).reshape(b * n, -1)
+        for w, dw in ((wq, dq), (wk, dk), (wv, dv)):
+            if w.requires_grad:
+                _accum(w, x.T @ dw)
+        if any(t.requires_grad for t in tokens):
+            dx = (dq @ wq.data.T + dk @ wk.data.T + dv @ wv.data.T).reshape(b, n, d)
+            for i, t in enumerate(tokens):
+                _accum(t, dx[:, i])
+
+    return _make(out_data, (*tokens, wq, wk, wv), bwd)
 
 
 def take_rows(x: Tensor, idx) -> Tensor:
@@ -409,9 +465,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
             f"labels shape {labels.shape} does not match batch {n}"
         )
     z = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    loss = float(np.mean(lse - z[np.arange(n), labels]))
-    p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=1)
+    loss = float(np.mean(np.log(total) - z[np.arange(n), labels]))
+    p = e / total[:, None]
 
     def bwd(g):
         onehot = np.zeros_like(p)

@@ -64,21 +64,7 @@ class FusionBlock:
         self.wv = Tensor(rng.normal(0.0, scale, (d_h, d_h)), requires_grad=True)
 
     def forward(self, features: dict) -> Tensor:
-        toks = [features[m] for m in MODALITIES]
-        q = [gc.matmul(t, self.wq) for t in toks]
-        k = [gc.matmul(t, self.wk) for t in toks]
-        v = [gc.matmul(t, self.wv) for t in toks]
-        inv_sqrt = 1.0 / np.sqrt(self.d_h)
-        pooled = None
-        for qi in q:
-            scores = gc.stack_cols([gc.mul(gc.rowdot(qi, kj), inv_sqrt) for kj in k])
-            attn = gc.softmax(scores, axis=1)
-            tok_out = None
-            for j, vj in enumerate(v):
-                term = gc.rowscale(gc.col(attn, j), vj)
-                tok_out = term if tok_out is None else gc.add(tok_out, term)
-            pooled = tok_out if pooled is None else gc.add(pooled, tok_out)
-        return gc.mul(pooled, 1.0 / len(toks))
+        return gc.attention_pool([features[m] for m in MODALITIES], self.wq, self.wk, self.wv)
 
     def parameters(self) -> dict:
         return {"fusion.wq": self.wq, "fusion.wk": self.wk, "fusion.wv": self.wv}

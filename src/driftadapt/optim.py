@@ -48,10 +48,3 @@ class AdamW:
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
-
-    def state_arrays(self) -> dict:
-        out = {"adamw.t": np.asarray(float(self.t))}
-        for k in self.params:
-            out[f"adamw.m.{k}"] = self.m[k]
-            out[f"adamw.v.{k}"] = self.v[k]
-        return out

@@ -36,6 +36,19 @@ def _check_gradients(rng):
     return "composite gradient matches finite differences"
 
 
+def _check_attention_gradients(rng):
+    tokens = [Tensor(rng.normal(0, 1, (3, 4)), requires_grad=True) for _ in range(3)]
+    ws = [Tensor(rng.normal(0, 0.5, (4, 4)), requires_grad=True) for _ in range(3)]
+    weights = Tensor(rng.normal(0, 1, (3, 4)))
+
+    def loss():
+        return gc.tsum(gc.mul(gc.attention_pool(tokens, *ws), weights))
+
+    err = gc.finite_diff_params(loss, tokens + ws)
+    assert err < 1e-4, err
+    return "fused attention gradient matches finite differences"
+
+
 def _check_scan_dominance(rng):
     for _ in range(200):
         s = Tensor(rng.uniform(-1, 1, rng.integers(2, 30)))
@@ -70,7 +83,8 @@ def run_selftest() -> list:
     rng = np.random.default_rng(0)
     results = []
     for check in (_check_softmax, _check_cosine_bounds, _check_gradients,
-                  _check_scan_dominance, _check_momentum, _check_metrics):
+                  _check_attention_gradients, _check_scan_dominance,
+                  _check_momentum, _check_metrics):
         try:
             detail = check(rng)
             results.append((check.__name__.lstrip("_"), True, detail))

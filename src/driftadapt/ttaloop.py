@@ -65,8 +65,8 @@ def init_adapt_state(model: SourceModel, cfg: AdaptConfig,
 
 
 def _prediction_entropy(fused_logits: np.ndarray) -> np.ndarray:
-    z = fused_logits - fused_logits.max(axis=1, keepdims=True)
-    p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    e = np.exp(fused_logits - fused_logits.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
     p = np.maximum(p, 1e-12)
     return -(p * np.log(p)).sum(axis=1)
 

@@ -90,6 +90,13 @@ def test_gelu_grad():
     _check(lambda t: gc.tsum(gc.gelu(t)), (6,), scale=2.0)
 
 
+def test_gelu_forward_matches_closed_form():
+    x = np.linspace(-8.0, 8.0, 4001)
+    c = np.sqrt(2.0 / np.pi)
+    expected = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+    np.testing.assert_allclose(gc.gelu(Tensor(x)).data, expected, rtol=0.0, atol=1e-14)
+
+
 def test_softmax_grad():
     _check(lambda t: gc.tsum(gc.mul(gc.softmax(t, beta=3.0, axis=1),
                                     Tensor(np.arange(12.0).reshape(3, 4)))),
@@ -180,6 +187,36 @@ def test_attention_style_composite_grad():
         return gc.tsum(gc.mul(out, other))
 
     _check(f, (5, 4), seed=13)
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+def test_attention_pool_grad(batch):
+    rng = np.random.default_rng(17 + batch)
+    tokens = [Tensor(rng.normal(0, 1, (batch, 5)), requires_grad=True) for _ in range(3)]
+    wq, wk, wv = (Tensor(rng.normal(0, 0.5, (5, 5)), requires_grad=True) for _ in range(3))
+    weights = Tensor(rng.normal(0, 1, (batch, 5)))
+
+    def loss():
+        return gc.tsum(gc.mul(gc.attention_pool(tokens, wq, wk, wv), weights))
+
+    assert gc.finite_diff_params(loss, [*tokens, wq, wk, wv]) < 1e-6
+
+
+def test_attention_pool_frozen_projections_get_no_grad():
+    rng = np.random.default_rng(3)
+    tokens = [Tensor(rng.normal(0, 1, (4, 3)), requires_grad=True) for _ in range(3)]
+    wq, wk, wv = (Tensor(rng.normal(0, 1, (3, 3))) for _ in range(3))
+    gc.backward(gc.tsum(gc.attention_pool(tokens, wq, wk, wv)))
+    assert all(t.grad is not None for t in tokens)
+    assert wq.grad is None and wk.grad is None and wv.grad is None
+
+
+def test_attention_pool_shape_mismatch():
+    w = Tensor(np.ones((3, 3)))
+    with pytest.raises(ShapeMismatchError):
+        gc.attention_pool([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))], w, w, w)
+    with pytest.raises(ShapeMismatchError):
+        gc.attention_pool([Tensor(np.ones((2, 4)))] * 3, w, w, w)
 
 
 # -- property tests --------------------------------------------------------

@@ -9,6 +9,7 @@ from driftadapt import gradcore as gc
 from driftadapt.errors import CompatibilityError, ContractError
 from driftadapt.model import (
     MODALITIES,
+    FusionBlock,
     ModelDims,
     SourceModel,
     predict,
@@ -46,6 +47,70 @@ def test_forward_deterministic():
     out1 = tiny_model(seed=3).forward_full(batch)[2].data
     out2 = tiny_model(seed=3).forward_full(batch)[2].data
     np.testing.assert_array_equal(out1, out2)
+
+
+def _fusion_op_by_op(fusion, features):
+    """The fusion block composed from per-row ops: one node per row op."""
+    toks = [features[m] for m in MODALITIES]
+    q = [gc.matmul(t, fusion.wq) for t in toks]
+    k = [gc.matmul(t, fusion.wk) for t in toks]
+    v = [gc.matmul(t, fusion.wv) for t in toks]
+    inv_sqrt = 1.0 / np.sqrt(fusion.d_h)
+    pooled = None
+    for qi in q:
+        scores = gc.stack_cols([gc.mul(gc.rowdot(qi, kj), inv_sqrt) for kj in k])
+        attn = gc.softmax(scores, axis=1)
+        tok_out = None
+        for j, vj in enumerate(v):
+            term = gc.rowscale(gc.col(attn, j), vj)
+            tok_out = term if tok_out is None else gc.add(tok_out, term)
+        pooled = tok_out if pooled is None else gc.add(pooled, tok_out)
+    return gc.mul(pooled, 1.0 / len(toks))
+
+
+def test_fusion_matches_op_by_op_composition():
+    rng = np.random.default_rng(21)
+    fusion = FusionBlock(6, rng)
+    features = {m: gc.Tensor(rng.normal(0, 1, (7, 6)), requires_grad=True)
+                for m in MODALITIES}
+    leaves = [*features.values(), fusion.wq, fusion.wk, fusion.wv]
+    weights = gc.Tensor(rng.normal(0, 1, (7, 6)))
+    results = []
+    for forward in (fusion.forward, lambda f: _fusion_op_by_op(fusion, f)):
+        for t in leaves:
+            t.grad = None
+        out = forward(features)
+        gc.backward(gc.tsum(gc.mul(out, weights)))
+        results.append((out.data, [t.grad.copy() for t in leaves]))
+    (fused, fused_grads), (oracle, oracle_grads) = results
+    np.testing.assert_allclose(fused, oracle, rtol=0.0, atol=1e-12)
+    for got, want in zip(fused_grads, oracle_grads):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+
+def test_fused_logits_graph_size():
+    # 3 encoders x (matmul, add, layernorm, gelu) + one attention node +
+    # classifier (matmul, add); a per-row fusion would add about 50 nodes
+    model = tiny_model()
+    _, _, fused_logits = model.forward_full(tiny_batch(np.random.default_rng(6)))
+    seen, stack = set(), [fused_logits]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._parents:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    assert len(seen) <= 15
+
+
+def test_whole_model_grad_through_fusion():
+    rng = np.random.default_rng(4)
+    model = SourceModel(ModelDims(d_in=3, d_h=5, n_classes=2), seed=4)
+    batch = {m: rng.normal(0, 1, (6, 3)) for m in MODALITIES}
+    labels = [0, 1, 1, 0, 1, 0]
+    err = gc.finite_diff_params(
+        lambda: gc.cross_entropy(model.forward_full(batch)[2], labels),
+        model.named_parameters().values())
+    assert err < 1e-5
 
 
 def test_trainable_frozen_split():
