@@ -12,6 +12,7 @@ Entries are written in sorted key order. Round-trip is bit-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -34,25 +35,39 @@ def dumps(arrays: dict) -> bytes:
     return b"".join(parts)
 
 
+def _take(blob: bytes, off: int, size: int) -> int:
+    """End offset of the next ``size`` bytes; a short blob is not a checkpoint."""
+    end = off + size
+    if end > len(blob):
+        raise CompatibilityError(
+            f"truncated checkpoint file: need {end} bytes, have {len(blob)}"
+        )
+    return end
+
+
+def _unpack(fmt: str, blob: bytes, off: int):
+    end = _take(blob, off, struct.calcsize(fmt))
+    return struct.unpack_from(fmt, blob, off), end
+
+
 def loads(blob: bytes) -> dict:
     if blob[:8] != MAGIC:
         raise CompatibilityError("not a checkpoint file (bad magic)")
-    off = 8
-    (count,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    (count,), off = _unpack("<I", blob, 8)
     out = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off : off + nlen].decode("utf-8")
-        off += nlen
-        (ndim,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        shape = struct.unpack_from(f"<{ndim}Q", blob, off)
-        off += 8 * ndim
-        n = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+        (nlen,), off = _unpack("<I", blob, off)
+        end = _take(blob, off, nlen)
+        try:
+            name = blob[off:end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CompatibilityError(f"corrupt entry name in checkpoint file: {exc}") from exc
+        (ndim,), off = _unpack("<I", blob, end)
+        shape, off = _unpack(f"<{ndim}Q", blob, off)
+        n = math.prod(shape)
+        end = _take(blob, off, 8 * n)
         arr = np.frombuffer(blob, dtype="<f8", count=n, offset=off).reshape(shape)
-        off += 8 * n
+        off = end
         out[name] = arr.astype(np.float64).copy()
     if off != len(blob):
         raise CompatibilityError("trailing bytes in checkpoint file")

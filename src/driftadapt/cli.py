@@ -11,24 +11,9 @@ import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, preset_benchmark
-from .errors import (
-    CompatibilityError,
-    ConfigError,
-    ContractError,
-    DivergenceError,
-)
+from .errors import DriftAdaptError
 from .harness import cmd_adapt, cmd_export_embeddings, cmd_pretrain
 from .selftest import run_selftest
-
-_ERROR_CODES = {
-    ConfigError: "config",
-    ContractError: "contract",
-    CompatibilityError: "compat",
-    DivergenceError: "divergence",
-    FileNotFoundError: "io",
-    PermissionError: "io",
-    OSError: "io",
-}
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -102,9 +87,11 @@ def main(argv=None) -> int:
             cmd_export_embeddings(cfg, args.checkpoint, out_csv)
             print(f"wrote {out_csv}")
         return 0
-    except tuple(_ERROR_CODES) as exc:
-        code = next(c for t, c in _ERROR_CODES.items() if isinstance(exc, t))
-        print(f"ERROR {code}: {exc}", file=sys.stderr)
+    except DriftAdaptError as exc:
+        print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"ERROR io: {exc}", file=sys.stderr)
         return 2
 
 

@@ -9,18 +9,14 @@ while its manifestation shifts.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import checkpoint
 from .config import BenchmarkConfig
-from .errors import CompatibilityError, ContractError
+from .errors import ContractError
 from .gradcore import Tensor
 from .model import MODALITIES
-
-DATASET_VERSION = 1.0
 
 
 @dataclass
@@ -41,7 +37,6 @@ class DomainSpec:
     style_noise: float
     outlier_frac: float = 0.0
     outlier_scale: float = 3.0      # outliers are off-manifold noise
-    outlier_burst: int = 1          # >1 makes outliers arrive in contiguous bursts
     outlier_mode: str = "scatter"   # "scatter": iid noise; "clump": near-duplicate junk
     outlier_spread: float = 0.6     # clump mode: dispersion around the junk direction
 
@@ -99,16 +94,14 @@ def make_domain_pair(bench: BenchmarkConfig, seed: int):
     return source, target
 
 
-def _outlier_mask(rng: np.random.Generator, n: int, frac: float, burst: int) -> np.ndarray:
-    """Mark outlier stream positions in contiguous bursts totaling ~frac of n."""
+def _outlier_mask(rng: np.random.Generator, n: int, frac: float) -> np.ndarray:
+    """Mark ~frac of the n stream positions as outliers, drawn with replacement."""
     mask = np.zeros(n, dtype=bool)
     if frac <= 0.0:
         return mask
-    burst = max(1, min(burst, n))
     target = int(round(frac * n))
     while mask.sum() < target:
-        start = rng.integers(0, max(n - burst, 0) + 1)
-        mask[start : start + burst] = True
+        mask[rng.integers(0, n)] = True
     return mask
 
 
@@ -130,7 +123,7 @@ def generate_domain(cores: CoreSpec, domain: DomainSpec, n: int, seed: int) -> S
         0.0, 1.0, (n, cores.embeddings.shape[1])
     )
     features = {}
-    outlier = _outlier_mask(rng, n, domain.outlier_frac, domain.outlier_burst)
+    outlier = _outlier_mask(rng, n, domain.outlier_frac)
     for m in MODALITIES:
         a, b = domain.maps[m]
         x = np.tanh(z @ a + b)
@@ -154,41 +147,6 @@ def generate_domain(cores: CoreSpec, domain: DomainSpec, n: int, seed: int) -> S
                 noise = np.where(pick[:, None], clumped, noise)
         features[m] = np.where(outlier[:, None], noise, x)
     return SyntheticDataset(features=features, labels=labels, cores=g)
-
-
-# -- persistence ----------------------------------------------------------
-
-
-def save_dataset(path, ds: SyntheticDataset):
-    arrays = {f"feat.{m}": ds.features[m] for m in MODALITIES}
-    arrays["labels"] = ds.labels.astype(np.float64)
-    arrays["cores"] = ds.cores.astype(np.float64)
-    arrays["dataset.version"] = np.asarray(DATASET_VERSION)
-    checkpoint.save(path, arrays)
-
-
-def load_dataset(path) -> SyntheticDataset:
-    arrays = checkpoint.load(path)
-    if "dataset.version" not in arrays:
-        raise CompatibilityError("not a dataset file")
-    return SyntheticDataset(
-        features={m: arrays[f"feat.{m}"] for m in MODALITIES},
-        labels=arrays["labels"].astype(np.int64),
-        cores=arrays["cores"].astype(np.int64),
-    )
-
-
-def export_dataset_csv(path, ds: SyntheticDataset):
-    d_in = ds.features["v"].shape[1]
-    header = ["label", "core"] + [f"{m}{i}" for m in MODALITIES for i in range(d_in)]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(len(ds)):
-            row = [int(ds.labels[i]), int(ds.cores[i])]
-            for m in MODALITIES:
-                row.extend(f"{v:.17g}" for v in ds.features[m][i])
-            w.writerow(row)
 
 
 # -- metrics --------------------------------------------------------------
@@ -241,7 +199,8 @@ def cluster_ratio_diag(indices, preds, labels, k: int) -> dict:
     return out
 
 
-def _entropy_rows(logits: np.ndarray) -> np.ndarray:
+def entropy_rows(logits: np.ndarray) -> np.ndarray:
+    """Entropy (nats) of each row's softmax, probabilities floored at 1e-12."""
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     p = e / e.sum(axis=1, keepdims=True)
     p = np.maximum(p, 1e-12)
@@ -256,8 +215,8 @@ def entropy_diag(bank, model, features: np.ndarray, indices: np.ndarray) -> dict
     """
     cent_logits = model.classifier.forward(Tensor(bank.centroids)).data
     member_logits = model.classifier.forward(Tensor(features)).data
-    member_ent = _entropy_rows(member_logits)
-    cent_ent = _entropy_rows(cent_logits)
+    member_ent = entropy_rows(member_logits)
+    cent_ent = entropy_rows(cent_logits)
     out = {}
     for j in range(bank.k):
         members = indices == j

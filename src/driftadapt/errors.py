@@ -1,33 +1,59 @@
-"""Shared exception types."""
+"""Shared exception types.
+
+Every error the program raises on purpose subclasses ``DriftAdaptError``
+and names its own ``code``; the CLI prints it as ``ERROR <code>: <text>``.
+"""
 
 
-class ShapeMismatchError(ValueError):
+class DriftAdaptError(Exception):
+    """Base of all driftadapt errors; ``code`` is the CLI error code."""
+
+    code = ""
+
+
+class ShapeMismatchError(DriftAdaptError, ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
+    code = "shape"
 
-class DegenerateVectorError(ValueError):
+
+class DegenerateVectorError(DriftAdaptError, ValueError):
     """A vector with (near-)zero norm was passed where direction matters."""
 
+    code = "degenerate"
 
-class DegenerateDataError(ValueError):
+
+class DegenerateDataError(DriftAdaptError, ValueError):
     """Input data cannot support the requested computation (e.g. all duplicates)."""
 
+    code = "degenerate"
 
-class ConfigError(ValueError):
+
+class ConfigError(DriftAdaptError, ValueError):
     """A hyperparameter or configuration field is out of its valid range."""
 
+    code = "config"
 
-class ContractError(ValueError):
+
+class ContractError(DriftAdaptError, ValueError):
     """A caller violated an interface precondition."""
 
+    code = "contract"
 
-class DivergenceError(RuntimeError):
+
+class DivergenceError(DriftAdaptError, RuntimeError):
     """Training or adaptation produced a non-finite loss."""
 
+    code = "divergence"
 
-class NumericError(RuntimeError):
+
+class NumericError(DriftAdaptError, RuntimeError):
     """A numeric evaluation produced non-finite values."""
 
+    code = "numeric"
 
-class CompatibilityError(ValueError):
+
+class CompatibilityError(DriftAdaptError, ValueError):
     """A checkpoint or artifact does not match the current configuration."""
+
+    code = "compat"

@@ -80,9 +80,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def backward(self):
-        backward(self)
-
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
@@ -396,25 +393,6 @@ def layernorm_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -
         _accum(x, (gy - m1 - xhat * m2) * inv)
 
     return _make(out_data, (x, gain, bias), bwd)
-
-
-def cosine_sim(a: Tensor, b) -> Tensor:
-    """Cosine similarity of two 1-D vectors; b may be a constant array."""
-    a = _wrap(a)
-    b_arr = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64)
-    na = np.linalg.norm(a.data)
-    nb = np.linalg.norm(b_arr)
-    if na < _NORM_FLOOR or nb < _NORM_FLOOR:
-        raise DegenerateVectorError("cosine_sim of a zero-norm vector")
-    s = float(a.data @ b_arr / (na * nb))
-
-    def bwd(g):
-        _accum(a, g * (b_arr / (na * nb) - s * a.data / na**2))
-        if isinstance(b, Tensor):
-            _accum(b, g * (a.data / (na * nb) - s * b_arr / nb**2))
-
-    parents = (a, b) if isinstance(b, Tensor) else (a,)
-    return _make(np.asarray(s), parents, bwd)
 
 
 def cosine_matrix(features: Tensor, centroids: np.ndarray) -> Tensor:

@@ -176,12 +176,12 @@ def write_diagnostics_csv(path, report: RunReport):
                         f"{report.mean_entropy_trace[i]:.6f}", *ratios])
 
 
-def cmd_export_embeddings(cfg: ExperimentConfig, ckpt_path, out_path, seed: int = None):
-    """Per-sample mean of the modality-encoder outputs, tagged by domain."""
+def cmd_export_embeddings(cfg: ExperimentConfig, ckpt_path, out_path):
+    """Per-sample mean of the modality-encoder outputs on the data of the
+    first config seed, tagged by domain."""
     cfg.validate()
-    seed = cfg.seeds[0] if seed is None else seed
     model = load_compatible(ckpt_path, cfg)
-    source, target = build_domains(cfg, seed)
+    source, target = build_domains(cfg, cfg.seeds[0])
     with open(out_path, "w", newline="") as fh:
         w = csv.writer(fh)
         d_h = model.dims.d_h

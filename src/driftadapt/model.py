@@ -177,10 +177,10 @@ class SourceModel:
             raise CompatibilityError("checkpoint missing dims entry")
         d_in, d_h, n_cls = (int(v) for v in arrays["dims"])
         model = cls(ModelDims(d_in, d_h, n_cls), seed=0)
-        params = model.named_parameters()
-        for name, p in params.items():
-            if name not in arrays:
-                raise CompatibilityError(f"checkpoint missing parameter {name}")
+        missing = sorted(set(model.state_arrays()) - set(arrays))
+        if missing:
+            raise CompatibilityError(f"checkpoint missing entries {missing}")
+        for name, p in model.named_parameters().items():
             if arrays[name].shape != p.data.shape:
                 raise CompatibilityError(
                     f"checkpoint shape {arrays[name].shape} != {p.data.shape} for {name}"

@@ -19,9 +19,10 @@ def _check_softmax(rng):
 
 def _check_cosine_bounds(rng):
     for _ in range(50):
-        d = rng.integers(1, 10)
-        s = gc.cosine_sim(Tensor(rng.normal(0, 1, d) + 0.1), rng.normal(0, 1, d) + 0.1)
-        assert -1 - 1e-12 <= s.data.item() <= 1 + 1e-12
+        b, k, d = rng.integers(1, 10, 3)
+        s = gc.cosine_matrix(Tensor(rng.normal(0, 1, (b, d)) + 0.1),
+                             rng.normal(0, 1, (k, d)) + 0.1).data
+        assert s.shape == (b, k) and np.all(np.abs(s) <= 1 + 1e-12)
     return "cosine similarity within [-1, 1]"
 
 

@@ -15,7 +15,9 @@ import numpy as np
 
 from . import centroids as cb, gradcore as gc, objectives as obj
 from .config import AdaptConfig
-from .driftgen import SyntheticDataset, accuracy, cluster_ratio_diag, entropy_diag, macro_f1
+from .driftgen import (
+    SyntheticDataset, accuracy, cluster_ratio_diag, entropy_diag, entropy_rows, macro_f1,
+)
 from .errors import ContractError, DivergenceError
 from .model import MODALITIES, SourceModel
 from .objectives import MethodVariant
@@ -64,13 +66,6 @@ def init_adapt_state(model: SourceModel, cfg: AdaptConfig,
     return AdaptState(model=model, cfg=cfg, variant=variant, seed=seed, optimizer=opt)
 
 
-def _prediction_entropy(fused_logits: np.ndarray) -> np.ndarray:
-    e = np.exp(fused_logits - fused_logits.max(axis=1, keepdims=True))
-    p = e / e.sum(axis=1, keepdims=True)
-    p = np.maximum(p, 1e-12)
-    return -(p * np.log(p)).sum(axis=1)
-
-
 def _grad_norm(params: dict) -> float:
     total = 0.0
     for p in params.values():
@@ -96,7 +91,7 @@ def adapt_batch(state: AdaptState, batch: dict) -> BatchResult:
     result = BatchResult(
         tau=state.tau,
         predictions=fused_logits.data.argmax(axis=1),
-        entropies=_prediction_entropy(fused_logits.data),
+        entropies=entropy_rows(fused_logits.data),
         loss_row={},
         grad_norm=0.0,
     )

@@ -7,12 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import tiny_experiment
+from conftest import tiny_experiment, tiny_model
 
-from driftadapt import harness
+from driftadapt import checkpoint, cli, errors, harness
 from driftadapt.cli import main as cli_main
 from driftadapt.config import AdaptConfig, BenchmarkConfig, ExperimentConfig
-from driftadapt.errors import CompatibilityError, ConfigError
+from driftadapt.errors import (
+    CompatibilityError,
+    ConfigError,
+    DegenerateDataError,
+    NumericError,
+)
 from driftadapt.model import SourceModel
 from driftadapt.selftest import run_selftest
 
@@ -121,6 +126,69 @@ def test_adapt_report_deterministic(tmp_path):
     assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
 
 
+def test_adapt_outputs_independent_of_workers(tmp_path):
+    cfg = tiny_experiment(tmp_path)
+    cfg.seeds = [0, 1]
+    cfg.variants = ["source", "tent_em", "scanner"]
+    harness.cmd_pretrain(cfg, tmp_path)
+    outs = {}
+    for workers in (1, 2):
+        cfg.workers = workers
+        outs[workers] = tmp_path / f"w{workers}"
+        harness.cmd_adapt(cfg, tmp_path, outs[workers])
+    one, two = outs[1], outs[2]
+    assert (one / "metrics.csv").read_bytes() == (two / "metrics.csv").read_bytes()
+    diag = sorted(p.name for p in (one / "diagnostics").glob("*.csv"))
+    assert len(diag) == 6
+    assert diag == sorted(p.name for p in (two / "diagnostics").glob("*.csv"))
+    for name in diag:
+        assert (one / "diagnostics" / name).read_bytes() == \
+            (two / "diagnostics" / name).read_bytes()
+    # report.json records the resolved config, so only config.workers differs
+    doc = json.loads((two / "report.json").read_text())
+    assert doc["config"]["workers"] == 2
+    doc["config"]["workers"] = 1
+    assert json.dumps(doc, indent=2, sort_keys=True).encode() == \
+        (one / "report.json").read_bytes()
+
+
+def _cut_to_half(blob):
+    return blob[: len(blob) // 2]
+
+
+def _cut_to_ten_bytes(blob):
+    return blob[:10]
+
+
+def _drop_input_stats(blob):
+    arrays = checkpoint.loads(blob)
+    del arrays["stats.v.mean"], arrays["stats.v.var"]
+    return checkpoint.dumps(arrays)
+
+
+def _garble_first_name(blob):
+    # the first entry name starts after magic, count and name length
+    return blob[:16] + b"\xff" + blob[17:]
+
+
+CORRUPTIONS = [_cut_to_half, _cut_to_ten_bytes, _drop_input_stats, _garble_first_name]
+
+
+def _corrupt_checkpoint(ckpt_dir, corrupt):
+    path = harness.checkpoint_path(ckpt_dir, 0)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tiny_model().save(path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    return path
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__.lstrip("_"))
+def test_corrupt_checkpoint_raises_compat(tmp_path, corrupt):
+    path = _corrupt_checkpoint(tmp_path, corrupt)
+    with pytest.raises(CompatibilityError):
+        SourceModel.load(path)
+
+
 def test_load_compatible_rejects_dim_mismatch(tmp_path):
     cfg = tiny_experiment(tmp_path)
     harness.cmd_pretrain(cfg, tmp_path)
@@ -200,6 +268,50 @@ def test_cli_missing_checkpoint(tmp_path, capsys):
                      "--out", str(tmp_path / "empty")])
     assert code == 2
     assert capsys.readouterr().err.startswith("ERROR io:")
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__.lstrip("_"))
+def test_cli_corrupt_checkpoint_is_compat_error(tmp_path, capsys, corrupt):
+    cfg_path = _write_cfg(tmp_path)
+    ckpts = tmp_path / "ckpts"
+    _corrupt_checkpoint(ckpts, corrupt)
+    code = cli_main(["adapt", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--checkpoints", str(ckpts)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("ERROR compat:")
+
+
+@pytest.mark.parametrize("exc, code", [
+    (DegenerateDataError("all points identical"), "degenerate"),
+    (NumericError("non-finite value"), "numeric"),
+])
+def test_cli_reports_error_code_of_any_driftadapt_error(tmp_path, capsys, monkeypatch,
+                                                        exc, code):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_adapt", fail)
+    rc = cli_main(["adapt", "--config", str(_write_cfg(tmp_path)),
+                   "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"ERROR {code}: {exc}")
+
+
+def test_every_error_class_carries_a_code():
+    expected = {
+        "ShapeMismatchError": "shape", "DegenerateVectorError": "degenerate",
+        "DegenerateDataError": "degenerate", "ConfigError": "config",
+        "ContractError": "contract", "DivergenceError": "divergence",
+        "NumericError": "numeric", "CompatibilityError": "compat",
+    }
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, Exception)
+               and cls is not errors.DriftAdaptError}
+    assert set(classes) == set(expected)
+    for name, cls in classes.items():
+        assert issubclass(cls, errors.DriftAdaptError)
+        assert issubclass(cls, (ValueError, RuntimeError))
+        assert cls.code == expected[name]
 
 
 def test_cli_selftest(capsys):
