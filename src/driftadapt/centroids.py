@@ -14,7 +14,6 @@ import numpy as np
 
 from . import gradcore as gc
 from .errors import ConfigError, ContractError, DegenerateDataError
-from .gradcore import Tensor
 
 _NORM_FLOOR = 1e-12
 
@@ -65,7 +64,7 @@ def init_kmeanspp(features: np.ndarray, k: int, seed=0,
     if k > 1 and np.allclose(x, x[0], atol=1e-12):
         raise DegenerateDataError("all points identical; cannot seed k>1 clusters")
 
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     centroids = np.empty((k, x.shape[1]))
     centroids[0] = x[rng.integers(b)]
     d2 = ((x - centroids[0]) ** 2).sum(axis=1)
@@ -199,18 +198,12 @@ def max_similarity(bank: CentroidBank, features):
     """Max cosine similarity of each feature row to the bank's centroids.
 
     Accepts a Tensor (gradient flows into the features, never the centroids)
-    or a plain array. Returns (similarities, argmax indices); ties go to the
-    lowest index.
+    or a plain array. Returns (similarity Tensor, argmax indices); ties go to
+    the lowest index.
     """
-    if isinstance(features, Tensor):
-        sims = gc.cosine_matrix(features, bank.centroids)
-        s, idx = gc.max_axis1(sims)
-        return s, idx
-    sims = gc.cosine_matrix(Tensor(np.asarray(features, dtype=np.float64)), bank.centroids)
-    idx = sims.data.argmax(axis=1)
-    return sims.data[np.arange(sims.data.shape[0]), idx], idx
+    return gc.max_axis1(gc.cosine_matrix(features, bank.centroids))
 
 
 def assign(bank: CentroidBank, features: np.ndarray) -> Assignment:
-    s, idx = max_similarity(bank, np.asarray(features, dtype=np.float64))
-    return Assignment(indices=idx, similarities=s)
+    s, idx = max_similarity(bank, features)
+    return Assignment(indices=idx, similarities=s.data)

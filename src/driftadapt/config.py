@@ -33,6 +33,8 @@ class AdaptConfig:
     def validate(self):
         if self.k < 1:
             raise ConfigError("k must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
         if not (0.0 <= self.gamma < 1.0):
             raise ConfigError("gamma must lie in [0, 1)")
         if self.beta < 0:
@@ -54,7 +56,7 @@ class BenchmarkConfig:
     d_in: int = 16
     severity: float = 0.3
     outlier_frac: float = 0.0
-    outlier_mode: str = "scatter"   # "scatter", "clump", or "mixed"
+    outlier_mode: str = "scatter"   # "scatter" or "clump"
     outlier_spread: float = 0.6
     label_noise: float = 0.02
     style_noise: float = 0.15
@@ -75,7 +77,7 @@ class BenchmarkConfig:
             raise ConfigError("p_hate entries must lie in [0, 1]")
         if not (0.0 <= self.outlier_frac < 1.0):
             raise ConfigError("outlier_frac must lie in [0, 1)")
-        if self.outlier_mode not in ("scatter", "clump", "mixed"):
+        if self.outlier_mode not in ("scatter", "clump"):
             raise ConfigError(f"unknown outlier_mode {self.outlier_mode!r}")
 
 
@@ -113,7 +115,6 @@ class ExperimentConfig:
     d_h: int = 32
     n_classes: int = 2
     pretrain_epochs: int = 50
-    out_dir: str = "runs"
     workers: int = 1
 
     def validate(self):
@@ -121,6 +122,8 @@ class ExperimentConfig:
         self.adapt.validate()
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if self.d_h < 1:
+            raise ConfigError("d_h must be >= 1")
         for v in self.variants:
             try:
                 MethodVariant(v)

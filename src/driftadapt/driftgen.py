@@ -129,22 +129,15 @@ def generate_domain(cores: CoreSpec, domain: DomainSpec, n: int, seed: int) -> S
         x = np.tanh(z @ a + b)
         x = x + domain.style_noise * rng.normal(0.0, 1.0, x.shape)
         noise = domain.outlier_scale * rng.normal(0.0, 1.0, x.shape)
-        if domain.outlier_mode in ("clump", "mixed"):
+        if domain.outlier_mode == "clump":
             # near-duplicate junk (templated spam): one off-manifold direction
             # shared by the clumped outliers, with moderate dispersion around it
             d_in = x.shape[1]
             u = rng.normal(0.0, 1.0, d_in)
             u *= np.sqrt(d_in) / np.linalg.norm(u)
-            clumped = domain.outlier_scale * (
+            noise = domain.outlier_scale * (
                 u[None, :] + domain.outlier_spread * rng.normal(0.0, 1.0, x.shape)
             )
-            if domain.outlier_mode == "clump":
-                noise = clumped
-            else:
-                # mixed: alternate between clumped and scattered outliers
-                pick = np.zeros(x.shape[0], dtype=bool)
-                pick[np.flatnonzero(outlier)[::2]] = True
-                noise = np.where(pick[:, None], clumped, noise)
         features[m] = np.where(outlier[:, None], noise, x)
     return SyntheticDataset(features=features, labels=labels, cores=g)
 

@@ -459,39 +459,6 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 # -- gradient checking ----------------------------------------------------
 
 
-def finite_diff_check(f, x: Tensor, h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``f`` maps the tensor to a scalar Tensor and must rebuild its graph on
-    every call (it is evaluated at perturbed copies of ``x.data``).
-    """
-    if not (1e-7 <= h <= 1e-3):
-        raise ContractError(f"step size {h} outside [1e-7, 1e-3]")
-    x.grad = None
-    out = f(x)
-    if not np.isfinite(out.data).all():
-        raise NumericError("function value is not finite")
-    backward(out)
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-
-    base = x.data.copy()
-    flat = base.reshape(-1)
-    worst = 0.0
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f(Tensor(base, requires_grad=False)).data.item()
-        flat[i] = orig - h
-        fm = f(Tensor(base, requires_grad=False)).data.item()
-        flat[i] = orig
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericError("perturbed function value is not finite")
-        numeric = (fp - fm) / (2.0 * h)
-        err = abs(analytic.reshape(-1)[i] - numeric) / (abs(numeric) + 1e-12)
-        worst = max(worst, err)
-    return worst
-
-
 def finite_diff_params(loss_fn, params, h: float = 1e-5) -> float:
     """Gradient check of ``loss_fn`` w.r.t. a collection of parameter tensors.
 
@@ -521,6 +488,8 @@ def finite_diff_params(loss_fn, params, h: float = 1e-5) -> float:
             flat[i] = orig - h
             fm = loss_fn().data.item()
             flat[i] = orig
+            if not (np.isfinite(fp) and np.isfinite(fm)):
+                raise NumericError("perturbed loss value is not finite")
             numeric = (fp - fm) / (2.0 * h)
             err = abs(aflat[i] - numeric) / (abs(numeric) + 1e-12)
             worst = max(worst, err)

@@ -83,31 +83,28 @@ def load_compatible(ckpt_path, cfg: ExperimentConfig) -> SourceModel:
     return model
 
 
-def run_one(cfg: ExperimentConfig, ckpt_dir, variant: str, seed: int) -> RunReport:
-    model = load_compatible(checkpoint_path(ckpt_dir, seed), cfg)
-    _, target = build_domains(cfg, seed)
-    return run_stream(model, target, cfg.adapt, variant, seed=seed,
-                      n_classes=cfg.n_classes)
-
-
-def _run_one_job(args):
-    cfg_json, ckpt_dir, variant, seed = args
-    cfg = ExperimentConfig.from_json(cfg_json)
-    return run_one(cfg, ckpt_dir, variant, seed)
+def run_one(cfg: ExperimentConfig, ckpt_path, target, variant: str, seed: int) -> RunReport:
+    return run_stream(load_compatible(ckpt_path, cfg), target, cfg.adapt, variant,
+                      seed=seed, n_classes=cfg.n_classes)
 
 
 def cmd_adapt(cfg: ExperimentConfig, ckpt_dir, out_dir) -> dict:
-    """Run every (variant, seed) pair; writes reports, metrics, diagnostics."""
+    """Run every (variant, seed) pair; writes reports, metrics, diagnostics.
+
+    Each seed's target stream is built once and shared by all its variants.
+    """
     cfg.validate()
     out = Path(out_dir)
     (out / "diagnostics").mkdir(parents=True, exist_ok=True)
-    jobs = [(variant, seed) for variant in cfg.variants for seed in cfg.seeds]
+    targets = {seed: build_domains(cfg, seed)[1] for seed in cfg.seeds}
+    jobs = [(cfg, checkpoint_path(ckpt_dir, seed), targets[seed], variant, seed)
+            for variant in cfg.variants for seed in cfg.seeds]
     if cfg.workers > 1:
-        payload = [(cfg.to_json(), str(ckpt_dir), v, s) for v, s in jobs]
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            reports = list(pool.map(_run_one_job, payload))
+            futures = [pool.submit(run_one, *job) for job in jobs]
+            reports = [f.result() for f in futures]
     else:
-        reports = [run_one(cfg, ckpt_dir, v, s) for v, s in jobs]
+        reports = [run_one(*job) for job in jobs]
 
     report_doc = {
         "version": __version__,

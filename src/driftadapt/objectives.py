@@ -135,15 +135,13 @@ def total_loss(similarities: dict, modality_logits: dict, fused_logits: Tensor,
         if not np.isfinite(w) or w < 0:
             raise ConfigError(f"loss weight {w} must be finite and >= 0")
     bd = LossBreakdown()
-    _, bd.can_terms = can_loss(similarities)
+    can_total, bd.can_terms = can_loss(similarities)
     em = em_loss(fused_logits)
     bd.em_term = em.item()
     total = gc.mul(em, eps_w)
 
     if variant == MethodVariant.CAN:
-        align_total = None
-        for term in bd.can_terms.values():
-            align_total = term if align_total is None else gc.add(align_total, term)
+        align_total = can_total
         alpha = 0.0
     elif variant in (MethodVariant.SCAN, MethodVariant.SCANNER):
         align_total, bd.scan_terms = scan_loss(similarities, beta)

@@ -25,7 +25,6 @@ from .optim import AdamW
 
 GRAD_VARIANTS = (MethodVariant.ST, MethodVariant.TENT_EM, MethodVariant.CAN,
                  MethodVariant.SCAN, MethodVariant.SCANNER)
-BANK_VARIANTS = (MethodVariant.CAN, MethodVariant.SCAN, MethodVariant.SCANNER)
 
 
 @dataclass

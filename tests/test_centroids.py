@@ -124,7 +124,7 @@ def test_max_similarity_array_and_tensor_agree():
     feats = rng.normal(0, 1, (7, 4))
     s_arr, idx_arr = cb.max_similarity(bank, feats)
     s_t, idx_t = cb.max_similarity(bank, Tensor(feats, requires_grad=True))
-    np.testing.assert_allclose(s_arr, s_t.data, atol=1e-12)
+    np.testing.assert_allclose(s_arr.data, s_t.data, atol=1e-12)
     np.testing.assert_array_equal(idx_arr, idx_t)
 
 

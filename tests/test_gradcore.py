@@ -12,6 +12,7 @@ from driftadapt import gradcore as gc
 from driftadapt.errors import (
     ContractError,
     DegenerateVectorError,
+    NumericError,
     ShapeMismatchError,
 )
 from driftadapt.gradcore import Tensor
@@ -22,7 +23,7 @@ TOL = 1e-6
 def _check(f, shape, seed=0, scale=1.0, tol=1e-6):
     rng = np.random.default_rng(seed)
     x = Tensor(scale * rng.normal(0.0, 1.0, shape), requires_grad=True)
-    assert gc.finite_diff_check(f, x) < tol
+    assert gc.finite_diff_params(lambda: f(x), [x]) < tol
 
 
 # -- basic ops -------------------------------------------------------------
@@ -250,4 +251,11 @@ def test_random_composite_finite_diff(seed):
         return gc.tsum(gc.mul(gc.softmax(h, axis=1), h))
 
     x = Tensor(rng.normal(0, 1, (2, 3)), requires_grad=True)
-    assert gc.finite_diff_check(f, x) < 1e-5
+    assert gc.finite_diff_params(lambda: f(x), [x]) < 1e-5
+
+
+def test_finite_diff_raises_on_non_finite_perturbed_value():
+    # finite at x = 1, overflows to inf at x + h
+    x = Tensor(1.0, requires_grad=True)
+    with np.errstate(over="ignore"), pytest.raises(NumericError):
+        gc.finite_diff_params(lambda: gc.tsum(gc.mul(x, np.finfo(float).max)), [x])

@@ -36,6 +36,8 @@ def test_config_unknown_field_rejected():
         ExperimentConfig.from_dict({"learning_rate": 0.1})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"adapt": {"momentum": 0.9}})
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({"out_dir": "runs"})
 
 
 def test_config_validation_errors():
@@ -47,6 +49,8 @@ def test_config_validation_errors():
         BenchmarkConfig(preset="weird").validate()
     with pytest.raises(ConfigError):
         BenchmarkConfig(p_hate=[0.5]).validate()
+    with pytest.raises(ConfigError):
+        BenchmarkConfig(outlier_mode="mixed").validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(variants=["nonsense"]).validate()
 
@@ -150,6 +154,23 @@ def test_adapt_outputs_independent_of_workers(tmp_path):
     doc["config"]["workers"] = 1
     assert json.dumps(doc, indent=2, sort_keys=True).encode() == \
         (one / "report.json").read_bytes()
+
+
+def test_adapt_builds_each_seed_target_once(tmp_path, monkeypatch):
+    cfg = tiny_experiment(tmp_path)
+    cfg.seeds = [0, 1]
+    cfg.variants = ["source", "scanner"]
+    harness.cmd_pretrain(cfg, tmp_path)
+    calls = []
+    build = harness.build_domains
+
+    def counting_build(cfg, seed):
+        calls.append(seed)
+        return build(cfg, seed)
+
+    monkeypatch.setattr(harness, "build_domains", counting_build)
+    harness.cmd_adapt(cfg, tmp_path, tmp_path / "out")
+    assert sorted(calls) == [0, 1]
 
 
 def _cut_to_half(blob):
@@ -257,6 +278,15 @@ def test_cli_missing_config_file(tmp_path, capsys):
 def test_cli_bad_config_contents(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"no_such_field": 1}))
+    code = cli_main(["pretrain", "--config", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("ERROR config:")
+
+
+@pytest.mark.parametrize("raw", [{"adapt": {"batch_size": 0}}, {"d_h": 0}])
+def test_cli_zero_size_is_config_error(tmp_path, capsys, raw):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(raw))
     code = cli_main(["pretrain", "--config", str(path), "--out", str(tmp_path)])
     assert code == 2
     assert capsys.readouterr().err.startswith("ERROR config:")
