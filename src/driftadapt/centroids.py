@@ -78,18 +78,21 @@ def init_kmeanspp(features: np.ndarray, k: int, seed=0,
         d2 = np.minimum(d2, ((x - centroids[j]) ** 2).sum(axis=1))
 
     bank = CentroidBank(modality=modality, centroids=centroids, momentum=momentum)
-    prev_labels = None
+    # each centroid set is assigned once: Lloyd updates from these labels,
+    # and the labels of the converged centroids seed the swap refinement
+    assigned = _sse(x, bank.centroids)
     for _ in range(max_iter):
-        labels, _ = _sse(x, bank.centroids)
-        if prev_labels is not None and np.array_equal(labels, prev_labels):
+        labels = assigned[0]
+        lloyd_iterate(bank, x, _normalized=True, _assigned=assigned)
+        assigned = _sse(x, bank.centroids)
+        if np.array_equal(assigned[0], labels):
             break
-        prev_labels = labels
-        lloyd_iterate(bank, x, _normalized=True)
-    bank.centroids = _hartigan_refine(x, bank.centroids, max_sweeps=max_iter)
+    bank.centroids = _hartigan_refine(x, bank.centroids, assigned[0], max_sweeps=max_iter)
     return bank
 
 
-def _hartigan_refine(x: np.ndarray, centroids: np.ndarray, max_sweeps: int = 100):
+def _hartigan_refine(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
+                     max_sweeps: int = 100):
     """Single-point swap refinement of a Lloyd fixed point.
 
     Lloyd only moves whole assignment boundaries, so it can get stuck when
@@ -98,9 +101,15 @@ def _hartigan_refine(x: np.ndarray, centroids: np.ndarray, max_sweeps: int = 100
     SSE delta under cluster-size-corrected means and moves it when that
     delta is negative; fixed points of this sweep are a strict subset of
     Lloyd's.
+
+    A sweep visits the points in order and moves each one whose best gain
+    exceeds 1e-12, to the lowest-indexed cluster of that best gain. Up to the
+    next move the sums and counts do not change, so one batched pass over
+    the remaining points finds that move: the first point with a positive
+    gain. ``labels`` is the assignment of ``x`` to ``centroids``.
     """
-    labels, _ = _sse(x, centroids)
-    k = centroids.shape[0]
+    n, k = x.shape[0], centroids.shape[0]
+    labels = labels.copy()
     sums = np.zeros_like(centroids)
     counts = np.zeros(k, dtype=np.int64)
     for j in range(k):
@@ -110,48 +119,50 @@ def _hartigan_refine(x: np.ndarray, centroids: np.ndarray, max_sweeps: int = 100
             sums[j] = members.sum(axis=0)
     for _ in range(max_sweeps):
         moved = False
-        for i in range(x.shape[0]):
-            a = labels[i]
-            if counts[a] <= 1:
-                continue
-            ca = sums[a] / counts[a]
-            removal_gain = counts[a] / (counts[a] - 1.0) * ((x[i] - ca) ** 2).sum()
-            best_gain, best_b = 1e-12, -1
-            for b in range(k):
-                if b == a:
-                    continue
-                if counts[b] == 0:
-                    gain = removal_gain
-                else:
-                    cb = sums[b] / counts[b]
-                    gain = removal_gain - counts[b] / (counts[b] + 1.0) * (
-                        (x[i] - cb) ** 2
-                    ).sum()
-                if gain > best_gain:
-                    best_gain, best_b = gain, b
-            if best_b >= 0:
-                sums[a] -= x[i]
-                counts[a] -= 1
-                sums[best_b] += x[i]
-                counts[best_b] += 1
-                labels[i] = best_b
-                moved = True
+        start = 0
+        while start < n:
+            rest = labels[start:]
+            means = sums / np.maximum(counts, 1)[:, None]
+            d2 = ((x[start:, None, :] - means[None, :, :]) ** 2).sum(axis=-1)
+            own = counts[rest]
+            rows = np.arange(n - start)
+            # singleton owners never move; the floor only keeps them finite
+            removal = own / np.maximum(own - 1.0, 1.0) * d2[rows, rest]
+            # an empty cluster's term is 0.0 * d2, so its gain is the removal gain
+            gains = removal[:, None] - counts / (counts + 1.0) * d2
+            gains[rows, rest] = -np.inf
+            gains[own <= 1] = -np.inf
+            best = gains.argmax(axis=1)
+            moves = gains[rows, best] > 1e-12
+            r = moves.argmax()
+            if not moves[r]:
+                break
+            i, a, b = start + r, rest[r], best[r]
+            sums[a] -= x[i]
+            counts[a] -= 1
+            sums[b] += x[i]
+            counts[b] += 1
+            labels[i] = b
+            moved = True
+            start = i + 1
         if not moved:
             break
     out = centroids.copy()
-    for j in range(k):
-        if counts[j]:
-            out[j] = sums[j] / counts[j]
+    filled = counts > 0
+    out[filled] = sums[filled] / counts[filled, None]
     return out
 
 
-def lloyd_iterate(bank: CentroidBank, features: np.ndarray, _normalized=False):
+def lloyd_iterate(bank: CentroidBank, features: np.ndarray, _normalized=False,
+                  _assigned=None):
     """One assign + mean-update step; returns (bank, SSE before the update).
 
-    Empty clusters are reseeded to the point farthest from its own centroid.
+    ``_assigned`` is the ``_sse`` result for the bank's current centroids,
+    when the caller has it already. Empty clusters are reseeded to the point
+    farthest from its own centroid.
     """
     x = features if _normalized else l2_normalize_rows(np.asarray(features, dtype=np.float64))
-    labels, sse = _sse(x, bank.centroids)
+    labels, sse = _sse(x, bank.centroids) if _assigned is None else _assigned
     new_centroids = bank.centroids.copy()
     for j in range(bank.k):
         members = x[labels == j]

@@ -23,7 +23,7 @@ def _load_config(args) -> ExperimentConfig:
         cfg = ExperimentConfig()
     if args.preset:
         cfg.benchmark = preset_benchmark(args.preset)
-    if getattr(args, "workers", None):
+    if getattr(args, "workers", None) is not None:
         cfg.workers = args.workers
     cfg.validate()
     return cfg

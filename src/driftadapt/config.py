@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
@@ -31,10 +33,7 @@ class AdaptConfig:
     norm_momentum: float = 0.1     # EMA momentum for the Norm baseline
 
     def validate(self):
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        _check_numbers(self, minimum={"k": 1, "batch_size": 1})
         if not (0.0 <= self.gamma < 1.0):
             raise ConfigError("gamma must lie in [0, 1)")
         if self.beta < 0:
@@ -44,6 +43,13 @@ class AdaptConfig:
         for name in ("eps_w", "lam", "alpha", "lr", "weight_decay"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ConfigError(f"{name} must lie in [0, 1)")
+        if self.adam_eps <= 0:
+            raise ConfigError("adam_eps must be > 0")
+        if not (0.0 <= self.norm_momentum <= 1.0):
+            raise ConfigError("norm_momentum must lie in [0, 1]")
 
 
 @dataclass
@@ -69,12 +75,26 @@ class BenchmarkConfig:
     n_target: int = 2048
 
     def validate(self):
+        _check_numbers(self, minimum={"n_cores": 1, "d_z": 1, "d_in": 1,
+                                      "n_source": 1, "n_target": 1})
         if self.preset not in PRESETS + ("custom",):
             raise ConfigError(f"unknown preset {self.preset!r}")
-        if len(self.p_hate) != self.n_cores:
+        if not isinstance(self.p_hate, list) or len(self.p_hate) != self.n_cores:
             raise ConfigError("p_hate must list one probability per core")
-        if any(not (0.0 <= p <= 1.0) for p in self.p_hate):
+        if any(not (0.0 <= _finite("p_hate", p) <= 1.0) for p in self.p_hate):
             raise ConfigError("p_hate entries must lie in [0, 1]")
+        jitter = self.core_jitter if isinstance(self.core_jitter, list) else [self.core_jitter]
+        if len(jitter) not in (1, self.n_cores):
+            raise ConfigError("core_jitter must be one spread or one per core")
+        if any(_finite("core_jitter", j) < 0 for j in jitter):
+            raise ConfigError("core_jitter must be >= 0")
+        if self.style_drift is not None and _finite("style_drift", self.style_drift) < 0:
+            raise ConfigError("style_drift must be >= 0")
+        for name in ("severity", "outlier_spread", "style_noise"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        if not (0.0 <= self.label_noise <= 1.0):
+            raise ConfigError("label_noise must lie in [0, 1]")
         if not (0.0 <= self.outlier_frac < 1.0):
             raise ConfigError("outlier_frac must lie in [0, 1)")
         if self.outlier_mode not in ("scatter", "clump"):
@@ -120,26 +140,43 @@ class ExperimentConfig:
     def validate(self):
         self.benchmark.validate()
         self.adapt.validate()
-        if not self.seeds:
-            raise ConfigError("at least one seed is required")
-        if self.d_h < 1:
-            raise ConfigError("d_h must be >= 1")
+        _check_numbers(self, minimum={"d_h": 1, "n_classes": 2,
+                                      "pretrain_epochs": 1, "workers": 1})
+        if not isinstance(self.seeds, list) or not self.seeds:
+            raise ConfigError("seeds must be a non-empty list")
+        for seed in self.seeds:
+            _integer("seeds", seed, 0)
+        if not isinstance(self.variants, list) or not self.variants:
+            raise ConfigError("variants must be a non-empty list")
         for v in self.variants:
-            try:
-                MethodVariant(v)
-            except ValueError as exc:
-                raise ConfigError(f"unknown variant {v!r}") from exc
+            if v not in [m.value for m in MethodVariant]:
+                raise ConfigError(f"unknown variant {v!r}")
+        for name in ("seeds", "variants"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise ConfigError(f"{name} must not repeat an entry")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
+    def recorded(self) -> dict:
+        """The config as output files record it: without ``workers``, an
+        execution setting that changes no output."""
+        doc = asdict(self)
+        del doc["workers"]
+        return doc
+
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        raw = json.loads(text)
+        try:
+            raw = json.loads(text)
+        except ValueError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(raw)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -155,8 +192,35 @@ class ExperimentConfig:
 
 
 def _sub(klass, raw: dict):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{klass.__name__} must be a JSON object")
     known = {f.name for f in fields(klass)}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown {klass.__name__} fields: {sorted(unknown)}")
     return klass(**raw)
+
+
+def _integer(name: str, value, minimum: int):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}")
+
+
+def _finite(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def _check_numbers(config, minimum: dict):
+    """Type-checks the ``int`` and ``float`` fields of a config dataclass;
+    ``minimum`` gives the lower bound of every ``int`` field."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int":
+            _integer(f.name, value, minimum[f.name])
+        elif f.type == "float":
+            _finite(f.name, value)

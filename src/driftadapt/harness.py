@@ -48,7 +48,7 @@ def cmd_pretrain(cfg: ExperimentConfig, out_dir) -> dict:
     cfg.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary = {"version": __version__, "config": json.loads(cfg.to_json()), "seeds": {}}
+    summary = {"version": __version__, "config": cfg.recorded(), "seeds": {}}
     for seed in cfg.seeds:
         source, _ = build_domains(cfg, seed)
         model = SourceModel(
@@ -108,7 +108,7 @@ def cmd_adapt(cfg: ExperimentConfig, ckpt_dir, out_dir) -> dict:
 
     report_doc = {
         "version": __version__,
-        "config": json.loads(cfg.to_json()),
+        "config": cfg.recorded(),
         "runs": [r.to_dict() for r in reports],
         "aggregate": aggregate(reports),
     }

@@ -79,13 +79,30 @@ def _check_metrics(rng):
     return "metrics bounded"
 
 
+def _check_clustering(rng):
+    # 6 points, k=2: the best of ten seedings reaches the SSE of the best of
+    # all 31 bipartitions. Lloyd alone misses it on a few percent of such
+    # sets, so 40 of them also exercise the swap refinement.
+    for _ in range(40):
+        x = cb.l2_normalize_rows(rng.normal(0, 1, (6, 3)))
+        best = np.inf
+        for bits in range(1, 2**5):
+            mask = np.array([(bits >> i) & 1 for i in range(6)], dtype=bool)
+            c = np.stack([x[mask].mean(axis=0), x[~mask].mean(axis=0)])
+            best = min(best, cb._sse(x, c)[1])
+        found = min(cb._sse(x, cb.init_kmeanspp(x, k=2, seed=s).centroids)[1]
+                    for s in range(10))
+        assert found <= best + 1e-9, (found, best)
+    return "k-means seeding reaches the brute-force optimal SSE"
+
+
 def run_selftest() -> list:
     """Returns (name, passed, detail) triples for each invariant suite."""
     rng = np.random.default_rng(0)
     results = []
     for check in (_check_softmax, _check_cosine_bounds, _check_gradients,
                   _check_attention_gradients, _check_scan_dominance,
-                  _check_momentum, _check_metrics):
+                  _check_momentum, _check_metrics, _check_clustering):
         try:
             detail = check(rng)
             results.append((check.__name__.lstrip("_"), True, detail))

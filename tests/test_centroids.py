@@ -85,6 +85,142 @@ def test_init_matches_brute_force_small():
     assert found <= best + 1e-9
 
 
+def _reference_hartigan(x, centroids, max_sweeps=100):
+    """Hartigan swap refinement as a plain loop over points and clusters: the
+    oracle of the batched ``cb._hartigan_refine``."""
+    labels, _ = cb._sse(x, centroids)
+    k = centroids.shape[0]
+    sums = np.zeros_like(centroids)
+    counts = np.zeros(k, dtype=np.int64)
+    for j in range(k):
+        members = x[labels == j]
+        counts[j] = len(members)
+        if len(members):
+            sums[j] = members.sum(axis=0)
+    for _ in range(max_sweeps):
+        moved = False
+        for i in range(x.shape[0]):
+            a = labels[i]
+            if counts[a] <= 1:
+                continue
+            ca = sums[a] / counts[a]
+            removal_gain = counts[a] / (counts[a] - 1.0) * ((x[i] - ca) ** 2).sum()
+            best_gain, best_b = 1e-12, -1
+            for b in range(k):
+                if b == a:
+                    continue
+                if counts[b] == 0:
+                    gain = removal_gain
+                else:
+                    cb_mean = sums[b] / counts[b]
+                    gain = removal_gain - counts[b] / (counts[b] + 1.0) * (
+                        (x[i] - cb_mean) ** 2
+                    ).sum()
+                if gain > best_gain:
+                    best_gain, best_b = gain, b
+            if best_b >= 0:
+                sums[a] -= x[i]
+                counts[a] -= 1
+                sums[best_b] += x[i]
+                counts[best_b] += 1
+                labels[i] = best_b
+                moved = True
+        if not moved:
+            break
+    out = centroids.copy()
+    for j in range(k):
+        if counts[j]:
+            out[j] = sums[j] / counts[j]
+    return out
+
+
+def _refine(x, centroids):
+    return cb._hartigan_refine(x, centroids, cb._sse(x, centroids)[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.sampled_from([2, 3, 8, 32]),
+       st.integers(1, 7), st.sampled_from(["normal", "rounded", "near_duplicates"]),
+       st.booleans())
+def test_hartigan_matches_loop_bitwise(seed, n, d, k, kind, far_centroid):
+    rng = np.random.default_rng(seed)
+    k = min(k, n)
+    x = rng.normal(0, 1, (n, d))
+    if kind == "rounded":
+        # a coarse grid makes exact distance and gain ties common
+        x = np.round(x) + 0.5
+    elif kind == "near_duplicates":
+        half = x[: (n + 1) // 2]
+        x = np.vstack([half, half + 1e-7 * rng.normal(0, 1, half.shape)])[:n]
+    x = cb.l2_normalize_rows(x)
+    centroids = x[rng.choice(n, k, replace=False)] + 0.2 * rng.normal(0, 1, (k, d))
+    if far_centroid:
+        # a centroid that no point is nearest to: the refinement starts with
+        # an empty cluster, which takes every positive removal gain
+        centroids[-1] = 100.0
+    assert np.array_equal(_refine(x, centroids), _reference_hartigan(x, centroids))
+
+
+def test_hartigan_single_cluster_is_the_mean():
+    x = cb.l2_normalize_rows(np.random.default_rng(2).normal(0, 1, (9, 4)))
+    c = x[:1].copy()
+    assert np.array_equal(_refine(x, c), _reference_hartigan(x, c))
+    np.testing.assert_allclose(_refine(x, c)[0], x.mean(axis=0), atol=1e-15)
+
+
+def test_hartigan_never_moves_a_singleton():
+    # the nearest-centroid start puts (5, 5) alone in cluster 1
+    x = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [5.0, 5.0]])
+    c = np.array([[0.1, 0.0], [5.0, 5.0]])
+    out = _refine(x, c)
+    assert np.array_equal(out, _reference_hartigan(x, c))
+    np.testing.assert_array_equal(out[1], [5.0, 5.0])
+
+
+def test_hartigan_fills_an_empty_start_cluster():
+    x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    c = np.array([[0.5, 0.5], [10.0, 10.0]])
+    assert np.bincount(cb._sse(x, c)[0], minlength=2)[1] == 0
+    out = _refine(x, c)
+    assert np.array_equal(out, _reference_hartigan(x, c))
+    # (0, 0) takes the empty cluster on its positive removal gain and
+    # (1, 0) follows it: the square splits into a bottom and a top pair
+    np.testing.assert_array_equal(out, [[0.5, 1.0], [0.5, 0.0]])
+
+
+def test_hartigan_move_that_leaves_one_member():
+    # (3.4, 0) starts nearest centroid 0, but moving it to the far pair
+    # lowers the SSE; that leaves (0, 0) alone, and a singleton never moves
+    x = np.array([[0.0, 0.0], [3.4, 0.0], [6.0, 0.0], [6.2, 0.0]])
+    c = np.array([[2.0, 0.0], [5.0, 0.0]])
+    np.testing.assert_array_equal(cb._sse(x, c)[0], [0, 0, 1, 1])
+    out = _refine(x, c)
+    assert np.array_equal(out, _reference_hartigan(x, c))
+    np.testing.assert_array_equal(out[0], [0.0, 0.0])
+    np.testing.assert_allclose(out[1], [(3.4 + 6.0 + 6.2) / 3, 0.0])
+
+
+def test_init_assigns_once_per_lloyd_iteration(monkeypatch):
+    calls = {"sse": 0, "lloyd": 0}
+    sse, lloyd = cb._sse, cb.lloyd_iterate
+
+    def counting_sse(*args):
+        calls["sse"] += 1
+        return sse(*args)
+
+    def counting_lloyd(*args, **kwargs):
+        calls["lloyd"] += 1
+        return lloyd(*args, **kwargs)
+
+    monkeypatch.setattr(cb, "_sse", counting_sse)
+    monkeypatch.setattr(cb, "lloyd_iterate", counting_lloyd)
+    x = cb.l2_normalize_rows(np.random.default_rng(8).normal(0, 1, (60, 4)))
+    cb.init_kmeanspp(x, k=4, seed=1)
+    assert calls["lloyd"] >= 2
+    # one assignment per Lloyd iteration, plus the check of the last centroids
+    assert calls["sse"] == calls["lloyd"] + 1
+
+
 def test_init_requires_enough_points():
     with pytest.raises(ConfigError):
         cb.init_kmeanspp(np.eye(2), k=3)

@@ -2,10 +2,12 @@
 
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import tiny_experiment, tiny_model
 
@@ -148,12 +150,11 @@ def test_adapt_outputs_independent_of_workers(tmp_path):
     for name in diag:
         assert (one / "diagnostics" / name).read_bytes() == \
             (two / "diagnostics" / name).read_bytes()
-    # report.json records the resolved config, so only config.workers differs
-    doc = json.loads((two / "report.json").read_text())
-    assert doc["config"]["workers"] == 2
-    doc["config"]["workers"] = 1
-    assert json.dumps(doc, indent=2, sort_keys=True).encode() == \
-        (one / "report.json").read_bytes()
+    # workers is an execution setting: the recorded config leaves it out
+    assert (one / "report.json").read_bytes() == (two / "report.json").read_bytes()
+    assert "workers" not in json.loads((one / "report.json").read_text())["config"]
+    summary = json.loads((tmp_path / "pretrain_summary.json").read_text())
+    assert "workers" not in summary["config"]
 
 
 def test_adapt_builds_each_seed_target_once(tmp_path, monkeypatch):
@@ -290,6 +291,104 @@ def test_cli_zero_size_is_config_error(tmp_path, capsys, raw):
     code = cli_main(["pretrain", "--config", str(path), "--out", str(tmp_path)])
     assert code == 2
     assert capsys.readouterr().err.startswith("ERROR config:")
+
+
+def _cli_config_error(tmp_path, capsys, text, *extra):
+    path = tmp_path / "probe.json"
+    path.write_text(text)
+    code = cli_main(["adapt", "--config", str(path), "--out", str(tmp_path), *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR config:") and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_cli_zero_cores_is_config_error(tmp_path, capsys):
+    _cli_config_error(tmp_path, capsys, '{"benchmark": {"n_cores": 0, "p_hate": []}}')
+
+
+def test_cli_string_k_is_config_error(tmp_path, capsys):
+    _cli_config_error(tmp_path, capsys, '{"adapt": {"k": "5"}}')
+
+
+def test_cli_string_seed_is_config_error(tmp_path, capsys):
+    _cli_config_error(tmp_path, capsys, '{"seeds": ["a"]}')
+
+
+def test_cli_nan_lr_is_config_error(tmp_path, capsys):
+    # Python's json module reads the bare NaN token as float("nan")
+    _cli_config_error(tmp_path, capsys, '{"adapt": {"lr": NaN}}')
+
+
+def test_cli_negative_pretrain_epochs_is_config_error(tmp_path, capsys):
+    path = tmp_path / "probe.json"
+    path.write_text('{"pretrain_epochs": -1}')
+    code = cli_main(["pretrain", "--config", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("ERROR config:")
+    assert not harness.checkpoint_path(tmp_path, 0).exists()
+
+
+def test_cli_zero_workers_is_config_error(tmp_path, capsys):
+    _cli_config_error(tmp_path, capsys, _write_cfg(tmp_path).read_text(), "--workers", "0")
+
+
+def test_cli_malformed_json_is_config_error(tmp_path, capsys):
+    _cli_config_error(tmp_path, capsys, '{"adapt": ')
+
+
+@pytest.mark.parametrize("raw", [
+    {"adapt": {"k": True}}, {"adapt": {"k": 2.0}}, {"d_h": "32"},
+    {"benchmark": {"core_jitter": [0.1, 0.2]}}, {"benchmark": {"p_hate": 1.0}},
+    {"benchmark": {"severity": float("inf")}}, {"benchmark": 3},
+    {"seeds": [0, 0]}, {"seeds": [-1]}, {"variants": []}, {"variants": [["can"]]},
+    {"n_classes": 1}, {"adapt": {"adam_eps": 0.0}}, [1, 2],
+])
+def test_config_rejects_wrong_types_and_ranges(raw):
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(raw)
+
+
+_ANY_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**6)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _changes(klass):
+    """Up to three plain fields of ``klass`` set to arbitrary JSON-like values,
+    or to small numbers of a plausible type, so that many draws validate."""
+    names = [f.name for f in fields(klass) if f.name not in ("benchmark", "adapt")]
+    return st.dictionaries(st.sampled_from(names),
+                           _ANY_VALUE | st.integers(0, 8) | st.floats(0, 1), max_size=3)
+
+
+def _mutated(klass):
+    base = {f.name: getattr(klass(), f.name) for f in fields(klass)}
+    return _changes(klass).map(lambda changes: {**base, **changes})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(
+    lambda bench, adapt, top: {"benchmark": bench, "adapt": adapt, **top},
+    _mutated(BenchmarkConfig), _mutated(AdaptConfig), _changes(ExperimentConfig),
+))
+def test_config_from_dict_fuzz(raw):
+    try:
+        cfg = ExperimentConfig.from_dict(raw)
+    except ConfigError:
+        return
+    for block in (cfg, cfg.benchmark, cfg.adapt):
+        for f in fields(block):
+            value = getattr(block, f.name)
+            if f.type == "int":
+                assert isinstance(value, int) and not isinstance(value, bool)
+            elif f.type == "float":
+                assert isinstance(value, (int, float)) and np.isfinite(value)
+    assert all(isinstance(s, int) and s >= 0 for s in cfg.seeds)
+    assert ExperimentConfig.from_json(cfg.to_json()) == cfg
 
 
 def test_cli_missing_checkpoint(tmp_path, capsys):
