@@ -77,18 +77,16 @@ def init_kmeanspp(features: np.ndarray, k: int, seed=0,
             centroids[j] = x[rng.choice(b, p=d2 / total)]
         d2 = np.minimum(d2, ((x - centroids[j]) ** 2).sum(axis=1))
 
-    bank = CentroidBank(modality=modality, centroids=centroids, momentum=momentum)
     # each centroid set is assigned once: Lloyd updates from these labels,
     # and the labels of the converged centroids seed the swap refinement
-    assigned = _sse(x, bank.centroids)
+    labels = _sse(x, centroids)[0]
     for _ in range(max_iter):
-        labels = assigned[0]
-        lloyd_iterate(bank, x, _normalized=True, _assigned=assigned)
-        assigned = _sse(x, bank.centroids)
-        if np.array_equal(assigned[0], labels):
+        centroids = _lloyd_step(x, centroids, labels)
+        labels, previous = _sse(x, centroids)[0], labels
+        if np.array_equal(labels, previous):
             break
-    bank.centroids = _hartigan_refine(x, bank.centroids, assigned[0], max_sweeps=max_iter)
-    return bank
+    centroids = _hartigan_refine(x, centroids, labels, max_sweeps=max_iter)
+    return CentroidBank(modality=modality, centroids=centroids, momentum=momentum)
 
 
 def _hartigan_refine(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
@@ -110,13 +108,7 @@ def _hartigan_refine(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
     """
     n, k = x.shape[0], centroids.shape[0]
     labels = labels.copy()
-    sums = np.zeros_like(centroids)
-    counts = np.zeros(k, dtype=np.int64)
-    for j in range(k):
-        members = x[labels == j]
-        counts[j] = len(members)
-        if len(members):
-            sums[j] = members.sum(axis=0)
+    sums, counts = gc.cluster_sums(x, labels, k)
     for _ in range(max_sweeps):
         moved = False
         start = 0
@@ -147,34 +139,34 @@ def _hartigan_refine(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
             start = i + 1
         if not moved:
             break
-    out = centroids.copy()
+    return _means_or(centroids, sums, counts)
+
+
+def _means_or(fallback: np.ndarray, sums: np.ndarray, counts: np.ndarray):
+    """Per-cluster means ``sums / counts``; an empty cluster keeps its
+    ``fallback`` row."""
+    out = fallback.copy()
     filled = counts > 0
     out[filled] = sums[filled] / counts[filled, None]
     return out
 
 
-def lloyd_iterate(bank: CentroidBank, features: np.ndarray, _normalized=False,
-                  _assigned=None):
-    """One assign + mean-update step; returns (bank, SSE before the update).
-
-    ``_assigned`` is the ``_sse`` result for the bank's current centroids,
-    when the caller has it already. Empty clusters are reseeded to the point
-    farthest from its own centroid.
-    """
+def lloyd_iterate(bank: CentroidBank, features: np.ndarray, _normalized=False):
+    """One assign + mean-update step; returns (bank, SSE before the update)."""
     x = features if _normalized else l2_normalize_rows(np.asarray(features, dtype=np.float64))
-    labels, sse = _sse(x, bank.centroids) if _assigned is None else _assigned
-    new_centroids = bank.centroids.copy()
-    for j in range(bank.k):
-        members = x[labels == j]
-        if len(members):
-            new_centroids[j] = members.mean(axis=0)
-    # reseed empties to the globally farthest point from its assigned centroid
-    for j in range(bank.k):
-        if not np.any(labels == j):
-            dist = np.linalg.norm(x - bank.centroids[labels], axis=1)
-            new_centroids[j] = x[dist.argmax()]
-    bank.centroids = new_centroids
+    labels, sse = _sse(x, bank.centroids)
+    bank.centroids = _lloyd_step(x, bank.centroids, labels)
     return bank, sse
+
+
+def _lloyd_step(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray):
+    """Means of the clusters that ``labels`` assigns; every empty cluster is
+    reseeded to the point farthest from its own centroid."""
+    sums, counts = gc.cluster_sums(x, labels, len(centroids))
+    out = _means_or(centroids, sums, counts)
+    if not counts.all():
+        out[counts == 0] = x[np.linalg.norm(x - centroids[labels], axis=1).argmax()]
+    return out
 
 
 def batch_means(features: np.ndarray, assignment: Assignment, bank: CentroidBank):
@@ -182,16 +174,9 @@ def batch_means(features: np.ndarray, assignment: Assignment, bank: CentroidBank
     centroid forward and are flagged on the bank."""
     if assignment.indices.shape[0] != features.shape[0]:
         raise ContractError("assignment length does not match batch size")
-    means = bank.centroids.copy()
-    carried = []
-    for j in range(bank.k):
-        members = features[assignment.indices == j]
-        if len(members):
-            means[j] = members.mean(axis=0)
-        else:
-            carried.append(j)
-    bank.carried_forward = carried
-    return means
+    sums, counts = gc.cluster_sums(features, assignment.indices, bank.k)
+    bank.carried_forward = np.flatnonzero(counts == 0).tolist()
+    return _means_or(bank.centroids, sums, counts)
 
 
 def momentum_update(bank: CentroidBank, means: np.ndarray) -> CentroidBank:

@@ -10,19 +10,19 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig, preset_benchmark
+from .config import ExperimentConfig
 from .errors import DriftAdaptError
 from .harness import cmd_adapt, cmd_export_embeddings, cmd_pretrain
 from .selftest import run_selftest
 
 
 def _load_config(args) -> ExperimentConfig:
-    if args.config:
-        cfg = ExperimentConfig.from_json(Path(args.config).read_text())
-    else:
-        cfg = ExperimentConfig()
-    if args.preset:
-        cfg.benchmark = preset_benchmark(args.preset)
+    raw = ExperimentConfig.parse_json(Path(args.config).read_text()) if args.config else {}
+    if args.preset and isinstance(raw, dict) and isinstance(raw.get("benchmark", {}), dict):
+        # the preset is the base of the benchmark block; the config's
+        # explicit benchmark fields still override it
+        raw["benchmark"] = {**raw.get("benchmark", {}), "preset": args.preset}
+    cfg = ExperimentConfig.from_dict(raw)
     if getattr(args, "workers", None) is not None:
         cfg.workers = args.workers
     cfg.validate()
@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="experiment config JSON file")
         p.add_argument("--out", default="runs", help="output directory")
         p.add_argument("--preset", choices=["mild", "severe", "collapse"],
-                       help="override the benchmark preset")
+                       help="benchmark preset under the config's explicit benchmark fields")
 
     p = sub.add_parser("pretrain", help="pretrain source models, one per seed")
     common(p)
@@ -79,8 +79,9 @@ def main(argv=None) -> int:
             ckpt_dir = args.checkpoints or args.out
             doc = cmd_adapt(cfg, ckpt_dir, args.out)
             for variant, metrics in sorted(doc["aggregate"].items()):
-                f1 = metrics["online_macro_f1"]
-                print(f"{variant}: macro-F1 {f1['mean']:.4f} +/- {f1['std']:.4f}")
+                online, final = metrics["online_macro_f1"], metrics["final_macro_f1"]
+                print(f"{variant}: macro-F1 {online['mean']:.4f} +/- {online['std']:.4f} online, "
+                      f"{final['mean']:.4f} +/- {final['std']:.4f} final")
         elif args.command == "export-embeddings":
             out_csv = args.csv or str(Path(args.out) / "embeddings.csv")
             Path(args.out).mkdir(parents=True, exist_ok=True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .errors import ConfigError
 from .objectives import MethodVariant
@@ -102,8 +102,9 @@ class BenchmarkConfig:
 
 
 def preset_benchmark(name: str) -> BenchmarkConfig:
-    if name == "mild":
-        return BenchmarkConfig(preset="mild", severity=0.3)
+    """The named preset's benchmark block; ``"custom"`` is the defaults."""
+    if name in ("mild", "custom"):
+        return BenchmarkConfig(preset=name)
     if name == "severe":
         # heavy rendering drift with near-duplicate junk outliers; two tight
         # "anchor" cores (one per class) next to two diffuse negative cores
@@ -154,6 +155,10 @@ class ExperimentConfig:
         for name in ("seeds", "variants"):
             if len(set(getattr(self, name))) != len(getattr(self, name)):
                 raise ConfigError(f"{name} must not repeat an entry")
+        first = min(self.adapt.batch_size, self.benchmark.n_target)
+        if self.adapt.k > first and {"can", "scan", "scanner"} & set(self.variants):
+            raise ConfigError(f"k={self.adapt.k} exceeds the {first} rows of the first "
+                              "target batch, which seeds the centroid banks")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -165,13 +170,17 @@ class ExperimentConfig:
         del doc["workers"]
         return doc
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
+    @staticmethod
+    def parse_json(text: str):
+        """The JSON value of a config document; malformed JSON is a ConfigError."""
         try:
-            raw = json.loads(text)
+            return json.loads(text)
         except ValueError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
+
+    @classmethod
+    def from_json(cls, text: str) -> "ExperimentConfig":
+        return cls.from_dict(cls.parse_json(text))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -183,7 +192,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         kwargs = dict(raw)
         if "benchmark" in kwargs:
-            kwargs["benchmark"] = _sub(BenchmarkConfig, kwargs["benchmark"])
+            # the named preset is the base; the block's explicit fields override it
+            block = _sub(BenchmarkConfig, kwargs["benchmark"])
+            kwargs["benchmark"] = replace(preset_benchmark(block.preset), **kwargs["benchmark"])
         if "adapt" in kwargs:
             kwargs["adapt"] = _sub(AdaptConfig, kwargs["adapt"])
         cfg = cls(**kwargs)

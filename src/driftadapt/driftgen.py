@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import BenchmarkConfig
 from .errors import ContractError
-from .gradcore import Tensor
+from .gradcore import Tensor, cluster_sums
 from .model import MODALITIES
 
 
@@ -183,13 +183,10 @@ def cluster_ratio_diag(indices, preds, labels, k: int) -> dict:
     labels = np.asarray(labels)
     if not (indices.shape == preds.shape == labels.shape):
         raise ContractError("diagnostic inputs must be aligned")
-    out = {}
-    for j in range(k):
-        members = indices == j
-        if members.any():
-            out[j] = (float(np.mean(preds[members] == 1)),
-                      float(np.mean(labels[members] == 1)))
-    return out
+    positives = np.stack([preds == 1, labels == 1], axis=1).astype(np.float64)
+    sums, counts = cluster_sums(positives, indices, k)
+    return {j: tuple(float(r) for r in sums[j] / counts[j])
+            for j in np.flatnonzero(counts).tolist()}
 
 
 def entropy_rows(logits: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 Just enough operations for the model and every adaptation loss: matmul,
 elementwise arithmetic with limited broadcasting, softmax, layer norm with
 affine parameters, cosine similarities against constant centroid sets,
-row gathers, cross entropy, and the fusion block's self-attention with
+row gathers, per-cluster means (``cluster_means``, on the array helper
+``cluster_sums``), cross entropy, and the fusion block's self-attention with
 mean pooling as one node (``attention_pool``). The per-row helpers
 ``rowdot``, ``rowscale``, ``stack_cols`` and ``col`` compose the same
 attention op by op; the tests use them as an oracle for ``attention_pool``.
@@ -343,6 +344,47 @@ def take_rows(x: Tensor, idx) -> Tensor:
         _accum(x, full)
 
     return _make(out_data, (x,), bwd)
+
+
+def stack_rows(vs) -> Tensor:
+    """Stack equal-length vectors as the rows of a matrix."""
+    vs = [_wrap(v) for v in vs]
+
+    def bwd(g):
+        for v, row in zip(vs, g):
+            _accum(v, row)
+
+    return _make(np.stack([v.data for v in vs]), tuple(vs), bwd)
+
+
+def cluster_sums(x: np.ndarray, labels, k: int):
+    """Row sums and row counts per cluster of an n x d array, labels in [0, k).
+
+    One weighted bincount adds each cluster's rows in row order, so a sum is
+    bit for bit ``x[labels == j].sum(axis=0)`` when d >= 2 (numpy sums a
+    single column pairwise). An empty cluster has a zero sum and count.
+    """
+    labels = np.asarray(labels, dtype=np.intp)
+    d = x.shape[1]
+    flat = (labels[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(flat, weights=x.ravel(), minlength=k * d).reshape(k, d)
+    return sums, np.bincount(labels, minlength=k)
+
+
+def cluster_means(x: Tensor, labels, k: int) -> Tensor:
+    """k' x d row means of the nonempty clusters, in cluster order, with
+    ``tmean``'s arithmetic: ``sum * (1/n)``, and ``g * (1/n)`` to each member."""
+    x = _wrap(x)
+    labels = np.asarray(labels, dtype=np.intp)
+    sums, counts = cluster_sums(x.data, labels, k)
+    filled = counts > 0
+    inv = (1.0 / counts[filled])[:, None]
+    row = np.cumsum(filled) - 1   # output row of each nonempty cluster
+
+    def bwd(g):
+        _accum(x, (g * inv)[row[labels]])
+
+    return _make(sums[filled] * inv, (x,), bwd)
 
 
 # -- nonlinear blocks -----------------------------------------------------

@@ -155,22 +155,16 @@ def write_metrics_csv(path, reports, agg: dict):
 
 def write_diagnostics_csv(path, report: RunReport):
     loss_keys = sorted({k for row in report.loss_trace for k in row if k != "tau"})
-    ratio_keys = []
-    for m in MODALITIES:
-        for j in sorted(report.cluster_ratios.get(m, {})):
-            ratio_keys.append(f"pred_pos_ratio_{m}_{j}")
+    # final-pass ratios, repeated on every row for easy plotting
+    ratios = {f"pred_pos_ratio_{m}_{j}": f"{report.cluster_ratios[m][j][0]:.6f}"
+              for m in MODALITIES for j in sorted(report.cluster_ratios.get(m, {}))}
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["tau", *loss_keys, "gradient_norm", "mean_entropy", *ratio_keys])
+        w.writerow(["tau", *loss_keys, "gradient_norm", "mean_entropy", *ratios])
         for i, row in enumerate(report.loss_trace):
-            vals = [row.get(k, "") for k in loss_keys]
-            ratios = []
-            for m in MODALITIES:
-                for j in sorted(report.cluster_ratios.get(m, {})):
-                    # final-pass ratios repeated per row for easy plotting
-                    ratios.append(f"{report.cluster_ratios[m][j][0]:.6f}")
-            w.writerow([row["tau"], *vals, f"{report.grad_norm_trace[i]:.6g}",
-                        f"{report.mean_entropy_trace[i]:.6f}", *ratios])
+            w.writerow([row["tau"], *(row.get(k, "") for k in loss_keys),
+                        f"{report.grad_norm_trace[i]:.6g}",
+                        f"{report.mean_entropy_trace[i]:.6f}", *ratios.values()])
 
 
 def cmd_export_embeddings(cfg: ExperimentConfig, ckpt_path, out_path):

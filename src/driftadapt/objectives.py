@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
@@ -51,15 +52,10 @@ class LossBreakdown:
 
 def can_loss(similarities: dict):
     """Sum over modalities of 1 - mean batch similarity."""
-    terms = {}
-    total = None
-    for m, s in similarities.items():
-        if s.data.size == 0:
-            raise ContractError("empty similarity batch")
-        term = 1.0 - gc.tmean(s)
-        terms[m] = term
-        total = term if total is None else gc.add(total, term)
-    return total, terms
+    if any(s.data.size == 0 for s in similarities.values()):
+        raise ContractError("empty similarity batch")
+    terms = {m: 1.0 - gc.tmean(s) for m, s in similarities.items()}
+    return reduce(gc.add, terms.values()), terms
 
 
 def adaptive_weights(s: Tensor, beta: float) -> Tensor:
@@ -73,44 +69,32 @@ def adaptive_weights(s: Tensor, beta: float) -> Tensor:
 
 def scan_loss(similarities: dict, beta: float):
     """Sum over modalities of 1 - softmax-weighted batch similarity."""
-    terms = {}
-    total = None
-    for m, s in similarities.items():
-        w = adaptive_weights(s, beta)
-        term = 1.0 - gc.tsum(gc.mul(w, s))
-        terms[m] = term
-        total = term if total is None else gc.add(total, term)
-    return total, terms
+    terms = {m: 1.0 - gc.tsum(gc.mul(adaptive_weights(s, beta), s))
+             for m, s in similarities.items()}
+    return reduce(gc.add, terms.values()), terms
 
 
-def cluster_avg_probs(logits: Tensor, indices: np.ndarray, k: int):
-    """Mean softmax probability per nonempty cluster; returns {j: Tensor[C]}."""
-    probs = gc.softmax(logits, axis=1)
-    out = {}
-    for j in range(k):
-        members = np.flatnonzero(indices == j)
-        if members.size:
-            out[j] = gc.tmean(gc.take_rows(probs, members), axis=0)
-    return out
+def cluster_avg_probs(logits: Tensor, indices: np.ndarray, k: int) -> Tensor:
+    """Mean softmax probability per nonempty cluster: a k' x C matrix whose
+    rows follow the cluster order."""
+    return gc.cluster_means(gc.softmax(logits, axis=1), indices, k)
 
 
 def div_loss(avg_probs: dict, k: int):
     """Per modality: (1/k) * sum over clusters of sum_c p log p.
 
     This is negative entropy, so minimizing it pushes each cluster-average
-    distribution toward uniform. Empty clusters contribute zero.
+    distribution toward uniform. Each modality maps to the k' x C matrix of
+    ``cluster_avg_probs``, or to a {cluster: Tensor[C]} dict that one node
+    stacks into that matrix. Empty clusters have no row and contribute zero.
     """
     terms = {}
-    total = None
-    for m, clusters in avg_probs.items():
-        term = None
-        for p in clusters.values():
-            neg_ent = gc.tsum(gc.mul(p, gc.log_clamped(p, LOG_FLOOR)))
-            term = neg_ent if term is None else gc.add(term, neg_ent)
-        term = gc.mul(term, 1.0 / k) if term is not None else Tensor(0.0)
-        terms[m] = term
-        total = term if total is None else gc.add(total, term)
-    return total, terms
+    for m, p in avg_probs.items():
+        if isinstance(p, dict):
+            p = gc.stack_rows(list(p.values())) if p else Tensor(np.zeros((0, 1)))
+        neg_ent = gc.tsum(gc.mul(p, gc.log_clamped(p, LOG_FLOOR)), axis=1)
+        terms[m] = gc.mul(gc.tsum(neg_ent), 1.0 / k)
+    return reduce(gc.add, terms.values()), terms
 
 
 def em_loss(fused_logits: Tensor) -> Tensor:
@@ -152,10 +136,8 @@ def total_loss(similarities: dict, modality_logits: dict, fused_logits: Tensor,
 
     total = gc.add(total, gc.mul(align_total, lam))
     if alpha > 0.0:
-        avg = {
-            m: cluster_avg_probs(modality_logits[m], assignments[m].indices, k)
-            for m in modality_logits
-        }
+        avg = {m: cluster_avg_probs(logits, assignments[m].indices, k)
+               for m, logits in modality_logits.items()}
         div_total, bd.div_terms = div_loss(avg, k)
         total = gc.add(total, gc.mul(div_total, alpha))
 

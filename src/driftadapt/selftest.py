@@ -96,13 +96,23 @@ def _check_clustering(rng):
     return "k-means seeding reaches the brute-force optimal SSE"
 
 
+def _check_cluster_gradients(rng):
+    logits = Tensor(rng.normal(0, 2, (7, 3)), requires_grad=True)
+    labels = np.array([0, 2, 0, 3, 3, 0, 3])   # cluster 1 empty, cluster 2 a singleton
+    err = gc.finite_diff_params(
+        lambda: obj.div_loss({"v": obj.cluster_avg_probs(logits, labels, 4)}, 4)[0], [logits])
+    assert err < 1e-4, err
+    return "per-cluster mean and diversity gradients match finite differences"
+
+
 def run_selftest() -> list:
     """Returns (name, passed, detail) triples for each invariant suite."""
     rng = np.random.default_rng(0)
     results = []
     for check in (_check_softmax, _check_cosine_bounds, _check_gradients,
                   _check_attention_gradients, _check_scan_dominance,
-                  _check_momentum, _check_metrics, _check_clustering):
+                  _check_momentum, _check_metrics, _check_clustering,
+                  _check_cluster_gradients):
         try:
             detail = check(rng)
             results.append((check.__name__.lstrip("_"), True, detail))

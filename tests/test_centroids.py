@@ -202,7 +202,7 @@ def test_hartigan_move_that_leaves_one_member():
 
 def test_init_assigns_once_per_lloyd_iteration(monkeypatch):
     calls = {"sse": 0, "lloyd": 0}
-    sse, lloyd = cb._sse, cb.lloyd_iterate
+    sse, lloyd = cb._sse, cb._lloyd_step
 
     def counting_sse(*args):
         calls["sse"] += 1
@@ -213,7 +213,7 @@ def test_init_assigns_once_per_lloyd_iteration(monkeypatch):
         return lloyd(*args, **kwargs)
 
     monkeypatch.setattr(cb, "_sse", counting_sse)
-    monkeypatch.setattr(cb, "lloyd_iterate", counting_lloyd)
+    monkeypatch.setattr(cb, "_lloyd_step", counting_lloyd)
     x = cb.l2_normalize_rows(np.random.default_rng(8).normal(0, 1, (60, 4)))
     cb.init_kmeanspp(x, k=4, seed=1)
     assert calls["lloyd"] >= 2

@@ -163,6 +163,64 @@ def test_take_rows_repeated_index_accumulates():
     np.testing.assert_allclose(x.grad.sum(axis=1), [6.0, 0.0, 3.0])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(2, 8),
+       st.integers(1, 12))
+def test_cluster_sums_match_masked_sums_bitwise(seed, n, d, k):
+    # k > n leaves clusters empty; a single column is excluded because numpy
+    # sums it pairwise rather than in row order
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 1.0, (n, d)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+    labels = rng.integers(0, k, n)
+    sums, counts = gc.cluster_sums(x, labels, k)
+    assert sums.shape == (k, d) and counts.shape == (k,)
+    for j in range(k):
+        assert np.array_equal(sums[j], x[labels == j].sum(axis=0))
+        assert counts[j] == np.count_nonzero(labels == j)
+
+
+def test_cluster_means_grad_with_empty_and_singleton_clusters():
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(0.0, 1.0, (6, 3)), requires_grad=True)
+    labels = np.array([0, 2, 0, 3, 0, 3])   # cluster 1 empty, cluster 2 a singleton
+    w = Tensor(rng.normal(0.0, 1.0, (3, 3)))
+
+    def loss():
+        means = gc.cluster_means(x, labels, 4)
+        return gc.tsum(gc.mul(gc.mul(means, means), w))
+
+    assert gc.cluster_means(x, labels, 4).shape == (3, 3)
+    assert gc.finite_diff_params(loss, [x]) < TOL
+
+
+def test_cluster_means_equal_tmean_of_member_rows_bitwise():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(0.0, 1.0, (9, 3)), requires_grad=True)
+    labels = np.array([1, 0, 1, 1, 4, 0, 1, 4, 1])
+    g = rng.normal(0.0, 1.0, (3, 3))
+    fused = gc.cluster_means(x, labels, 5)
+    gc.backward(gc.tsum(gc.mul(fused, g)))
+    fused_grad, x.grad = x.grad, None
+    rows = [gc.tmean(gc.take_rows(x, np.flatnonzero(labels == j)), axis=0)
+            for j in (0, 1, 4)]
+    loss = None
+    for row, gj in zip(rows, g):
+        term = gc.tsum(gc.mul(row, gj))
+        loss = term if loss is None else gc.add(loss, term)
+    gc.backward(loss)
+    assert np.array_equal(fused.data, np.stack([r.data for r in rows]))
+    assert np.array_equal(fused_grad, x.grad)
+
+
+def test_stack_rows_grad():
+    rows = [Tensor(np.array([1.0, 2.0]), requires_grad=True),
+            Tensor(np.array([3.0, 4.0]), requires_grad=True)]
+    m = gc.stack_rows(rows)
+    np.testing.assert_array_equal(m.data, [[1.0, 2.0], [3.0, 4.0]])
+    gc.backward(gc.tsum(gc.mul(m, np.array([[1.0, 2.0], [3.0, 4.0]]))))
+    np.testing.assert_array_equal(rows[1].grad, [3.0, 4.0])
+
+
 def test_cross_entropy_matches_manual_and_grad():
     logits = np.array([[2.0, -1.0], [0.5, 0.5]])
     labels = [0, 1]

@@ -2,7 +2,7 @@
 
 import csv
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +13,7 @@ from conftest import tiny_experiment, tiny_model
 
 from driftadapt import checkpoint, cli, errors, harness
 from driftadapt.cli import main as cli_main
-from driftadapt.config import AdaptConfig, BenchmarkConfig, ExperimentConfig
+from driftadapt.config import AdaptConfig, BenchmarkConfig, ExperimentConfig, preset_benchmark
 from driftadapt.errors import (
     CompatibilityError,
     ConfigError,
@@ -256,6 +256,19 @@ def test_cli_pretrain_and_adapt(tmp_path, capsys):
     assert Path(out, "report.json").exists()
 
 
+def test_cli_adapt_prints_online_and_final_macro_f1(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert cli_main(["pretrain", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert cli_main(["adapt", "--config", str(cfg_path), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    aggregate = json.loads((out / "report.json").read_text())["aggregate"]
+    for variant, metrics in aggregate.items():
+        online, final = metrics["online_macro_f1"], metrics["final_macro_f1"]
+        assert (f"{variant}: macro-F1 {online['mean']:.4f} +/- {online['std']:.4f} online, "
+                f"{final['mean']:.4f} +/- {final['std']:.4f} final") in lines
+
+
 def test_cli_export_embeddings(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path)
     out = str(tmp_path / "out")
@@ -335,6 +348,59 @@ def test_cli_zero_workers_is_config_error(tmp_path, capsys):
 
 def test_cli_malformed_json_is_config_error(tmp_path, capsys):
     _cli_config_error(tmp_path, capsys, '{"adapt": ')
+
+
+def test_cli_k_above_first_batch_is_config_error(tmp_path, capsys):
+    # k=40 clusters cannot be seeded from a first batch of 32 rows; the config
+    # is rejected before any run, so no command writes anything
+    cfg_path = _write_cfg(tmp_path)
+    ckpts = tmp_path / "ckpts"
+    assert cli_main(["pretrain", "--config", str(cfg_path), "--out", str(ckpts)]) == 0
+    raw = json.loads(cfg_path.read_text())
+    raw["adapt"]["k"] = 40
+    probe = tmp_path / "k40.json"
+    probe.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    for command, *extra in (["adapt", "--checkpoints", str(ckpts)], ["pretrain"]):
+        code = cli_main([command, "--config", str(probe), "--out", str(out), *extra])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("ERROR config: k=40")
+        assert not out.exists()
+
+
+def test_config_k_checked_against_first_batch_of_bank_variants():
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({"adapt": {"k": 40, "batch_size": 32},
+                                    "variants": ["source", "can"]})
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({"adapt": {"k": 40}, "benchmark": {"n_target": 39}})
+    # no centroid bank: k is never used
+    ExperimentConfig.from_dict({"adapt": {"k": 40, "batch_size": 32},
+                                "variants": ["source", "tent_em"]})
+    ExperimentConfig.from_dict({"adapt": {"k": 32, "batch_size": 32}})
+
+
+def test_preset_is_the_base_of_the_benchmark_block():
+    severe = preset_benchmark("severe")
+    assert ExperimentConfig.from_json('{"benchmark": {"preset": "severe"}}').benchmark == severe
+    cfg = ExperimentConfig.from_json('{"benchmark": {"preset": "severe", "n_target": 96}}')
+    assert cfg.benchmark == replace(severe, n_target=96)
+    custom = ExperimentConfig.from_json('{"benchmark": {"preset": "custom"}}').benchmark
+    assert custom == BenchmarkConfig(preset="custom")
+
+
+@pytest.mark.parametrize("raw, extra", [
+    ({"benchmark": {"n_target": 96}}, ["--preset", "severe"]),
+    ({"benchmark": {"preset": "collapse", "n_target": 96}}, ["--preset", "severe"]),
+    ({"benchmark": {"preset": "severe", "n_target": 96}}, []),
+])
+def test_cli_preset_keeps_explicit_benchmark_fields(tmp_path, monkeypatch, raw, extra):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_pretrain", lambda cfg, out: seen.append(cfg) or {"seeds": {}})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert cli_main(["pretrain", "--config", str(path), "--out", str(tmp_path), *extra]) == 0
+    assert seen[0].benchmark == replace(preset_benchmark("severe"), n_target=96)
 
 
 @pytest.mark.parametrize("raw", [

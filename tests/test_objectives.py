@@ -142,9 +142,10 @@ def test_div_loss_minimized_by_uniform():
 def test_cluster_avg_probs_skips_empty_and_averages():
     logits = Tensor(np.array([[10.0, 0.0], [0.0, 10.0], [10.0, 0.0]]))
     avg = obj.cluster_avg_probs(logits, np.array([0, 0, 2]), k=3)
-    assert set(avg) == {0, 2}
-    np.testing.assert_allclose(avg[0].data, [0.5, 0.5], atol=1e-4)
-    np.testing.assert_allclose(avg[2].data, [1.0, 0.0], atol=1e-4)
+    # empty cluster 1 has no row; the rows are clusters 0 and 2, in order
+    assert avg.shape == (2, 2)
+    np.testing.assert_allclose(avg.data[0], [0.5, 0.5], atol=1e-4)
+    np.testing.assert_allclose(avg.data[1], [1.0, 0.0], atol=1e-4)
 
 
 def _toy_inputs(seed=0, n=6, k=2):

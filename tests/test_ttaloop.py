@@ -5,7 +5,7 @@ import pytest
 
 from conftest import tiny_batch, tiny_model
 
-from driftadapt import driftgen as dg, ttaloop as tt
+from driftadapt import driftgen as dg, gradcore as gc, ttaloop as tt
 from driftadapt.config import AdaptConfig, BenchmarkConfig
 from driftadapt.errors import ContractError
 from driftadapt.model import MODALITIES
@@ -222,3 +222,19 @@ def test_nonfinite_grad_skips_step():
     assert res.skipped
     for k, v in _param_snapshot(model).items():
         np.testing.assert_array_equal(v, before[k])
+
+
+@pytest.mark.parametrize("variant, budget", [("can", 51), ("scan", 68), ("scanner", 95)])
+def test_cluster_batch_graph_size(monkeypatch, variant, budget):
+    # after the banks are seeded at tau=0, a k=5 batch with every cluster
+    # filled; per-cluster graph loops in DIV built 180 nodes for scanner
+    made = []
+    make = gc._make
+    monkeypatch.setattr(gc, "_make", lambda *args: made.append(1) or make(*args))
+    state = tt.init_adapt_state(tiny_model(), AdaptConfig(k=5, batch_size=32), variant)
+    batch = tiny_batch(np.random.default_rng(0), n=32)
+    tt.adapt_batch(state, batch)
+    made.clear()
+    res = tt.adapt_batch(state, batch)
+    assert all(len(set(a.tolist())) == 5 for a in res.assignments.values())
+    assert len(made) <= budget
