@@ -9,7 +9,7 @@ while its manifestation shifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -4,8 +4,10 @@ Just enough operations for the model and every adaptation loss: matmul,
 elementwise arithmetic with limited broadcasting, softmax, layer norm with
 affine parameters, cosine similarities against constant centroid sets,
 row gathers, per-cluster means (``cluster_means``, on the array helper
-``cluster_sums``), cross entropy, and the fusion block's self-attention with
-mean pooling as one node (``attention_pool``). The per-row helpers
+``cluster_sums``), cross entropy, and one node per model block: the encoder
+(``linear_layernorm_gelu``, which shares its array arithmetic with ``gelu``
+and ``layernorm_affine``), the classifier (``linear``) and the fusion block's
+self-attention with mean pooling (``attention_pool``). The per-row helpers
 ``rowdot``, ``rowscale``, ``stack_cols`` and ``col`` compose the same
 attention op by op; the tests use them as an oracle for ``attention_pool``.
 Gradients accumulate with ``+=`` so a sum of losses can be backpropagated
@@ -196,20 +198,30 @@ def log_clamped(x: Tensor, floor: float = 1e-12) -> Tensor:
     return _make(out_data, (x,), bwd)
 
 
+_GELU_C = np.sqrt(2.0 / np.pi)
+_GELU_A = 0.044715
+
+
+def _gelu_forward(x: np.ndarray):
+    """Smooth GELU (tanh approximation) of an array: (out, x*x, tanh(u))."""
+    # x * x * x, not x**3: numpy's pow loop is an order of magnitude slower
+    x2 = x * x
+    t = np.tanh(_GELU_C * (x + _GELU_A * (x2 * x)))
+    return 0.5 * x * (1.0 + t), x2, t
+
+
+def _gelu_backward(g, x, x2, t):
+    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
+    return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du)
+
+
 def gelu(x: Tensor) -> Tensor:
     """Smooth GELU (tanh approximation)."""
     x = _wrap(x)
-    c = np.sqrt(2.0 / np.pi)
-    a = 0.044715
-    # x * x * x, not x**3: numpy's pow loop is an order of magnitude slower
-    x2 = x.data * x.data
-    u = c * (x.data + a * (x2 * x.data))
-    t = np.tanh(u)
-    out_data = 0.5 * x.data * (1.0 + t)
+    out_data, x2, t = _gelu_forward(x.data)
 
     def bwd(g):
-        du = c * (1.0 + 3.0 * a * x2)
-        _accum(x, g * (0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t**2) * du))
+        _accum(x, _gelu_backward(g, x.data, x2, t))
 
     return _make(out_data, (x,), bwd)
 
@@ -230,6 +242,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, a.data.T @ g)
 
     return _make(out_data, (a, b), bwd)
+
+
+def _linear_inputs(x, w, b):
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]
+            or b.data.shape != (w.data.shape[1],)):
+        raise ShapeMismatchError(
+            f"linear shapes incompatible: {x.data.shape} x {w.data.shape} + {b.data.shape}"
+        )
+    return x, w, b
+
+
+def _linear_backward(g, x: Tensor, w: Tensor, b: Tensor):
+    """Accumulates the gradients of ``x @ w + b`` as ``matmul`` and ``add`` do."""
+    _accum(b, g.sum(axis=0))
+    if w.requires_grad:
+        _accum(w, x.data.T @ g)
+    if x.requires_grad:
+        _accum(x, g @ w.data.T)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for a B x d input and a bias of length w's column count."""
+    x, w, b = _linear_inputs(x, w, b)
+
+    def bwd(g):
+        _linear_backward(g, x, w, b)
+
+    return _make(x.data @ w.data + b.data, (x, w, b), bwd)
 
 
 def rowdot(a: Tensor, b: Tensor) -> Tensor:
@@ -409,32 +450,72 @@ def softmax(x: Tensor, beta: float = 1.0, axis: int = -1) -> Tensor:
     return _make(p, (x,), bwd)
 
 
-def layernorm_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row standardization followed by elementwise gain * xhat + bias."""
-    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
+def _layernorm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
+    """gain * xhat + bias of the last-axis standardization xhat: (out, xhat, 1/std)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    return gain * xhat + bias, xhat, inv
+
+
+def _layernorm_backward(g, gain: np.ndarray, xhat, inv):
+    """(d gain, d bias, d x) of ``_layernorm_forward`` for the upstream g."""
+    d = xhat.shape[-1]
+    gy = g * gain
+    m1 = gy.mean(axis=-1, keepdims=True)
+    m2 = (gy * xhat).mean(axis=-1, keepdims=True)
+    return ((g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0),
+            (gy - m1 - xhat * m2) * inv)
+
+
+def _layernorm_inputs(gain, bias, d: int, eps: float):
+    gain, bias = _wrap(gain), _wrap(bias)
     if eps <= 0:
         raise ContractError("layernorm eps must be positive")
-    d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeMismatchError(
             f"layernorm affine shapes {gain.data.shape}/{bias.data.shape} "
             f"do not match feature dim {d}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out_data = gain.data * xhat + bias.data
+    return gain, bias
+
+
+def layernorm_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Per-row standardization followed by elementwise gain * xhat + bias."""
+    x = _wrap(x)
+    gain, bias = _layernorm_inputs(gain, bias, x.data.shape[-1], eps)
+    out_data, xhat, inv = _layernorm_forward(x.data, gain.data, bias.data, eps)
 
     def bwd(g):
-        _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
-        _accum(bias, g.reshape(-1, d).sum(axis=0))
-        gy = g * gain.data
-        m1 = gy.mean(axis=-1, keepdims=True)
-        m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, (gy - m1 - xhat * m2) * inv)
+        dgain, dbias, dx = _layernorm_backward(g, gain.data, xhat, inv)
+        _accum(gain, dgain)
+        _accum(bias, dbias)
+        _accum(x, dx)
 
     return _make(out_data, (x, gain, bias), bwd)
+
+
+def linear_layernorm_gelu(x: Tensor, w: Tensor, b: Tensor, gain: Tensor, bias: Tensor,
+                          eps: float = 1e-5) -> Tensor:
+    """gelu(layernorm_affine(x @ w + b, gain, bias, eps)) as one graph node.
+
+    The forward and backward run the float operations of the three-op
+    composition in the same order, so values and gradients are bit for bit
+    those of ``linear``, ``layernorm_affine`` and ``gelu`` chained.
+    """
+    x, w, b = _linear_inputs(x, w, b)
+    gain, bias = _layernorm_inputs(gain, bias, w.data.shape[1], eps)
+    y, xhat, inv = _layernorm_forward(x.data @ w.data + b.data, gain.data, bias.data, eps)
+    out_data, y2, t = _gelu_forward(y)
+
+    def bwd(g):
+        dgain, dbias, dh = _layernorm_backward(_gelu_backward(g, y, y2, t), gain.data, xhat, inv)
+        _accum(gain, dgain)
+        _accum(bias, dbias)
+        _linear_backward(dh, x, w, b)
+
+    return _make(out_data, (x, w, b, gain, bias), bwd)
 
 
 def cosine_matrix(features: Tensor, centroids: np.ndarray) -> Tensor:

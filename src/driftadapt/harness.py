@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, driftgen
-from .config import AdaptConfig, ExperimentConfig
+from .config import ExperimentConfig
 from .errors import CompatibilityError
 from .model import MODALITIES, ModelDims, SourceModel, pretrain_source
 from .ttaloop import RunReport, run_stream

@@ -36,9 +36,8 @@ class ModalityEncoder:
         self.norm_bias = Tensor(np.zeros(d_h), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = gc.add(gc.matmul(x, self.weight), self.bias)
-        h = gc.layernorm_affine(h, self.norm_gain, self.norm_bias)
-        return gc.gelu(h)
+        return gc.linear_layernorm_gelu(x, self.weight, self.bias,
+                                        self.norm_gain, self.norm_bias)
 
     def parameters(self) -> dict:
         p = f"enc.{self.tag}"
@@ -77,7 +76,7 @@ class Classifier:
         self.bias = Tensor(np.zeros(n_classes), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return gc.add(gc.matmul(x, self.weight), self.bias)
+        return gc.linear(x, self.weight, self.bias)
 
     def parameters(self) -> dict:
         return {"clf.weight": self.weight, "clf.bias": self.bias}
@@ -146,6 +145,10 @@ class SourceModel:
             m: self.encoders[m].forward(Tensor(self._standardize(m, np.asarray(batch[m]))))
             for m in MODALITIES
         }
+
+    def forward(self, batch: dict) -> Tensor:
+        """The fused logits alone."""
+        return self.classifier.forward(self.fusion.forward(self.encode(batch)))
 
     def forward_full(self, batch: dict):
         """Returns (features, per-modality logits, fused logits)."""
@@ -228,8 +231,7 @@ def pretrain_source(model: SourceModel, features: dict, labels: np.ndarray,
             idx = order[start : start + batch_size]
             batch = {m: train_feat[m][idx] for m in MODALITIES}
             model.zero_grad()
-            _, _, fused_logits = model.forward_full(batch)
-            loss = gc.cross_entropy(fused_logits, train_y[idx])
+            loss = gc.cross_entropy(model.forward(batch), train_y[idx])
             if not np.isfinite(loss.data):
                 raise DivergenceError(f"non-finite pretraining loss at epoch {epoch}")
             gc.backward(loss)
@@ -244,5 +246,4 @@ def pretrain_source(model: SourceModel, features: dict, labels: np.ndarray,
 
 
 def predict(model: SourceModel, features: dict) -> np.ndarray:
-    _, _, fused_logits = model.forward_full(features)
-    return fused_logits.data.argmax(axis=1)
+    return model.forward(features).data.argmax(axis=1)

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatchError
-from .gradcore import Tensor
+from .errors import ContractError, ShapeMismatchError
 
 
 class AdamW:
     """Standard Adam update plus decoupled weight decay.
 
     Only the parameters handed to the constructor are ever touched; anything
-    else in the model stays frozen by construction.
+    else in the model stays frozen by construction. The constructor moves
+    their values into one flat buffer and makes each ``.data`` a view into
+    it, so a step is a few whole-buffer in-place ufuncs over the flat
+    parameters, moments and gradients, elementwise the same float operations
+    as a per-tensor update.
     """
 
     def __init__(self, params: dict, lr=1e-3, weight_decay=5e-4,
@@ -24,26 +27,51 @@ class AdamW:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        ends = np.cumsum([p.data.size for p in self.params.values()], dtype=np.intp)
+        n = int(ends[-1]) if ends.size else 0
+        self.flat = np.empty(n)
+        self.m = np.zeros(n)
+        self.v = np.zeros(n)
+        self._grad = np.empty(n)
+        self._scratch = (np.empty(n), np.empty(n))
+        self._views = []   # (name, parameter, its view, its gradient's view)
+        for (name, p), end in zip(self.params.items(), ends):
+            sl = slice(end - p.data.size, end)
+            view = self.flat[sl].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            self._views.append((name, p, view, self._grad[sl].reshape(view.shape)))
 
     def step(self):
         """One update using each parameter's accumulated .grad (None = zero)."""
-        self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        for name, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if g.shape != p.data.shape:
+        for name, p, view, gview in self._views:
+            if p.data is not view:
+                raise ContractError(f"{name}.data was replaced after the optimizer was built")
+            if p.grad is None:
+                gview.fill(0.0)
+            elif p.grad.shape != view.shape:
                 raise ShapeMismatchError(
-                    f"grad shape {g.shape} vs param {p.data.shape} for {name}"
+                    f"grad shape {p.grad.shape} vs param {view.shape} for {name}"
                 )
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            mhat = self.m[name] / (1 - b1**self.t)
-            vhat = self.v[name] / (1 - b2**self.t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-            if self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
+            else:
+                gview[...] = p.grad
+        self.t += 1
+        b1, b2, lr = self.beta1, self.beta2, self.lr
+        m, v, g, (s, s2) = self.m, self.v, self._grad, self._scratch
+        m *= b1
+        m += np.multiply(g, 1 - b1, out=s)
+        v *= b2
+        np.multiply(g, 1 - b2, out=s)
+        v += np.multiply(s, g, out=s)
+        np.divide(m, 1 - b1**self.t, out=s)            # mhat
+        s *= lr
+        np.divide(v, 1 - b2**self.t, out=s2)           # vhat
+        np.sqrt(s2, out=s2)
+        s2 += self.eps
+        s /= s2
+        self.flat -= s
+        if self.weight_decay:
+            self.flat -= np.multiply(self.flat, lr * self.weight_decay, out=s)
 
     def zero_grad(self):
         for p in self.params.values():

@@ -105,6 +105,17 @@ def _check_cluster_gradients(rng):
     return "per-cluster mean and diversity gradients match finite differences"
 
 
+def _check_encoder_gradients(rng):
+    x = Tensor(rng.normal(0, 1, (5, 3)), requires_grad=True)
+    params = [Tensor(rng.normal(0, s, shape), requires_grad=True)
+              for s, shape in ((1.0, (3, 4)), (0.5, (4,)), (1.0, (4,)), (0.5, (4,)))]
+    weights = Tensor(rng.normal(0, 1, (5, 4)))
+    err = gc.finite_diff_params(
+        lambda: gc.tsum(gc.mul(gc.linear_layernorm_gelu(x, *params), weights)), [x, *params])
+    assert err < 1e-4, err
+    return "fused encoder gradient matches finite differences"
+
+
 def run_selftest() -> list:
     """Returns (name, passed, detail) triples for each invariant suite."""
     rng = np.random.default_rng(0)
@@ -112,7 +123,7 @@ def run_selftest() -> list:
     for check in (_check_softmax, _check_cosine_bounds, _check_gradients,
                   _check_attention_gradients, _check_scan_dominance,
                   _check_momentum, _check_metrics, _check_clustering,
-                  _check_cluster_gradients):
+                  _check_cluster_gradients, _check_encoder_gradients):
         try:
             detail = check(rng)
             results.append((check.__name__.lstrip("_"), True, detail))

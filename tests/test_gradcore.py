@@ -276,6 +276,96 @@ def test_attention_pool_shape_mismatch():
         gc.attention_pool([Tensor(np.ones((2, 4)))] * 3, w, w, w)
 
 
+def _value_and_grads(forward, leaves, weights):
+    for t in leaves:
+        t.grad = None
+    out = forward()
+    gc.backward(gc.tsum(gc.mul(out, weights)))
+    return out.data, [t.grad for t in leaves]
+
+
+def _assert_same_node(fused, composed, leaves, weights):
+    (got, got_grads), (want, want_grads) = (
+        _value_and_grads(f, leaves, weights) for f in (fused, composed))
+    assert np.array_equal(got, want)
+    for g, w in zip(got_grads, want_grads):
+        assert np.array_equal(g, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 5), st.integers(1, 6))
+def test_linear_layernorm_gelu_equals_composition_bitwise(seed, b, d_in, d):
+    rng = np.random.default_rng(seed)
+    x, w, bias, gain, shift = (
+        Tensor(rng.normal(0, s, shape), requires_grad=True)
+        for s, shape in ((1.0, (b, d_in)), (1.0, (d_in, d)), (0.5, (d,)), (1.0, (d,)), (0.5, (d,))))
+    _assert_same_node(
+        lambda: gc.linear_layernorm_gelu(x, w, bias, gain, shift),
+        lambda: gc.gelu(gc.layernorm_affine(gc.add(gc.matmul(x, w), bias), gain, shift)),
+        [x, w, bias, gain, shift], Tensor(rng.normal(0, 1, (b, d))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 5), st.integers(1, 4))
+def test_linear_equals_matmul_add_bitwise(seed, b, d_in, d):
+    rng = np.random.default_rng(seed)
+    x, w, bias = (Tensor(rng.normal(0, 1, shape), requires_grad=True)
+                  for shape in ((b, d_in), (d_in, d), (d,)))
+    _assert_same_node(lambda: gc.linear(x, w, bias),
+                      lambda: gc.add(gc.matmul(x, w), bias),
+                      [x, w, bias], Tensor(rng.normal(0, 1, (b, d))))
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+def test_linear_layernorm_gelu_grad(batch):
+    rng = np.random.default_rng(31 + batch)
+    leaves = [Tensor(rng.normal(0, s, shape), requires_grad=True)
+              for s, shape in ((1.0, (batch, 3)), (1.0, (3, 5)), (0.5, (5,)),
+                               (1.0, (5,)), (0.5, (5,)))]
+    weights = Tensor(rng.normal(0, 1, (batch, 5)))
+    err = gc.finite_diff_params(
+        lambda: gc.tsum(gc.mul(gc.linear_layernorm_gelu(*leaves), weights)), leaves)
+    assert err < 1e-6
+
+
+def test_linear_grad():
+    rng = np.random.default_rng(9)
+    leaves = [Tensor(rng.normal(0, 1, shape), requires_grad=True)
+              for shape in ((4, 3), (3, 2), (2,))]
+    weights = Tensor(rng.normal(0, 1, (4, 2)))
+    assert gc.finite_diff_params(
+        lambda: gc.tsum(gc.mul(gc.linear(*leaves), weights)), leaves) < 1e-6
+
+
+def test_linear_frozen_operands_get_no_grad():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(0, 1, (3, 2)), requires_grad=True)
+    w, b = Tensor(rng.normal(0, 1, (2, 2))), Tensor(np.zeros(2))
+    gc.backward(gc.tsum(gc.linear(x, w, b)))
+    assert x.grad is not None and w.grad is None and b.grad is None
+
+
+def test_linear_shape_mismatch():
+    x, w = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))
+    with pytest.raises(ShapeMismatchError):
+        gc.linear(x, Tensor(np.ones((2, 4))), Tensor(np.zeros(4)))
+    with pytest.raises(ShapeMismatchError):
+        gc.linear(x, w, Tensor(np.zeros(3)))
+    with pytest.raises(ShapeMismatchError):
+        gc.linear_layernorm_gelu(x, w, Tensor(np.zeros(4)), Tensor(np.ones(3)), Tensor(np.zeros(4)))
+
+
+def test_gelu_constant_is_shared_by_the_fused_encoder(monkeypatch):
+    rng = np.random.default_rng(2)
+    x, w = Tensor(rng.normal(0, 1, (4, 3))), Tensor(rng.normal(0, 1, (3, 5)))
+    b, gain, shift = Tensor(np.zeros(5)), Tensor(np.ones(5)), Tensor(np.zeros(5))
+    before = gc.linear_layernorm_gelu(x, w, b, gain, shift).data
+    monkeypatch.setattr(gc, "_GELU_A", 0.0449)
+    after = gc.linear_layernorm_gelu(x, w, b, gain, shift).data
+    assert not np.array_equal(before, after)
+    assert np.array_equal(after, gc.gelu(gc.layernorm_affine(gc.linear(x, w, b), gain, shift)).data)
+
+
 # -- property tests --------------------------------------------------------
 
 

@@ -123,6 +123,25 @@ def test_diagnostics_csv_has_trace_rows(tmp_path):
     assert "gradient_norm" in rows[0] and "mean_entropy" in rows[0]
 
 
+def test_pretrain_outputs_independent_of_workers(tmp_path, monkeypatch):
+    # the seeds train one after another in this process whatever workers is
+    def no_pool(*args, **kwargs):
+        raise AssertionError("cmd_pretrain started a process pool")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    cfg = tiny_experiment(tmp_path)
+    cfg.seeds = [0, 1]
+    outs = {}
+    for workers in (1, 2):
+        cfg.workers = workers
+        outs[workers] = tmp_path / f"w{workers}"
+        harness.cmd_pretrain(cfg, outs[workers])
+    names = ["pretrain_summary.json", "pretrain_seed0.ckpt", "pretrain_seed1.ckpt"]
+    assert sorted(p.name for p in outs[1].iterdir()) == sorted(names)
+    for name in names:
+        assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+
+
 def test_adapt_report_deterministic(tmp_path):
     cfg = tiny_experiment(tmp_path)
     harness.cmd_pretrain(cfg, tmp_path)

@@ -89,8 +89,8 @@ def test_fusion_matches_op_by_op_composition():
 
 
 def test_fused_logits_graph_size():
-    # 3 encoders x (matmul, add, layernorm, gelu) + one attention node +
-    # classifier (matmul, add); a per-row fusion would add about 50 nodes
+    # one node per encoder, one attention node and one classifier node; the
+    # op-by-op encoders and classifier built 15, a per-row fusion 50 more
     model = tiny_model()
     _, _, fused_logits = model.forward_full(tiny_batch(np.random.default_rng(6)))
     seen, stack = set(), [fused_logits]
@@ -99,7 +99,24 @@ def test_fused_logits_graph_size():
         if id(node) not in seen and node._parents:
             seen.add(id(node))
             stack.extend(node._parents)
-    assert len(seen) <= 15
+    assert len(seen) <= 5
+
+
+def test_forward_is_the_fused_logits_of_forward_full():
+    model = tiny_model(seed=5)
+    batch = tiny_batch(np.random.default_rng(12), n=9)
+    assert np.array_equal(model.forward(batch).data, model.forward_full(batch)[2].data)
+
+
+def test_pretrain_step_graph_budget(monkeypatch):
+    # 3 encoders, attention, classifier and the loss; forward_full's unread
+    # modality logits and the op-by-op blocks made it 22
+    made = []
+    make = gc._make
+    monkeypatch.setattr(gc, "_make", lambda *args: made.append(1) or make(*args))
+    features, labels = _separable_data(np.random.default_rng(1), n=128)
+    pretrain_source(tiny_model(), features, labels, epochs=2, batch_size=64, holdout_frac=0.0)
+    assert len(made) <= 4 * 6
 
 
 def test_whole_model_grad_through_fusion():

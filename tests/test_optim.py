@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from driftadapt.errors import ContractError, ShapeMismatchError
 from driftadapt.gradcore import Tensor
+from driftadapt.model import ModelDims, SourceModel
 from driftadapt.optim import AdamW
 
 
@@ -82,3 +84,84 @@ def test_zero_grad_clears():
     p.grad = np.array([1.0])
     opt.zero_grad()
     assert p.grad is None
+
+
+class _PerTensorAdamW:
+    """The per-tensor update the flat optimizer replaced, kept as its oracle."""
+
+    def __init__(self, params: dict, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = dict(params)
+        self.lr, self.weight_decay = lr, weight_decay
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for name, p in self.params.items():
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            self.m[name] = b1 * self.m[name] + (1 - b1) * g
+            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
+            mhat = self.m[name] / (1 - b1**self.t)
+            vhat = self.v[name] / (1 - b2**self.t)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            if self.weight_decay:
+                p.data -= self.lr * self.weight_decay * p.data
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+def test_flat_step_matches_per_tensor_bitwise(weight_decay):
+    rng = np.random.default_rng(17)
+    shapes = {"w": (5, 3), "b": (3,), "g": (1,), "frozen": (4, 2), "m": (2, 2, 2)}
+    init = {k: rng.normal(0, 1, s) for k, s in shapes.items()}
+    runs = []
+    for cls in (AdamW, _PerTensorAdamW):
+        params = {k: Tensor(v.copy(), requires_grad=True) for k, v in init.items()}
+        opt = cls(params, lr=3e-3, weight_decay=weight_decay)
+        grad_rng = np.random.default_rng(5)
+        for step in range(25):
+            for k, p in params.items():
+                g = grad_rng.normal(0, 10.0 ** grad_rng.integers(-4, 2), shapes[k])
+                # one tensor never has a gradient, another loses it every third step
+                p.grad = None if k == "frozen" or (k == "g" and step % 3 == 0) else g
+            opt.step()
+        runs.append({k: p.data.copy() for k, p in params.items()})
+    flat, reference = runs
+    for k in shapes:
+        assert np.array_equal(flat[k], reference[k]), k
+
+
+def test_subset_optimizer_leaves_other_tensors_untouched():
+    model = SourceModel(ModelDims(d_in=4, d_h=6, n_classes=2), seed=2)
+    frozen = {k: p.data for k, p in model.frozen_parameters().items()}
+    before = {k: p.data.copy() for k, p in model.named_parameters().items()}
+    opt = AdamW(model.trainable_parameters(), lr=0.1, weight_decay=0.1)
+    for p in model.named_parameters().values():
+        p.grad = np.ones_like(p.data)
+    for _ in range(3):
+        opt.step()
+    for k, p in model.frozen_parameters().items():
+        assert p.data is frozen[k]
+        assert np.array_equal(p.data, before[k])
+    assert all(not np.array_equal(p.data, before[k]) for k, p in opt.params.items())
+
+
+def test_grad_shape_mismatch_raises_before_any_update():
+    p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    q = Tensor(np.array([3.0]), requires_grad=True)
+    opt = AdamW({"p": p, "q": q}, lr=0.1)
+    p.grad = np.array([1.0, 1.0])
+    q.grad = np.array([1.0, 1.0])
+    with pytest.raises(ShapeMismatchError):
+        opt.step()
+    assert p.data.tolist() == [1.0, 2.0] and opt.t == 0
+
+
+def test_replaced_param_data_is_rejected():
+    p = Tensor(np.array([1.0]), requires_grad=True)
+    opt = AdamW({"p": p}, lr=0.1)
+    p.data = np.array([2.0])
+    with pytest.raises(ContractError):
+        opt.step()

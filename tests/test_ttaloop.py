@@ -224,10 +224,14 @@ def test_nonfinite_grad_skips_step():
         np.testing.assert_array_equal(v, before[k])
 
 
-@pytest.mark.parametrize("variant, budget", [("can", 51), ("scan", 68), ("scanner", 95)])
-def test_cluster_batch_graph_size(monkeypatch, variant, budget):
-    # after the banks are seeded at tau=0, a k=5 batch with every cluster
-    # filled; per-cluster graph loops in DIV built 180 nodes for scanner
+# graph nodes per adapt_batch; per-cluster graph loops in DIV built 180 for
+# scanner, and op-by-op encoders and classifiers 13 more for every variant
+CLUSTER_BATCH_NODE_BUDGET = {"can": 38, "scan": 55, "scanner": 80}
+
+
+@pytest.mark.parametrize("variant", sorted(CLUSTER_BATCH_NODE_BUDGET))
+def test_cluster_batch_graph_size(monkeypatch, variant):
+    # after the banks are seeded at tau=0, a k=5 batch with every cluster filled
     made = []
     make = gc._make
     monkeypatch.setattr(gc, "_make", lambda *args: made.append(1) or make(*args))
@@ -237,4 +241,4 @@ def test_cluster_batch_graph_size(monkeypatch, variant, budget):
     made.clear()
     res = tt.adapt_batch(state, batch)
     assert all(len(set(a.tolist())) == 5 for a in res.assignments.values())
-    assert len(made) <= budget
+    assert len(made) <= CLUSTER_BATCH_NODE_BUDGET[variant]
