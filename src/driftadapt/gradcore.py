@@ -26,6 +26,7 @@ from .errors import (
 )
 
 _NORM_FLOOR = 1e-12
+_LN_EPS = 1e-5
 
 
 class Tensor:
@@ -469,10 +470,8 @@ def _layernorm_backward(g, gain: np.ndarray, xhat, inv):
             (gy - m1 - xhat * m2) * inv)
 
 
-def _layernorm_inputs(gain, bias, d: int, eps: float):
+def _layernorm_inputs(gain, bias, d: int):
     gain, bias = _wrap(gain), _wrap(bias)
-    if eps <= 0:
-        raise ContractError("layernorm eps must be positive")
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeMismatchError(
             f"layernorm affine shapes {gain.data.shape}/{bias.data.shape} "
@@ -481,10 +480,12 @@ def _layernorm_inputs(gain, bias, d: int, eps: float):
     return gain, bias
 
 
-def layernorm_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layernorm_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float = _LN_EPS) -> Tensor:
     """Per-row standardization followed by elementwise gain * xhat + bias."""
     x = _wrap(x)
-    gain, bias = _layernorm_inputs(gain, bias, x.data.shape[-1], eps)
+    if eps <= 0:
+        raise ContractError("layernorm eps must be positive")
+    gain, bias = _layernorm_inputs(gain, bias, x.data.shape[-1])
     out_data, xhat, inv = _layernorm_forward(x.data, gain.data, bias.data, eps)
 
     def bwd(g):
@@ -496,17 +497,16 @@ def layernorm_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -
     return _make(out_data, (x, gain, bias), bwd)
 
 
-def linear_layernorm_gelu(x: Tensor, w: Tensor, b: Tensor, gain: Tensor, bias: Tensor,
-                          eps: float = 1e-5) -> Tensor:
-    """gelu(layernorm_affine(x @ w + b, gain, bias, eps)) as one graph node.
+def linear_layernorm_gelu(x: Tensor, w: Tensor, b: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """gelu(layernorm_affine(x @ w + b, gain, bias)) as one graph node.
 
     The forward and backward run the float operations of the three-op
     composition in the same order, so values and gradients are bit for bit
     those of ``linear``, ``layernorm_affine`` and ``gelu`` chained.
     """
     x, w, b = _linear_inputs(x, w, b)
-    gain, bias = _layernorm_inputs(gain, bias, w.data.shape[1], eps)
-    y, xhat, inv = _layernorm_forward(x.data @ w.data + b.data, gain.data, bias.data, eps)
+    gain, bias = _layernorm_inputs(gain, bias, w.data.shape[1])
+    y, xhat, inv = _layernorm_forward(x.data @ w.data + b.data, gain.data, bias.data, _LN_EPS)
     out_data, y2, t = _gelu_forward(y)
 
     def bwd(g):

@@ -165,3 +165,16 @@ def test_replaced_param_data_is_rejected():
     p.data = np.array([2.0])
     with pytest.raises(ContractError):
         opt.step()
+
+
+def test_second_optimizer_takes_over_storage():
+    p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    first = AdamW({"p": p}, lr=0.1)
+    old = p.data
+    second = AdamW({"p": p}, lr=0.1)
+    assert p.data is not old and np.array_equal(p.data, old)
+    p.grad = np.array([1.0, 1.0])
+    second.step()
+    assert not np.array_equal(p.data, old)
+    with pytest.raises(ContractError):
+        first.step()
