@@ -16,6 +16,7 @@ from . import gradcore as gc
 from .errors import ConfigError, ContractError, DegenerateDataError
 
 _NORM_FLOOR = 1e-12
+_MAX_SWEEPS = 100   # cap on Lloyd iterations and on Hartigan sweeps
 
 
 def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
@@ -52,8 +53,7 @@ def _sse(features: np.ndarray, centroids: np.ndarray) -> tuple:
 
 
 def init_kmeanspp(features: np.ndarray, k: int, seed=0,
-                  momentum: float = 0.9, modality: str = "",
-                  max_iter: int = 100) -> CentroidBank:
+                  momentum: float = 0.9, modality: str = "") -> CentroidBank:
     """k-means++ seeding followed by Lloyd iterations on normalized rows."""
     if not (0.0 <= momentum < 1.0):
         raise ConfigError(f"momentum {momentum} outside [0, 1)")
@@ -80,17 +80,16 @@ def init_kmeanspp(features: np.ndarray, k: int, seed=0,
     # each centroid set is assigned once: Lloyd updates from these labels,
     # and the labels of the converged centroids seed the swap refinement
     labels = _sse(x, centroids)[0]
-    for _ in range(max_iter):
+    for _ in range(_MAX_SWEEPS):
         centroids = _lloyd_step(x, centroids, labels)
         labels, previous = _sse(x, centroids)[0], labels
         if np.array_equal(labels, previous):
             break
-    centroids = _hartigan_refine(x, centroids, labels, max_sweeps=max_iter)
+    centroids = _hartigan_refine(x, centroids, labels)
     return CentroidBank(modality=modality, centroids=centroids, momentum=momentum)
 
 
-def _hartigan_refine(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
-                     max_sweeps: int = 100):
+def _hartigan_refine(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray):
     """Single-point swap refinement of a Lloyd fixed point.
 
     Lloyd only moves whole assignment boundaries, so it can get stuck when
@@ -109,7 +108,7 @@ def _hartigan_refine(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
     n, k = x.shape[0], centroids.shape[0]
     labels = labels.copy()
     sums, counts = gc.cluster_sums(x, labels, k)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         moved = False
         start = 0
         while start < n:

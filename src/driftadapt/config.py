@@ -8,7 +8,7 @@ import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .errors import ConfigError
-from .objectives import MethodVariant
+from .objectives import BANK_VARIANTS, MethodVariant
 
 PRESETS = ("mild", "severe", "collapse")
 
@@ -25,9 +25,6 @@ class AdaptConfig:
     alpha: float = 0.3         # diversity-loss weight
     lr: float = 1e-3
     weight_decay: float = 5e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 128
     st_confidence: float = 0.9     # pseudo-label threshold for the ST baseline
     norm_momentum: float = 0.1     # EMA momentum for the Norm baseline
@@ -43,11 +40,6 @@ class AdaptConfig:
         for name in ("eps_w", "lam", "alpha", "lr", "weight_decay"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not (0.0 <= getattr(self, name) < 1.0):
-                raise ConfigError(f"{name} must lie in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ConfigError("adam_eps must be > 0")
         if not (0.0 <= self.norm_momentum <= 1.0):
             raise ConfigError("norm_momentum must lie in [0, 1]")
 
@@ -156,7 +148,7 @@ class ExperimentConfig:
             if len(set(getattr(self, name))) != len(getattr(self, name)):
                 raise ConfigError(f"{name} must not repeat an entry")
         first = min(self.adapt.batch_size, self.benchmark.n_target)
-        if self.adapt.k > first and {"can", "scan", "scanner"} & set(self.variants):
+        if self.adapt.k > first and any(v in BANK_VARIANTS for v in self.variants):
             raise ConfigError(f"k={self.adapt.k} exceeds the {first} rows of the first "
                               "target batch, which seeds the centroid banks")
 
@@ -165,9 +157,12 @@ class ExperimentConfig:
 
     def recorded(self) -> dict:
         """The config as output files record it: without ``workers``, an
-        execution setting that changes no output."""
+        execution setting that changes no output, and without the benchmark's
+        ``preset``, a label that the explicit numbers next to it may
+        contradict."""
         doc = asdict(self)
         del doc["workers"]
+        del doc["benchmark"]["preset"]
         return doc
 
     @staticmethod

@@ -18,6 +18,9 @@ from .errors import ContractError
 from .gradcore import Tensor, cluster_sums
 from .model import MODALITIES
 
+_CORE_MARGIN = 2.0     # least pairwise distance of the core embeddings
+_OUTLIER_SCALE = 3.0   # outliers are off-manifold noise of this scale
+
 
 @dataclass
 class CoreSpec:
@@ -36,7 +39,6 @@ class DomainSpec:
     maps: dict                      # modality -> (A: d_z x d_in, b: d_in)
     style_noise: float
     outlier_frac: float = 0.0
-    outlier_scale: float = 3.0      # outliers are off-manifold noise
     outlier_mode: str = "scatter"   # "scatter": iid noise; "clump": near-duplicate junk
     outlier_spread: float = 0.6     # clump mode: dispersion around the junk direction
 
@@ -51,14 +53,14 @@ class SyntheticDataset:
         return self.labels.shape[0]
 
 
-def make_core_spec(bench: BenchmarkConfig, seed: int, min_margin: float = 2.0) -> CoreSpec:
+def make_core_spec(bench: BenchmarkConfig, seed: int) -> CoreSpec:
     rng = np.random.default_rng(seed)
     for _ in range(100):
         emb = rng.normal(0.0, 1.0, (bench.n_cores, bench.d_z))
         emb *= 2.0 / np.linalg.norm(emb, axis=1, keepdims=True) * np.sqrt(bench.d_z) / 2
         d = np.linalg.norm(emb[:, None] - emb[None, :], axis=2)
         np.fill_diagonal(d, np.inf)
-        if d.min() >= min_margin:
+        if d.min() >= _CORE_MARGIN:
             break
     return CoreSpec(
         embeddings=emb,
@@ -128,14 +130,14 @@ def generate_domain(cores: CoreSpec, domain: DomainSpec, n: int, seed: int) -> S
         a, b = domain.maps[m]
         x = np.tanh(z @ a + b)
         x = x + domain.style_noise * rng.normal(0.0, 1.0, x.shape)
-        noise = domain.outlier_scale * rng.normal(0.0, 1.0, x.shape)
+        noise = _OUTLIER_SCALE * rng.normal(0.0, 1.0, x.shape)
         if domain.outlier_mode == "clump":
             # near-duplicate junk (templated spam): one off-manifold direction
             # shared by the clumped outliers, with moderate dispersion around it
             d_in = x.shape[1]
             u = rng.normal(0.0, 1.0, d_in)
             u *= np.sqrt(d_in) / np.linalg.norm(u)
-            noise = domain.outlier_scale * (
+            noise = _OUTLIER_SCALE * (
                 u[None, :] + domain.outlier_spread * rng.normal(0.0, 1.0, x.shape)
             )
         features[m] = np.where(outlier[:, None], noise, x)

@@ -26,7 +26,9 @@ from .errors import (
 )
 
 _NORM_FLOOR = 1e-12
+_LOG_FLOOR = 1e-12
 _LN_EPS = 1e-5
+_FD_STEP = 1e-5   # central-difference step of finite_diff_params
 
 
 class Tensor:
@@ -187,14 +189,14 @@ def tmean(x: Tensor, axis=None) -> Tensor:
     return mul(tsum(x, axis=axis), 1.0 / n)
 
 
-def log_clamped(x: Tensor, floor: float = 1e-12) -> Tensor:
-    """log(max(x, floor)); gradient is zero where the clamp is active."""
+def log_clamped(x: Tensor) -> Tensor:
+    """log(max(x, 1e-12)); gradient is zero where the clamp is active."""
     x = _wrap(x)
-    clamped = np.maximum(x.data, floor)
+    clamped = np.maximum(x.data, _LOG_FLOOR)
     out_data = np.log(clamped)
 
     def bwd(g):
-        _accum(x, g * np.where(x.data > floor, 1.0 / clamped, 0.0))
+        _accum(x, g * np.where(x.data > _LOG_FLOOR, 1.0 / clamped, 0.0))
 
     return _make(out_data, (x,), bwd)
 
@@ -432,20 +434,20 @@ def cluster_means(x: Tensor, labels, k: int) -> Tensor:
 # -- nonlinear blocks -----------------------------------------------------
 
 
-def softmax(x: Tensor, beta: float = 1.0, axis: int = -1) -> Tensor:
-    """softmax(beta * x) along ``axis`` with max-subtraction."""
+def softmax(x: Tensor, beta: float = 1.0) -> Tensor:
+    """softmax(beta * x) along the last axis with max-subtraction."""
     x = _wrap(x)
     if x.data.size == 0:
         raise ContractError("softmax of empty input")
     if not np.isfinite(beta):
         raise ContractError("softmax temperature multiplier must be finite")
     z = beta * x.data
-    z = z - z.max(axis=axis, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        inner = (g * p).sum(axis=axis, keepdims=True)
+        inner = (g * p).sum(axis=-1, keepdims=True)
         _accum(x, beta * p * (g - inner))
 
     return _make(p, (x,), bwd)
@@ -480,13 +482,11 @@ def _layernorm_inputs(gain, bias, d: int):
     return gain, bias
 
 
-def layernorm_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float = _LN_EPS) -> Tensor:
+def layernorm_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row standardization followed by elementwise gain * xhat + bias."""
     x = _wrap(x)
-    if eps <= 0:
-        raise ContractError("layernorm eps must be positive")
     gain, bias = _layernorm_inputs(gain, bias, x.data.shape[-1])
-    out_data, xhat, inv = _layernorm_forward(x.data, gain.data, bias.data, eps)
+    out_data, xhat, inv = _layernorm_forward(x.data, gain.data, bias.data, _LN_EPS)
 
     def bwd(g):
         dgain, dbias, dx = _layernorm_backward(g, gain.data, xhat, inv)
@@ -582,14 +582,12 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 # -- gradient checking ----------------------------------------------------
 
 
-def finite_diff_params(loss_fn, params, h: float = 1e-5) -> float:
+def finite_diff_params(loss_fn, params) -> float:
     """Gradient check of ``loss_fn`` w.r.t. a collection of parameter tensors.
 
     ``loss_fn`` takes no arguments and rebuilds the loss from the current
     ``.data`` of every parameter; it is re-evaluated at perturbed values.
     """
-    if not (1e-7 <= h <= 1e-3):
-        raise ContractError(f"step size {h} outside [1e-7, 1e-3]")
     params = list(params)
     for p in params:
         p.grad = None
@@ -606,14 +604,14 @@ def finite_diff_params(loss_fn, params, h: float = 1e-5) -> float:
         aflat = ana.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + _FD_STEP
             fp = loss_fn().data.item()
-            flat[i] = orig - h
+            flat[i] = orig - _FD_STEP
             fm = loss_fn().data.item()
             flat[i] = orig
             if not (np.isfinite(fp) and np.isfinite(fm)):
                 raise NumericError("perturbed loss value is not finite")
-            numeric = (fp - fm) / (2.0 * h)
+            numeric = (fp - fm) / (2.0 * _FD_STEP)
             err = abs(aflat[i] - numeric) / (abs(numeric) + 1e-12)
             worst = max(worst, err)
     for p in params:

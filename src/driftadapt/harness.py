@@ -20,7 +20,7 @@ from . import __version__, driftgen
 from .config import ExperimentConfig
 from .errors import CompatibilityError
 from .model import MODALITIES, ModelDims, SourceModel, pretrain_source
-from .ttaloop import RunReport, run_stream
+from .ttaloop import METRICS, RunReport, run_stream
 
 PRETRAIN_SEED_OFFSET = 7000
 
@@ -127,30 +127,21 @@ def aggregate(reports) -> dict:
         by_variant.setdefault(r.variant, []).append(r)
     for variant, rs in by_variant.items():
         out[variant] = {}
-        for metric in ("online_accuracy", "online_macro_f1",
-                       "final_accuracy", "final_macro_f1"):
+        for metric in METRICS:
             vals = np.asarray([getattr(r, metric) for r in rs])
-            out[variant][metric] = {
-                "mean": float(vals.mean()),
-                "std": float(vals.std()),
-            }
+            out[variant][metric] = {"mean": float(vals.mean()), "std": float(vals.std())}
     return out
 
 
 def write_metrics_csv(path, reports, agg: dict):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["variant", "seed", "online_accuracy", "online_macro_f1",
-                    "final_accuracy", "final_macro_f1", "skipped_steps"])
+        w.writerow(["variant", "seed", *METRICS, "skipped_steps"])
         for r in reports:
-            w.writerow([r.variant, r.seed, f"{r.online_accuracy:.6f}",
-                        f"{r.online_macro_f1:.6f}", f"{r.final_accuracy:.6f}",
-                        f"{r.final_macro_f1:.6f}", r.skipped_steps])
+            w.writerow([r.variant, r.seed, *(f"{getattr(r, m):.6f}" for m in METRICS),
+                        r.skipped_steps])
         for variant, metrics in agg.items():
-            w.writerow([variant, "mean", f"{metrics['online_accuracy']['mean']:.6f}",
-                        f"{metrics['online_macro_f1']['mean']:.6f}",
-                        f"{metrics['final_accuracy']['mean']:.6f}",
-                        f"{metrics['final_macro_f1']['mean']:.6f}", ""])
+            w.writerow([variant, "mean", *(f"{metrics[m]['mean']:.6f}" for m in METRICS), ""])
 
 
 def write_diagnostics_csv(path, report: RunReport):

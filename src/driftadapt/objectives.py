@@ -9,7 +9,7 @@ centroids themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 
@@ -18,8 +18,6 @@ import numpy as np
 from . import gradcore as gc
 from .errors import ConfigError, ContractError
 from .gradcore import Tensor
-
-LOG_FLOOR = 1e-12
 
 
 class MethodVariant(str, Enum):
@@ -32,22 +30,14 @@ class MethodVariant(str, Enum):
     SCANNER = "scanner"
 
 
+# the variants that align features to per-modality centroid banks
+BANK_VARIANTS = (MethodVariant.CAN, MethodVariant.SCAN, MethodVariant.SCANNER)
+
+
 @dataclass
 class LossBreakdown:
-    can_terms: dict = field(default_factory=dict)
-    scan_terms: dict = field(default_factory=dict)
-    div_terms: dict = field(default_factory=dict)
-    em_term: float = 0.0
-    total_value: float = 0.0
-    total: Tensor = None  # differentiable combined loss
-
-    def as_row(self) -> dict:
-        row = {"em": self.em_term, "total": self.total_value}
-        for name, terms in (("can", self.can_terms), ("scan", self.scan_terms),
-                            ("div", self.div_terms)):
-            for m, v in terms.items():
-                row[f"{name}_{m}"] = v
-        return row
+    total: Tensor   # differentiable combined loss
+    row: dict       # logged values: em, total and every term per modality
 
 
 def can_loss(similarities: dict):
@@ -64,7 +54,7 @@ def adaptive_weights(s: Tensor, beta: float) -> Tensor:
         raise ConfigError(f"adaptive weight temperature beta={beta} must be >= 0")
     if s.data.size == 0:
         raise ContractError("empty similarity batch")
-    return gc.softmax(s, beta=beta, axis=-1)
+    return gc.softmax(s, beta=beta)
 
 
 def scan_loss(similarities: dict, beta: float):
@@ -77,7 +67,7 @@ def scan_loss(similarities: dict, beta: float):
 def cluster_avg_probs(logits: Tensor, indices: np.ndarray, k: int) -> Tensor:
     """Mean softmax probability per nonempty cluster: a k' x C matrix whose
     rows follow the cluster order."""
-    return gc.cluster_means(gc.softmax(logits, axis=1), indices, k)
+    return gc.cluster_means(gc.softmax(logits), indices, k)
 
 
 def div_loss(avg_probs: dict, k: int):
@@ -92,7 +82,7 @@ def div_loss(avg_probs: dict, k: int):
     for m, p in avg_probs.items():
         if isinstance(p, dict):
             p = gc.stack_rows(list(p.values())) if p else Tensor(np.zeros((0, 1)))
-        neg_ent = gc.tsum(gc.mul(p, gc.log_clamped(p, LOG_FLOOR)), axis=1)
+        neg_ent = gc.tsum(gc.mul(p, gc.log_clamped(p)), axis=1)
         terms[m] = gc.mul(gc.tsum(neg_ent), 1.0 / k)
     return reduce(gc.add, terms.values()), terms
 
@@ -101,8 +91,8 @@ def em_loss(fused_logits: Tensor) -> Tensor:
     """Mean Shannon entropy of the fused prediction distribution."""
     if fused_logits.data.shape[0] < 1:
         raise ContractError("empty batch")
-    p = gc.softmax(fused_logits, axis=1)
-    per_sample = gc.mul(gc.tsum(gc.mul(p, gc.log_clamped(p, LOG_FLOOR)), axis=1), -1.0)
+    p = gc.softmax(fused_logits)
+    per_sample = gc.mul(gc.tsum(gc.mul(p, gc.log_clamped(p)), axis=1), -1.0)
     return gc.tmean(per_sample)
 
 
@@ -118,32 +108,24 @@ def total_loss(similarities: dict, modality_logits: dict, fused_logits: Tensor,
     for w in (eps_w, lam, alpha, beta):
         if not np.isfinite(w) or w < 0:
             raise ConfigError(f"loss weight {w} must be finite and >= 0")
-    bd = LossBreakdown()
-    can_total, bd.can_terms = can_loss(similarities)
+    if variant not in BANK_VARIANTS:
+        raise ConfigError(f"variant {variant} has no combined clustering objective")
+    terms = {}
+    can_total, terms["can"] = can_loss(similarities)
     em = em_loss(fused_logits)
-    bd.em_term = em.item()
     total = gc.mul(em, eps_w)
 
     if variant == MethodVariant.CAN:
         align_total = can_total
-        alpha = 0.0
-    elif variant in (MethodVariant.SCAN, MethodVariant.SCANNER):
-        align_total, bd.scan_terms = scan_loss(similarities, beta)
-        if variant == MethodVariant.SCAN:
-            alpha = 0.0
     else:
-        raise ConfigError(f"variant {variant} has no combined clustering objective")
-
+        align_total, terms["scan"] = scan_loss(similarities, beta)
     total = gc.add(total, gc.mul(align_total, lam))
-    if alpha > 0.0:
+    if variant == MethodVariant.SCANNER and alpha > 0.0:
         avg = {m: cluster_avg_probs(logits, assignments[m].indices, k)
                for m, logits in modality_logits.items()}
-        div_total, bd.div_terms = div_loss(avg, k)
+        div_total, terms["div"] = div_loss(avg, k)
         total = gc.add(total, gc.mul(div_total, alpha))
 
-    bd.can_terms = {m: t.item() for m, t in bd.can_terms.items()}
-    bd.scan_terms = {m: t.item() for m, t in bd.scan_terms.items()}
-    bd.div_terms = {m: t.item() for m, t in bd.div_terms.items()}
-    bd.total = total
-    bd.total_value = total.item()
-    return bd
+    row = {"em": em.item(), "total": total.item()}
+    row.update({f"{name}_{m}": t.item() for name, ts in terms.items() for m, t in ts.items()})
+    return LossBreakdown(total=total, row=row)

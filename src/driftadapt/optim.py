@@ -6,6 +6,8 @@ import numpy as np
 
 from .errors import ContractError, ShapeMismatchError
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # moment decays and denominator floor
+
 
 class AdamW:
     """Standard Adam update plus decoupled weight decay.
@@ -18,14 +20,10 @@ class AdamW:
     as a per-tensor update.
     """
 
-    def __init__(self, params: dict, lr=1e-3, weight_decay=5e-4,
-                 beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: dict, lr=1e-3, weight_decay=5e-4):
         self.params = dict(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         ends = np.cumsum([p.data.size for p in self.params.values()], dtype=np.intp)
         n = int(ends[-1]) if ends.size else 0
@@ -56,7 +54,7 @@ class AdamW:
             else:
                 gview[...] = p.grad
         self.t += 1
-        b1, b2, lr = self.beta1, self.beta2, self.lr
+        b1, b2, lr = BETA1, BETA2, self.lr
         m, v, g, (s, s2) = self.m, self.v, self._grad, self._scratch
         m *= b1
         m += np.multiply(g, 1 - b1, out=s)
@@ -67,7 +65,7 @@ class AdamW:
         s *= lr
         np.divide(v, 1 - b2**self.t, out=s2)           # vhat
         np.sqrt(s2, out=s2)
-        s2 += self.eps
+        s2 += EPS
         s /= s2
         self.flat -= s
         if self.weight_decay:

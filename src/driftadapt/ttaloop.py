@@ -9,7 +9,7 @@ computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -20,11 +20,12 @@ from .driftgen import (
 )
 from .errors import ContractError, DivergenceError
 from .model import MODALITIES, SourceModel
-from .objectives import MethodVariant
+from .objectives import BANK_VARIANTS, MethodVariant
 from .optim import AdamW
 
-GRAD_VARIANTS = (MethodVariant.ST, MethodVariant.TENT_EM, MethodVariant.CAN,
-                 MethodVariant.SCAN, MethodVariant.SCANNER)
+GRAD_VARIANTS = (MethodVariant.ST, MethodVariant.TENT_EM) + BANK_VARIANTS
+# the scores of a run that report.json aggregates and metrics.csv lists
+METRICS = ("online_accuracy", "online_macro_f1", "final_accuracy", "final_macro_f1")
 
 
 @dataclass
@@ -59,9 +60,7 @@ def init_adapt_state(model: SourceModel, cfg: AdaptConfig,
         p.requires_grad = False
     opt = None
     if variant in GRAD_VARIANTS:
-        opt = AdamW(model.trainable_parameters(), lr=cfg.lr,
-                    weight_decay=cfg.weight_decay, beta1=cfg.adam_beta1,
-                    beta2=cfg.adam_beta2, eps=cfg.adam_eps)
+        opt = AdamW(model.trainable_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     return AdaptState(model=model, cfg=cfg, variant=variant, seed=seed, optimizer=opt)
 
 
@@ -95,9 +94,8 @@ def adapt_batch(state: AdaptState, batch: dict) -> BatchResult:
         grad_norm=0.0,
     )
 
-    if state.variant == MethodVariant.SOURCE:
-        pass
-    elif state.variant == MethodVariant.NORM:
+    # SOURCE only predicts
+    if state.variant == MethodVariant.NORM:
         _norm_update(model, batch, cfg.norm_momentum)
     elif state.variant == MethodVariant.TENT_EM:
         loss = obj.em_loss(fused_logits)
@@ -105,7 +103,7 @@ def adapt_batch(state: AdaptState, batch: dict) -> BatchResult:
         _apply_step(state, loss, result)
     elif state.variant == MethodVariant.ST:
         _st_step(state, fused_logits, result)
-    else:
+    elif state.variant in BANK_VARIANTS:
         _cluster_step(state, features, modality_logits, fused_logits, result)
 
     state.tau += 1
@@ -137,7 +135,7 @@ def _norm_update(model: SourceModel, batch: dict, momentum: float):
 
 
 def _st_step(state: AdaptState, fused_logits, result: BatchResult):
-    probs = gc.softmax(fused_logits, axis=1)
+    probs = gc.softmax(fused_logits)
     conf = probs.data.max(axis=1)
     pseudo = probs.data.argmax(axis=1)
     keep = np.flatnonzero(conf >= state.cfg.st_confidence)
@@ -169,7 +167,7 @@ def _cluster_step(state: AdaptState, features, modality_logits, fused_logits,
         k=cfg.k, variant=state.variant, eps_w=cfg.eps_w, lam=cfg.lam,
         alpha=cfg.alpha, beta=cfg.beta,
     )
-    result.loss_row = bd.as_row()
+    result.loss_row = bd.row
     _apply_step(state, bd.total, result)
 
     # track centroids with features from the pre-update forward, detached
@@ -199,28 +197,12 @@ class RunReport:
     collapse_gap: float = None   # mean |pred ratio - true ratio| over clusters
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "seed": self.seed,
-            "online_accuracy": self.online_accuracy,
-            "online_macro_f1": self.online_macro_f1,
-            "final_accuracy": self.final_accuracy,
-            "final_macro_f1": self.final_macro_f1,
-            "skipped_steps": self.skipped_steps,
-            "collapse_gap": self.collapse_gap,
-            "loss_trace": self.loss_trace,
-            "grad_norm_trace": self.grad_norm_trace,
-            "mean_entropy_trace": self.mean_entropy_trace,
-            "cluster_ratios": {m: {str(j): list(v) for j, v in t.items()}
-                               for m, t in self.cluster_ratios.items()},
-            "entropy_table": {m: {str(j): list(v) for j, v in t.items()}
-                              for m, t in self.entropy_table.items()},
-        }
-
-
-def iter_batches(n: int, batch_size: int):
-    for start in range(0, n, batch_size):
-        yield start, min(start + batch_size, n)
+        doc = asdict(self)
+        # JSON keys are strings; converting here keeps sort_keys ordering
+        # them as text ("10" before "2"), as the files always have
+        for name in ("cluster_ratios", "entropy_table"):
+            doc[name] = {m: {str(j): v for j, v in t.items()} for m, t in doc[name].items()}
+        return doc
 
 
 def run_stream(model: SourceModel, target: SyntheticDataset, cfg: AdaptConfig,
@@ -238,10 +220,10 @@ def run_stream(model: SourceModel, target: SyntheticDataset, cfg: AdaptConfig,
     report = RunReport(variant=variant.value, seed=seed)
 
     online_preds = np.empty(n, dtype=np.int64)
-    for start, end in iter_batches(n, cfg.batch_size):
-        batch = {m: target.features[m][start:end] for m in MODALITIES}
-        res = adapt_batch(state, batch)
-        online_preds[start:end] = res.predictions
+    for start in range(0, n, cfg.batch_size):
+        rows = slice(start, start + cfg.batch_size)
+        res = adapt_batch(state, {m: target.features[m][rows] for m in MODALITIES})
+        online_preds[rows] = res.predictions
         report.loss_trace.append({"tau": res.tau, **res.loss_row})
         report.grad_norm_trace.append(res.grad_norm)
         report.mean_entropy_trace.append(float(res.entropies.mean()))

@@ -99,7 +99,7 @@ def test_gelu_forward_matches_closed_form():
 
 
 def test_softmax_grad():
-    _check(lambda t: gc.tsum(gc.mul(gc.softmax(t, beta=3.0, axis=1),
+    _check(lambda t: gc.tsum(gc.mul(gc.softmax(t, beta=3.0),
                                     Tensor(np.arange(12.0).reshape(3, 4)))),
            (3, 4))
 
@@ -238,7 +238,7 @@ def test_attention_style_composite_grad():
 
     def f(t):
         scores = gc.stack_cols([gc.rowdot(t, other), gc.rowdot(t, t)])
-        attn = gc.softmax(scores, axis=1)
+        attn = gc.softmax(scores)
         out = gc.add(gc.rowscale(gc.col(attn, 0), t),
                      gc.rowscale(gc.col(attn, 1), other))
         return gc.tsum(gc.mul(out, other))
@@ -373,7 +373,7 @@ def test_gelu_constant_is_shared_by_the_fused_encoder(monkeypatch):
 @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(2, 6))
 def test_softmax_rows_normalized(seed, n, k):
     rng = np.random.default_rng(seed)
-    p = gc.softmax(Tensor(rng.normal(0, 5, (n, k))), axis=1).data
+    p = gc.softmax(Tensor(rng.normal(0, 5, (n, k)))).data
     assert np.all(p > 0)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
@@ -396,7 +396,7 @@ def test_random_composite_finite_diff(seed):
 
     def f(t):
         h = gc.gelu(gc.matmul(t, Tensor(w)))
-        return gc.tsum(gc.mul(gc.softmax(h, axis=1), h))
+        return gc.tsum(gc.mul(gc.softmax(h), h))
 
     x = Tensor(rng.normal(0, 1, (2, 3)), requires_grad=True)
     assert gc.finite_diff_params(lambda: f(x), [x]) < 1e-5

@@ -2,7 +2,7 @@
 
 import csv
 import json
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,9 @@ def test_config_unknown_field_rejected():
         ExperimentConfig.from_dict({"adapt": {"momentum": 0.9}})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"out_dir": "runs"})
+    # the AdamW moment decays and eps are fixed optimizer constants
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({"adapt": {"adam_beta1": 0.9}})
 
 
 def test_config_validation_errors():
@@ -369,6 +372,10 @@ def test_cli_malformed_json_is_config_error(tmp_path, capsys):
     _cli_config_error(tmp_path, capsys, '{"adapt": ')
 
 
+def test_cli_adam_field_is_config_error(tmp_path, capsys):
+    _cli_config_error(tmp_path, capsys, '{"adapt": {"adam_beta1": 0.9}}')
+
+
 def test_cli_k_above_first_batch_is_config_error(tmp_path, capsys):
     # k=40 clusters cannot be seeded from a first batch of 32 rows; the config
     # is rejected before any run, so no command writes anything
@@ -420,6 +427,25 @@ def test_cli_preset_keeps_explicit_benchmark_fields(tmp_path, monkeypatch, raw, 
     path.write_text(json.dumps(raw))
     assert cli_main(["pretrain", "--config", str(path), "--out", str(tmp_path), *extra]) == 0
     assert seen[0].benchmark == replace(preset_benchmark("severe"), n_target=96)
+
+
+def test_recorded_config_states_only_the_numbers_that_ran(tmp_path, capsys):
+    # every mild field is explicit, so --preset severe changes no number;
+    # the recorded config then carries no preset label to contradict them
+    raw = json.loads(tiny_experiment().to_json())
+    raw["benchmark"] = {**asdict(BenchmarkConfig()), "n_source": 96, "n_target": 96}
+    path = tmp_path / "mild.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    for command in ("pretrain", "adapt"):
+        assert cli_main([command, "--config", str(path), "--out", str(out),
+                         "--preset", "severe"]) == 0
+    capsys.readouterr()
+    ran = {k: v for k, v in raw["benchmark"].items() if k != "preset"}
+    for name in ("pretrain_summary.json", "report.json"):
+        recorded = json.loads((out / name).read_text())["config"]
+        assert recorded["benchmark"] == ran
+        assert ExperimentConfig.from_dict(recorded).benchmark == BenchmarkConfig(**ran)
 
 
 @pytest.mark.parametrize("raw", [

@@ -59,7 +59,7 @@ def _fusion_op_by_op(fusion, features):
     pooled = None
     for qi in q:
         scores = gc.stack_cols([gc.mul(gc.rowdot(qi, kj), inv_sqrt) for kj in k])
-        attn = gc.softmax(scores, axis=1)
+        attn = gc.softmax(scores)
         tok_out = None
         for j, vj in enumerate(v):
             term = gc.rowscale(gc.col(attn, j), vj)

