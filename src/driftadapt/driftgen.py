@@ -102,8 +102,12 @@ def _outlier_mask(rng: np.random.Generator, n: int, frac: float) -> np.ndarray:
     if frac <= 0.0:
         return mask
     target = int(round(frac * n))
-    while mask.sum() < target:
-        mask[rng.integers(0, n)] = True
+    marked = 0
+    while marked < target:
+        i = rng.integers(0, n)
+        if not mask[i]:
+            mask[i] = True
+            marked += 1
     return mask
 
 

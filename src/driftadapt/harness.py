@@ -30,13 +30,22 @@ def _data_seeds(seed: int):
     return 1000 + seed, 2000 + seed, 3000 + seed, 4000 + seed
 
 
-def build_domains(cfg: ExperimentConfig, seed: int):
-    core_seed, dom_seed, src_seed, tgt_seed = _data_seeds(seed)
+def build_domain(cfg: ExperimentConfig, seed: int, role: str):
+    """The "source" or the "target" domain of a seed alone.
+
+    Each domain draws its rows from its own data seed, so they equal the
+    rows build_domains returns for both domains at once.
+    """
+    i = ("source", "target").index(role)
+    core_seed, dom_seed, *data_seeds = _data_seeds(seed)
     cores = driftgen.make_core_spec(cfg.benchmark, core_seed)
-    source_dom, target_dom = driftgen.make_domain_pair(cfg.benchmark, dom_seed)
-    source = driftgen.generate_domain(cores, source_dom, cfg.benchmark.n_source, src_seed)
-    target = driftgen.generate_domain(cores, target_dom, cfg.benchmark.n_target, tgt_seed)
-    return source, target
+    domain = driftgen.make_domain_pair(cfg.benchmark, dom_seed)[i]
+    n = (cfg.benchmark.n_source, cfg.benchmark.n_target)[i]
+    return driftgen.generate_domain(cores, domain, n, data_seeds[i])
+
+
+def build_domains(cfg: ExperimentConfig, seed: int):
+    return build_domain(cfg, seed, "source"), build_domain(cfg, seed, "target")
 
 
 def checkpoint_path(out_dir, seed: int) -> Path:
@@ -50,7 +59,7 @@ def cmd_pretrain(cfg: ExperimentConfig, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     summary = {"version": __version__, "config": cfg.recorded(), "seeds": {}}
     for seed in cfg.seeds:
-        source, _ = build_domains(cfg, seed)
+        source = build_domain(cfg, seed, "source")
         model = SourceModel(
             ModelDims(cfg.benchmark.d_in, cfg.d_h, cfg.n_classes), seed=seed
         )
@@ -96,7 +105,7 @@ def cmd_adapt(cfg: ExperimentConfig, ckpt_dir, out_dir) -> dict:
     cfg.validate()
     out = Path(out_dir)
     (out / "diagnostics").mkdir(parents=True, exist_ok=True)
-    targets = {seed: build_domains(cfg, seed)[1] for seed in cfg.seeds}
+    targets = {seed: build_domain(cfg, seed, "target") for seed in cfg.seeds}
     jobs = [(cfg, checkpoint_path(ckpt_dir, seed), targets[seed], variant, seed)
             for variant in cfg.variants for seed in cfg.seeds]
     if cfg.workers > 1:

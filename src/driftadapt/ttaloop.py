@@ -54,10 +54,12 @@ def init_adapt_state(model: SourceModel, cfg: AdaptConfig,
                      variant: MethodVariant, seed: int = 0) -> AdaptState:
     cfg.validate()
     variant = MethodVariant(variant)
-    # freeze fusion + classifier so grad buffers exist only on the
-    # test-time-trainable subset
+    # only the encoders of a gradient variant train, so no other variant
+    # builds a graph; every flag is set, so a reused model adapts again
     for p in model.frozen_parameters().values():
         p.requires_grad = False
+    for p in model.trainable_parameters().values():
+        p.requires_grad = variant in GRAD_VARIANTS
     opt = None
     if variant in GRAD_VARIANTS:
         opt = AdamW(model.trainable_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
@@ -85,7 +87,10 @@ def adapt_batch(state: AdaptState, batch: dict) -> BatchResult:
     """Process one unlabeled target batch; updates state in place."""
     model, cfg = state.model, state.cfg
     model.zero_grad()
-    features, modality_logits, fused_logits = model.forward_full(batch)
+    if state.variant in BANK_VARIANTS:
+        features, modality_logits, fused_logits = model.forward_full(batch)
+    else:
+        fused_logits = model.forward(batch)
     result = BatchResult(
         tau=state.tau,
         predictions=fused_logits.data.argmax(axis=1),
@@ -233,16 +238,27 @@ def run_stream(model: SourceModel, target: SyntheticDataset, cfg: AdaptConfig,
     report.online_accuracy = accuracy(online_preds, labels)
     report.online_macro_f1 = macro_f1(online_preds, labels, n_classes)
 
-    # second, post-adaptation inference pass over the full target set
-    features, _, fused_logits = model.forward_full(target.features)
-    final_preds = fused_logits.data.argmax(axis=1)
+    # second, post-adaptation inference pass over the full target set, in
+    # stream-sized chunks with every parameter frozen, so no graph is kept
+    for p in model.named_parameters().values():
+        p.requires_grad = False
+    final_preds = np.empty(n, dtype=np.int64)
+    features = ({m: np.empty((n, model.dims.d_h)) for m in MODALITIES}
+                if state.banks is not None else {})
+    for start in range(0, n, cfg.batch_size):
+        rows = slice(start, start + cfg.batch_size)
+        encoded = model.encode({m: target.features[m][rows] for m in MODALITIES})
+        fused_logits = model.classifier.forward(model.fusion.forward(encoded))
+        final_preds[rows] = fused_logits.data.argmax(axis=1)
+        for m in features:
+            features[m][rows] = encoded[m].data
     report.final_accuracy = accuracy(final_preds, labels)
     report.final_macro_f1 = macro_f1(final_preds, labels, n_classes)
 
     if state.banks is not None:
         gaps = []
         for m in MODALITIES:
-            normalized = cb.l2_normalize_rows(features[m].detach())
+            normalized = cb.l2_normalize_rows(features[m])
             assignment = cb.assign(state.banks[m], normalized)
             ratios = cluster_ratio_diag(assignment.indices, final_preds, labels, cfg.k)
             report.cluster_ratios[m] = ratios

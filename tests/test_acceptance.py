@@ -8,7 +8,6 @@ the ordering, collapse, and stability checks.
 """
 
 import inspect
-import itertools
 import time
 
 import numpy as np
@@ -20,7 +19,6 @@ from driftadapt import gradcore as gc
 from driftadapt import harness, objectives as obj, ttaloop
 from driftadapt.config import (
     AdaptConfig,
-    BenchmarkConfig,
     ExperimentConfig,
     preset_benchmark,
 )

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import tiny_experiment, tiny_model
 
-from driftadapt import checkpoint, cli, errors, harness
+from driftadapt import checkpoint, cli, driftgen, errors, harness
 from driftadapt.cli import main as cli_main
 from driftadapt.config import AdaptConfig, BenchmarkConfig, ExperimentConfig, preset_benchmark
 from driftadapt.errors import (
@@ -185,15 +185,33 @@ def test_adapt_builds_each_seed_target_once(tmp_path, monkeypatch):
     cfg.variants = ["source", "scanner"]
     harness.cmd_pretrain(cfg, tmp_path)
     calls = []
-    build = harness.build_domains
+    build = harness.build_domain
 
-    def counting_build(cfg, seed):
-        calls.append(seed)
-        return build(cfg, seed)
+    def counting_build(cfg, seed, role):
+        calls.append((seed, role))
+        return build(cfg, seed, role)
 
-    monkeypatch.setattr(harness, "build_domains", counting_build)
+    monkeypatch.setattr(harness, "build_domain", counting_build)
     harness.cmd_adapt(cfg, tmp_path, tmp_path / "out")
-    assert sorted(calls) == [0, 1]
+    assert sorted(calls) == [(0, "target"), (1, "target")]
+
+
+def test_each_command_generates_only_the_domain_it_reads(tmp_path, monkeypatch):
+    cfg = tiny_experiment(tmp_path)
+    cfg.benchmark.n_target = 64
+    sizes = []
+    generate = driftgen.generate_domain
+
+    def counting_generate(cores, domain, n, seed):
+        sizes.append(n)
+        return generate(cores, domain, n, seed)
+
+    monkeypatch.setattr(driftgen, "generate_domain", counting_generate)
+    harness.cmd_pretrain(cfg, tmp_path)
+    assert sizes == [96]
+    sizes.clear()
+    harness.cmd_adapt(cfg, tmp_path, tmp_path / "out")
+    assert sizes == [64]
 
 
 def _cut_to_half(blob):
@@ -453,7 +471,8 @@ def test_recorded_config_states_only_the_numbers_that_ran(tmp_path, capsys):
     {"benchmark": {"core_jitter": [0.1, 0.2]}}, {"benchmark": {"p_hate": 1.0}},
     {"benchmark": {"severity": float("inf")}}, {"benchmark": 3},
     {"seeds": [0, 0]}, {"seeds": [-1]}, {"variants": []}, {"variants": [["can"]]},
-    {"n_classes": 1}, {"adapt": {"adam_eps": 0.0}}, [1, 2],
+    {"n_classes": 1}, {"adapt": {"norm_momentum": 1.5}}, {"adapt": {"st_confidence": 0.5}},
+    {"adapt": {"beta": -1.0}}, {"adapt": {"lr": -1e-3}}, [1, 2],
 ])
 def test_config_rejects_wrong_types_and_ranges(raw):
     with pytest.raises(ConfigError):

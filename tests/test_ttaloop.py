@@ -5,7 +5,7 @@ import pytest
 
 from conftest import tiny_batch, tiny_model
 
-from driftadapt import driftgen as dg, gradcore as gc, ttaloop as tt
+from driftadapt import centroids as cb, driftgen as dg, gradcore as gc, ttaloop as tt
 from driftadapt.config import AdaptConfig, BenchmarkConfig
 from driftadapt.errors import ContractError
 from driftadapt.model import MODALITIES
@@ -157,6 +157,49 @@ def test_run_stream_source_has_no_banks():
     assert report.collapse_gap is None
     assert report.cluster_ratios == {}
     assert report.grad_norm_trace == [0.0] * len(report.grad_norm_trace)
+
+
+def test_final_pass_chunks_match_one_full_forward(monkeypatch):
+    # 70 rows in batches of 16: the last chunk of the final pass has 6 rows
+    target = _tiny_target(n=70)
+    model = tiny_model(seed=1)
+    model.set_input_stats(target.features)
+    states = []
+    init = tt.init_adapt_state
+    monkeypatch.setattr(tt, "init_adapt_state",
+                        lambda *a, **kw: states.append(init(*a, **kw)) or states[-1])
+    report = tt.run_stream(model, target, _cfg(batch_size=16), "scanner", seed=0)
+
+    features, _, fused_logits = model.forward_full(target.features)
+    preds = fused_logits.data.argmax(axis=1)
+    assert report.final_accuracy == dg.accuracy(preds, target.labels)
+    assert report.final_macro_f1 == dg.macro_f1(preds, target.labels, 2)
+    banks = states[0].banks
+    for m in MODALITIES:
+        normalized = cb.l2_normalize_rows(features[m].data)
+        idx = cb.assign(banks[m], normalized).indices
+        assert report.cluster_ratios[m] == dg.cluster_ratio_diag(idx, preds, target.labels, 2)
+        assert report.entropy_table[m] == dg.entropy_diag(banks[m], model, normalized, idx)
+
+
+@pytest.mark.parametrize("variant", ["source", "norm"])
+def test_inference_variants_build_no_graph(monkeypatch, variant):
+    made = []
+    make = gc._make
+    monkeypatch.setattr(gc, "_make", lambda *args: made.append(make(*args)) or made[-1])
+    state = tt.init_adapt_state(tiny_model(), _cfg(), variant)
+    tt.adapt_batch(state, tiny_batch(np.random.default_rng(0), n=8))
+    assert made and not any(t._parents for t in made)
+
+
+def test_reused_model_adapts_again():
+    target = _tiny_target()
+    model = tiny_model(seed=1)
+    model.set_input_stats(target.features)
+    tt.run_stream(model, target, _cfg(), "scanner", seed=0)
+    before = {k: p.data.copy() for k, p in model.trainable_parameters().items()}
+    tt.run_stream(model, target, _cfg(), "scanner", seed=0)
+    assert any(np.any(p.data != before[k]) for k, p in model.trainable_parameters().items())
 
 
 def test_run_stream_rejects_empty_target():
