@@ -196,7 +196,7 @@ def max_similarity(bank: CentroidBank, features):
     or a plain array. Returns (similarity Tensor, argmax indices); ties go to
     the lowest index.
     """
-    return gc.max_axis1(gc.cosine_matrix(features, bank.centroids))
+    return gc.max_cosine(features, bank.centroids)
 
 
 def assign(bank: CentroidBank, features: np.ndarray) -> Assignment:

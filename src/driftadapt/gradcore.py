@@ -7,14 +7,23 @@ row gathers, per-cluster means (``cluster_means``, on the array helper
 ``cluster_sums``), cross entropy, and one node per model block: the encoder
 (``linear_layernorm_gelu``, which shares its array arithmetic with ``gelu``
 and ``layernorm_affine``), the classifier (``linear``) and the fusion block's
-self-attention with mean pooling (``attention_pool``). The per-row helpers
-``rowdot``, ``rowscale``, ``stack_cols`` and ``col`` compose the same
-attention op by op; the tests use them as an oracle for ``attention_pool``.
+self-attention with mean pooling (``attention_pool``). Each max-cosine score
+(``max_cosine``) and each adaptation loss (``mean_entropy``,
+``one_minus_means``, ``one_minus_weighted_means``, ``plogp_sums``) is one
+node too; they share the softmax (``softmax_array``), clamped-log and cosine
+arithmetic of ``softmax``, ``log_clamped``, ``cosine_matrix`` and
+``max_axis1``, whose compositions the tests keep as bitwise oracles. The
+per-row helpers ``rowdot``, ``rowscale``, ``stack_cols`` and ``col`` compose
+the same attention op by op; the tests use them as an oracle for
+``attention_pool``.
 Gradients accumulate with ``+=`` so a sum of losses can be backpropagated
 jointly or term by term with identical results.
 """
 
 from __future__ import annotations
+
+import operator
+from functools import reduce
 
 import numpy as np
 
@@ -189,14 +198,23 @@ def tmean(x: Tensor, axis=None) -> Tensor:
     return mul(tsum(x, axis=axis), 1.0 / n)
 
 
+def _log_clamped_forward(x: np.ndarray):
+    """(log(max(x, 1e-12)), max(x, 1e-12)) of an array."""
+    clamped = np.maximum(x, _LOG_FLOOR)
+    return np.log(clamped), clamped
+
+
+def _log_clamped_backward(g, x: np.ndarray, clamped: np.ndarray):
+    return g * np.where(x > _LOG_FLOOR, 1.0 / clamped, 0.0)
+
+
 def log_clamped(x: Tensor) -> Tensor:
     """log(max(x, 1e-12)); gradient is zero where the clamp is active."""
     x = _wrap(x)
-    clamped = np.maximum(x.data, _LOG_FLOOR)
-    out_data = np.log(clamped)
+    out_data, clamped = _log_clamped_forward(x.data)
 
     def bwd(g):
-        _accum(x, g * np.where(x.data > _LOG_FLOOR, 1.0 / clamped, 0.0))
+        _accum(x, _log_clamped_backward(g, x.data, clamped))
 
     return _make(out_data, (x,), bwd)
 
@@ -434,21 +452,31 @@ def cluster_means(x: Tensor, labels, k: int) -> Tensor:
 # -- nonlinear blocks -----------------------------------------------------
 
 
-def softmax(x: Tensor, beta: float = 1.0) -> Tensor:
-    """softmax(beta * x) along the last axis with max-subtraction."""
-    x = _wrap(x)
-    if x.data.size == 0:
+def softmax_array(x: np.ndarray, beta: float = 1.0) -> np.ndarray:
+    """softmax(beta * x) of a plain array along the last axis with
+    max-subtraction: the arithmetic of every softmax in the graph."""
+    if x.size == 0:
         raise ContractError("softmax of empty input")
     if not np.isfinite(beta):
         raise ContractError("softmax temperature multiplier must be finite")
-    z = beta * x.data
+    z = beta * x
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_backward(g, p: np.ndarray, beta: float):
+    inner = (g * p).sum(axis=-1, keepdims=True)
+    return beta * p * (g - inner)
+
+
+def softmax(x: Tensor, beta: float = 1.0) -> Tensor:
+    """softmax(beta * x) along the last axis with max-subtraction."""
+    x = _wrap(x)
+    p = softmax_array(x.data, beta)
 
     def bwd(g):
-        inner = (g * p).sum(axis=-1, keepdims=True)
-        _accum(x, beta * p * (g - inner))
+        _accum(x, _softmax_backward(g, p, beta))
 
     return _make(p, (x,), bwd)
 
@@ -518,11 +546,10 @@ def linear_layernorm_gelu(x: Tensor, w: Tensor, b: Tensor, gain: Tensor, bias: T
     return _make(out_data, (x, w, b, gain, bias), bwd)
 
 
-def cosine_matrix(features: Tensor, centroids: np.ndarray) -> Tensor:
-    """B x k cosine similarities; centroids are constants (no gradient)."""
-    features = _wrap(features)
-    c = np.asarray(centroids, dtype=np.float64)
-    nf = np.linalg.norm(features.data, axis=1)
+def _cosine_forward(f: np.ndarray, c: np.ndarray):
+    """(B x k cosines, feature norms, norm products) of feature rows f
+    against centroid rows c; zero-norm rows raise."""
+    nf = np.linalg.norm(f, axis=1)
     nc = np.linalg.norm(c, axis=1)
     bad = np.flatnonzero(nf < _NORM_FLOOR)
     if bad.size:
@@ -530,13 +557,37 @@ def cosine_matrix(features: Tensor, centroids: np.ndarray) -> Tensor:
     if np.any(nc < _NORM_FLOOR):
         raise DegenerateVectorError("zero-norm centroid")
     denom = nf[:, None] * nc[None, :]
-    s = features.data @ c.T / denom
+    return f @ c.T / denom, nf, denom
+
+
+def _cosine_backward(g, f, c, s, nf, denom):
+    return (g / denom) @ c - ((g * s).sum(axis=1) / nf**2)[:, None] * f
+
+
+def cosine_matrix(features: Tensor, centroids: np.ndarray) -> Tensor:
+    """B x k cosine similarities; centroids are constants (no gradient)."""
+    features = _wrap(features)
+    c = np.asarray(centroids, dtype=np.float64)
+    s, nf, denom = _cosine_forward(features.data, c)
 
     def bwd(g):
-        grad = (g / denom) @ c - ((g * s).sum(axis=1) / nf**2)[:, None] * features.data
-        _accum(features, grad)
+        _accum(features, _cosine_backward(g, features.data, c, s, nf, denom))
 
     return _make(s, (features,), bwd)
+
+
+def _max_rows(x: np.ndarray):
+    """(row maxima, argmax, gradient router) of a B x k array; ties go to
+    the lowest index, and the router puts each row's g on its argmax entry."""
+    rows = np.arange(x.shape[0])
+    idx = x.argmax(axis=1)
+
+    def route(g):
+        full = np.zeros_like(x)
+        full[rows, idx] = g
+        return full
+
+    return x[rows, idx], idx, route
 
 
 def max_axis1(x: Tensor):
@@ -545,15 +596,30 @@ def max_axis1(x: Tensor):
     Ties broken by lowest index; gradient routes only to the argmax entry.
     """
     x = _wrap(x)
-    idx = x.data.argmax(axis=1)
-    out_data = x.data[np.arange(x.data.shape[0]), idx]
+    out_data, idx, route = _max_rows(x.data)
 
     def bwd(g):
-        full = np.zeros_like(x.data)
-        full[np.arange(x.data.shape[0]), idx] = g
-        _accum(x, full)
+        _accum(x, route(g))
 
     return _make(out_data, (x,), bwd), idx
+
+
+def max_cosine(features: Tensor, centroids: np.ndarray):
+    """``max_axis1(cosine_matrix(features, centroids))`` as one graph node.
+
+    Returns (maxima, argmax indices). The forward and backward run the float
+    operations of the two-op composition in the same order, so values and
+    gradients are bit for bit the same.
+    """
+    features = _wrap(features)
+    c = np.asarray(centroids, dtype=np.float64)
+    s, nf, denom = _cosine_forward(features.data, c)
+    out_data, idx, route = _max_rows(s)
+
+    def bwd(g):
+        _accum(features, _cosine_backward(route(g), features.data, c, s, nf, denom))
+
+    return _make(out_data, (features,), bwd), idx
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -577,6 +643,87 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         _accum(logits, g * (p - onehot) / n)
 
     return _make(np.asarray(loss), (logits,), bwd)
+
+
+# -- loss terms -------------------------------------------------------------
+#
+# One node per loss. Each forward and backward runs the float operations of
+# the op-by-op composition it replaces, in the same order, so values and
+# gradients are bit for bit those of the composition. A term of the form
+# 1 - t was the graph ``add(1.0, mul(t, -1.0))``, and a sum over tensors the
+# chain ``add(add(t_0, t_1), t_2)``, which passes the upstream gradient to
+# every term unchanged.
+
+
+def _plogp_backward(c, p: np.ndarray, logp: np.ndarray, clamped: np.ndarray):
+    """Gradient of ``p * log_clamped(p)`` for the upstream scalar c, summed
+    in the order of the ``mul`` and then the ``log_clamped`` backward."""
+    return c * logp + _log_clamped_backward(c * p, p, clamped)
+
+
+def mean_entropy(logits: Tensor) -> Tensor:
+    """Mean over rows of the entropy -sum_c p log max(p, 1e-12) of
+    p = softmax(logits): the composition ``softmax``, ``log_clamped``,
+    ``mul``, ``tsum(axis=1)``, ``mul(-1)``, ``tmean``."""
+    logits = _wrap(logits)
+    p = softmax_array(logits.data)
+    logp, clamped = _log_clamped_forward(p)
+    per_row = (p * logp).sum(axis=1) * -1.0
+    inv_n = 1.0 / per_row.size
+
+    def bwd(g):
+        gp = _plogp_backward(g * inv_n * -1.0, p, logp, clamped)
+        _accum(logits, _softmax_backward(gp, p, 1.0))
+
+    return _make(per_row.sum() * inv_n, (logits,), bwd)
+
+
+def one_minus_means(xs):
+    """Sum over the tensors of 1 - mean(x): the composition ``1.0 - tmean(x)``
+    per tensor, then an ``add`` chain. Returns (sum, term values)."""
+    xs = [_wrap(x) for x in xs]
+    inv_n = [1.0 / x.data.size for x in xs]
+    values = [1.0 + x.data.sum() * inv * -1.0 for x, inv in zip(xs, inv_n)]
+
+    def bwd(g):
+        for x, inv in zip(xs, inv_n):
+            _accum(x, g * -1.0 * inv)
+
+    return _make(reduce(operator.add, values), tuple(xs), bwd), values
+
+
+def one_minus_weighted_means(xs, beta: float):
+    """Sum over the tensors of 1 - sum(softmax(beta * x) * x): the composition
+    ``1.0 - tsum(mul(softmax(x, beta), x))`` per tensor, then an ``add``
+    chain. Returns (sum, term values)."""
+    xs = [_wrap(x) for x in xs]
+    weights = [softmax_array(x.data, beta) for x in xs]
+    values = [1.0 + (w * x.data).sum() * -1.0 for x, w in zip(xs, weights)]
+
+    def bwd(g):
+        c = g * -1.0
+        for x, w in zip(xs, weights):
+            if x.requires_grad:
+                _accum(x, c * w + _softmax_backward(c * x.data, w, beta))
+
+    return _make(reduce(operator.add, values), tuple(xs), bwd), values
+
+
+def plogp_sums(ps, scale: float):
+    """Sum over the matrices of scale * sum p log max(p, 1e-12): the
+    composition ``mul(tsum(tsum(mul(p, log_clamped(p)), axis=1)), scale)``
+    per matrix, then an ``add`` chain. Returns (sum, term values)."""
+    ps = [_wrap(p) for p in ps]
+    logs = [_log_clamped_forward(p.data) for p in ps]
+    values = [(p.data * logp).sum(axis=1).sum() * scale for p, (logp, _) in zip(ps, logs)]
+
+    def bwd(g):
+        c = g * scale
+        for p, (logp, clamped) in zip(ps, logs):
+            if p.requires_grad:
+                _accum(p, _plogp_backward(c, p.data, logp, clamped))
+
+    return _make(reduce(operator.add, values), tuple(ps), bwd), values
 
 
 # -- gradient checking ----------------------------------------------------

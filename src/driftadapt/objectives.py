@@ -4,14 +4,17 @@ weighted combination.
 
 All functions build autograd graphs over Tensors; centroid banks enter only
 through precomputed similarity tensors, so gradient never reaches the
-centroids themselves.
+centroids themselves. Each loss is one graph node over all modalities
+(``gradcore.mean_entropy``, ``one_minus_means``, ``one_minus_weighted_means``
+and ``plogp_sums``), whose forward and backward replay the op-by-op
+composition bit for bit; its per-modality terms are leaf Tensors that carry
+the logged values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
 
 import numpy as np
 
@@ -40,28 +43,39 @@ class LossBreakdown:
     row: dict       # logged values: em, total and every term per modality
 
 
+def _terms(modalities: dict, values) -> dict:
+    """Per-modality leaf Tensors that carry the logged term values."""
+    return {m: Tensor(v) for m, v in zip(modalities, values)}
+
+
 def can_loss(similarities: dict):
     """Sum over modalities of 1 - mean batch similarity."""
     if any(s.data.size == 0 for s in similarities.values()):
         raise ContractError("empty similarity batch")
-    terms = {m: 1.0 - gc.tmean(s) for m, s in similarities.items()}
-    return reduce(gc.add, terms.values()), terms
+    total, values = gc.one_minus_means(similarities.values())
+    return total, _terms(similarities, values)
 
 
-def adaptive_weights(s: Tensor, beta: float) -> Tensor:
-    """Batch softmax of beta * similarity; emphasizes centroid-close samples."""
+def _check_weight_inputs(s: Tensor, beta: float):
     if beta < 0:
         raise ConfigError(f"adaptive weight temperature beta={beta} must be >= 0")
     if s.data.size == 0:
         raise ContractError("empty similarity batch")
+
+
+def adaptive_weights(s: Tensor, beta: float) -> Tensor:
+    """Batch softmax of beta * similarity; emphasizes centroid-close samples."""
+    _check_weight_inputs(s, beta)
     return gc.softmax(s, beta=beta)
 
 
 def scan_loss(similarities: dict, beta: float):
-    """Sum over modalities of 1 - softmax-weighted batch similarity."""
-    terms = {m: 1.0 - gc.tsum(gc.mul(adaptive_weights(s, beta), s))
-             for m, s in similarities.items()}
-    return reduce(gc.add, terms.values()), terms
+    """Sum over modalities of 1 - softmax-weighted batch similarity, with the
+    weights of ``adaptive_weights``."""
+    for s in similarities.values():
+        _check_weight_inputs(s, beta)
+    total, values = gc.one_minus_weighted_means(similarities.values(), beta)
+    return total, _terms(similarities, values)
 
 
 def cluster_avg_probs(logits: Tensor, indices: np.ndarray, k: int) -> Tensor:
@@ -78,22 +92,20 @@ def div_loss(avg_probs: dict, k: int):
     ``cluster_avg_probs``, or to a {cluster: Tensor[C]} dict that one node
     stacks into that matrix. Empty clusters have no row and contribute zero.
     """
-    terms = {}
-    for m, p in avg_probs.items():
+    mats = []
+    for p in avg_probs.values():
         if isinstance(p, dict):
             p = gc.stack_rows(list(p.values())) if p else Tensor(np.zeros((0, 1)))
-        neg_ent = gc.tsum(gc.mul(p, gc.log_clamped(p)), axis=1)
-        terms[m] = gc.mul(gc.tsum(neg_ent), 1.0 / k)
-    return reduce(gc.add, terms.values()), terms
+        mats.append(p)
+    total, values = gc.plogp_sums(mats, 1.0 / k)
+    return total, _terms(avg_probs, values)
 
 
 def em_loss(fused_logits: Tensor) -> Tensor:
     """Mean Shannon entropy of the fused prediction distribution."""
     if fused_logits.data.shape[0] < 1:
         raise ContractError("empty batch")
-    p = gc.softmax(fused_logits)
-    per_sample = gc.mul(gc.tsum(gc.mul(p, gc.log_clamped(p)), axis=1), -1.0)
-    return gc.tmean(per_sample)
+    return gc.mean_entropy(fused_logits)
 
 
 def total_loss(similarities: dict, modality_logits: dict, fused_logits: Tensor,

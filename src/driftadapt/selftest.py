@@ -116,17 +116,46 @@ def _check_encoder_gradients(rng):
     return "fused encoder gradient matches finite differences"
 
 
+def _check_loss_gradients(rng):
+    sims = {m: Tensor(rng.uniform(-1, 1, 5), requires_grad=True) for m in ("v", "t")}
+    logits = Tensor(rng.normal(0, 2, (7, 3)), requires_grad=True)
+    labels = np.array([2, 0, 2, 2, 0, 3, 0])   # cluster 1 empty, cluster 3 a singleton
+    features = Tensor(rng.normal(0, 1, (6, 4)), requires_grad=True)
+    centroids = rng.normal(0, 1, (3, 4))
+    weights = Tensor(rng.normal(0, 1, 6))
+    losses = {
+        "em_loss": (lambda: obj.em_loss(logits), [logits]),
+        "can_loss": (lambda: obj.can_loss(sims)[0], list(sims.values())),
+        "scan_loss beta=0": (lambda: obj.scan_loss(sims, 0.0)[0], list(sims.values())),
+        "scan_loss beta=10": (lambda: obj.scan_loss(sims, 10.0)[0], list(sims.values())),
+        "div_loss": (lambda: obj.div_loss(
+            {"v": obj.cluster_avg_probs(logits, labels, 4)}, 4)[0], [logits]),
+        "max_cosine": (lambda: gc.tsum(gc.mul(
+            gc.max_cosine(features, centroids)[0], weights)), [features]),
+    }
+    for name, (loss, params) in losses.items():
+        err = gc.finite_diff_params(loss, params)
+        assert err < 1e-4, f"{name}: {err}"
+    return "fused loss and max-cosine gradients match finite differences"
+
+
 def run_selftest() -> list:
-    """Returns (name, passed, detail) triples for each invariant suite."""
+    """Returns (name, passed, detail) triples for each invariant suite.
+
+    A check that raises fails its own row; the remaining checks still run.
+    """
     rng = np.random.default_rng(0)
     results = []
     for check in (_check_softmax, _check_cosine_bounds, _check_gradients,
                   _check_attention_gradients, _check_scan_dominance,
                   _check_momentum, _check_metrics, _check_clustering,
-                  _check_cluster_gradients, _check_encoder_gradients):
+                  _check_cluster_gradients, _check_encoder_gradients,
+                  _check_loss_gradients):
+        name = check.__name__.lstrip("_")
         try:
-            detail = check(rng)
-            results.append((check.__name__.lstrip("_"), True, detail))
+            results.append((name, True, check(rng)))
         except AssertionError as exc:
-            results.append((check.__name__.lstrip("_"), False, str(exc)))
+            results.append((name, False, str(exc)))
+        except Exception as exc:   # any error fails this check alone
+            results.append((name, False, f"{type(exc).__name__}: {exc}"))
     return results

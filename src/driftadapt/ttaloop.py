@@ -87,8 +87,12 @@ def adapt_batch(state: AdaptState, batch: dict) -> BatchResult:
     """Process one unlabeled target batch; updates state in place."""
     model, cfg = state.model, state.cfg
     model.zero_grad()
-    if state.variant in BANK_VARIANTS:
+    if state.variant == MethodVariant.SCANNER:
         features, modality_logits, fused_logits = model.forward_full(batch)
+    elif state.variant in BANK_VARIANTS:
+        # only DIV reads the per-modality logits
+        features, modality_logits = model.encode(batch), {}
+        fused_logits = model.classifier.forward(model.fusion.forward(features))
     else:
         fused_logits = model.forward(batch)
     result = BatchResult(
@@ -140,9 +144,9 @@ def _norm_update(model: SourceModel, batch: dict, momentum: float):
 
 
 def _st_step(state: AdaptState, fused_logits, result: BatchResult):
-    probs = gc.softmax(fused_logits)
-    conf = probs.data.max(axis=1)
-    pseudo = probs.data.argmax(axis=1)
+    probs = gc.softmax_array(fused_logits.data)
+    conf = probs.max(axis=1)
+    pseudo = probs.argmax(axis=1)
     keep = np.flatnonzero(conf >= state.cfg.st_confidence)
     if keep.size == 0:
         result.loss_row = {"st": 0.0, "total": 0.0, "n_confident": 0.0}

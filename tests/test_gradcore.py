@@ -144,8 +144,35 @@ def test_cosine_matrix_values_in_range():
 
 
 def test_cosine_degenerate_raises():
-    with pytest.raises(DegenerateVectorError):
-        gc.cosine_matrix(Tensor(np.zeros((2, 3))), np.ones((2, 3)))
+    for op in (gc.cosine_matrix, gc.max_cosine):
+        with pytest.raises(DegenerateVectorError):
+            op(Tensor(np.zeros((2, 3))), np.ones((2, 3)))
+        with pytest.raises(DegenerateVectorError):
+            op(Tensor(np.ones((2, 3))), np.zeros((2, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 140), st.integers(1, 7), st.integers(2, 6),
+       st.booleans())
+def test_max_cosine_equals_composition_bitwise(seed, b, k, d, ties):
+    rng = np.random.default_rng(seed)
+    c = rng.normal(0, 1, (k, d))
+    if ties:
+        # 2c scales every product, norm and quotient exactly, so each
+        # maximum is tied with an entry k columns further on
+        c = np.concatenate([c, 2.0 * c])
+    x = Tensor(rng.normal(0, 1, (b, d)), requires_grad=True)
+    weights = Tensor(rng.normal(0, 1, b))
+    got, want = (_value_and_grads(lambda: f()[0], [x], weights)
+                 for f in (lambda: gc.max_cosine(x, c),
+                           lambda: gc.max_axis1(gc.cosine_matrix(x, c))))
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1][0].tobytes() == want[1][0].tobytes()
+    idx = gc.max_cosine(x, c)[1]
+    assert np.array_equal(idx, gc.max_axis1(gc.cosine_matrix(x, c))[1])
+    if ties:
+        s = gc.cosine_matrix(x, c).data
+        assert np.array_equal(s[:, :k], s[:, k:]) and (idx < k).all()
 
 
 def test_max_axis1_ties_lowest_index_and_grad_routing():

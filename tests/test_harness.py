@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import tiny_experiment, tiny_model
 
-from driftadapt import checkpoint, cli, driftgen, errors, harness
+from driftadapt import checkpoint, cli, driftgen, errors, harness, selftest
 from driftadapt.cli import main as cli_main
 from driftadapt.config import AdaptConfig, BenchmarkConfig, ExperimentConfig, preset_benchmark
 from driftadapt.errors import (
@@ -577,6 +577,20 @@ def test_cli_selftest(capsys):
     assert cli_main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_cli_selftest_reports_an_error_as_one_failed_check(monkeypatch, capsys):
+    def _check_softmax(rng):
+        raise errors.NumericError("loss value is not finite")
+
+    monkeypatch.setattr(selftest, "_check_softmax", _check_softmax)
+    assert cli_main(["selftest"]) == 1
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()
+    assert rows[0] == "FAIL check_softmax: NumericError: loss value is not finite"
+    assert all(row.startswith("PASS ") for row in rows[1:])
+    assert rows[-1].startswith("PASS check_loss_gradients:")
+    assert "ERROR" not in captured.err
 
 
 def test_selftest_checks_cover_invariants():

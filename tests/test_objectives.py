@@ -1,15 +1,170 @@
 """Loss-family tests with hand-derived frozen values and property checks."""
 
+from functools import reduce
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from driftadapt import gradcore as gc
-from driftadapt import objectives as obj
+from conftest import tiny_batch, tiny_model
+
+from driftadapt import centroids as cb, gradcore as gc, objectives as obj, ttaloop as tt
 from driftadapt.centroids import Assignment
+from driftadapt.config import AdaptConfig
 from driftadapt.errors import ConfigError, ContractError
 from driftadapt.gradcore import Tensor
 from driftadapt.objectives import MethodVariant
+
+
+# -- the op-by-op compositions that each fused loss node replays -----------
+
+
+def _reference_can_loss(similarities: dict):
+    terms = {m: 1.0 - gc.tmean(s) for m, s in similarities.items()}
+    return reduce(gc.add, terms.values()), terms
+
+
+def _reference_scan_loss(similarities: dict, beta: float):
+    terms = {m: 1.0 - gc.tsum(gc.mul(obj.adaptive_weights(s, beta), s))
+             for m, s in similarities.items()}
+    return reduce(gc.add, terms.values()), terms
+
+
+def _reference_div_loss(avg_probs: dict, k: int):
+    terms = {}
+    for m, p in avg_probs.items():
+        if isinstance(p, dict):
+            p = gc.stack_rows(list(p.values())) if p else Tensor(np.zeros((0, 1)))
+        neg_ent = gc.tsum(gc.mul(p, gc.log_clamped(p)), axis=1)
+        terms[m] = gc.mul(gc.tsum(neg_ent), 1.0 / k)
+    return reduce(gc.add, terms.values()), terms
+
+
+def _reference_em_loss(fused_logits: Tensor) -> Tensor:
+    p = gc.softmax(fused_logits)
+    per_sample = gc.mul(gc.tsum(gc.mul(p, gc.log_clamped(p)), axis=1), -1.0)
+    return gc.tmean(per_sample)
+
+
+def _reference_max_similarity(bank, features):
+    return gc.max_axis1(gc.cosine_matrix(features, bank.centroids))
+
+
+def _bits(x):
+    return None if x is None else np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _value_terms_grads(loss, leaves, upstream):
+    """Bytes of the loss value, of each per-modality term and of every leaf
+    gradient after backpropagating ``upstream * loss``."""
+    for t in leaves:
+        t.grad = None
+    out = loss()
+    total, terms = out if isinstance(out, tuple) else (out, {})
+    gc.backward(gc.mul(total, upstream))
+    return (_bits(total.data), {m: _bits(t.data) for m, t in terms.items()},
+            [_bits(t.grad) for t in leaves])
+
+
+def _assert_same_bits(fused, reference, leaves, upstream):
+    assert (_value_terms_grads(fused, leaves, upstream)
+            == _value_terms_grads(reference, leaves, upstream))
+
+
+_MODALITIES = ("v", "t", "a")
+# a logit margin of 40 puts the other classes' probabilities near e^-40,
+# below the 1e-12 floor of the clamped log
+_MARGINS = st.sampled_from([0.0, 40.0])
+_UPSTREAM = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+def _logits(rng, b, c, margin):
+    x = rng.normal(0, 2, (b, c))
+    x[:, 0] += margin
+    return Tensor(x, requires_grad=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 140), st.integers(2, 4), _MARGINS, _UPSTREAM)
+def test_em_loss_equals_composition_bitwise(seed, b, c, margin, upstream):
+    x = _logits(np.random.default_rng(seed), b, c, margin)
+    if margin:
+        assert (gc.softmax(x).data < 1e-12).any()
+    _assert_same_bits(lambda: obj.em_loss(x), lambda: _reference_em_loss(x), [x], upstream)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 140),
+       st.one_of(st.just(0.0), st.floats(0.0, 20.0)), st.booleans(), _UPSTREAM)
+def test_can_and_scan_equal_composition_bitwise(seed, n_mod, b, beta, ties, upstream):
+    rng = np.random.default_rng(seed)
+    sims = {}
+    for m in _MODALITIES[:n_mod]:
+        s = rng.uniform(-1, 1, b)
+        sims[m] = Tensor(np.round(s, 1) if ties else s, requires_grad=True)
+    leaves = list(sims.values())
+    _assert_same_bits(lambda: obj.can_loss(sims), lambda: _reference_can_loss(sims),
+                      leaves, upstream)
+    _assert_same_bits(lambda: obj.scan_loss(sims, beta),
+                      lambda: _reference_scan_loss(sims, beta), leaves, upstream)
+
+    # the weights inside the fused node are those of adaptive_weights
+    seen = []
+
+    def spy(x, beta=1.0):
+        seen.append(softmax_array(x, beta))
+        return seen[-1]
+
+    softmax_array = gc.softmax_array
+    with mock.patch.object(gc, "softmax_array", spy):
+        obj.scan_loss(sims, beta)
+    assert [w.tobytes() for w in seen] == [
+        obj.adaptive_weights(s, beta).data.tobytes() for s in leaves]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 140), st.integers(2, 4),
+       st.integers(1, 7), _MARGINS, _UPSTREAM)
+def test_div_loss_equals_composition_bitwise(seed, n_mod, b, c, k, margin, upstream):
+    rng = np.random.default_rng(seed)
+    logits, labels = {}, {}
+    for m in _MODALITIES[:n_mod]:
+        logits[m] = _logits(rng, b, c, margin)
+        idx = rng.integers(0, k, b)
+        if k >= 2:
+            idx[idx == k - 1] = 0          # cluster k-1 empty
+        if k >= 3:
+            idx[idx == k - 2] = 0
+            idx[rng.integers(b)] = k - 2   # cluster k-2 a singleton
+        labels[m] = idx
+
+    def avg():
+        return {m: obj.cluster_avg_probs(logits[m], labels[m], k) for m in logits}
+
+    _assert_same_bits(lambda: obj.div_loss(avg(), k), lambda: _reference_div_loss(avg(), k),
+                      list(logits.values()), upstream)
+
+
+@pytest.mark.parametrize("variant", ["tent_em", "can", "scan", "scanner"])
+def test_adapt_steps_equal_composition_bitwise(monkeypatch, variant):
+    # whole adaptation steps, so the order in which an encoder output sums
+    # the gradients of its consumers (fusion, classifier, cosine) is pinned
+    def run():
+        model = tiny_model()
+        state = tt.init_adapt_state(model, AdaptConfig(k=3, batch_size=24, lr=1e-2), variant)
+        rng = np.random.default_rng(1)
+        rows = [tt.adapt_batch(state, tiny_batch(rng, n=24)) for _ in range(3)]
+        return ([({key: _bits(v) for key, v in r.loss_row.items()}, _bits(r.grad_norm))
+                 for r in rows],
+                {name: _bits(p.data) for name, p in model.named_parameters().items()})
+
+    fused = run()
+    for name, reference in (("can_loss", _reference_can_loss), ("scan_loss", _reference_scan_loss),
+                            ("div_loss", _reference_div_loss), ("em_loss", _reference_em_loss)):
+        monkeypatch.setattr(obj, name, reference)
+    monkeypatch.setattr(cb, "max_similarity", _reference_max_similarity)
+    assert fused == run()
 
 
 def test_can_loss_hand_value():
