@@ -43,7 +43,7 @@ class CentroidBank:
 @dataclass
 class Assignment:
     indices: np.ndarray  # per-sample cluster index
-    similarities: np.ndarray  # per-sample max cosine similarity
+    similarities: np.ndarray = None  # per-sample max cosine similarity, if kept
 
 
 def _sse(features: np.ndarray, centroids: np.ndarray) -> tuple:
@@ -189,14 +189,17 @@ def momentum_update(bank: CentroidBank, means: np.ndarray) -> CentroidBank:
     return bank
 
 
-def max_similarity(bank: CentroidBank, features):
+def max_similarity(bank, features):
     """Max cosine similarity of each feature row to the bank's centroids.
 
     Accepts a Tensor (gradient flows into the features, never the centroids)
     or a plain array. Returns (similarity Tensor, argmax indices); ties go to
-    the lowest index.
+    the lowest index. ``bank`` may also be a sequence of n banks that score
+    the slices of an n x B x d feature stack in one node.
     """
-    return gc.max_cosine(features, bank.centroids)
+    if isinstance(bank, CentroidBank):
+        return gc.max_cosine(features, bank.centroids)
+    return gc.max_cosine(features, np.stack([b.centroids for b in bank]))
 
 
 def assign(bank: CentroidBank, features: np.ndarray) -> Assignment:

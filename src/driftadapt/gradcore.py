@@ -4,18 +4,28 @@ Just enough operations for the model and every adaptation loss: matmul,
 elementwise arithmetic with limited broadcasting, softmax, layer norm with
 affine parameters, cosine similarities against constant centroid sets,
 row gathers, per-cluster means (``cluster_means``, on the array helper
-``cluster_sums``), cross entropy, and one node per model block: the encoder
-(``linear_layernorm_gelu``, which shares its array arithmetic with ``gelu``
-and ``layernorm_affine``), the classifier (``linear``) and the fusion block's
-self-attention with mean pooling (``attention_pool``). Each max-cosine score
-(``max_cosine``) and each adaptation loss (``mean_entropy``,
-``one_minus_means``, ``one_minus_weighted_means``, ``plogp_sums``) is one
-node too; they share the softmax (``softmax_array``), clamped-log and cosine
-arithmetic of ``softmax``, ``log_clamped``, ``cosine_matrix`` and
-``max_axis1``, whose compositions the tests keep as bitwise oracles. The
-per-row helpers ``rowdot``, ``rowscale``, ``stack_cols`` and ``col`` compose
-the same attention op by op; the tests use them as an oracle for
-``attention_pool``.
+``cluster_sums``), cross entropy, and one node per model block.
+
+The model's modalities are one stacked leading axis, so the blocks take an
+n x B x d stack: the encoders of all modalities are one
+``linear_layernorm_gelu`` node over n x d_in x d_h weights (which shares its
+array arithmetic with ``gelu`` and ``layernorm_affine``), the fusion block's
+self-attention with mean pooling is one ``attention_pool`` node over the
+stack, and the classifier (``linear``) scores B x d rows or each slice of a
+stack. ``max_cosine`` scores a B x d batch or a whole stack against its
+centroid stack in one node, and ``unstack`` gives per-slice nodes to the
+consumers that stay per modality. Stacked matmuls, batch-axis sums and
+last-axis reductions run slice by slice with the float operations of the
+unstacked ones, so a stacked node's values and gradients are bit for bit
+those of one node per slice.
+
+Each adaptation loss (``mean_entropy``, ``one_minus_means``,
+``one_minus_weighted_means``, ``plogp_sums``) is one node too; they share
+the softmax (``softmax_array``), clamped-log and cosine arithmetic of
+``softmax``, ``log_clamped``, ``cosine_matrix`` and ``max_axis1``, whose
+compositions the tests keep as bitwise oracles. The per-row helpers
+``rowdot``, ``rowscale``, ``stack_cols`` and ``col`` compose the same
+attention op by op; the tests use them as an oracle for ``attention_pool``.
 Gradients accumulate with ``+=`` so a sum of losses can be backpropagated
 jointly or term by term with identical results.
 """
@@ -266,32 +276,46 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _linear_inputs(x, w, b):
+    """Checks ``x @ w + b``: a B x d or n x B x d input times a d x h weight,
+    or an n x B x d input times an n x d x h stack of weights, plus a bias
+    of shape h or n x h to match the weight."""
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
-    if (x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]
-            or b.data.shape != (w.data.shape[1],)):
+    xs, ws = x.data.shape, w.data.shape
+    if (x.data.ndim not in (2, 3) or w.data.ndim not in (2, 3) or xs[-1] != ws[-2]
+            or (w.data.ndim == 3 and (x.data.ndim != 3 or xs[0] != ws[0]))
+            or b.data.shape != ws[:-2] + ws[-1:]):
         raise ShapeMismatchError(
-            f"linear shapes incompatible: {x.data.shape} x {w.data.shape} + {b.data.shape}"
+            f"linear shapes incompatible: {xs} x {ws} + {b.data.shape}"
         )
     return x, w, b
 
 
+def _batch_sum(g: np.ndarray, shape) -> np.ndarray:
+    """Gradient of a parameter of ``shape`` that was broadcast over the batch
+    axis (second to last) of g: one sum over that axis, then over any
+    leading axis the parameter lacks."""
+    return _unbroadcast(g.sum(axis=-2), shape)
+
+
 def _linear_backward(g, x: Tensor, w: Tensor, b: Tensor):
-    """Accumulates the gradients of ``x @ w + b`` as ``matmul`` and ``add`` do."""
-    _accum(b, g.sum(axis=0))
+    """Accumulates the gradients of ``x @ w + b`` as ``matmul`` and ``add`` do,
+    slice by slice over a stacked leading axis."""
+    _accum(b, _batch_sum(g, b.data.shape))
     if w.requires_grad:
-        _accum(w, x.data.T @ g)
+        _accum(w, _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.data.shape))
     if x.requires_grad:
-        _accum(x, g @ w.data.T)
+        _accum(x, g @ np.swapaxes(w.data, -1, -2))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for a B x d input and a bias of length w's column count."""
+    """x @ w + b for a B x d input, or for each slice of an n x B x d stack,
+    and a bias of length w's column count."""
     x, w, b = _linear_inputs(x, w, b)
 
     def bwd(g):
         _linear_backward(g, x, w, b)
 
-    return _make(x.data @ w.data + b.data, (x, w, b), bwd)
+    return _make(x.data @ w.data + b.data[..., None, :], (x, w, b), bwd)
 
 
 def rowdot(a: Tensor, b: Tensor) -> Tensor:
@@ -344,33 +368,29 @@ def col(x: Tensor, j: int) -> Tensor:
     return _make(out_data, (x,), bwd)
 
 
-def attention_pool(tokens, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
-    """Self-attention over n B x d tokens, mean-pooled over the queries.
+def attention_pool(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
+    """Self-attention over the n tokens of an n x B x d stack, mean-pooled
+    over the queries.
 
     Per sample, with x_i the i-th token: a = softmax_j((x_i wq).(x_j wk) / sqrt(d_k))
     and the output is (1/n) sum_i sum_j a_ij (x_j wv), a B x d_v tensor. One
-    graph node: forward and backward are batched matmuls over the stacked
-    B x n x d tokens.
+    graph node: forward and backward are batched matmuls over the B x n x d
+    tokens.
     """
-    tokens = [_wrap(t) for t in tokens]
-    wq, wk, wv = _wrap(wq), _wrap(wk), _wrap(wv)
-    shape = tokens[0].data.shape if tokens else None
-    if shape is None or len(shape) != 2 or any(t.data.shape != shape for t in tokens):
-        raise ShapeMismatchError(
-            f"attention tokens must share one B x d shape, got {[t.data.shape for t in tokens]}"
-        )
-    b, d = shape
-    n = len(tokens)
+    x, wq, wk, wv = _wrap(x), _wrap(wq), _wrap(wk), _wrap(wv)
+    if x.data.ndim != 3 or x.data.shape[0] == 0:
+        raise ShapeMismatchError(f"attention tokens must be an n x B x d stack, got {x.data.shape}")
+    n, b, d = x.data.shape
     if (wq.data.ndim != 2 or wq.data.shape != wk.data.shape
             or wq.data.shape[0] != d or wv.data.ndim != 2 or wv.data.shape[0] != d):
         raise ShapeMismatchError(
             f"attention projections {wq.data.shape}/{wk.data.shape}/{wv.data.shape} "
             f"do not fit token dim {d}"
         )
-    x = np.stack([t.data for t in tokens], axis=1).reshape(b * n, d)
-    q = (x @ wq.data).reshape(b, n, -1)
-    k = (x @ wk.data).reshape(b, n, -1)
-    v = (x @ wv.data).reshape(b, n, -1)
+    rows = x.data.transpose(1, 0, 2).reshape(b * n, d)   # sample-major tokens
+    q = (rows @ wq.data).reshape(b, n, -1)
+    k = (rows @ wk.data).reshape(b, n, -1)
+    v = (rows @ wv.data).reshape(b, n, -1)
     scale = 1.0 / np.sqrt(q.shape[2])
     s = (q @ k.transpose(0, 2, 1)) * scale
     e = np.exp(s - s.max(axis=2, keepdims=True))
@@ -386,13 +406,12 @@ def attention_pool(tokens, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
         dv = (attn.sum(axis=1)[:, :, None] * (g[:, None, :] * (1.0 / n))).reshape(b * n, -1)
         for w, dw in ((wq, dq), (wk, dk), (wv, dv)):
             if w.requires_grad:
-                _accum(w, x.T @ dw)
-        if any(t.requires_grad for t in tokens):
+                _accum(w, rows.T @ dw)
+        if x.requires_grad:
             dx = (dq @ wq.data.T + dk @ wk.data.T + dv @ wv.data.T).reshape(b, n, d)
-            for i, t in enumerate(tokens):
-                _accum(t, dx[:, i])
+            _accum(x, dx.transpose(1, 0, 2))
 
-    return _make(out_data, (*tokens, wq, wk, wv), bwd)
+    return _make(out_data, (x, wq, wk, wv), bwd)
 
 
 def take_rows(x: Tensor, idx) -> Tensor:
@@ -409,7 +428,7 @@ def take_rows(x: Tensor, idx) -> Tensor:
 
 
 def stack_rows(vs) -> Tensor:
-    """Stack equal-length vectors as the rows of a matrix."""
+    """Stack equal-shape tensors along a new leading axis."""
     vs = [_wrap(v) for v in vs]
 
     def bwd(g):
@@ -417,6 +436,26 @@ def stack_rows(vs) -> Tensor:
             _accum(v, row)
 
     return _make(np.stack([v.data for v in vs]), tuple(vs), bwd)
+
+
+def unstack(x: Tensor) -> tuple:
+    """The slices x[0], x[1], ... of a stacked tensor, one node each.
+
+    A slice's gradient is added into its own row of x's gradient; since a
+    gradient that starts from zeros is never -0.0, that row holds exactly
+    the sum it would hold as a tensor of its own.
+    """
+    x = _wrap(x)
+
+    def part(i):
+        def bwd(g):
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            x.grad[i] += g
+
+        return _make(x.data[i], (x,), bwd)
+
+    return tuple(part(i) for i in range(x.data.shape[0]))
 
 
 def cluster_sums(x: np.ndarray, labels, k: int):
@@ -482,38 +521,48 @@ def softmax(x: Tensor, beta: float = 1.0) -> Tensor:
 
 
 def _layernorm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
-    """gain * xhat + bias of the last-axis standardization xhat: (out, xhat, 1/std)."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    """gain * xhat + bias of the last-axis standardization xhat: (out, xhat, 1/std).
+    A gain and bias of shape n x d act on the n slices of an n x B x d x.
+
+    The mean and variance are ``np.mean`` and ``np.var``'s arithmetic (a sum
+    divided by d, then the mean of the squared deviations) written out, so
+    the deviations are computed once.
+    """
+    d = x.shape[-1]
+    dev = x - x.sum(axis=-1, keepdims=True) / d
+    var = (dev * dev).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
-    return gain * xhat + bias, xhat, inv
+    xhat = dev * inv
+    return gain[..., None, :] * xhat + bias[..., None, :], xhat, inv
 
 
 def _layernorm_backward(g, gain: np.ndarray, xhat, inv):
     """(d gain, d bias, d x) of ``_layernorm_forward`` for the upstream g."""
     d = xhat.shape[-1]
-    gy = g * gain
-    m1 = gy.mean(axis=-1, keepdims=True)
-    m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-    return ((g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0),
+    gy = g * gain[..., None, :]
+    m1 = gy.sum(axis=-1, keepdims=True) / d            # np.mean's arithmetic
+    m2 = (gy * xhat).sum(axis=-1, keepdims=True) / d
+    return (_batch_sum(g * xhat, gain.shape), _batch_sum(g, gain.shape),
             (gy - m1 - xhat * m2) * inv)
 
 
-def _layernorm_inputs(gain, bias, d: int):
+def _layernorm_inputs(gain, bias, shape):
     gain, bias = _wrap(gain), _wrap(bias)
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
+    if gain.data.shape != shape or bias.data.shape != shape:
         raise ShapeMismatchError(
             f"layernorm affine shapes {gain.data.shape}/{bias.data.shape} "
-            f"do not match feature dim {d}"
+            f"do not match {shape}"
         )
     return gain, bias
 
 
 def layernorm_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Per-row standardization followed by elementwise gain * xhat + bias."""
+    """Per-row standardization of a B x d input followed by elementwise
+    gain * xhat + bias."""
     x = _wrap(x)
-    gain, bias = _layernorm_inputs(gain, bias, x.data.shape[-1])
+    if x.data.ndim != 2:
+        raise ShapeMismatchError(f"layernorm_affine expects a B x d input, got {x.data.shape}")
+    gain, bias = _layernorm_inputs(gain, bias, x.data.shape[-1:])
     out_data, xhat, inv = _layernorm_forward(x.data, gain.data, bias.data, _LN_EPS)
 
     def bwd(g):
@@ -526,15 +575,24 @@ def layernorm_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 def linear_layernorm_gelu(x: Tensor, w: Tensor, b: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """gelu(layernorm_affine(x @ w + b, gain, bias)) as one graph node.
+    """gelu(layernorm_affine(x @ w + b, gain, bias)) of each slice of a stack,
+    as one graph node.
 
-    The forward and backward run the float operations of the three-op
-    composition in the same order, so values and gradients are bit for bit
-    those of ``linear``, ``layernorm_affine`` and ``gelu`` chained.
+    ``x`` is n x B x d_in, ``w`` n x d_in x d_h, and ``b``, ``gain`` and
+    ``bias`` n x d_h: slice i of the output is slice i of the input through
+    slice i of every parameter. The forward and backward run the float
+    operations of the three-op composition on each slice in the same order,
+    so values and gradients are bit for bit those of ``linear``,
+    ``layernorm_affine`` and ``gelu`` chained slice by slice.
     """
     x, w, b = _linear_inputs(x, w, b)
-    gain, bias = _layernorm_inputs(gain, bias, w.data.shape[1])
-    y, xhat, inv = _layernorm_forward(x.data @ w.data + b.data, gain.data, bias.data, _LN_EPS)
+    if w.data.ndim != 3:
+        raise ShapeMismatchError(
+            f"linear_layernorm_gelu expects an n x d_in x d_h weight stack, got {w.data.shape}"
+        )
+    gain, bias = _layernorm_inputs(gain, bias, b.data.shape)
+    y, xhat, inv = _layernorm_forward(x.data @ w.data + b.data[:, None, :], gain.data,
+                                      bias.data, _LN_EPS)
     out_data, y2, t = _gelu_forward(y)
 
     def bwd(g):
@@ -548,20 +606,21 @@ def linear_layernorm_gelu(x: Tensor, w: Tensor, b: Tensor, gain: Tensor, bias: T
 
 def _cosine_forward(f: np.ndarray, c: np.ndarray):
     """(B x k cosines, feature norms, norm products) of feature rows f
-    against centroid rows c; zero-norm rows raise."""
-    nf = np.linalg.norm(f, axis=1)
-    nc = np.linalg.norm(c, axis=1)
+    against centroid rows c, slice by slice for an n x B x d f and an
+    n x k x d c; zero-norm rows raise."""
+    nf = np.linalg.norm(f, axis=-1)
+    nc = np.linalg.norm(c, axis=-1)
     bad = np.flatnonzero(nf < _NORM_FLOOR)
     if bad.size:
-        raise DegenerateVectorError(f"zero-norm feature row {int(bad[0])}")
+        raise DegenerateVectorError(f"zero-norm feature row {int(bad[0]) % nf.shape[-1]}")
     if np.any(nc < _NORM_FLOOR):
         raise DegenerateVectorError("zero-norm centroid")
-    denom = nf[:, None] * nc[None, :]
-    return f @ c.T / denom, nf, denom
+    denom = nf[..., :, None] * nc[..., None, :]
+    return f @ np.swapaxes(c, -1, -2) / denom, nf, denom
 
 
 def _cosine_backward(g, f, c, s, nf, denom):
-    return (g / denom) @ c - ((g * s).sum(axis=1) / nf**2)[:, None] * f
+    return (g / denom) @ c - ((g * s).sum(axis=-1) / nf**2)[..., None] * f
 
 
 def cosine_matrix(features: Tensor, centroids: np.ndarray) -> Tensor:
@@ -577,17 +636,19 @@ def cosine_matrix(features: Tensor, centroids: np.ndarray) -> Tensor:
 
 
 def _max_rows(x: np.ndarray):
-    """(row maxima, argmax, gradient router) of a B x k array; ties go to
-    the lowest index, and the router puts each row's g on its argmax entry."""
-    rows = np.arange(x.shape[0])
-    idx = x.argmax(axis=1)
+    """(row maxima, argmax, gradient router) along the last axis of x; ties
+    go to the lowest index, and the router puts each row's g on its argmax
+    entry."""
+    flat = x.reshape(-1, x.shape[-1])
+    rows = np.arange(flat.shape[0])
+    idx = flat.argmax(axis=1)
 
     def route(g):
-        full = np.zeros_like(x)
-        full[rows, idx] = g
-        return full
+        full = np.zeros_like(flat)
+        full[rows, idx] = g.reshape(-1)
+        return full.reshape(x.shape)
 
-    return x[rows, idx], idx, route
+    return flat[rows, idx].reshape(x.shape[:-1]), idx.reshape(x.shape[:-1]), route
 
 
 def max_axis1(x: Tensor):
@@ -607,12 +668,19 @@ def max_axis1(x: Tensor):
 def max_cosine(features: Tensor, centroids: np.ndarray):
     """``max_axis1(cosine_matrix(features, centroids))`` as one graph node.
 
-    Returns (maxima, argmax indices). The forward and backward run the float
-    operations of the two-op composition in the same order, so values and
-    gradients are bit for bit the same.
+    Returns (maxima, argmax indices). B x d features score against k x d
+    centroids; an n x B x d stack scores slice i against slice i of an
+    n x k x d centroid stack, giving n x B maxima. The forward and backward
+    run the float operations of the two-op composition on each slice in the
+    same order, so values and gradients are bit for bit the same.
     """
     features = _wrap(features)
     c = np.asarray(centroids, dtype=np.float64)
+    if features.data.ndim not in (2, 3) or c.shape[:-2] != features.data.shape[:-2] \
+            or c.ndim != features.data.ndim or c.shape[-1] != features.data.shape[-1]:
+        raise ShapeMismatchError(
+            f"max_cosine shapes incompatible: {features.data.shape} vs centroids {c.shape}"
+        )
     s, nf, denom = _cosine_forward(features.data, c)
     out_data, idx, route = _max_rows(s)
 

@@ -178,8 +178,7 @@ def cmd_export_embeddings(cfg: ExperimentConfig, ckpt_path, out_path):
         d_h = model.dims.d_h
         w.writerow(["domain", "label", "core"] + [f"e{i}" for i in range(d_h)])
         for tag, ds in (("source", source), ("target", target)):
-            feats = model.encode(ds.features)
-            mean_emb = np.mean([feats[m].data for m in MODALITIES], axis=0)
+            mean_emb = np.mean(model.embed(ds.features).data, axis=0)
             for i in range(len(ds)):
                 w.writerow([tag, int(ds.labels[i]), int(ds.cores[i])]
                            + [f"{v:.8g}" for v in mean_emb[i]])

@@ -1,8 +1,17 @@
 """Multimodal source model: three modality encoders, self-attention fusion,
 and a shared linear classifier.
 
+The modalities are one stacked leading axis. The three encoders have the
+same shape, so ``ModalityEncoder`` holds them as one stack of parameters
+(a 3 x d_in x d_h weight, 3 x d_h bias, gain and norm bias) and encodes a
+3 x B x d_in input in one graph node; the input statistics are 3 x d_in
+arrays. Slice i of everything belongs to ``MODALITIES[i]``. Checkpoints and
+``state_arrays`` keep one entry per modality (``enc.v.weight``,
+``stats.v.mean``, ...): slices of the stack, taken when they are read,
+because an optimizer may have moved the stack's storage since.
+
 The classifier scores both the fused representation and each modality
-embedding (shared weights). At test time only the encoders' linear layers
+embedding (shared weights). At test time only the encoder's linear layers
 and normalization affine parameters are trainable; the fusion block and
 classifier stay frozen.
 """
@@ -25,28 +34,29 @@ STATS_EPS = 1e-6
 
 
 class ModalityEncoder:
-    def __init__(self, tag: str, d_in: int, d_h: int, rng: np.random.Generator):
-        self.tag = tag
+    """The encoders of all modalities: gelu(layernorm(x @ w + b)) per slice."""
+
+    # the per-modality checkpoint name of each stacked parameter
+    NAMES = ("weight", "bias", "norm_gain", "norm_bias")
+
+    def __init__(self, d_in: int, d_h: int, rng: np.random.Generator):
+        n = len(MODALITIES)
         self.d_in = d_in
         self.d_h = d_h
         scale = 1.0 / np.sqrt(d_in)
-        self.weight = Tensor(rng.normal(0.0, scale, (d_in, d_h)), requires_grad=True)
-        self.bias = Tensor(np.zeros(d_h), requires_grad=True)
-        self.norm_gain = Tensor(np.ones(d_h), requires_grad=True)
-        self.norm_bias = Tensor(np.zeros(d_h), requires_grad=True)
+        # one draw of n weights equals n draws of one, in modality order
+        self.weight = Tensor(rng.normal(0.0, scale, (n, d_in, d_h)), requires_grad=True)
+        self.bias = Tensor(np.zeros((n, d_h)), requires_grad=True)
+        self.norm_gain = Tensor(np.ones((n, d_h)), requires_grad=True)
+        self.norm_bias = Tensor(np.zeros((n, d_h)), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
+        """3 x B x d_h features of a standardized 3 x B x d_in input."""
         return gc.linear_layernorm_gelu(x, self.weight, self.bias,
                                         self.norm_gain, self.norm_bias)
 
     def parameters(self) -> dict:
-        p = f"enc.{self.tag}"
-        return {
-            f"{p}.weight": self.weight,
-            f"{p}.bias": self.bias,
-            f"{p}.norm_gain": self.norm_gain,
-            f"{p}.norm_bias": self.norm_bias,
-        }
+        return {f"enc.{name}": getattr(self, name) for name in self.NAMES}
 
 
 class FusionBlock:
@@ -62,8 +72,9 @@ class FusionBlock:
         self.wk = Tensor(rng.normal(0.0, scale, (d_h, d_h)), requires_grad=True)
         self.wv = Tensor(rng.normal(0.0, scale, (d_h, d_h)), requires_grad=True)
 
-    def forward(self, features: dict) -> Tensor:
-        return gc.attention_pool([features[m] for m in MODALITIES], self.wq, self.wk, self.wv)
+    def forward(self, features: Tensor) -> Tensor:
+        """B x d_h pooled representation of 3 x B x d_h features."""
+        return gc.attention_pool(features, self.wq, self.wk, self.wv)
 
     def parameters(self) -> dict:
         return {"fusion.wq": self.wq, "fusion.wk": self.wk, "fusion.wv": self.wv}
@@ -76,6 +87,7 @@ class Classifier:
         self.bias = Tensor(np.zeros(n_classes), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
+        """Logits of B x d_h rows, or of each slice of a 3 x B x d_h stack."""
         return gc.linear(x, self.weight, self.bias)
 
     def parameters(self) -> dict:
@@ -89,34 +101,37 @@ class ModelDims:
     n_classes: int = 2
 
 
+def stack_modalities(batch: dict) -> np.ndarray:
+    """The 3 x B x d array of a {modality: B x d} batch."""
+    xs = [np.asarray(batch[m], dtype=np.float64) for m in MODALITIES]
+    sizes = {m: x.shape[0] for m, x in zip(MODALITIES, xs)}
+    if len(set(sizes.values())) != 1:
+        raise ContractError(f"modality batch sizes differ: {sizes}")
+    return np.stack(xs)
+
+
 class SourceModel:
     def __init__(self, dims: ModelDims, seed: int = 0):
         self.dims = dims
         rng = np.random.default_rng(seed)
-        self.encoders = {m: ModalityEncoder(m, dims.d_in, dims.d_h, rng) for m in MODALITIES}
+        self.encoder = ModalityEncoder(dims.d_in, dims.d_h, rng)
         self.fusion = FusionBlock(dims.d_h, rng)
         self.classifier = Classifier(dims.d_h, dims.n_classes, rng)
         # input standardization stats, estimated from source data; the Norm
         # baseline re-estimates these from test batches
-        self.input_mean = {m: np.zeros(dims.d_in) for m in MODALITIES}
-        self.input_var = {m: np.ones(dims.d_in) for m in MODALITIES}
+        self.input_mean = np.zeros((len(MODALITIES), dims.d_in))
+        self.input_var = np.ones((len(MODALITIES), dims.d_in))
 
     # -- parameter registry ------------------------------------------------
 
     def named_parameters(self) -> dict:
-        out = {}
-        for enc in self.encoders.values():
-            out.update(enc.parameters())
-        out.update(self.fusion.parameters())
-        out.update(self.classifier.parameters())
+        out = self.trainable_parameters()
+        out.update(self.frozen_parameters())
         return out
 
     def trainable_parameters(self) -> dict:
         """Encoder linear + normalization affine parameters only."""
-        out = {}
-        for enc in self.encoders.values():
-            out.update(enc.parameters())
-        return out
+        return self.encoder.parameters()
 
     def frozen_parameters(self) -> dict:
         out = self.fusion.parameters()
@@ -128,43 +143,55 @@ class SourceModel:
             p.grad = None
 
     def set_input_stats(self, features: dict):
-        for m in MODALITIES:
-            self.input_mean[m] = features[m].mean(axis=0)
-            self.input_var[m] = features[m].var(axis=0)
+        x = stack_modalities(features)
+        self.input_mean = x.mean(axis=1)
+        self.input_var = x.var(axis=1)
 
     # -- forward -----------------------------------------------------------
 
-    def _standardize(self, m: str, x: np.ndarray) -> np.ndarray:
-        return (x - self.input_mean[m]) / np.sqrt(self.input_var[m] + STATS_EPS)
+    def standardize(self, batch: dict) -> np.ndarray:
+        """The standardized 3 x B x d_in input of a batch."""
+        return ((stack_modalities(batch) - self.input_mean[:, None, :])
+                / np.sqrt(self.input_var[:, None, :] + STATS_EPS))
+
+    def embed(self, batch: dict) -> Tensor:
+        """3 x B x d_h features of a batch: one encoder node."""
+        return self.encoder.forward(Tensor(self.standardize(batch)))
+
+    def head(self, features: Tensor) -> Tensor:
+        """Fused logits of 3 x B x d_h features."""
+        return self.classifier.forward(self.fusion.forward(features))
 
     def encode(self, batch: dict) -> dict:
-        sizes = {m: np.asarray(batch[m]).shape[0] for m in MODALITIES}
-        if len(set(sizes.values())) != 1:
-            raise ContractError(f"modality batch sizes differ: {sizes}")
-        return {
-            m: self.encoders[m].forward(Tensor(self._standardize(m, np.asarray(batch[m]))))
-            for m in MODALITIES
-        }
+        """Per-modality B x d_h features, slices of ``embed``."""
+        return dict(zip(MODALITIES, gc.unstack(self.embed(batch))))
 
     def forward(self, batch: dict) -> Tensor:
         """The fused logits alone."""
-        return self.classifier.forward(self.fusion.forward(self.encode(batch)))
+        return self.head(self.embed(batch))
 
     def forward_full(self, batch: dict):
-        """Returns (features, per-modality logits, fused logits)."""
-        features = self.encode(batch)
-        modality_logits = {m: self.classifier.forward(features[m]) for m in MODALITIES}
-        fused = self.fusion.forward(features)
-        fused_logits = self.classifier.forward(fused)
-        return features, modality_logits, fused_logits
+        """Returns (features, per-modality logits, fused logits); the first
+        two map each modality to a slice of one stacked node."""
+        features = self.embed(batch)
+        modality_logits = gc.unstack(self.classifier.forward(features))
+        fused_logits = self.head(features)
+        return (dict(zip(MODALITIES, gc.unstack(features))),
+                dict(zip(MODALITIES, modality_logits)), fused_logits)
 
     # -- persistence -------------------------------------------------------
 
     def state_arrays(self) -> dict:
-        out = {k: p.data for k, p in self.named_parameters().items()}
-        for m in MODALITIES:
-            out[f"stats.{m}.mean"] = self.input_mean[m]
-            out[f"stats.{m}.var"] = self.input_var[m]
+        """Every checkpoint entry; the per-modality entries are views into
+        the current stacked storage."""
+        out = {}
+        for i, m in enumerate(MODALITIES):
+            for name in ModalityEncoder.NAMES:
+                out[f"enc.{m}.{name}"] = getattr(self.encoder, name).data[i]
+        out.update((k, p.data) for k, p in self.frozen_parameters().items())
+        for i, m in enumerate(MODALITIES):
+            out[f"stats.{m}.mean"] = self.input_mean[i]
+            out[f"stats.{m}.var"] = self.input_var[i]
         out["dims"] = np.asarray(
             [self.dims.d_in, self.dims.d_h, self.dims.n_classes], dtype=np.float64
         )
@@ -180,18 +207,17 @@ class SourceModel:
             raise CompatibilityError("checkpoint missing dims entry")
         d_in, d_h, n_cls = (int(v) for v in arrays["dims"])
         model = cls(ModelDims(d_in, d_h, n_cls), seed=0)
-        missing = sorted(set(model.state_arrays()) - set(arrays))
+        views = model.state_arrays()
+        del views["dims"]
+        missing = sorted(set(views) - set(arrays))
         if missing:
             raise CompatibilityError(f"checkpoint missing entries {missing}")
-        for name, p in model.named_parameters().items():
-            if arrays[name].shape != p.data.shape:
+        for name, view in views.items():
+            if arrays[name].shape != view.shape:
                 raise CompatibilityError(
-                    f"checkpoint shape {arrays[name].shape} != {p.data.shape} for {name}"
+                    f"checkpoint shape {arrays[name].shape} != {view.shape} for {name}"
                 )
-            p.data = arrays[name].copy()
-        for m in MODALITIES:
-            model.input_mean[m] = arrays[f"stats.{m}.mean"].copy()
-            model.input_var[m] = arrays[f"stats.{m}.var"].copy()
+            view[...] = arrays[name]
         return model
 
 
@@ -207,8 +233,9 @@ def pretrain_source(model: SourceModel, features: dict, labels: np.ndarray,
                     holdout_frac: float = 0.2, seed: int = 0) -> PretrainResult:
     """Supervised pretraining with cross entropy on the fused logits.
 
-    Standardization stats are estimated from the training split before the
-    first step. The last ``holdout_frac`` of the data is held out for the
+    Standardization stats are estimated from the training split, which is
+    standardized once; each step gathers its rows from that 3 x n x d_in
+    array. The last ``holdout_frac`` of the data is held out for the
     reported accuracy.
     """
     n = labels.shape[0]
@@ -220,6 +247,7 @@ def pretrain_source(model: SourceModel, features: dict, labels: np.ndarray,
     hold_y = labels[n_train:]
 
     model.set_input_stats(train_feat)
+    train_x = model.standardize(train_feat)
     opt = AdamW(model.named_parameters(), lr=lr, weight_decay=weight_decay)
     rng = np.random.default_rng(seed)
     result = PretrainResult()
@@ -229,9 +257,9 @@ def pretrain_source(model: SourceModel, features: dict, labels: np.ndarray,
         n_batches = 0
         for start in range(0, n_train, batch_size):
             idx = order[start : start + batch_size]
-            batch = {m: train_feat[m][idx] for m in MODALITIES}
             model.zero_grad()
-            loss = gc.cross_entropy(model.forward(batch), train_y[idx])
+            logits = model.head(model.encoder.forward(Tensor(train_x.take(idx, axis=1))))
+            loss = gc.cross_entropy(logits, train_y[idx])
             if not np.isfinite(loss.data):
                 raise DivergenceError(f"non-finite pretraining loss at epoch {epoch}")
             gc.backward(loss)

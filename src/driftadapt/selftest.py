@@ -38,14 +38,14 @@ def _check_gradients(rng):
 
 
 def _check_attention_gradients(rng):
-    tokens = [Tensor(rng.normal(0, 1, (3, 4)), requires_grad=True) for _ in range(3)]
+    tokens = Tensor(rng.normal(0, 1, (3, 3, 4)), requires_grad=True)
     ws = [Tensor(rng.normal(0, 0.5, (4, 4)), requires_grad=True) for _ in range(3)]
     weights = Tensor(rng.normal(0, 1, (3, 4)))
 
     def loss():
         return gc.tsum(gc.mul(gc.attention_pool(tokens, *ws), weights))
 
-    err = gc.finite_diff_params(loss, tokens + ws)
+    err = gc.finite_diff_params(loss, [tokens, *ws])
     assert err < 1e-4, err
     return "fused attention gradient matches finite differences"
 
@@ -106,10 +106,10 @@ def _check_cluster_gradients(rng):
 
 
 def _check_encoder_gradients(rng):
-    x = Tensor(rng.normal(0, 1, (5, 3)), requires_grad=True)
+    x = Tensor(rng.normal(0, 1, (2, 5, 3)), requires_grad=True)
     params = [Tensor(rng.normal(0, s, shape), requires_grad=True)
-              for s, shape in ((1.0, (3, 4)), (0.5, (4,)), (1.0, (4,)), (0.5, (4,)))]
-    weights = Tensor(rng.normal(0, 1, (5, 4)))
+              for s, shape in ((1.0, (2, 3, 4)), (0.5, (2, 4)), (1.0, (2, 4)), (0.5, (2, 4)))]
+    weights = Tensor(rng.normal(0, 1, (2, 5, 4)))
     err = gc.finite_diff_params(
         lambda: gc.tsum(gc.mul(gc.linear_layernorm_gelu(x, *params), weights)), [x, *params])
     assert err < 1e-4, err

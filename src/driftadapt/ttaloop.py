@@ -19,7 +19,7 @@ from .driftgen import (
     SyntheticDataset, accuracy, cluster_ratio_diag, entropy_diag, entropy_rows, macro_f1,
 )
 from .errors import ContractError, DivergenceError
-from .model import MODALITIES, SourceModel
+from .model import MODALITIES, SourceModel, stack_modalities
 from .objectives import BANK_VARIANTS, MethodVariant
 from .optim import AdamW
 
@@ -67,18 +67,22 @@ def init_adapt_state(model: SourceModel, cfg: AdaptConfig,
 
 
 def _grad_norm(params: dict) -> float:
+    """Norm of the stacked encoder gradients, its squares summed one
+    modality slice at a time in checkpoint-name order (``enc.v.weight``,
+    ``enc.v.bias``, ..., ``enc.a.norm_bias``)."""
     total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float((p.grad**2).sum())
+    for i in range(len(MODALITIES)):
+        for p in params.values():
+            if p.grad is not None:
+                total += float((p.grad[i] ** 2).sum())
     return float(np.sqrt(total))
 
 
-def _init_banks(state: AdaptState, features: dict):
+def _init_banks(state: AdaptState, features: np.ndarray):
     state.banks = {}
     for i, m in enumerate(MODALITIES):
         state.banks[m] = cb.init_kmeanspp(
-            features[m], state.cfg.k, seed=state.seed * 101 + i,
+            features[i], state.cfg.k, seed=state.seed * 101 + i,
             momentum=state.cfg.gamma, modality=m,
         )
 
@@ -87,12 +91,9 @@ def adapt_batch(state: AdaptState, batch: dict) -> BatchResult:
     """Process one unlabeled target batch; updates state in place."""
     model, cfg = state.model, state.cfg
     model.zero_grad()
-    if state.variant == MethodVariant.SCANNER:
-        features, modality_logits, fused_logits = model.forward_full(batch)
-    elif state.variant in BANK_VARIANTS:
-        # only DIV reads the per-modality logits
-        features, modality_logits = model.encode(batch), {}
-        fused_logits = model.classifier.forward(model.fusion.forward(features))
+    if state.variant in BANK_VARIANTS:
+        features = model.embed(batch)
+        fused_logits = model.head(features)
     else:
         fused_logits = model.forward(batch)
     result = BatchResult(
@@ -113,7 +114,7 @@ def adapt_batch(state: AdaptState, batch: dict) -> BatchResult:
     elif state.variant == MethodVariant.ST:
         _st_step(state, fused_logits, result)
     elif state.variant in BANK_VARIANTS:
-        _cluster_step(state, features, modality_logits, fused_logits, result)
+        _cluster_step(state, features, fused_logits, result)
 
     state.tau += 1
     return result
@@ -137,10 +138,9 @@ def _apply_step(state: AdaptState, loss, result: BatchResult):
 
 
 def _norm_update(model: SourceModel, batch: dict, momentum: float):
-    for m in MODALITIES:
-        x = np.asarray(batch[m], dtype=np.float64)
-        model.input_mean[m] = (1 - momentum) * model.input_mean[m] + momentum * x.mean(axis=0)
-        model.input_var[m] = (1 - momentum) * model.input_var[m] + momentum * x.var(axis=0)
+    x = stack_modalities(batch)
+    model.input_mean = (1 - momentum) * model.input_mean + momentum * x.mean(axis=1)
+    model.input_var = (1 - momentum) * model.input_var + momentum * x.var(axis=1)
 
 
 def _st_step(state: AdaptState, fused_logits, result: BatchResult):
@@ -157,19 +157,25 @@ def _st_step(state: AdaptState, fused_logits, result: BatchResult):
     _apply_step(state, loss, result)
 
 
-def _cluster_step(state: AdaptState, features, modality_logits, fused_logits,
-                  result: BatchResult):
+def _cluster_step(state: AdaptState, features, fused_logits, result: BatchResult):
+    """One bank-variant step on the 3 x B x d_h features: one max-cosine node
+    and, for SCANNER, one classifier node over the stack; the losses read
+    per-modality slices of both."""
     cfg = state.cfg
-    detached = {m: features[m].detach() for m in MODALITIES}
+    # the pre-update features; no later operation writes into this array
+    detached = features.data
     if state.banks is None:
         _init_banks(state, detached)
 
-    similarities, assignments = {}, {}
-    for m in MODALITIES:
-        s, idx = cb.max_similarity(state.banks[m], features[m])
-        similarities[m] = s
-        assignments[m] = cb.Assignment(indices=idx, similarities=s.data.copy())
+    s, idx = cb.max_similarity([state.banks[m] for m in MODALITIES], features)
+    similarities = dict(zip(MODALITIES, gc.unstack(s)))
+    assignments = {m: cb.Assignment(indices=idx[i]) for i, m in enumerate(MODALITIES)}
     result.assignments = {m: a.indices for m, a in assignments.items()}
+    modality_logits = {}
+    if state.variant == MethodVariant.SCANNER:
+        # only DIV reads the per-modality logits
+        logits = state.model.classifier.forward(features)
+        modality_logits = dict(zip(MODALITIES, gc.unstack(logits)))
 
     bd = obj.total_loss(
         similarities, modality_logits, fused_logits, assignments,
@@ -180,8 +186,8 @@ def _cluster_step(state: AdaptState, features, modality_logits, fused_logits,
     _apply_step(state, bd.total, result)
 
     # track centroids with features from the pre-update forward, detached
-    for m in MODALITIES:
-        normalized = cb.l2_normalize_rows(detached[m])
+    for i, m in enumerate(MODALITIES):
+        normalized = cb.l2_normalize_rows(detached[i])
         means = cb.batch_means(normalized, assignments[m], state.banks[m])
         cb.momentum_update(state.banks[m], means)
 
@@ -247,22 +253,21 @@ def run_stream(model: SourceModel, target: SyntheticDataset, cfg: AdaptConfig,
     for p in model.named_parameters().values():
         p.requires_grad = False
     final_preds = np.empty(n, dtype=np.int64)
-    features = ({m: np.empty((n, model.dims.d_h)) for m in MODALITIES}
-                if state.banks is not None else {})
+    features = (np.empty((len(MODALITIES), n, model.dims.d_h))
+                if state.banks is not None else None)
     for start in range(0, n, cfg.batch_size):
         rows = slice(start, start + cfg.batch_size)
-        encoded = model.encode({m: target.features[m][rows] for m in MODALITIES})
-        fused_logits = model.classifier.forward(model.fusion.forward(encoded))
-        final_preds[rows] = fused_logits.data.argmax(axis=1)
-        for m in features:
-            features[m][rows] = encoded[m].data
+        encoded = model.embed({m: target.features[m][rows] for m in MODALITIES})
+        final_preds[rows] = model.head(encoded).data.argmax(axis=1)
+        if features is not None:
+            features[:, rows] = encoded.data
     report.final_accuracy = accuracy(final_preds, labels)
     report.final_macro_f1 = macro_f1(final_preds, labels, n_classes)
 
     if state.banks is not None:
         gaps = []
-        for m in MODALITIES:
-            normalized = cb.l2_normalize_rows(features[m])
+        for i, m in enumerate(MODALITIES):
+            normalized = cb.l2_normalize_rows(features[i])
             assignment = cb.assign(state.banks[m], normalized)
             ratios = cluster_ratio_diag(assignment.indices, final_preds, labels, cfg.k)
             report.cluster_ratios[m] = ratios

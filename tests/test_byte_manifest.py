@@ -1,0 +1,73 @@
+"""The byte-identity manifest tool on a one-seed miniature of its matrix."""
+
+import copy
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "byte_manifest.py"
+_SPEC = importlib.util.spec_from_file_location("byte_manifest", _PATH)
+bm = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bm)
+
+MINI_MATRIX = (("severe", ("source", "can", "scan")), ("collapse", ("scan", "scanner")))
+MINI_CONFIG = {"pretrain_epochs": 2, "d_h": 8,
+               "benchmark": {"n_source": 96, "n_target": 256}}
+
+
+@pytest.fixture(scope="module")
+def manifest(tmp_path_factory):
+    work = tmp_path_factory.mktemp("manifest")
+    return bm.run_matrix(work, matrix=MINI_MATRIX, seeds=(0,), workers=(1, 2),
+                         overrides=MINI_CONFIG)
+
+
+def test_manifest_hashes_every_output_of_every_cell(manifest):
+    expected = set()
+    for preset, variants in MINI_MATRIX:
+        for w in (1, 2):
+            expected |= {f"{preset}_w{w}/{name}" for name in (
+                "pretrain_seed0.ckpt", "pretrain_summary.json", "report.json", "metrics.csv")}
+            expected |= {f"{preset}_w{w}/diagnostics/{v}_seed0.csv" for v in variants}
+    assert set(manifest["files"]) == expected
+    assert all(len(digest) == 64 for digest in manifest["files"].values())
+    # outputs do not depend on the workers setting
+    for name, digest in manifest["files"].items():
+        if "_w1/" in name:
+            assert manifest["files"][name.replace("_w1/", "_w2/")] == digest, name
+
+
+def test_manifest_records_the_acceptance_margins(manifest):
+    severe, collapse = manifest["margins"]["severe"], manifest["margins"]["collapse"]
+    assert set(severe["final_macro_f1_pct"]) == {"source", "can", "scan"}
+    assert all(0.0 <= v <= 100.0 for v in severe["final_macro_f1_pct"].values())
+    assert set(severe["grad_ratio_scan_can"]) == {"0"} and severe["grad_ratio_scan_can"]["0"] > 0
+    assert "collapse_gap_scanner_scan" not in severe
+    gaps = collapse["collapse_gap_scanner_scan"]["0"]
+    assert len(gaps) == 2 and all(g >= 0.0 for g in gaps)
+    assert "grad_ratio_scan_can" not in collapse
+
+
+def test_diff_lists_each_file_and_margin_that_moved(manifest, tmp_path, capsys):
+    assert bm.diff(manifest, manifest) == []
+    moved = copy.deepcopy(manifest)
+    moved["files"]["severe_w2/report.json"] = "0" * 64
+    del moved["files"]["collapse_w1/metrics.csv"]
+    ratio = manifest["margins"]["severe"]["grad_ratio_scan_can"]["0"]
+    moved["margins"]["severe"]["grad_ratio_scan_can"]["0"] = ratio + 1e-12
+    assert bm.diff(manifest, moved) == [
+        "file collapse_w1/metrics.csv: missing",
+        "file severe_w2/report.json: changed",
+        f"margin severe.grad_ratio_scan_can.0: {ratio} -> {ratio + 1e-12}",
+    ]
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps(manifest))
+    new.write_text(json.dumps(moved))
+    assert bm.main(["diff", str(old), str(old)]) == 0
+    n = len(manifest["files"])
+    assert capsys.readouterr().out == f"{n} of {n} files identical, 0 margins moved\n"
+    assert bm.main(["diff", str(old), str(new)]) == 1
+    assert capsys.readouterr().out.endswith(
+        f"{n - 2} of {n} files identical, 1 margins moved\n")

@@ -151,28 +151,39 @@ def test_cosine_degenerate_raises():
             op(Tensor(np.ones((2, 3))), np.zeros((2, 3)))
 
 
+def _stacked_max_cosine_composition(x, c):
+    """Per slice ``max_axis1(cosine_matrix(x_i, c_i))``, stacked again."""
+    parts = [gc.max_axis1(gc.cosine_matrix(xi, ci)) for xi, ci in zip(gc.unstack(x), c)]
+    return gc.stack_rows([s for s, _ in parts]), np.stack([idx for _, idx in parts])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 140), st.integers(1, 7), st.integers(2, 6),
-       st.booleans())
-def test_max_cosine_equals_composition_bitwise(seed, b, k, d, ties):
+       st.booleans(), st.integers(0, 3))
+def test_max_cosine_equals_composition_bitwise(seed, b, k, d, ties, n):
+    # n = 0: B x d features against k x d centroids; otherwise an n x B x d
+    # stack against an n x k x d centroid stack, slice by slice
     rng = np.random.default_rng(seed)
-    c = rng.normal(0, 1, (k, d))
+    lead = (n,) if n else ()
+    c = rng.normal(0, 1, (*lead, k, d))
     if ties:
         # 2c scales every product, norm and quotient exactly, so each
         # maximum is tied with an entry k columns further on
-        c = np.concatenate([c, 2.0 * c])
-    x = Tensor(rng.normal(0, 1, (b, d)), requires_grad=True)
-    weights = Tensor(rng.normal(0, 1, b))
+        c = np.concatenate([c, 2.0 * c], axis=-2)
+    x = Tensor(rng.normal(0, 1, (*lead, b, d)), requires_grad=True)
+    weights = Tensor(rng.normal(0, 1, (*lead, b)))
+    composition = (lambda: _stacked_max_cosine_composition(x, c)) if n else (
+        lambda: gc.max_axis1(gc.cosine_matrix(x, c)))
     got, want = (_value_and_grads(lambda: f()[0], [x], weights)
-                 for f in (lambda: gc.max_cosine(x, c),
-                           lambda: gc.max_axis1(gc.cosine_matrix(x, c))))
+                 for f in (lambda: gc.max_cosine(x, c), composition))
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1][0].tobytes() == want[1][0].tobytes()
     idx = gc.max_cosine(x, c)[1]
-    assert np.array_equal(idx, gc.max_axis1(gc.cosine_matrix(x, c))[1])
+    assert np.array_equal(idx, composition()[1])
     if ties:
-        s = gc.cosine_matrix(x, c).data
-        assert np.array_equal(s[:, :k], s[:, k:]) and (idx < k).all()
+        s = np.stack([gc.cosine_matrix(xi, ci).data
+                      for xi, ci in zip(x.data.reshape(-1, b, d), c.reshape(-1, 2 * k, d))])
+        assert np.array_equal(s[..., :k], s[..., k:]) and (idx < k).all()
 
 
 def test_max_axis1_ties_lowest_index_and_grad_routing():
@@ -276,31 +287,44 @@ def test_attention_style_composite_grad():
 @pytest.mark.parametrize("batch", [1, 4])
 def test_attention_pool_grad(batch):
     rng = np.random.default_rng(17 + batch)
-    tokens = [Tensor(rng.normal(0, 1, (batch, 5)), requires_grad=True) for _ in range(3)]
+    tokens = Tensor(rng.normal(0, 1, (3, batch, 5)), requires_grad=True)
     wq, wk, wv = (Tensor(rng.normal(0, 0.5, (5, 5)), requires_grad=True) for _ in range(3))
     weights = Tensor(rng.normal(0, 1, (batch, 5)))
 
     def loss():
         return gc.tsum(gc.mul(gc.attention_pool(tokens, wq, wk, wv), weights))
 
-    assert gc.finite_diff_params(loss, [*tokens, wq, wk, wv]) < 1e-6
+    assert gc.finite_diff_params(loss, [tokens, wq, wk, wv]) < 1e-6
 
 
 def test_attention_pool_frozen_projections_get_no_grad():
     rng = np.random.default_rng(3)
-    tokens = [Tensor(rng.normal(0, 1, (4, 3)), requires_grad=True) for _ in range(3)]
+    tokens = Tensor(rng.normal(0, 1, (3, 4, 3)), requires_grad=True)
     wq, wk, wv = (Tensor(rng.normal(0, 1, (3, 3))) for _ in range(3))
     gc.backward(gc.tsum(gc.attention_pool(tokens, wq, wk, wv)))
-    assert all(t.grad is not None for t in tokens)
+    assert tokens.grad is not None and tokens.grad.shape == (3, 4, 3)
     assert wq.grad is None and wk.grad is None and wv.grad is None
 
 
 def test_attention_pool_shape_mismatch():
     w = Tensor(np.ones((3, 3)))
     with pytest.raises(ShapeMismatchError):
-        gc.attention_pool([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))], w, w, w)
+        gc.attention_pool(Tensor(np.ones((2, 3))), w, w, w)       # not a stack
     with pytest.raises(ShapeMismatchError):
-        gc.attention_pool([Tensor(np.ones((2, 4)))] * 3, w, w, w)
+        gc.attention_pool(Tensor(np.ones((0, 2, 3))), w, w, w)    # no tokens
+    with pytest.raises(ShapeMismatchError):
+        gc.attention_pool(Tensor(np.ones((3, 2, 4))), w, w, w)
+
+
+def test_unstack_rows_carry_their_gradients():
+    x = Tensor(np.arange(12.0).reshape(3, 2, 2), requires_grad=True)
+    parts = gc.unstack(x)
+    assert [p.data.tolist() for p in parts] == x.data.tolist()
+    # slice 1 is read twice and slice 2 never: its gradient row stays zero
+    loss = gc.add(gc.tsum(gc.mul(parts[0], 2.0)), gc.tsum(gc.mul(parts[1], parts[1])))
+    gc.backward(loss)
+    np.testing.assert_array_equal(x.grad, [np.full((2, 2), 2.0), 2.0 * x.data[1],
+                                           np.zeros((2, 2))])
 
 
 def _value_and_grads(forward, leaves, weights):
@@ -319,17 +343,38 @@ def _assert_same_node(fused, composed, leaves, weights):
         assert np.array_equal(g, w)
 
 
+def _per_slice(op, *stacks):
+    """``op`` applied to slice i of every stack, the results stacked again."""
+    return gc.stack_rows([op(*parts) for parts in zip(*(gc.unstack(t) for t in stacks))])
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 5), st.integers(1, 6))
-def test_linear_layernorm_gelu_equals_composition_bitwise(seed, b, d_in, d):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 140), st.integers(1, 5),
+       st.integers(1, 6))
+def test_linear_layernorm_gelu_equals_composition_bitwise(seed, n, b, d_in, d):
     rng = np.random.default_rng(seed)
     x, w, bias, gain, shift = (
         Tensor(rng.normal(0, s, shape), requires_grad=True)
-        for s, shape in ((1.0, (b, d_in)), (1.0, (d_in, d)), (0.5, (d,)), (1.0, (d,)), (0.5, (d,))))
+        for s, shape in ((1.0, (n, b, d_in)), (1.0, (n, d_in, d)), (0.5, (n, d)),
+                         (1.0, (n, d)), (0.5, (n, d))))
     _assert_same_node(
         lambda: gc.linear_layernorm_gelu(x, w, bias, gain, shift),
-        lambda: gc.gelu(gc.layernorm_affine(gc.add(gc.matmul(x, w), bias), gain, shift)),
-        [x, w, bias, gain, shift], Tensor(rng.normal(0, 1, (b, d))))
+        lambda: _per_slice(lambda *p: gc.gelu(gc.layernorm_affine(
+            gc.add(gc.matmul(p[0], p[1]), p[2]), p[3], p[4])), x, w, bias, gain, shift),
+        [x, w, bias, gain, shift], Tensor(rng.normal(0, 1, (n, b, d))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 140), st.integers(1, 6),
+       st.integers(2, 4))
+def test_linear_over_a_stack_equals_per_slice_bitwise(seed, n, b, d, c):
+    # the classifier scores each modality slice of the features with one node
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(0, 1, (n, b, d)), requires_grad=True)
+    w, bias = Tensor(rng.normal(0, 1, (d, c))), Tensor(rng.normal(0, 1, c))
+    _assert_same_node(lambda: gc.linear(x, w, bias),
+                      lambda: _per_slice(lambda xi: gc.linear(xi, w, bias), x),
+                      [x], Tensor(rng.normal(0, 1, (n, b, c))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -347,9 +392,9 @@ def test_linear_equals_matmul_add_bitwise(seed, b, d_in, d):
 def test_linear_layernorm_gelu_grad(batch):
     rng = np.random.default_rng(31 + batch)
     leaves = [Tensor(rng.normal(0, s, shape), requires_grad=True)
-              for s, shape in ((1.0, (batch, 3)), (1.0, (3, 5)), (0.5, (5,)),
-                               (1.0, (5,)), (0.5, (5,)))]
-    weights = Tensor(rng.normal(0, 1, (batch, 5)))
+              for s, shape in ((1.0, (2, batch, 3)), (1.0, (2, 3, 5)), (0.5, (2, 5)),
+                               (1.0, (2, 5)), (0.5, (2, 5)))]
+    weights = Tensor(rng.normal(0, 1, (2, batch, 5)))
     err = gc.finite_diff_params(
         lambda: gc.tsum(gc.mul(gc.linear_layernorm_gelu(*leaves), weights)), leaves)
     assert err < 1e-6
@@ -379,18 +424,45 @@ def test_linear_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
         gc.linear(x, w, Tensor(np.zeros(3)))
     with pytest.raises(ShapeMismatchError):
-        gc.linear_layernorm_gelu(x, w, Tensor(np.zeros(4)), Tensor(np.ones(3)), Tensor(np.zeros(4)))
+        gc.linear(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 3, 4))), Tensor(np.zeros((3, 4))))
+    # the fused encoder takes stacked inputs alone
+    with pytest.raises(ShapeMismatchError):
+        gc.linear_layernorm_gelu(x, w, Tensor(np.zeros(4)), Tensor(np.ones(4)), Tensor(np.zeros(4)))
+    xs, ws, b = Tensor(np.ones((2, 2, 3))), Tensor(np.ones((2, 3, 4))), Tensor(np.zeros((2, 4)))
+    with pytest.raises(ShapeMismatchError):
+        gc.linear_layernorm_gelu(xs, ws, b, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 140), st.integers(1, 40))
+def test_layernorm_statistics_are_numpys_mean_and_var_bitwise(seed, n, b, d):
+    # the layer norm writes out np.mean and np.var to share the deviations
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0, 3, (n, b, d)) + rng.normal(0, 100, (n, b, 1))
+    gain, bias, g = rng.normal(0, 1, (n, d)), rng.normal(0, 1, (n, d)), rng.normal(0, 1, x.shape)
+    out, xhat, inv = gc._layernorm_forward(x, gain, bias, 1e-5)
+    mu, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+    want_inv = 1.0 / np.sqrt(var + 1e-5)
+    want_xhat = (x - mu) * want_inv
+    assert inv.tobytes() == want_inv.tobytes() and xhat.tobytes() == want_xhat.tobytes()
+    assert out.tobytes() == (gain[:, None, :] * want_xhat + bias[:, None, :]).tobytes()
+    gy = g * gain[:, None, :]
+    want_dx = (gy - gy.mean(axis=-1, keepdims=True)
+               - xhat * (gy * xhat).mean(axis=-1, keepdims=True)) * inv
+    assert gc._layernorm_backward(g, gain, xhat, inv)[2].tobytes() == want_dx.tobytes()
 
 
 def test_gelu_constant_is_shared_by_the_fused_encoder(monkeypatch):
     rng = np.random.default_rng(2)
-    x, w = Tensor(rng.normal(0, 1, (4, 3))), Tensor(rng.normal(0, 1, (3, 5)))
-    b, gain, shift = Tensor(np.zeros(5)), Tensor(np.ones(5)), Tensor(np.zeros(5))
+    x, w = Tensor(rng.normal(0, 1, (1, 4, 3))), Tensor(rng.normal(0, 1, (1, 3, 5)))
+    b, gain, shift = Tensor(np.zeros((1, 5))), Tensor(np.ones((1, 5))), Tensor(np.zeros((1, 5)))
     before = gc.linear_layernorm_gelu(x, w, b, gain, shift).data
     monkeypatch.setattr(gc, "_GELU_A", 0.0449)
     after = gc.linear_layernorm_gelu(x, w, b, gain, shift).data
     assert not np.array_equal(before, after)
-    assert np.array_equal(after, gc.gelu(gc.layernorm_affine(gc.linear(x, w, b), gain, shift)).data)
+    linear = gc.linear(Tensor(x.data[0]), Tensor(w.data[0]), b.data[0])
+    composed = gc.gelu(gc.layernorm_affine(linear, gain.data[0], shift.data[0]))
+    assert np.array_equal(after[0], composed.data)
 
 
 # -- property tests --------------------------------------------------------

@@ -5,16 +5,18 @@ import pytest
 
 from conftest import tiny_batch, tiny_model
 
-from driftadapt import gradcore as gc
+from driftadapt import checkpoint, gradcore as gc
 from driftadapt.errors import CompatibilityError, ContractError
 from driftadapt.model import (
     MODALITIES,
     FusionBlock,
+    ModalityEncoder,
     ModelDims,
     SourceModel,
     predict,
     pretrain_source,
 )
+from driftadapt.optim import AdamW
 
 # fused logits for tiny_model(seed=0) on the default_rng(42) batch, frozen
 # from the initial implementation to catch silent forward-pass changes
@@ -51,7 +53,7 @@ def test_forward_deterministic():
 
 def _fusion_op_by_op(fusion, features):
     """The fusion block composed from per-row ops: one node per row op."""
-    toks = [features[m] for m in MODALITIES]
+    toks = gc.unstack(features)
     q = [gc.matmul(t, fusion.wq) for t in toks]
     k = [gc.matmul(t, fusion.wk) for t in toks]
     v = [gc.matmul(t, fusion.wv) for t in toks]
@@ -71,9 +73,8 @@ def _fusion_op_by_op(fusion, features):
 def test_fusion_matches_op_by_op_composition():
     rng = np.random.default_rng(21)
     fusion = FusionBlock(6, rng)
-    features = {m: gc.Tensor(rng.normal(0, 1, (7, 6)), requires_grad=True)
-                for m in MODALITIES}
-    leaves = [*features.values(), fusion.wq, fusion.wk, fusion.wv]
+    features = gc.Tensor(rng.normal(0, 1, (3, 7, 6)), requires_grad=True)
+    leaves = [features, fusion.wq, fusion.wk, fusion.wv]
     weights = gc.Tensor(rng.normal(0, 1, (7, 6)))
     results = []
     for forward in (fusion.forward, lambda f: _fusion_op_by_op(fusion, f)):
@@ -89,8 +90,9 @@ def test_fusion_matches_op_by_op_composition():
 
 
 def test_fused_logits_graph_size():
-    # one node per encoder, one attention node and one classifier node; the
-    # op-by-op encoders and classifier built 15, a per-row fusion 50 more
+    # one encoder node over the modality stack, one attention node and one
+    # classifier node; one encoder node per modality made it 5, the op-by-op
+    # encoders and classifier 15, a per-row fusion 50 more
     model = tiny_model()
     _, _, fused_logits = model.forward_full(tiny_batch(np.random.default_rng(6)))
     seen, stack = set(), [fused_logits]
@@ -99,7 +101,7 @@ def test_fused_logits_graph_size():
         if id(node) not in seen and node._parents:
             seen.add(id(node))
             stack.extend(node._parents)
-    assert len(seen) <= 5
+    assert len(seen) == 3
 
 
 def test_forward_is_the_fused_logits_of_forward_full():
@@ -109,14 +111,15 @@ def test_forward_is_the_fused_logits_of_forward_full():
 
 
 def test_pretrain_step_graph_budget(monkeypatch):
-    # 3 encoders, attention, classifier and the loss; forward_full's unread
-    # modality logits and the op-by-op blocks made it 22
+    # the stacked encoder, attention, classifier and the loss; one encoder
+    # per modality made it 6, and forward_full's unread modality logits and
+    # the op-by-op blocks 22
     made = []
     make = gc._make
     monkeypatch.setattr(gc, "_make", lambda *args: made.append(1) or make(*args))
     features, labels = _separable_data(np.random.default_rng(1), n=128)
     pretrain_source(tiny_model(), features, labels, epochs=2, batch_size=64, holdout_frac=0.0)
-    assert len(made) <= 4 * 6
+    assert len(made) == 4 * 4
 
 
 def test_whole_model_grad_through_fusion():
@@ -177,8 +180,6 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_load_rejects_foreign_file(tmp_path):
-    from driftadapt import checkpoint
-
     path = tmp_path / "bad.ckpt"
     checkpoint.save(path, {"something": np.zeros(3)})
     with pytest.raises(CompatibilityError):
@@ -189,8 +190,6 @@ def test_load_rejects_missing_param(tmp_path):
     model = tiny_model()
     arrays = model.state_arrays()
     del arrays["clf.weight"]
-    from driftadapt import checkpoint
-
     path = tmp_path / "partial.ckpt"
     checkpoint.save(path, arrays)
     with pytest.raises(CompatibilityError):
@@ -233,3 +232,103 @@ def test_parameter_gradients_reach_all_trainables():
     for name, p in model.named_parameters().items():
         assert p.grad is not None, name
         assert np.any(p.grad != 0.0) or "bias" in name, name
+
+
+# -- the modality stack and its per-modality checkpoint entries ------------
+
+
+def test_encoder_init_draws_the_modalities_in_order():
+    # one draw of the 3 x d_in x d_h stack equals one d_in x d_h draw per
+    # modality in turn, followed by the fusion weights
+    model = tiny_model(seed=3)
+    rng = np.random.default_rng(3)
+    state = model.state_arrays()
+    for m in MODALITIES:
+        assert state[f"enc.{m}.weight"].tobytes() == rng.normal(0.0, 0.5, (4, 6)).tobytes()
+    assert state["fusion.wq"].tobytes() == rng.normal(0.0, 1 / np.sqrt(6), (6, 6)).tobytes()
+
+
+def _hand_built_arrays(rng, d_in=4, d_h=6, n_cls=2) -> dict:
+    """Checkpoint entries built one modality at a time, in checkpoint order."""
+    arrays = {}
+    for m in MODALITIES:
+        arrays[f"enc.{m}.weight"] = rng.normal(0, 1, (d_in, d_h))
+        for name in ("bias", "norm_gain", "norm_bias"):
+            arrays[f"enc.{m}.{name}"] = rng.normal(0, 1, d_h)
+    for name in ("wq", "wk", "wv"):
+        arrays[f"fusion.{name}"] = rng.normal(0, 1, (d_h, d_h))
+    arrays["clf.weight"] = rng.normal(0, 1, (d_h, n_cls))
+    arrays["clf.bias"] = rng.normal(0, 1, n_cls)
+    for m in MODALITIES:
+        arrays[f"stats.{m}.mean"] = rng.normal(0, 1, d_in)
+        arrays[f"stats.{m}.var"] = rng.uniform(0.5, 2.0, d_in)
+    arrays["dims"] = np.array([d_in, d_h, n_cls], dtype=np.float64)
+    return arrays
+
+
+def test_hand_built_checkpoint_round_trips(tmp_path):
+    arrays = _hand_built_arrays(np.random.default_rng(0))
+    path = tmp_path / "hand.ckpt"
+    checkpoint.save(path, arrays)
+    model = SourceModel.load(path)
+    state = model.state_arrays()
+    assert list(state) == list(arrays)
+    assert all(state[k].tobytes() == arrays[k].tobytes() for k in arrays)
+    model.save(tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+def test_load_writes_into_the_stacked_storage(tmp_path):
+    arrays = _hand_built_arrays(np.random.default_rng(1))
+    path = tmp_path / "hand.ckpt"
+    checkpoint.save(path, arrays)
+    model = SourceModel.load(path)
+    for i, m in enumerate(MODALITIES):
+        for name in ModalityEncoder.NAMES:
+            stack = getattr(model.encoder, name).data
+            assert stack[i].tobytes() == arrays[f"enc.{m}.{name}"].tobytes()
+        assert model.input_mean[i].tobytes() == arrays[f"stats.{m}.mean"].tobytes()
+        assert model.input_var[i].tobytes() == arrays[f"stats.{m}.var"].tobytes()
+    # the forward reads what was loaded: modality t's own entries move its slice
+    batch = tiny_batch(np.random.default_rng(2))
+    before = model.encode(batch)
+    arrays["enc.t.norm_bias"] = arrays["enc.t.norm_bias"] + 1.0
+    checkpoint.save(path, arrays)
+    after = SourceModel.load(path).encode(batch)
+    assert np.array_equal(after["v"].data, before["v"].data)
+    assert np.array_equal(after["a"].data, before["a"].data)
+    assert not np.array_equal(after["t"].data, before["t"].data)
+
+
+@pytest.mark.parametrize("name,shape", [("enc.t.bias", (5,)), ("stats.a.var", (4, 1))])
+def test_load_rejects_a_wrong_per_modality_shape(tmp_path, name, shape):
+    arrays = _hand_built_arrays(np.random.default_rng(3))
+    arrays[name] = np.ones(shape)
+    path = tmp_path / "bad.ckpt"
+    checkpoint.save(path, arrays)
+    with pytest.raises(CompatibilityError):
+        SourceModel.load(path)
+
+
+def test_optimizer_step_shows_in_state_arrays_and_saved_bytes(tmp_path):
+    model = tiny_model(seed=2)
+    before = {k: v.copy() for k, v in model.state_arrays().items()}
+    model.save(tmp_path / "before.ckpt")
+    opt = AdamW(model.trainable_parameters(), lr=0.1)
+    # the optimizer now owns the stacks: their storage is its flat buffer
+    assert all(np.shares_memory(p.data, opt.flat) for p in model.trainable_parameters().values())
+    for p in model.trainable_parameters().values():
+        p.grad = np.ones_like(p.data)
+    opt.step()
+    state = model.state_arrays()
+    for i, m in enumerate(MODALITIES):
+        for name in ModalityEncoder.NAMES:
+            key = f"enc.{m}.{name}"
+            assert state[key].tobytes() == getattr(model.encoder, name).data[i].tobytes()
+            assert not np.array_equal(state[key], before[key]), key
+    for key in ("fusion.wq", "clf.weight", "stats.v.mean", "dims"):
+        assert state[key].tobytes() == before[key].tobytes()
+    model.save(tmp_path / "after.ckpt")
+    saved = checkpoint.load(tmp_path / "after.ckpt")
+    assert all(saved[k].tobytes() == state[k].tobytes() for k in state)
+    assert (tmp_path / "after.ckpt").read_bytes() != (tmp_path / "before.ckpt").read_bytes()

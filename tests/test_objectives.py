@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import tiny_batch, tiny_model
 
-from driftadapt import centroids as cb, gradcore as gc, objectives as obj, ttaloop as tt
+from driftadapt import gradcore as gc, objectives as obj, ttaloop as tt
 from driftadapt.centroids import Assignment
 from driftadapt.config import AdaptConfig
 from driftadapt.errors import ConfigError, ContractError
@@ -47,8 +47,11 @@ def _reference_em_loss(fused_logits: Tensor) -> Tensor:
     return gc.tmean(per_sample)
 
 
-def _reference_max_similarity(bank, features):
-    return gc.max_axis1(gc.cosine_matrix(features, bank.centroids))
+def _reference_max_cosine(features, centroids):
+    """Per modality slice ``max_axis1(cosine_matrix(...))``, stacked again."""
+    parts = [gc.max_axis1(gc.cosine_matrix(f, c))
+             for f, c in zip(gc.unstack(features), centroids)]
+    return gc.stack_rows([s for s, _ in parts]), np.stack([idx for _, idx in parts])
 
 
 def _bits(x):
@@ -163,7 +166,7 @@ def test_adapt_steps_equal_composition_bitwise(monkeypatch, variant):
     for name, reference in (("can_loss", _reference_can_loss), ("scan_loss", _reference_scan_loss),
                             ("div_loss", _reference_div_loss), ("em_loss", _reference_em_loss)):
         monkeypatch.setattr(obj, name, reference)
-    monkeypatch.setattr(cb, "max_similarity", _reference_max_similarity)
+    monkeypatch.setattr(gc, "max_cosine", _reference_max_cosine)
     assert fused == run()
 
 
