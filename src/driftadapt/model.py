@@ -58,6 +58,17 @@ class ModalityEncoder:
     def parameters(self) -> dict:
         return {f"enc.{name}": getattr(self, name) for name in self.NAMES}
 
+    def modality_slices(self, attr: str = "data"):
+        """(checkpoint name, slice) pairs of each parameter's ``attr`` in
+        checkpoint order: modality by modality, ``NAMES`` within one. The
+        slices are taken from the current storage; an ``attr`` that is None
+        (a parameter with no gradient) is skipped."""
+        for i, m in enumerate(MODALITIES):
+            for name in self.NAMES:
+                a = getattr(getattr(self, name), attr)
+                if a is not None:
+                    yield f"enc.{m}.{name}", a[i]
+
 
 class FusionBlock:
     """One self-attention layer over the three modality embeddings, mean-pooled.
@@ -184,10 +195,7 @@ class SourceModel:
     def state_arrays(self) -> dict:
         """Every checkpoint entry; the per-modality entries are views into
         the current stacked storage."""
-        out = {}
-        for i, m in enumerate(MODALITIES):
-            for name in ModalityEncoder.NAMES:
-                out[f"enc.{m}.{name}"] = getattr(self.encoder, name).data[i]
+        out = dict(self.encoder.modality_slices())
         out.update((k, p.data) for k, p in self.frozen_parameters().items())
         for i, m in enumerate(MODALITIES):
             out[f"stats.{m}.mean"] = self.input_mean[i]

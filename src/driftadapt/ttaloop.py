@@ -66,15 +66,12 @@ def init_adapt_state(model: SourceModel, cfg: AdaptConfig,
     return AdaptState(model=model, cfg=cfg, variant=variant, seed=seed, optimizer=opt)
 
 
-def _grad_norm(params: dict) -> float:
-    """Norm of the stacked encoder gradients, its squares summed one
-    modality slice at a time in checkpoint-name order (``enc.v.weight``,
-    ``enc.v.bias``, ..., ``enc.a.norm_bias``)."""
+def _grad_norm(model: SourceModel) -> float:
+    """Norm of the encoder gradients, its squares summed one per-modality
+    slice at a time in checkpoint order."""
     total = 0.0
-    for i in range(len(MODALITIES)):
-        for p in params.values():
-            if p.grad is not None:
-                total += float((p.grad[i] ** 2).sum())
+    for _, g in model.encoder.modality_slices("grad"):
+        total += float((g ** 2).sum())
     return float(np.sqrt(total))
 
 
@@ -126,7 +123,7 @@ def _apply_step(state: AdaptState, loss, result: BatchResult):
             f"non-finite loss at tau={state.tau}: {result.loss_row}"
         )
     gc.backward(loss)
-    result.grad_norm = _grad_norm(state.optimizer.params)
+    result.grad_norm = _grad_norm(state.model)
     if not np.isfinite(result.grad_norm):
         # skip and flag rather than clip, so the gradient-norm trace keeps
         # its diagnostic meaning

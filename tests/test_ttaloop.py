@@ -310,12 +310,12 @@ def test_grad_norm_sums_the_per_modality_slices_in_name_order():
     total = 0.0
     for g in per_modality.values():
         total += float((g**2).sum())
-    assert np.float64(tt._grad_norm(params)).tobytes() == np.float64(np.sqrt(total)).tobytes()
+    assert np.float64(tt._grad_norm(model)).tobytes() == np.float64(np.sqrt(total)).tobytes()
     # summing whole stacks instead gives other bits
     stacked = 0.0
     for p in params.values():
         stacked += float((p.grad**2).sum())
-    assert np.sqrt(stacked) != tt._grad_norm(params)
+    assert np.sqrt(stacked) != tt._grad_norm(model)
 
 
 def test_cluster_step_keeps_no_similarity_copy(monkeypatch):

@@ -127,17 +127,13 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("write", help="run the matrix and write a manifest")
     p.add_argument("manifest")
-    p.add_argument("--work", help="directory for the outputs (default: a temporary one)")
     p = sub.add_parser("diff", help="list the files and margins that moved")
     p.add_argument("old")
     p.add_argument("new")
     args = parser.parse_args(argv)
     if args.command == "write":
-        if args.work:
-            doc = run_matrix(args.work)
-        else:
-            with tempfile.TemporaryDirectory() as work:
-                doc = run_matrix(work)
+        with tempfile.TemporaryDirectory() as work:
+            doc = run_matrix(work)
         Path(args.manifest).write_text(json.dumps(doc, indent=2, sort_keys=True))
         print(f"{len(doc['files'])} files")
         return 0
