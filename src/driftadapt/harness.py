@@ -172,6 +172,7 @@ def cmd_export_embeddings(cfg: ExperimentConfig, ckpt_path, out_path):
     first config seed, tagged by domain."""
     cfg.validate()
     model = load_compatible(ckpt_path, cfg)
+    model.freeze()
     source, target = build_domains(cfg, cfg.seeds[0])
     with open(out_path, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -153,6 +153,12 @@ class SourceModel:
         for p in self.named_parameters().values():
             p.grad = None
 
+    def freeze(self):
+        """Stop every parameter from requiring a gradient, so a forward
+        builds no autodiff graph."""
+        for p in self.named_parameters().values():
+            p.requires_grad = False
+
     def set_input_stats(self, features: dict):
         x = stack_modalities(features)
         self.input_mean = x.mean(axis=1)

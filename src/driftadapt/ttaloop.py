@@ -9,7 +9,7 @@ computation.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -56,12 +56,11 @@ def init_adapt_state(model: SourceModel, cfg: AdaptConfig,
     variant = MethodVariant(variant)
     # only the encoders of a gradient variant train, so no other variant
     # builds a graph; every flag is set, so a reused model adapts again
-    for p in model.frozen_parameters().values():
-        p.requires_grad = False
-    for p in model.trainable_parameters().values():
-        p.requires_grad = variant in GRAD_VARIANTS
+    model.freeze()
     opt = None
     if variant in GRAD_VARIANTS:
+        for p in model.trainable_parameters().values():
+            p.requires_grad = True
         opt = AdamW(model.trainable_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     return AdaptState(model=model, cfg=cfg, variant=variant, seed=seed, optimizer=opt)
 
@@ -209,7 +208,8 @@ class RunReport:
     collapse_gap: float = None   # mean |pred ratio - true ratio| over clusters
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
+        """The JSON document of the run; it shares the traces with the report."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
         # JSON keys are strings; converting here keeps sort_keys ordering
         # them as text ("10" before "2"), as the files always have
         for name in ("cluster_ratios", "entropy_table"):
@@ -221,8 +221,11 @@ def run_stream(model: SourceModel, target: SyntheticDataset, cfg: AdaptConfig,
                variant, seed: int = 0, n_classes: int = 2) -> RunReport:
     """Single online epoch over the target stream, then a final full pass.
 
-    Target labels are read only here, for metrics and diagnostics; the
-    adaptation path receives feature batches alone.
+    ``source`` changes neither parameters nor input statistics, so its final
+    pass is its online pass: its final predictions are the online ones, bit
+    for bit, and it makes no second pass. Target labels are read only here,
+    for metrics and diagnostics; the adaptation path receives feature
+    batches alone.
     """
     variant = MethodVariant(variant)
     n = len(target)
@@ -245,19 +248,22 @@ def run_stream(model: SourceModel, target: SyntheticDataset, cfg: AdaptConfig,
     report.online_accuracy = accuracy(online_preds, labels)
     report.online_macro_f1 = macro_f1(online_preds, labels, n_classes)
 
-    # second, post-adaptation inference pass over the full target set, in
-    # stream-sized chunks with every parameter frozen, so no graph is kept
-    for p in model.named_parameters().values():
-        p.requires_grad = False
-    final_preds = np.empty(n, dtype=np.int64)
-    features = (np.empty((len(MODALITIES), n, model.dims.d_h))
-                if state.banks is not None else None)
-    for start in range(0, n, cfg.batch_size):
-        rows = slice(start, start + cfg.batch_size)
-        encoded = model.embed({m: target.features[m][rows] for m in MODALITIES})
-        final_preds[rows] = model.head(encoded).data.argmax(axis=1)
-        if features is not None:
-            features[:, rows] = encoded.data
+    if variant == MethodVariant.SOURCE:
+        # the same head(embed(batch)) on the same rows of an unchanged model
+        final_preds = online_preds
+    else:
+        # second, post-adaptation inference pass over the full target set, in
+        # stream-sized chunks with every parameter frozen, so no graph is kept
+        model.freeze()
+        final_preds = np.empty(n, dtype=np.int64)
+        features = (np.empty((len(MODALITIES), n, model.dims.d_h))
+                    if state.banks is not None else None)
+        for start in range(0, n, cfg.batch_size):
+            rows = slice(start, start + cfg.batch_size)
+            encoded = model.embed({m: target.features[m][rows] for m in MODALITIES})
+            final_preds[rows] = model.head(encoded).data.argmax(axis=1)
+            if features is not None:
+                features[:, rows] = encoded.data
     report.final_accuracy = accuracy(final_preds, labels)
     report.final_macro_f1 = macro_f1(final_preds, labels, n_classes)
 

@@ -31,11 +31,13 @@ def test_manifest_hashes_every_output_of_every_cell(manifest):
             expected |= {f"{preset}_w{w}/{name}" for name in (
                 "pretrain_seed0.ckpt", "pretrain_summary.json", "report.json", "metrics.csv")}
             expected |= {f"{preset}_w{w}/diagnostics/{v}_seed0.csv" for v in variants}
+    # export-embeddings runs once, on the first cell
+    expected.add("severe_w1/embeddings.csv")
     assert set(manifest["files"]) == expected
     assert all(len(digest) == 64 for digest in manifest["files"].values())
     # outputs do not depend on the workers setting
     for name, digest in manifest["files"].items():
-        if "_w1/" in name:
+        if "_w1/" in name and not name.endswith("embeddings.csv"):
             assert manifest["files"][name.replace("_w1/", "_w2/")] == digest, name
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import tiny_experiment, tiny_model
 
-from driftadapt import checkpoint, cli, driftgen, errors, harness, selftest
+from driftadapt import checkpoint, cli, driftgen, errors, gradcore as gc, harness, selftest
 from driftadapt.cli import main as cli_main
 from driftadapt.config import AdaptConfig, BenchmarkConfig, ExperimentConfig, preset_benchmark
 from driftadapt.errors import (
@@ -272,6 +272,17 @@ def test_export_embeddings(tmp_path):
     assert rows[0][:3] == ["domain", "label", "core"]
     assert {r[0] for r in rows[1:]} == {"source", "target"}
     assert len(rows[1]) == 3 + cfg.d_h
+
+
+def test_export_embeddings_builds_no_graph(tmp_path, monkeypatch):
+    cfg = tiny_experiment(tmp_path)
+    harness.cmd_pretrain(cfg, tmp_path)
+    made = []
+    make = gc._make
+    monkeypatch.setattr(gc, "_make", lambda *args: made.append(make(*args)) or made[-1])
+    harness.cmd_export_embeddings(cfg, harness.checkpoint_path(tmp_path, 0),
+                                  tmp_path / "emb.csv")
+    assert made and not any(t._parents for t in made)
 
 
 # -- CLI -------------------------------------------------------------------

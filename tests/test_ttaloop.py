@@ -1,5 +1,8 @@
 """Adaptation-loop behavior tests on tiny synthetic streams."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from conftest import tiny_batch, tiny_model
 from driftadapt import centroids as cb, driftgen as dg, gradcore as gc, ttaloop as tt
 from driftadapt.config import AdaptConfig, BenchmarkConfig
 from driftadapt.errors import ContractError
-from driftadapt.model import MODALITIES, ModalityEncoder
+from driftadapt.model import MODALITIES, ModalityEncoder, SourceModel
 from driftadapt.objectives import MethodVariant
 
 
@@ -161,7 +164,8 @@ def test_run_stream_source_has_no_banks():
     assert report.grad_norm_trace == [0.0] * len(report.grad_norm_trace)
 
 
-def test_final_pass_chunks_match_one_full_forward(monkeypatch):
+@pytest.mark.parametrize("variant", ["scanner", "source", "norm"])
+def test_final_pass_chunks_match_one_full_forward(monkeypatch, variant):
     # 70 rows in batches of 16: the last chunk of the final pass has 6 rows
     target = _tiny_target(n=70)
     model = tiny_model(seed=1)
@@ -170,18 +174,40 @@ def test_final_pass_chunks_match_one_full_forward(monkeypatch):
     init = tt.init_adapt_state
     monkeypatch.setattr(tt, "init_adapt_state",
                         lambda *a, **kw: states.append(init(*a, **kw)) or states[-1])
-    report = tt.run_stream(model, target, _cfg(batch_size=16), "scanner", seed=0)
+    report = tt.run_stream(model, target, _cfg(batch_size=16), variant, seed=0)
 
     features, _, fused_logits = model.forward_full(target.features)
     preds = fused_logits.data.argmax(axis=1)
     assert report.final_accuracy == dg.accuracy(preds, target.labels)
     assert report.final_macro_f1 == dg.macro_f1(preds, target.labels, 2)
+    if variant == "source":
+        assert report.final_accuracy == report.online_accuracy
+        assert report.final_macro_f1 == report.online_macro_f1
     banks = states[0].banks
+    if banks is None:
+        return
     for m in MODALITIES:
         normalized = cb.l2_normalize_rows(features[m].data)
         idx = cb.assign(banks[m], normalized).indices
         assert report.cluster_ratios[m] == dg.cluster_ratio_diag(idx, preds, target.labels, 2)
         assert report.entropy_table[m] == dg.entropy_diag(banks[m], model, normalized, idx)
+
+
+@pytest.mark.parametrize("variant, passes", [
+    ("source", 1), ("norm", 2), ("tent_em", 2), ("scanner", 2),
+])
+def test_only_source_skips_the_final_pass(monkeypatch, variant, passes):
+    # source's final predictions are its online ones; every other variant
+    # scores the stream once more after adapting
+    calls = []
+    head = SourceModel.head
+    monkeypatch.setattr(SourceModel, "head",
+                        lambda self, features: calls.append(1) or head(self, features))
+    target = _tiny_target(n=70)
+    model = tiny_model(seed=1)
+    model.set_input_stats(target.features)
+    tt.run_stream(model, target, _cfg(batch_size=16), variant, seed=0)
+    assert len(calls) == passes * 5   # ceil(70 / 16) batches per pass
 
 
 @pytest.mark.parametrize("variant", ["source", "norm"])
@@ -202,6 +228,24 @@ def test_reused_model_adapts_again():
     before = {k: p.data.copy() for k, p in model.trainable_parameters().items()}
     tt.run_stream(model, target, _cfg(), "scanner", seed=0)
     assert any(np.any(p.data != before[k]) for k, p in model.trainable_parameters().items())
+
+
+def test_report_dict_equals_its_deep_copy():
+    # k = 12 clusters: sort_keys orders the cluster keys as text, "10" before "2"
+    report = tt.RunReport(variant="scanner", seed=3, online_accuracy=0.5,
+                          final_macro_f1=0.25, loss_trace=[{"tau": 0, "total": 1.5}],
+                          grad_norm_trace=[0.5], mean_entropy_trace=[0.1], skipped_steps=1,
+                          collapse_gap=0.125)
+    for m in MODALITIES:
+        report.cluster_ratios[m] = {j: (j / 12, 1 - j / 12) for j in range(12)}
+        report.entropy_table[m] = {j: (0.1 * j, 0.2 * j) for j in range(12)}
+    reference = asdict(report)
+    for name in ("cluster_ratios", "entropy_table"):
+        reference[name] = {m: {str(j): v for j, v in t.items()}
+                           for m, t in reference[name].items()}
+    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    assert text == json.dumps(reference, indent=2, sort_keys=True)
+    assert text.index('"10"') < text.index('"2"')
 
 
 def test_run_stream_rejects_empty_target():

@@ -2,10 +2,13 @@
 
 A development tool, not a test gate. It runs ``pretrain`` and then ``adapt``
 through ``driftadapt.cli.main`` for every (preset, workers) cell of a fixed
-matrix, each cell in its own directory, and writes a JSON manifest with
+matrix, each cell in its own directory, then ``export-embeddings`` on the
+first seed's checkpoint of the first cell (severe, workers 1), and writes a
+JSON manifest with
 
 - the sha256 of every output file (checkpoints, summaries, reports,
-  metrics and diagnostics), keyed by its path under the work directory;
+  metrics, diagnostics and the embeddings CSV), keyed by its path under the
+  work directory;
 - the acceptance margins read from each preset's ``report.json`` at the
   first workers setting: the mean final macro-F1 of every variant in percent
   (criterion 6 on ``severe``), the per-seed (scanner, scan) collapse gaps
@@ -68,7 +71,8 @@ def margins(report: dict) -> dict:
 
 
 def run_matrix(work_dir, matrix=MATRIX, seeds=SEEDS, workers=WORKERS, overrides=None) -> dict:
-    """Runs every cell under ``work_dir`` and returns the manifest.
+    """Runs every cell under ``work_dir``, and the export in the first one,
+    and returns the manifest.
 
     ``overrides`` is merged into each cell's config document; its
     ``benchmark`` block goes under the preset's.
@@ -88,7 +92,11 @@ def run_matrix(work_dir, matrix=MATRIX, seeds=SEEDS, workers=WORKERS, overrides=
         config_path.write_text(json.dumps(config))
         for w in workers:
             out = work / f"{preset}_w{w}"
-            for argv in (["pretrain"], ["adapt", "--workers", str(w)]):
+            commands = [["pretrain"], ["adapt", "--workers", str(w)]]
+            if (preset, w) == (matrix[0][0], workers[0]):
+                commands.append(["export-embeddings", "--checkpoint",
+                                 str(out / f"pretrain_seed{seeds[0]}.ckpt")])
+            for argv in commands:
                 code = cli.main([*argv, "--config", str(config_path), "--out", str(out)])
                 if code != 0:
                     raise RuntimeError(f"{argv[0]} exited {code} in cell {out.name}")
