@@ -20,7 +20,8 @@ _MAX_SWEEPS = 100   # cap on Lloyd iterations and on Hartigan sweeps
 
 
 def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    """The rows of x, along its last axis, scaled to unit norm."""
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
     if np.any(norms < _NORM_FLOOR):
         raise DegenerateDataError("zero-norm feature row cannot be normalized")
     return x / norms

@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Subcommands: pretrain, adapt, export-embeddings, selftest. Every failure
-exits nonzero and prints one machine-readable line ``ERROR <code>: <text>``.
+exits nonzero and prints one machine-readable line ``ERROR <code>: <text>``;
+``adapt`` prints one such line per failed (variant, seed) run, after
+writing the outputs of the others.
 """
 
 from __future__ import annotations
@@ -82,6 +84,12 @@ def main(argv=None) -> int:
                 online, final = metrics["online_macro_f1"], metrics["final_macro_f1"]
                 print(f"{variant}: macro-F1 {online['mean']:.4f} +/- {online['std']:.4f} online, "
                       f"{final['mean']:.4f} +/- {final['std']:.4f} final")
+            # a failed (variant, seed) run leaves the others' outputs written
+            for run in doc.get("failed_runs", []):
+                print(f"ERROR {run['code']}: {run['variant']} seed {run['seed']}: "
+                      f"{run['message']}", file=sys.stderr)
+            if doc.get("failed_runs"):
+                return 2
         elif args.command == "export-embeddings":
             out_csv = args.csv or str(Path(args.out) / "embeddings.csv")
             Path(args.out).mkdir(parents=True, exist_ok=True)

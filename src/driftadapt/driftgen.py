@@ -103,11 +103,13 @@ def _outlier_mask(rng: np.random.Generator, n: int, frac: float) -> np.ndarray:
         return mask
     target = int(round(frac * n))
     marked = 0
+    # Drawn one position at a time until target are marked, at least as many
+    # draws follow as positions are missing, and all of them if each marks a
+    # new one. So each round draws that many at once: the same draws, and
+    # the generator state of the one-at-a-time loop.
     while marked < target:
-        i = rng.integers(0, n)
-        if not mask[i]:
-            mask[i] = True
-            marked += 1
+        mask[rng.integers(0, n, size=target - marked)] = True
+        marked = int(np.count_nonzero(mask))
     return mask
 
 

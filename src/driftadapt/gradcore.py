@@ -13,16 +13,19 @@ array arithmetic with ``gelu`` and ``layernorm_affine``), the fusion block's
 self-attention with mean pooling is one ``attention_pool`` node over the
 stack, and the classifier (``linear``) scores B x d rows or each slice of a
 stack. ``max_cosine`` scores a B x d batch or a whole stack against its
-centroid stack in one node, and ``unstack`` gives per-slice nodes to the
-consumers that stay per modality. Stacked matmuls, batch-axis sums and
-last-axis reductions run slice by slice with the float operations of the
-unstacked ones, so a stacked node's values and gradients are bit for bit
-those of one node per slice.
+centroid stack in one node. Stacked matmuls, batch-axis sums and last-axis
+reductions run slice by slice with the float operations of the unstacked
+ones, so a stacked node's values and gradients are bit for bit those of one
+node per slice; ``unstack`` gives per-slice nodes where a caller holds one
+tensor per modality.
 
-Each adaptation loss (``mean_entropy``, ``one_minus_means``,
-``one_minus_weighted_means``, ``plogp_sums``) is one node too; they share
-the softmax (``softmax_array``), clamped-log and cosine arithmetic of
-``softmax``, ``log_clamped``, ``cosine_matrix`` and ``max_axis1``, whose
+Each adaptation loss is one node over the stacks too: ``mean_entropy`` of
+the fused logits, ``one_minus_means`` and ``one_minus_weighted_means`` of
+the n x B max-cosine scores (one term per row), ``plogp_sums`` of the
+per-cluster mean probabilities (one term per group of rows), and
+``weighted_sum`` of the loss terms. They share the softmax
+(``softmax_array``), clamped-log and cosine arithmetic of ``softmax``,
+``log_clamped``, ``cosine_matrix`` and ``max_axis1``, whose per-modality
 compositions the tests keep as bitwise oracles. The per-row helpers
 ``rowdot``, ``rowscale``, ``stack_cols`` and ``col`` compose the same
 attention op by op; the tests use them as an oracle for ``attention_pool``.
@@ -474,16 +477,19 @@ def cluster_sums(x: np.ndarray, labels, k: int):
 
 def cluster_means(x: Tensor, labels, k: int) -> Tensor:
     """k' x d row means of the nonempty clusters, in cluster order, with
-    ``tmean``'s arithmetic: ``sum * (1/n)``, and ``g * (1/n)`` to each member."""
+    ``tmean``'s arithmetic: ``sum * (1/n)``, and ``g * (1/n)`` to each member.
+
+    The rows of x are those of its last axis: an n x B x d stack is nB rows
+    with n x B labels."""
     x = _wrap(x)
-    labels = np.asarray(labels, dtype=np.intp)
-    sums, counts = cluster_sums(x.data, labels, k)
+    labels = np.asarray(labels, dtype=np.intp).ravel()
+    sums, counts = cluster_sums(x.data.reshape(-1, x.data.shape[-1]), labels, k)
     filled = counts > 0
     inv = (1.0 / counts[filled])[:, None]
     row = np.cumsum(filled) - 1   # output row of each nonempty cluster
 
     def bwd(g):
-        _accum(x, (g * inv)[row[labels]])
+        _accum(x, (g * inv)[row[labels]].reshape(x.data.shape))
 
     return _make(sums[filled] * inv, (x,), bwd)
 
@@ -746,52 +752,80 @@ def mean_entropy(logits: Tensor) -> Tensor:
     return _make(per_row.sum() * inv_n, (logits,), bwd)
 
 
-def one_minus_means(xs):
-    """Sum over the tensors of 1 - mean(x): the composition ``1.0 - tmean(x)``
-    per tensor, then an ``add`` chain. Returns (sum, term values)."""
-    xs = [_wrap(x) for x in xs]
-    inv_n = [1.0 / x.data.size for x in xs]
-    values = [1.0 + x.data.sum() * inv * -1.0 for x, inv in zip(xs, inv_n)]
+def _rows(x: Tensor, what: str) -> Tensor:
+    x = _wrap(x)
+    if x.data.ndim != 2:
+        raise ShapeMismatchError(f"{what} expects an n x B stack, got {x.data.shape}")
+    return x
+
+
+def one_minus_means_array(x: np.ndarray):
+    """1 - mean of each row of an n x B array, with the arithmetic of
+    ``1.0 - tmean(row)``: (term values, 1/B)."""
+    inv_n = 1.0 / x.shape[-1]
+    return 1.0 + x.sum(axis=-1) * inv_n * -1.0, inv_n
+
+
+def one_minus_means(x: Tensor):
+    """Sum over the rows of an n x B tensor of 1 - mean(row): the composition
+    ``1.0 - tmean(row)`` per row, then an ``add`` chain. Returns (sum, term
+    values)."""
+    x = _rows(x, "one_minus_means")
+    values, inv_n = one_minus_means_array(x.data)
 
     def bwd(g):
-        for x, inv in zip(xs, inv_n):
-            _accum(x, g * -1.0 * inv)
+        _accum(x, np.broadcast_to(g * -1.0 * inv_n, x.data.shape))
 
-    return _make(reduce(operator.add, values), tuple(xs), bwd), values
+    return _make(reduce(operator.add, values), (x,), bwd), values
 
 
-def one_minus_weighted_means(xs, beta: float):
-    """Sum over the tensors of 1 - sum(softmax(beta * x) * x): the composition
-    ``1.0 - tsum(mul(softmax(x, beta), x))`` per tensor, then an ``add``
-    chain. Returns (sum, term values)."""
-    xs = [_wrap(x) for x in xs]
-    weights = [softmax_array(x.data, beta) for x in xs]
-    values = [1.0 + (w * x.data).sum() * -1.0 for x, w in zip(xs, weights)]
+def one_minus_weighted_means(x: Tensor, beta: float):
+    """Sum over the rows of an n x B tensor of 1 - sum(softmax(beta * row) *
+    row): the composition ``1.0 - tsum(mul(softmax(row, beta), row))`` per
+    row, then an ``add`` chain. Returns (sum, term values)."""
+    x = _rows(x, "one_minus_weighted_means")
+    w = softmax_array(x.data, beta)
+    values = 1.0 + (w * x.data).sum(axis=-1) * -1.0
 
     def bwd(g):
         c = g * -1.0
-        for x, w in zip(xs, weights):
-            if x.requires_grad:
-                _accum(x, c * w + _softmax_backward(c * x.data, w, beta))
+        _accum(x, c * w + _softmax_backward(c * x.data, w, beta))
 
-    return _make(reduce(operator.add, values), tuple(xs), bwd), values
+    return _make(reduce(operator.add, values), (x,), bwd), values
 
 
-def plogp_sums(ps, scale: float):
-    """Sum over the matrices of scale * sum p log max(p, 1e-12): the
-    composition ``mul(tsum(tsum(mul(p, log_clamped(p)), axis=1)), scale)``
-    per matrix, then an ``add`` chain. Returns (sum, term values)."""
-    ps = [_wrap(p) for p in ps]
-    logs = [_log_clamped_forward(p.data) for p in ps]
-    values = [(p.data * logp).sum(axis=1).sum() * scale for p, (logp, _) in zip(ps, logs)]
+def plogp_sums(p: Tensor, scale: float, sizes):
+    """Sum over groups of rows of scale * sum p log max(p, 1e-12): the rows of
+    the K x C matrix p fall into consecutive groups of ``sizes`` rows, and
+    each group is the composition
+    ``mul(tsum(tsum(mul(q, log_clamped(q)), axis=1)), scale)`` of its own
+    matrix q, then an ``add`` chain. Returns (sum, term values)."""
+    p = _wrap(p)
+    logp, clamped = _log_clamped_forward(p.data)
+    per_row = (p.data * logp).sum(axis=1)
+    ends = np.cumsum(sizes)
+    if ends[-1] != per_row.size:
+        raise ShapeMismatchError(f"groups of {list(sizes)} rows do not fit {per_row.size} rows")
+    values = [per_row[end - n:end].sum() * scale for n, end in zip(sizes, ends)]
 
     def bwd(g):
-        c = g * scale
-        for p, (logp, clamped) in zip(ps, logs):
-            if p.requires_grad:
-                _accum(p, _plogp_backward(c, p.data, logp, clamped))
+        _accum(p, _plogp_backward(g * scale, p.data, logp, clamped))
 
-    return _make(reduce(operator.add, values), tuple(ps), bwd), values
+    return _make(reduce(operator.add, values), (p,), bwd), values
+
+
+def weighted_sum(xs, weights) -> Tensor:
+    """x_0 * w_0 + x_1 * w_1 + ... of scalar tensors and float weights, added
+    left to right: the chain of ``mul`` and ``add`` nodes, whose backward
+    gives each x the upstream times its weight."""
+    xs = [_wrap(x) for x in xs]
+
+    def bwd(g):
+        for x, w in zip(xs, weights):
+            _accum(x, g * w)
+
+    terms = [x.data * w for x, w in zip(xs, weights)]
+    return _make(reduce(operator.add, terms), tuple(xs), bwd)
 
 
 # -- gradient checking ----------------------------------------------------

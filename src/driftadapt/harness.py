@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, driftgen
 from .config import ExperimentConfig
-from .errors import CompatibilityError
+from .errors import CompatibilityError, DriftAdaptError
 from .model import MODALITIES, ModelDims, SourceModel, pretrain_source
 from .ttaloop import METRICS, RunReport, run_stream
 
@@ -97,10 +98,22 @@ def run_one(cfg: ExperimentConfig, ckpt_path, target, variant: str, seed: int) -
                       seed=seed, n_classes=cfg.n_classes)
 
 
+def _outcome(result):
+    """What ``result()`` returns, or the DriftAdaptError it raised."""
+    try:
+        return result()
+    except DriftAdaptError as exc:
+        return exc
+
+
 def cmd_adapt(cfg: ExperimentConfig, ckpt_dir, out_dir) -> dict:
     """Run every (variant, seed) pair; writes reports, metrics, diagnostics.
 
     Each seed's target stream is built once and shared by all its variants.
+    A job that raises a DriftAdaptError fails alone: ``report.json`` lists it
+    under ``failed_runs`` (variant, seed, error code and message), and every
+    other run's files are written as if it had not run. Without a failure
+    there is no ``failed_runs`` key.
     """
     cfg.validate()
     out = Path(out_dir)
@@ -111,9 +124,13 @@ def cmd_adapt(cfg: ExperimentConfig, ckpt_dir, out_dir) -> dict:
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = [pool.submit(run_one, *job) for job in jobs]
-            reports = [f.result() for f in futures]
+            outcomes = [_outcome(f.result) for f in futures]
     else:
-        reports = [run_one(*job) for job in jobs]
+        outcomes = [_outcome(partial(run_one, *job)) for job in jobs]
+    reports = [r for r in outcomes if isinstance(r, RunReport)]
+    failed = [{"variant": variant, "seed": seed, "code": exc.code, "message": str(exc)}
+              for (*_, variant, seed), exc in zip(jobs, outcomes)
+              if isinstance(exc, DriftAdaptError)]
 
     report_doc = {
         "version": __version__,
@@ -121,6 +138,8 @@ def cmd_adapt(cfg: ExperimentConfig, ckpt_dir, out_dir) -> dict:
         "runs": [r.to_dict() for r in reports],
         "aggregate": aggregate(reports),
     }
+    if failed:
+        report_doc["failed_runs"] = failed
     (out / "report.json").write_text(json.dumps(report_doc, indent=2, sort_keys=True))
     write_metrics_csv(out / "metrics.csv", reports, report_doc["aggregate"])
     for r in reports:

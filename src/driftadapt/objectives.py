@@ -4,11 +4,15 @@ weighted combination.
 
 All functions build autograd graphs over Tensors; centroid banks enter only
 through precomputed similarity tensors, so gradient never reaches the
-centroids themselves. Each loss is one graph node over all modalities
-(``gradcore.mean_entropy``, ``one_minus_means``, ``one_minus_weighted_means``
-and ``plogp_sums``), whose forward and backward replay the op-by-op
-composition bit for bit; its per-modality terms are leaf Tensors that carry
-the logged values.
+centroids themselves. The modalities are one stacked axis, as in the model:
+the alignment losses read the n x B max-cosine scores, DIV the n x B x C
+modality logits, and row i belongs to ``MODALITIES[i]``. Each loss is one
+graph node over all modalities (``gradcore.mean_entropy``,
+``one_minus_means``, ``one_minus_weighted_means`` and ``plogp_sums``), and
+``weighted_sum`` combines them, each replaying the per-modality op-by-op
+composition bit for bit; the per-modality terms are leaf Tensors that carry
+the logged values. A caller that holds one tensor per modality may pass a
+{modality: Tensor} dict instead of a stack; one extra node stacks it.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import numpy as np
 from . import gradcore as gc
 from .errors import ConfigError, ContractError
 from .gradcore import Tensor
+from .model import MODALITIES
 
 
 class MethodVariant(str, Enum):
@@ -43,62 +48,104 @@ class LossBreakdown:
     row: dict       # logged values: em, total and every term per modality
 
 
-def _terms(modalities: dict, values) -> dict:
+def _terms(modalities, values) -> dict:
     """Per-modality leaf Tensors that carry the logged term values."""
     return {m: Tensor(v) for m, v in zip(modalities, values)}
 
 
-def can_loss(similarities: dict):
-    """Sum over modalities of 1 - mean batch similarity."""
-    if any(s.data.size == 0 for s in similarities.values()):
-        raise ContractError("empty similarity batch")
-    total, values = gc.one_minus_means(similarities.values())
-    return total, _terms(similarities, values)
+def _stacked(per_modality):
+    """(modality names, stack) of an n x ... stack or a {modality: Tensor}
+    dict of equal-shape tensors."""
+    if isinstance(per_modality, dict):
+        return tuple(per_modality), gc.stack_rows(list(per_modality.values()))
+    if per_modality.data.shape[0] > len(MODALITIES):
+        raise ContractError(f"{per_modality.data.shape[0]} rows for {len(MODALITIES)} modalities")
+    return MODALITIES[:per_modality.data.shape[0]], per_modality
 
 
-def _check_weight_inputs(s: Tensor, beta: float):
-    if beta < 0:
-        raise ConfigError(f"adaptive weight temperature beta={beta} must be >= 0")
+def _check_similarities(similarities):
+    names, s = _stacked(similarities)
     if s.data.size == 0:
         raise ContractError("empty similarity batch")
+    return names, s
+
+
+def _can_terms(similarities) -> dict:
+    """The per-modality terms of ``can_loss`` from the score values alone;
+    builds no graph node for the scores."""
+    names, s = _check_similarities(similarities)
+    return _terms(names, gc.one_minus_means_array(s.data)[0])
+
+
+def can_loss(similarities):
+    """Sum over modalities of 1 - mean batch similarity."""
+    names, s = _check_similarities(similarities)
+    total, values = gc.one_minus_means(s)
+    return total, _terms(names, values)
+
+
+def _check_beta(beta: float):
+    if beta < 0:
+        raise ConfigError(f"adaptive weight temperature beta={beta} must be >= 0")
 
 
 def adaptive_weights(s: Tensor, beta: float) -> Tensor:
     """Batch softmax of beta * similarity; emphasizes centroid-close samples."""
-    _check_weight_inputs(s, beta)
+    _check_beta(beta)
+    if s.data.size == 0:
+        raise ContractError("empty similarity batch")
     return gc.softmax(s, beta=beta)
 
 
-def scan_loss(similarities: dict, beta: float):
+def scan_loss(similarities, beta: float):
     """Sum over modalities of 1 - softmax-weighted batch similarity, with the
-    weights of ``adaptive_weights``."""
-    for s in similarities.values():
-        _check_weight_inputs(s, beta)
-    total, values = gc.one_minus_weighted_means(similarities.values(), beta)
-    return total, _terms(similarities, values)
+    weights of ``adaptive_weights`` over each modality's row."""
+    _check_beta(beta)
+    names, s = _check_similarities(similarities)
+    total, values = gc.one_minus_weighted_means(s, beta)
+    return total, _terms(names, values)
 
 
-def cluster_avg_probs(logits: Tensor, indices: np.ndarray, k: int) -> Tensor:
+def cluster_avg_probs(logits: Tensor, indices, k: int) -> Tensor:
     """Mean softmax probability per nonempty cluster: a k' x C matrix whose
-    rows follow the cluster order."""
+    rows follow the cluster order. For n x B x C modality logits and n x B
+    cluster indices, the rows of every modality's nonempty clusters follow
+    those of the modality before: cluster j of modality i is cluster
+    j + i*k of one ``cluster_means`` over the nB rows."""
+    indices = np.asarray(indices)
+    if indices.ndim == 2:
+        n = indices.shape[0]
+        indices, k = indices + k * np.arange(n)[:, None], k * n
     return gc.cluster_means(gc.softmax(logits), indices, k)
 
 
-def div_loss(avg_probs: dict, k: int):
+def _filled_clusters(indices, k: int) -> list:
+    """The number of nonempty clusters of each row of n x B cluster indices:
+    the row groups of ``cluster_avg_probs``."""
+    return [int(np.count_nonzero(np.bincount(i, minlength=k))) for i in indices]
+
+
+def div_loss(avg_probs, k: int, sizes=None):
     """Per modality: (1/k) * sum over clusters of sum_c p log p.
 
     This is negative entropy, so minimizing it pushes each cluster-average
-    distribution toward uniform. Each modality maps to the k' x C matrix of
-    ``cluster_avg_probs``, or to a {cluster: Tensor[C]} dict that one node
-    stacks into that matrix. Empty clusters have no row and contribute zero.
+    distribution toward uniform. ``avg_probs`` is the matrix of a stacked
+    ``cluster_avg_probs``, whose modalities own ``sizes`` consecutive rows
+    each, or a dict that maps each modality to its own k' x C matrix or to a
+    {cluster: Tensor[C]} dict; one node stacks the dict's rows. Empty
+    clusters have no row and contribute zero.
     """
-    mats = []
-    for p in avg_probs.values():
-        if isinstance(p, dict):
-            p = gc.stack_rows(list(p.values())) if p else Tensor(np.zeros((0, 1)))
-        mats.append(p)
-    total, values = gc.plogp_sums(mats, 1.0 / k)
-    return total, _terms(avg_probs, values)
+    if isinstance(avg_probs, dict):
+        names, rows, sizes = tuple(avg_probs), [], []
+        for p in avg_probs.values():
+            part = list(p.values()) if isinstance(p, dict) else list(gc.unstack(p))
+            rows += part
+            sizes.append(len(part))
+        avg_probs = gc.stack_rows(rows) if rows else Tensor(np.zeros((0, 1)))
+    else:
+        names = MODALITIES[:len(sizes)]
+    total, values = gc.plogp_sums(avg_probs, 1.0 / k, sizes)
+    return total, _terms(names, values)
 
 
 def em_loss(fused_logits: Tensor) -> Tensor:
@@ -108,14 +155,18 @@ def em_loss(fused_logits: Tensor) -> Tensor:
     return gc.mean_entropy(fused_logits)
 
 
-def total_loss(similarities: dict, modality_logits: dict, fused_logits: Tensor,
-               assignments: dict, k: int, variant: MethodVariant,
+def total_loss(similarities, modality_logits, fused_logits: Tensor,
+               assignments, k: int, variant: MethodVariant,
                eps_w: float, lam: float, alpha: float, beta: float) -> LossBreakdown:
     """Weighted combined objective: eps_w * EM + lam * alignment + alpha * DIV.
 
     Variant CAN uses the plain alignment loss with alpha forced to 0; SCAN
     uses the adaptive alignment with alpha forced to 0; SCANNER uses all
-    three terms.
+    three terms. ``similarities`` are the n x B scores, ``modality_logits``
+    the n x B x C logits (read by SCANNER alone) and ``assignments`` the
+    n x B cluster indices; dicts of per-modality Tensors and
+    ``Assignment``s are stacked first. SCAN and SCANNER log the CAN terms
+    from the score values, without a CAN node.
     """
     for w in (eps_w, lam, alpha, beta):
         if not np.isfinite(w) or w < 0:
@@ -123,20 +174,23 @@ def total_loss(similarities: dict, modality_logits: dict, fused_logits: Tensor,
     if variant not in BANK_VARIANTS:
         raise ConfigError(f"variant {variant} has no combined clustering objective")
     terms = {}
-    can_total, terms["can"] = can_loss(similarities)
     em = em_loss(fused_logits)
-    total = gc.mul(em, eps_w)
-
     if variant == MethodVariant.CAN:
-        align_total = can_total
+        align, terms["can"] = can_loss(similarities)
     else:
-        align_total, terms["scan"] = scan_loss(similarities, beta)
-    total = gc.add(total, gc.mul(align_total, lam))
+        terms["can"] = _can_terms(similarities)
+        align, terms["scan"] = scan_loss(similarities, beta)
+    losses, weights = [em, align], [eps_w, lam]
     if variant == MethodVariant.SCANNER and alpha > 0.0:
-        avg = {m: cluster_avg_probs(logits, assignments[m].indices, k)
-               for m, logits in modality_logits.items()}
-        div_total, terms["div"] = div_loss(avg, k)
-        total = gc.add(total, gc.mul(div_total, alpha))
+        if isinstance(assignments, dict):
+            assignments = np.stack([a.indices for a in assignments.values()])
+        if isinstance(modality_logits, dict):
+            modality_logits = _stacked(modality_logits)[1]
+        avg = cluster_avg_probs(modality_logits, assignments, k)
+        div, terms["div"] = div_loss(avg, k, _filled_clusters(assignments, k))
+        losses.append(div)
+        weights.append(alpha)
+    total = gc.weighted_sum(losses, weights)
 
     row = {"em": em.item(), "total": total.item()}
     row.update({f"{name}_{m}": t.item() for name, ts in terms.items() for m, t in ts.items()})

@@ -52,10 +52,10 @@ def _check_attention_gradients(rng):
 
 def _check_scan_dominance(rng):
     for _ in range(200):
-        s = Tensor(rng.uniform(-1, 1, rng.integers(2, 30)))
-        can, _ = obj.can_loss({"v": s})
-        scan, _ = obj.scan_loss({"v": s}, beta=rng.uniform(0, 20))
-        assert scan.data.item() <= can.data.item() + 1e-9
+        s = Tensor(rng.uniform(-1, 1, (rng.integers(1, 4), rng.integers(2, 30))))
+        _, can = obj.can_loss(s)
+        _, scan = obj.scan_loss(s, beta=rng.uniform(0, 20))
+        assert all(scan[m].item() <= can[m].item() + 1e-9 for m in can)
     return "adaptive alignment never exceeds plain alignment"
 
 
@@ -97,10 +97,11 @@ def _check_clustering(rng):
 
 
 def _check_cluster_gradients(rng):
-    logits = Tensor(rng.normal(0, 2, (7, 3)), requires_grad=True)
-    labels = np.array([0, 2, 0, 3, 3, 0, 3])   # cluster 1 empty, cluster 2 a singleton
+    logits = Tensor(rng.normal(0, 2, (2, 7, 3)), requires_grad=True)
+    # row 0: cluster 1 empty, cluster 2 a singleton; row 1: one cluster
+    labels = np.array([[0, 2, 0, 3, 3, 0, 3], [1, 1, 1, 1, 1, 1, 1]])
     err = gc.finite_diff_params(
-        lambda: obj.div_loss({"v": obj.cluster_avg_probs(logits, labels, 4)}, 4)[0], [logits])
+        lambda: obj.div_loss(obj.cluster_avg_probs(logits, labels, 4), 4, [3, 1])[0], [logits])
     assert err < 1e-4, err
     return "per-cluster mean and diversity gradients match finite differences"
 
@@ -117,7 +118,7 @@ def _check_encoder_gradients(rng):
 
 
 def _check_loss_gradients(rng):
-    sims = {m: Tensor(rng.uniform(-1, 1, 5), requires_grad=True) for m in ("v", "t")}
+    sims = Tensor(rng.uniform(-1, 1, (2, 5)), requires_grad=True)
     logits = Tensor(rng.normal(0, 2, (7, 3)), requires_grad=True)
     labels = np.array([2, 0, 2, 2, 0, 3, 0])   # cluster 1 empty, cluster 3 a singleton
     features = Tensor(rng.normal(0, 1, (6, 4)), requires_grad=True)
@@ -125,11 +126,11 @@ def _check_loss_gradients(rng):
     weights = Tensor(rng.normal(0, 1, 6))
     losses = {
         "em_loss": (lambda: obj.em_loss(logits), [logits]),
-        "can_loss": (lambda: obj.can_loss(sims)[0], list(sims.values())),
-        "scan_loss beta=0": (lambda: obj.scan_loss(sims, 0.0)[0], list(sims.values())),
-        "scan_loss beta=10": (lambda: obj.scan_loss(sims, 10.0)[0], list(sims.values())),
+        "can_loss": (lambda: obj.can_loss(sims)[0], [sims]),
+        "scan_loss beta=0": (lambda: obj.scan_loss(sims, 0.0)[0], [sims]),
+        "scan_loss beta=10": (lambda: obj.scan_loss(sims, 10.0)[0], [sims]),
         "div_loss": (lambda: obj.div_loss(
-            {"v": obj.cluster_avg_probs(logits, labels, 4)}, 4)[0], [logits]),
+            obj.cluster_avg_probs(logits, labels, 4), 4, [3])[0], [logits]),
         "max_cosine": (lambda: gc.tsum(gc.mul(
             gc.max_cosine(features, centroids)[0], weights)), [features]),
     }

@@ -155,8 +155,8 @@ def _st_step(state: AdaptState, fused_logits, result: BatchResult):
 
 def _cluster_step(state: AdaptState, features, fused_logits, result: BatchResult):
     """One bank-variant step on the 3 x B x d_h features: one max-cosine node
-    and, for SCANNER, one classifier node over the stack; the losses read
-    per-modality slices of both."""
+    and, for SCANNER, one classifier node over the stack, which every loss
+    reads as it is."""
     cfg = state.cfg
     # the pre-update features; no later operation writes into this array
     detached = features.data
@@ -164,17 +164,14 @@ def _cluster_step(state: AdaptState, features, fused_logits, result: BatchResult
         _init_banks(state, detached)
 
     s, idx = cb.max_similarity([state.banks[m] for m in MODALITIES], features)
-    similarities = dict(zip(MODALITIES, gc.unstack(s)))
     assignments = {m: cb.Assignment(indices=idx[i]) for i, m in enumerate(MODALITIES)}
     result.assignments = {m: a.indices for m, a in assignments.items()}
-    modality_logits = {}
-    if state.variant == MethodVariant.SCANNER:
-        # only DIV reads the per-modality logits
-        logits = state.model.classifier.forward(features)
-        modality_logits = dict(zip(MODALITIES, gc.unstack(logits)))
+    # only DIV reads the modality logits
+    logits = (state.model.classifier.forward(features)
+              if state.variant == MethodVariant.SCANNER else None)
 
     bd = obj.total_loss(
-        similarities, modality_logits, fused_logits, assignments,
+        s, logits, fused_logits, idx,
         k=cfg.k, variant=state.variant, eps_w=cfg.eps_w, lam=cfg.lam,
         alpha=cfg.alpha, beta=cfg.beta,
     )
@@ -182,9 +179,9 @@ def _cluster_step(state: AdaptState, features, fused_logits, result: BatchResult
     _apply_step(state, bd.total, result)
 
     # track centroids with features from the pre-update forward, detached
+    normalized = cb.l2_normalize_rows(detached)
     for i, m in enumerate(MODALITIES):
-        normalized = cb.l2_normalize_rows(detached[i])
-        means = cb.batch_means(normalized, assignments[m], state.banks[m])
+        means = cb.batch_means(normalized[i], assignments[m], state.banks[m])
         cb.momentum_update(state.banks[m], means)
 
 

@@ -167,6 +167,34 @@ def test_outlier_fraction_applied():
     assert np.mean(_outlier_rows(clean, tgt.style_noise)) == 0.0
 
 
+def _outlier_mask_loop(rng, n, frac):
+    """One draw per iteration until round(frac * n) positions are marked."""
+    mask = np.zeros(n, dtype=bool)
+    if frac <= 0.0:
+        return mask
+    target, marked = int(round(frac * n)), 0
+    while marked < target:
+        i = rng.integers(0, n)
+        if not mask[i]:
+            mask[i] = True
+            marked += 1
+    return mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.sampled_from([0.0, 0.01, 0.1, 0.5, 0.9, 1.0]),
+       st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_outlier_mask_equals_one_draw_at_a_time(n, frac, other_frac, seed):
+    # the same mask and the same generator state afterwards, so every later
+    # draw of generate_domain is unchanged; frac 1.0 marks every position
+    for f in (frac, other_frac):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        mask = dg._outlier_mask(a, n, f)
+        assert np.array_equal(mask, _outlier_mask_loop(b, n, f))
+        assert mask.sum() == int(round(f * n))
+        assert a.bit_generator.state == b.bit_generator.state
+
+
 def test_clump_outliers_share_direction():
     bench = _bench(outlier_frac=0.3, outlier_mode="clump", outlier_spread=0.1,
                    n_target=600, style_noise=0.1)

@@ -18,6 +18,7 @@ from driftadapt.errors import (
     CompatibilityError,
     ConfigError,
     DegenerateDataError,
+    DivergenceError,
     NumericError,
 )
 from driftadapt.model import SourceModel
@@ -318,6 +319,53 @@ def test_cli_adapt_prints_online_and_final_macro_f1(tmp_path, capsys):
         online, final = metrics["online_macro_f1"], metrics["final_macro_f1"]
         assert (f"{variant}: macro-F1 {online['mean']:.4f} +/- {online['std']:.4f} online, "
                 f"{final['mean']:.4f} +/- {final['std']:.4f} final") in lines
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_run_stays_in_its_own_run(tmp_path, capsys, monkeypatch, workers):
+    cfg = tiny_experiment(tmp_path)
+    cfg.seeds = [0, 1]
+    cfg.variants = ["source", "scanner"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg.to_json())
+    harness.cmd_pretrain(cfg, tmp_path)
+    clean, out = tmp_path / "clean", tmp_path / "out"
+    argv = ["adapt", "--config", str(cfg_path), "--checkpoints", str(tmp_path),
+            "--workers", str(workers)]
+    assert cli_main(argv + ["--out", str(clean)]) == 0
+    capsys.readouterr()
+    doc = json.loads((clean / "report.json").read_text())
+    assert "failed_runs" not in doc
+
+    run = harness.run_stream
+
+    def diverging(model, target, adapt_cfg, variant, seed=0, n_classes=2):
+        if (variant, seed) == ("scanner", 1):
+            raise DivergenceError("non-finite loss at tau=3: {}")
+        return run(model, target, adapt_cfg, variant, seed=seed, n_classes=n_classes)
+
+    # the pool's processes fork after the patch, so they run it too
+    monkeypatch.setattr(harness, "run_stream", diverging)
+    assert cli_main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "ERROR divergence: scanner seed 1: non-finite loss at tau=3: {}"]
+    assert "source: macro-F1" in captured.out and "scanner: macro-F1" in captured.out
+
+    failed = json.loads((out / "report.json").read_text())
+    assert failed.pop("failed_runs") == [{"variant": "scanner", "seed": 1, "code": "divergence",
+                                          "message": "non-finite loss at tau=3: {}"}]
+    kept = [r for r in doc["runs"] if (r["variant"], r["seed"]) != ("scanner", 1)]
+    assert failed["runs"] == kept
+    assert failed["aggregate"]["source"] == doc["aggregate"]["source"]
+    diag = sorted(p.name for p in (out / "diagnostics").iterdir())
+    assert diag == ["scanner_seed0.csv", "source_seed0.csv", "source_seed1.csv"]
+    for name in diag:
+        assert (out / "diagnostics" / name).read_bytes() == \
+            (clean / "diagnostics" / name).read_bytes()
+    rows = (out / "metrics.csv").read_text().splitlines()
+    assert rows[:4] == (clean / "metrics.csv").read_text().splitlines()[:4]
+    assert not any(row.startswith("scanner,1,") for row in rows)
 
 
 def test_cli_export_embeddings(tmp_path, capsys):
