@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig
+from .config import PRESETS, ExperimentConfig
 from .errors import DriftAdaptError
 from .harness import cmd_adapt, cmd_export_embeddings, cmd_pretrain
 from .selftest import run_selftest
@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="experiment config JSON file")
         p.add_argument("--out", default="runs", help="output directory")
-        p.add_argument("--preset", choices=["mild", "severe", "collapse"],
+        p.add_argument("--preset", choices=PRESETS,
                        help="benchmark preset under the config's explicit benchmark fields")
 
     p = sub.add_parser("pretrain", help="pretrain source models, one per seed")

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import BenchmarkConfig
-from .errors import ContractError
-from .gradcore import Tensor, cluster_sums
+from .errors import ConfigError, ContractError
+from .gradcore import Tensor, cluster_sums, log_clamped_array, softmax_array
 from .model import MODALITIES
 
 _CORE_MARGIN = 2.0     # least pairwise distance of the core embeddings
@@ -62,6 +62,11 @@ def make_core_spec(bench: BenchmarkConfig, seed: int) -> CoreSpec:
         np.fill_diagonal(d, np.inf)
         if d.min() >= _CORE_MARGIN:
             break
+    else:
+        raise ConfigError(
+            f"{bench.n_cores} cores in d_z={bench.d_z} dimensions: no draw of 100 keeps "
+            f"them {_CORE_MARGIN} apart; use fewer n_cores or a larger d_z"
+        )
     return CoreSpec(
         embeddings=emb,
         p_hate=np.asarray(bench.p_hate, dtype=np.float64),
@@ -199,10 +204,8 @@ def cluster_ratio_diag(indices, preds, labels, k: int) -> dict:
 
 def entropy_rows(logits: np.ndarray) -> np.ndarray:
     """Entropy (nats) of each row's softmax, probabilities floored at 1e-12."""
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    p = e / e.sum(axis=1, keepdims=True)
-    p = np.maximum(p, 1e-12)
-    return -(p * np.log(p)).sum(axis=1)
+    logp, p = log_clamped_array(softmax_array(logits))
+    return -(p * logp).sum(axis=1)
 
 
 def entropy_diag(bank, model, features: np.ndarray, indices: np.ndarray) -> dict:

@@ -17,14 +17,9 @@ class ShapeMismatchError(DriftAdaptError, ValueError):
     code = "shape"
 
 
-class DegenerateVectorError(DriftAdaptError, ValueError):
-    """A vector with (near-)zero norm was passed where direction matters."""
-
-    code = "degenerate"
-
-
 class DegenerateDataError(DriftAdaptError, ValueError):
-    """Input data cannot support the requested computation (e.g. all duplicates)."""
+    """Input data cannot support the requested computation: a (near-)zero-norm
+    row where direction matters, or all points identical."""
 
     code = "degenerate"
 

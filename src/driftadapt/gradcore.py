@@ -23,12 +23,14 @@ Each adaptation loss is one node over the stacks too: ``mean_entropy`` of
 the fused logits, ``one_minus_means`` and ``one_minus_weighted_means`` of
 the n x B max-cosine scores (one term per row), ``plogp_sums`` of the
 per-cluster mean probabilities (one term per group of rows), and
-``weighted_sum`` of the loss terms. They share the softmax
-(``softmax_array``), clamped-log and cosine arithmetic of ``softmax``,
-``log_clamped``, ``cosine_matrix`` and ``max_axis1``, whose per-modality
-compositions the tests keep as bitwise oracles. The per-row helpers
-``rowdot``, ``rowscale``, ``stack_cols`` and ``col`` compose the same
-attention op by op; the tests use them as an oracle for ``attention_pool``.
+``weighted_sum`` of the loss terms. Every softmax runs ``softmax_array``
+and every clamped log ``log_clamped_array``; the fused ops share those and
+the cosine arithmetic of ``cosine_matrix`` and ``max_axis1``. The op-by-op
+compositions that each fused op replays, built from the small graph ops
+(``add``, ``mul``, ``tsum``, ``rowdot``, ``rowscale``, ``stack_cols``,
+``col`` and the rest), live in ``tests/oracles.py`` as bitwise references.
+A Tensor has no arithmetic operators: every graph node is built by a named
+op, so ``1 - t`` is ``add(1.0, mul(t, -1.0))``.
 Gradients accumulate with ``+=`` so a sum of losses can be backpropagated
 jointly or term by term with identical results.
 """
@@ -42,7 +44,7 @@ import numpy as np
 
 from .errors import (
     ContractError,
-    DegenerateVectorError,
+    DegenerateDataError,
     NumericError,
     ShapeMismatchError,
 )
@@ -69,41 +71,11 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self):
-        self.grad = None
-
     def detach(self) -> np.ndarray:
         return self.data.copy()
-
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, mul(_wrap(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(_wrap(other), mul(self, -1.0))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -211,8 +183,9 @@ def tmean(x: Tensor, axis=None) -> Tensor:
     return mul(tsum(x, axis=axis), 1.0 / n)
 
 
-def _log_clamped_forward(x: np.ndarray):
-    """(log(max(x, 1e-12)), max(x, 1e-12)) of an array."""
+def log_clamped_array(x: np.ndarray):
+    """(log(max(x, 1e-12)), max(x, 1e-12)) of a plain array: the arithmetic
+    of every clamped log."""
     clamped = np.maximum(x, _LOG_FLOOR)
     return np.log(clamped), clamped
 
@@ -224,7 +197,7 @@ def _log_clamped_backward(g, x: np.ndarray, clamped: np.ndarray):
 def log_clamped(x: Tensor) -> Tensor:
     """log(max(x, 1e-12)); gradient is zero where the clamp is active."""
     x = _wrap(x)
-    out_data, clamped = _log_clamped_forward(x.data)
+    out_data, clamped = log_clamped_array(x.data)
 
     def bwd(g):
         _accum(x, _log_clamped_backward(g, x.data, clamped))
@@ -396,8 +369,7 @@ def attention_pool(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     v = (rows @ wv.data).reshape(b, n, -1)
     scale = 1.0 / np.sqrt(q.shape[2])
     s = (q @ k.transpose(0, 2, 1)) * scale
-    e = np.exp(s - s.max(axis=2, keepdims=True))
-    attn = e / e.sum(axis=2, keepdims=True)
+    attn = softmax_array(s)
     out_data = (attn @ v).sum(axis=1) * (1.0 / n)
 
     def bwd(g):
@@ -499,7 +471,8 @@ def cluster_means(x: Tensor, labels, k: int) -> Tensor:
 
 def softmax_array(x: np.ndarray, beta: float = 1.0) -> np.ndarray:
     """softmax(beta * x) of a plain array along the last axis with
-    max-subtraction: the arithmetic of every softmax in the graph."""
+    max-subtraction: the arithmetic of every softmax in the program but
+    ``cross_entropy``'s log-sum-exp."""
     if x.size == 0:
         raise ContractError("softmax of empty input")
     if not np.isfinite(beta):
@@ -618,9 +591,9 @@ def _cosine_forward(f: np.ndarray, c: np.ndarray):
     nc = np.linalg.norm(c, axis=-1)
     bad = np.flatnonzero(nf < _NORM_FLOOR)
     if bad.size:
-        raise DegenerateVectorError(f"zero-norm feature row {int(bad[0]) % nf.shape[-1]}")
+        raise DegenerateDataError(f"zero-norm feature row {int(bad[0]) % nf.shape[-1]}")
     if np.any(nc < _NORM_FLOOR):
-        raise DegenerateVectorError("zero-norm centroid")
+        raise DegenerateDataError("zero-norm centroid")
     denom = nf[..., :, None] * nc[..., None, :]
     return f @ np.swapaxes(c, -1, -2) / denom, nf, denom
 
@@ -741,7 +714,7 @@ def mean_entropy(logits: Tensor) -> Tensor:
     ``mul``, ``tsum(axis=1)``, ``mul(-1)``, ``tmean``."""
     logits = _wrap(logits)
     p = softmax_array(logits.data)
-    logp, clamped = _log_clamped_forward(p)
+    logp, clamped = log_clamped_array(p)
     per_row = (p * logp).sum(axis=1) * -1.0
     inv_n = 1.0 / per_row.size
 
@@ -801,7 +774,7 @@ def plogp_sums(p: Tensor, scale: float, sizes):
     ``mul(tsum(tsum(mul(q, log_clamped(q)), axis=1)), scale)`` of its own
     matrix q, then an ``add`` chain. Returns (sum, term values)."""
     p = _wrap(p)
-    logp, clamped = _log_clamped_forward(p.data)
+    logp, clamped = log_clamped_array(p.data)
     per_row = (p.data * logp).sum(axis=1)
     ends = np.cumsum(sizes)
     if ends[-1] != per_row.size:

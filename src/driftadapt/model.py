@@ -219,7 +219,21 @@ class SourceModel:
         arrays = checkpoint.load(path)
         if "dims" not in arrays:
             raise CompatibilityError("checkpoint missing dims entry")
-        d_in, d_h, n_cls = (int(v) for v in arrays["dims"])
+        dims = arrays["dims"]
+        if (dims.shape != (3,) or not np.all(np.isfinite(dims))
+                or np.any(dims < 1) or np.any(dims != np.floor(dims))):
+            raise CompatibilityError(
+                f"checkpoint dims {dims.tolist()} are not three positive integers"
+            )
+        d_in, d_h, n_cls = (int(v) for v in dims)
+        # two stored weights hold every dim; they are checked before a model
+        # of that size is built
+        for name, shape in ((f"enc.{MODALITIES[0]}.weight", (d_in, d_h)),
+                            ("clf.weight", (d_h, n_cls))):
+            if name not in arrays or arrays[name].shape != shape:
+                raise CompatibilityError(
+                    f"checkpoint dims {dims.tolist()} do not fit its {name} entry"
+                )
         model = cls(ModelDims(d_in, d_h, n_cls), seed=0)
         views = model.state_arrays()
         del views["dims"]

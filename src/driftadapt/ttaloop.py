@@ -87,11 +87,8 @@ def adapt_batch(state: AdaptState, batch: dict) -> BatchResult:
     """Process one unlabeled target batch; updates state in place."""
     model, cfg = state.model, state.cfg
     model.zero_grad()
-    if state.variant in BANK_VARIANTS:
-        features = model.embed(batch)
-        fused_logits = model.head(features)
-    else:
-        fused_logits = model.forward(batch)
+    features = model.embed(batch)
+    fused_logits = model.head(features)
     result = BatchResult(
         tau=state.tau,
         predictions=fused_logits.data.argmax(axis=1),
@@ -155,8 +152,8 @@ def _st_step(state: AdaptState, fused_logits, result: BatchResult):
 
 def _cluster_step(state: AdaptState, features, fused_logits, result: BatchResult):
     """One bank-variant step on the 3 x B x d_h features: one max-cosine node
-    and, for SCANNER, one classifier node over the stack, which every loss
-    reads as it is."""
+    and, when DIV runs (SCANNER with alpha > 0), one classifier node over the
+    stack, which every loss reads as it is."""
     cfg = state.cfg
     # the pre-update features; no later operation writes into this array
     detached = features.data
@@ -168,7 +165,7 @@ def _cluster_step(state: AdaptState, features, fused_logits, result: BatchResult
     result.assignments = {m: a.indices for m, a in assignments.items()}
     # only DIV reads the modality logits
     logits = (state.model.classifier.forward(features)
-              if state.variant == MethodVariant.SCANNER else None)
+              if state.variant == MethodVariant.SCANNER and cfg.alpha > 0.0 else None)
 
     bd = obj.total_loss(
         s, logits, fused_logits, idx,

@@ -1,0 +1,267 @@
+"""Reference implementations that the tests compare the program against.
+
+Not a test module (pytest collects ``test_*.py`` alone). Each reference is
+the plain composition or loop that a fused op, a batched step or a shared
+helper replaced, kept so a test can require the same values bit for bit
+(by ``tobytes()`` or ``np.array_equal``), or an independent implementation
+of a metric or an update.
+"""
+
+from functools import reduce
+
+import numpy as np
+
+from driftadapt import centroids as cb, gradcore as gc, objectives as obj
+from driftadapt.gradcore import Tensor
+from driftadapt.objectives import MethodVariant
+
+
+# -- the op-by-op compositions that each fused loss node replays -----------
+
+
+def reference_can_loss(similarities: dict):
+    terms = {m: gc.add(1.0, gc.mul(gc.tmean(s), -1.0)) for m, s in similarities.items()}
+    return reduce(gc.add, terms.values()), terms
+
+
+def reference_scan_loss(similarities: dict, beta: float):
+    terms = {m: gc.add(1.0, gc.mul(gc.tsum(gc.mul(obj.adaptive_weights(s, beta), s)), -1.0))
+             for m, s in similarities.items()}
+    return reduce(gc.add, terms.values()), terms
+
+
+def reference_div_loss(avg_probs: dict, k: int):
+    terms = {}
+    for m, p in avg_probs.items():
+        if isinstance(p, dict):
+            p = gc.stack_rows(list(p.values())) if p else Tensor(np.zeros((0, 1)))
+        neg_ent = gc.tsum(gc.mul(p, gc.log_clamped(p)), axis=1)
+        terms[m] = gc.mul(gc.tsum(neg_ent), 1.0 / k)
+    return reduce(gc.add, terms.values()), terms
+
+
+def reference_em_loss(fused_logits: Tensor) -> Tensor:
+    p = gc.softmax(fused_logits)
+    per_sample = gc.mul(gc.tsum(gc.mul(p, gc.log_clamped(p)), axis=1), -1.0)
+    return gc.tmean(per_sample)
+
+
+def reference_max_cosine(features, centroids):
+    """Per slice ``max_axis1(cosine_matrix(...))`` of an n x B x d stack
+    against an n x k x d centroid stack, stacked again."""
+    parts = [gc.max_axis1(gc.cosine_matrix(f, c))
+             for f, c in zip(gc.unstack(features), centroids)]
+    return gc.stack_rows([s for s, _ in parts]), np.stack([idx for _, idx in parts])
+
+
+def reference_total_loss(similarities: dict, modality_logits: dict, fused_logits, indices,
+                         k, variant, eps_w, lam, alpha, beta):
+    """The per-modality graph of the combined objective: a CAN node in every
+    variant, one cluster mean per modality and a chain of mul and add nodes.
+    Returns (total, {"<term>_<modality>": Tensor})."""
+    can_total, terms = reference_can_loss(similarities)
+    terms = {"can": terms}
+    em = reference_em_loss(fused_logits)
+    total = gc.mul(em, eps_w)
+    if variant == MethodVariant.CAN:
+        align = can_total
+    else:
+        align, terms["scan"] = reference_scan_loss(similarities, beta)
+    total = gc.add(total, gc.mul(align, lam))
+    if variant == MethodVariant.SCANNER and alpha > 0.0:
+        avg = {m: gc.cluster_means(gc.softmax(logits), idx, k)
+               for (m, logits), idx in zip(modality_logits.items(), indices)}
+        div_total, terms["div"] = reference_div_loss(avg, k)
+        total = gc.add(total, gc.mul(div_total, alpha))
+    return total, {f"{name}_{m}": t for name, ts in terms.items() for m, t in ts.items()}
+
+
+# -- model blocks ----------------------------------------------------------
+
+
+def fusion_op_by_op(fusion, features):
+    """The fusion block composed from per-row ops: one node per row op."""
+    toks = gc.unstack(features)
+    q = [gc.matmul(t, fusion.wq) for t in toks]
+    k = [gc.matmul(t, fusion.wk) for t in toks]
+    v = [gc.matmul(t, fusion.wv) for t in toks]
+    inv_sqrt = 1.0 / np.sqrt(fusion.d_h)
+    pooled = None
+    for qi in q:
+        scores = gc.stack_cols([gc.mul(gc.rowdot(qi, kj), inv_sqrt) for kj in k])
+        attn = gc.softmax(scores)
+        tok_out = None
+        for j, vj in enumerate(v):
+            term = gc.rowscale(gc.col(attn, j), vj)
+            tok_out = term if tok_out is None else gc.add(tok_out, term)
+        pooled = tok_out if pooled is None else gc.add(pooled, tok_out)
+    return gc.mul(pooled, 1.0 / len(toks))
+
+
+def attention_pool_inline_softmax(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
+    """``gc.attention_pool`` with its softmax written out inline, as the node
+    computed it before every softmax ran ``softmax_array``."""
+    n, b, d = x.data.shape
+    rows = x.data.transpose(1, 0, 2).reshape(b * n, d)
+    q = (rows @ wq.data).reshape(b, n, -1)
+    k = (rows @ wk.data).reshape(b, n, -1)
+    v = (rows @ wv.data).reshape(b, n, -1)
+    scale = 1.0 / np.sqrt(q.shape[2])
+    s = (q @ k.transpose(0, 2, 1)) * scale
+    e = np.exp(s - s.max(axis=2, keepdims=True))
+    attn = e / e.sum(axis=2, keepdims=True)
+    out_data = (attn @ v).sum(axis=1) * (1.0 / n)
+
+    def bwd(g):
+        gv = (v @ g[:, :, None]).transpose(0, 2, 1) * (1.0 / n)
+        ds = attn * (gv - (attn * gv).sum(axis=2, keepdims=True)) * scale
+        dq = (ds @ k).reshape(b * n, -1)
+        dk = (ds.transpose(0, 2, 1) @ q).reshape(b * n, -1)
+        dv = (attn.sum(axis=1)[:, :, None] * (g[:, None, :] * (1.0 / n))).reshape(b * n, -1)
+        for w, dw in ((wq, dq), (wk, dk), (wv, dv)):
+            if w.requires_grad:
+                gc._accum(w, rows.T @ dw)
+        if x.requires_grad:
+            dx = (dq @ wq.data.T + dk @ wk.data.T + dv @ wv.data.T).reshape(b, n, d)
+            gc._accum(x, dx.transpose(1, 0, 2))
+
+    return gc._make(out_data, (x, wq, wk, wv), bwd)
+
+
+# -- optimizer -------------------------------------------------------------
+
+
+def reference_adamw(theta, grads, lr, wd, b1, b2, eps):
+    """Scalar-loop AdamW, independent of the vectorized implementation."""
+    theta = theta.copy()
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    for t, g in enumerate(grads, start=1):
+        for i in range(theta.size):
+            m[i] = b1 * m[i] + (1 - b1) * g[i]
+            v[i] = b2 * v[i] + (1 - b2) * g[i] * g[i]
+            mh = m[i] / (1 - b1**t)
+            vh = v[i] / (1 - b2**t)
+            theta[i] -= lr * mh / (np.sqrt(vh) + eps)
+            theta[i] -= lr * wd * theta[i]
+    return theta
+
+
+class PerTensorAdamW:
+    """The per-tensor update the flat optimizer replaced."""
+
+    def __init__(self, params: dict, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = dict(params)
+        self.lr, self.weight_decay = lr, weight_decay
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for name, p in self.params.items():
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            self.m[name] = b1 * self.m[name] + (1 - b1) * g
+            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
+            mhat = self.m[name] / (1 - b1**self.t)
+            vhat = self.v[name] / (1 - b2**self.t)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            if self.weight_decay:
+                p.data -= self.lr * self.weight_decay * p.data
+
+
+# -- clustering ------------------------------------------------------------
+
+
+def reference_hartigan(x, centroids, max_sweeps=100):
+    """Hartigan swap refinement as a plain loop over points and clusters: the
+    oracle of the batched ``cb._hartigan_refine``."""
+    labels, _ = cb._sse(x, centroids)
+    k = centroids.shape[0]
+    sums = np.zeros_like(centroids)
+    counts = np.zeros(k, dtype=np.int64)
+    for j in range(k):
+        members = x[labels == j]
+        counts[j] = len(members)
+        if len(members):
+            sums[j] = members.sum(axis=0)
+    for _ in range(max_sweeps):
+        moved = False
+        for i in range(x.shape[0]):
+            a = labels[i]
+            if counts[a] <= 1:
+                continue
+            ca = sums[a] / counts[a]
+            removal_gain = counts[a] / (counts[a] - 1.0) * ((x[i] - ca) ** 2).sum()
+            best_gain, best_b = 1e-12, -1
+            for b in range(k):
+                if b == a:
+                    continue
+                if counts[b] == 0:
+                    gain = removal_gain
+                else:
+                    cb_mean = sums[b] / counts[b]
+                    gain = removal_gain - counts[b] / (counts[b] + 1.0) * (
+                        (x[i] - cb_mean) ** 2
+                    ).sum()
+                if gain > best_gain:
+                    best_gain, best_b = gain, b
+            if best_b >= 0:
+                sums[a] -= x[i]
+                counts[a] -= 1
+                sums[best_b] += x[i]
+                counts[best_b] += 1
+                labels[i] = best_b
+                moved = True
+        if not moved:
+            break
+    out = centroids.copy()
+    for j in range(k):
+        if counts[j]:
+            out[j] = sums[j] / counts[j]
+    return out
+
+
+# -- benchmark generator and metrics ----------------------------------------
+
+
+def outlier_mask_loop(rng, n, frac):
+    """One draw per iteration until round(frac * n) positions are marked."""
+    mask = np.zeros(n, dtype=bool)
+    if frac <= 0.0:
+        return mask
+    target, marked = int(round(frac * n)), 0
+    while marked < target:
+        i = rng.integers(0, n)
+        if not mask[i]:
+            mask[i] = True
+            marked += 1
+    return mask
+
+
+def f1_oracle(preds, labels, n_classes=2):
+    """Confusion-matrix macro F1, written independently of the implementation."""
+    cm = np.zeros((n_classes, n_classes), dtype=int)
+    for p, y in zip(preds, labels):
+        cm[y, p] += 1
+    f1s = []
+    for c in range(n_classes):
+        tp = cm[c, c]
+        denom_p = cm[:, c].sum()
+        denom_r = cm[c, :].sum()
+        prec = tp / denom_p if denom_p else 0.0
+        rec = tp / denom_r if denom_r else 0.0
+        f1s.append(2 * prec * rec / (prec + rec) if prec + rec else 0.0)
+    return float(np.mean(f1s))
+
+
+def entropy_rows_inline(logits: np.ndarray) -> np.ndarray:
+    """``driftgen.entropy_rows`` with its softmax and floored log written out
+    inline, as it computed them before it ran ``softmax_array`` and
+    ``log_clamped_array``."""
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    p = np.maximum(p, 1e-12)
+    return -(p * np.log(p)).sum(axis=1)

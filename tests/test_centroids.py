@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import reference_hartigan
+
 from driftadapt import centroids as cb
 from driftadapt.errors import ConfigError, ContractError, DegenerateDataError
 from driftadapt.gradcore import Tensor
@@ -85,55 +87,6 @@ def test_init_matches_brute_force_small():
     assert found <= best + 1e-9
 
 
-def _reference_hartigan(x, centroids, max_sweeps=100):
-    """Hartigan swap refinement as a plain loop over points and clusters: the
-    oracle of the batched ``cb._hartigan_refine``."""
-    labels, _ = cb._sse(x, centroids)
-    k = centroids.shape[0]
-    sums = np.zeros_like(centroids)
-    counts = np.zeros(k, dtype=np.int64)
-    for j in range(k):
-        members = x[labels == j]
-        counts[j] = len(members)
-        if len(members):
-            sums[j] = members.sum(axis=0)
-    for _ in range(max_sweeps):
-        moved = False
-        for i in range(x.shape[0]):
-            a = labels[i]
-            if counts[a] <= 1:
-                continue
-            ca = sums[a] / counts[a]
-            removal_gain = counts[a] / (counts[a] - 1.0) * ((x[i] - ca) ** 2).sum()
-            best_gain, best_b = 1e-12, -1
-            for b in range(k):
-                if b == a:
-                    continue
-                if counts[b] == 0:
-                    gain = removal_gain
-                else:
-                    cb_mean = sums[b] / counts[b]
-                    gain = removal_gain - counts[b] / (counts[b] + 1.0) * (
-                        (x[i] - cb_mean) ** 2
-                    ).sum()
-                if gain > best_gain:
-                    best_gain, best_b = gain, b
-            if best_b >= 0:
-                sums[a] -= x[i]
-                counts[a] -= 1
-                sums[best_b] += x[i]
-                counts[best_b] += 1
-                labels[i] = best_b
-                moved = True
-        if not moved:
-            break
-    out = centroids.copy()
-    for j in range(k):
-        if counts[j]:
-            out[j] = sums[j] / counts[j]
-    return out
-
-
 def _refine(x, centroids):
     return cb._hartigan_refine(x, centroids, cb._sse(x, centroids)[0])
 
@@ -158,13 +111,13 @@ def test_hartigan_matches_loop_bitwise(seed, n, d, k, kind, far_centroid):
         # a centroid that no point is nearest to: the refinement starts with
         # an empty cluster, which takes every positive removal gain
         centroids[-1] = 100.0
-    assert np.array_equal(_refine(x, centroids), _reference_hartigan(x, centroids))
+    assert np.array_equal(_refine(x, centroids), reference_hartigan(x, centroids))
 
 
 def test_hartigan_single_cluster_is_the_mean():
     x = cb.l2_normalize_rows(np.random.default_rng(2).normal(0, 1, (9, 4)))
     c = x[:1].copy()
-    assert np.array_equal(_refine(x, c), _reference_hartigan(x, c))
+    assert np.array_equal(_refine(x, c), reference_hartigan(x, c))
     np.testing.assert_allclose(_refine(x, c)[0], x.mean(axis=0), atol=1e-15)
 
 
@@ -173,7 +126,7 @@ def test_hartigan_never_moves_a_singleton():
     x = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [5.0, 5.0]])
     c = np.array([[0.1, 0.0], [5.0, 5.0]])
     out = _refine(x, c)
-    assert np.array_equal(out, _reference_hartigan(x, c))
+    assert np.array_equal(out, reference_hartigan(x, c))
     np.testing.assert_array_equal(out[1], [5.0, 5.0])
 
 
@@ -182,7 +135,7 @@ def test_hartigan_fills_an_empty_start_cluster():
     c = np.array([[0.5, 0.5], [10.0, 10.0]])
     assert np.bincount(cb._sse(x, c)[0], minlength=2)[1] == 0
     out = _refine(x, c)
-    assert np.array_equal(out, _reference_hartigan(x, c))
+    assert np.array_equal(out, reference_hartigan(x, c))
     # (0, 0) takes the empty cluster on its positive removal gain and
     # (1, 0) follows it: the square splits into a bottom and a top pair
     np.testing.assert_array_equal(out, [[0.5, 1.0], [0.5, 0.0]])
@@ -195,7 +148,7 @@ def test_hartigan_move_that_leaves_one_member():
     c = np.array([[2.0, 0.0], [5.0, 0.0]])
     np.testing.assert_array_equal(cb._sse(x, c)[0], [0, 0, 1, 1])
     out = _refine(x, c)
-    assert np.array_equal(out, _reference_hartigan(x, c))
+    assert np.array_equal(out, reference_hartigan(x, c))
     np.testing.assert_array_equal(out[0], [0.0, 0.0])
     np.testing.assert_allclose(out[1], [(3.4 + 6.0 + 6.2) / 3, 0.0])
 

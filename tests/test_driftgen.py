@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from driftadapt import driftgen as dg
+from oracles import entropy_rows_inline, f1_oracle, outlier_mask_loop
+
+from driftadapt import driftgen as dg, gradcore as gc
 from driftadapt.config import BenchmarkConfig, preset_benchmark
-from driftadapt.errors import ContractError
+from driftadapt.errors import ConfigError, ContractError
 from driftadapt.model import MODALITIES
 
 
@@ -18,22 +20,6 @@ def _bench(**kw):
 
 
 # -- metrics ---------------------------------------------------------------
-
-
-def _f1_oracle(preds, labels, n_classes=2):
-    """Confusion-matrix macro F1, written independently of the implementation."""
-    cm = np.zeros((n_classes, n_classes), dtype=int)
-    for p, y in zip(preds, labels):
-        cm[y, p] += 1
-    f1s = []
-    for c in range(n_classes):
-        tp = cm[c, c]
-        denom_p = cm[:, c].sum()
-        denom_r = cm[c, :].sum()
-        prec = tp / denom_p if denom_p else 0.0
-        rec = tp / denom_r if denom_r else 0.0
-        f1s.append(2 * prec * rec / (prec + rec) if prec + rec else 0.0)
-    return float(np.mean(f1s))
 
 
 def test_accuracy_hand_values():
@@ -67,7 +53,7 @@ def test_macro_f1_matches_confusion_oracle(seed, n):
     preds = rng.integers(0, 2, n)
     labels = rng.integers(0, 2, n)
     assert dg.macro_f1(preds, labels) == pytest.approx(
-        _f1_oracle(preds, labels), abs=1e-12
+        f1_oracle(preds, labels), abs=1e-12
     )
 
 
@@ -92,6 +78,16 @@ def test_core_spec_separation_and_shapes():
     d = np.linalg.norm(cores.embeddings[:, None] - cores.embeddings[None], axis=2)
     np.fill_diagonal(d, np.inf)
     assert d.min() >= 2.0
+
+
+@pytest.mark.parametrize("n_cores, d_z", [(4, 1), (12, 3), (40, 8)])
+def test_core_spec_rejects_cores_that_never_separate(n_cores, d_z):
+    # one dimension holds two cores 2 apart at most; the others leave their
+    # least distance below 2 in every one of the 100 draws
+    bench = _bench(n_cores=n_cores, d_z=d_z, p_hate=[0.5] * n_cores)
+    bench.validate()
+    with pytest.raises(ConfigError, match=f"{n_cores} cores in d_z={d_z}"):
+        dg.make_core_spec(bench, seed=0)
 
 
 def test_severity_zero_maps_identical():
@@ -167,20 +163,6 @@ def test_outlier_fraction_applied():
     assert np.mean(_outlier_rows(clean, tgt.style_noise)) == 0.0
 
 
-def _outlier_mask_loop(rng, n, frac):
-    """One draw per iteration until round(frac * n) positions are marked."""
-    mask = np.zeros(n, dtype=bool)
-    if frac <= 0.0:
-        return mask
-    target, marked = int(round(frac * n)), 0
-    while marked < target:
-        i = rng.integers(0, n)
-        if not mask[i]:
-            mask[i] = True
-            marked += 1
-    return mask
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 300), st.sampled_from([0.0, 0.01, 0.1, 0.5, 0.9, 1.0]),
        st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
@@ -190,7 +172,7 @@ def test_outlier_mask_equals_one_draw_at_a_time(n, frac, other_frac, seed):
     for f in (frac, other_frac):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         mask = dg._outlier_mask(a, n, f)
-        assert np.array_equal(mask, _outlier_mask_loop(b, n, f))
+        assert np.array_equal(mask, outlier_mask_loop(b, n, f))
         assert mask.sum() == int(round(f * n))
         assert a.bit_generator.state == b.bit_generator.state
 
@@ -262,3 +244,20 @@ def test_entropy_rows_shift_invariant(seed):
     shift = rng.normal(0, 100, (5, 1))
     np.testing.assert_allclose(dg.entropy_rows(logits + shift), dg.entropy_rows(logits),
                                rtol=0, atol=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 7),
+       st.sampled_from([0.0, 20.0, 40.0, 800.0]), st.sampled_from([0.1, 3.0, 1e3]))
+def test_entropy_rows_equal_inline_arithmetic_bitwise(seed, n, c, margin, scale):
+    # at a logit spread of 0.1, margins of 40 and more put the other classes'
+    # probabilities below the 1e-12 floor (800 underflows them to zero);
+    # entropy_rows floors the probabilities it multiplies, where
+    # mean_entropy does not
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(0, scale, (n, c))
+    logits[:, 0] += margin
+    got = dg.entropy_rows(logits)
+    assert got.tobytes() == entropy_rows_inline(logits).tobytes()
+    if margin >= 40.0 and scale == 0.1 and c > 1:
+        assert (gc.softmax_array(logits)[:, 1:] < 1e-12).all()

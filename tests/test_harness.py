@@ -599,6 +599,30 @@ def test_cli_corrupt_checkpoint_is_compat_error(tmp_path, capsys, corrupt):
     assert capsys.readouterr().err.startswith("ERROR compat:")
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("dims", [[4, 6], [4, float("nan"), 2], [4, -6, 2], [[4, 6, 2]],
+                                  [4, 6.5, 2], [4, 1e12, 2]], ids=str)
+def test_cli_malformed_checkpoint_dims_is_compat_error(tmp_path, capsys, dims, workers):
+    # the tiny checkpoint's dims are [4, 6, 2]; 6.5 used to be cut to 6 and
+    # load, and 1e12 is checked against the stored weights before a model of
+    # that size is allocated
+    cfg_path = _write_cfg(tmp_path)
+    ckpts = tmp_path / "ckpts"
+
+    def set_dims(blob):
+        arrays = checkpoint.loads(blob)
+        arrays["dims"] = np.asarray(dims, dtype=np.float64)
+        return checkpoint.dumps(arrays)
+
+    _corrupt_checkpoint(ckpts, set_dims)
+    code = cli_main(["adapt", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--checkpoints", str(ckpts), "--workers", str(workers)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2   # one line per failed (variant, seed) run
+    assert all(line.startswith("ERROR compat:") and "dims" in line for line in err)
+
+
 @pytest.mark.parametrize("exc, code", [
     (DegenerateDataError("all points identical"), "degenerate"),
     (NumericError("non-finite value"), "numeric"),
@@ -617,9 +641,8 @@ def test_cli_reports_error_code_of_any_driftadapt_error(tmp_path, capsys, monkey
 
 def test_every_error_class_carries_a_code():
     expected = {
-        "ShapeMismatchError": "shape", "DegenerateVectorError": "degenerate",
-        "DegenerateDataError": "degenerate", "ConfigError": "config",
-        "ContractError": "contract", "DivergenceError": "divergence",
+        "ShapeMismatchError": "shape", "DegenerateDataError": "degenerate",
+        "ConfigError": "config", "ContractError": "contract", "DivergenceError": "divergence",
         "NumericError": "numeric", "CompatibilityError": "compat",
     }
     classes = {name: cls for name, cls in vars(errors).items()

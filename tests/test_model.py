@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_batch, tiny_model
+from oracles import fusion_op_by_op
 
 from driftadapt import checkpoint, gradcore as gc
 from driftadapt.errors import CompatibilityError, ContractError
@@ -51,25 +52,6 @@ def test_forward_deterministic():
     np.testing.assert_array_equal(out1, out2)
 
 
-def _fusion_op_by_op(fusion, features):
-    """The fusion block composed from per-row ops: one node per row op."""
-    toks = gc.unstack(features)
-    q = [gc.matmul(t, fusion.wq) for t in toks]
-    k = [gc.matmul(t, fusion.wk) for t in toks]
-    v = [gc.matmul(t, fusion.wv) for t in toks]
-    inv_sqrt = 1.0 / np.sqrt(fusion.d_h)
-    pooled = None
-    for qi in q:
-        scores = gc.stack_cols([gc.mul(gc.rowdot(qi, kj), inv_sqrt) for kj in k])
-        attn = gc.softmax(scores)
-        tok_out = None
-        for j, vj in enumerate(v):
-            term = gc.rowscale(gc.col(attn, j), vj)
-            tok_out = term if tok_out is None else gc.add(tok_out, term)
-        pooled = tok_out if pooled is None else gc.add(pooled, tok_out)
-    return gc.mul(pooled, 1.0 / len(toks))
-
-
 def test_fusion_matches_op_by_op_composition():
     rng = np.random.default_rng(21)
     fusion = FusionBlock(6, rng)
@@ -77,7 +59,7 @@ def test_fusion_matches_op_by_op_composition():
     leaves = [features, fusion.wq, fusion.wk, fusion.wv]
     weights = gc.Tensor(rng.normal(0, 1, (7, 6)))
     results = []
-    for forward in (fusion.forward, lambda f: _fusion_op_by_op(fusion, f)):
+    for forward in (fusion.forward, lambda f: fusion_op_by_op(fusion, f)):
         for t in leaves:
             t.grad = None
         out = forward(features)

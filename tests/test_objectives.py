@@ -1,6 +1,5 @@
 """Loss-family tests with hand-derived frozen values and property checks."""
 
-from functools import reduce
 from unittest import mock
 
 import numpy as np
@@ -8,6 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import tiny_batch, tiny_model
+from oracles import (
+    reference_can_loss, reference_div_loss, reference_em_loss, reference_max_cosine,
+    reference_scan_loss, reference_total_loss,
+)
 
 from driftadapt import gradcore as gc, objectives as obj, ttaloop as tt
 from driftadapt.centroids import Assignment
@@ -15,65 +18,6 @@ from driftadapt.config import AdaptConfig
 from driftadapt.errors import ConfigError, ContractError, ShapeMismatchError
 from driftadapt.gradcore import Tensor
 from driftadapt.objectives import MethodVariant
-
-
-# -- the op-by-op compositions that each fused loss node replays -----------
-
-
-def _reference_can_loss(similarities: dict):
-    terms = {m: 1.0 - gc.tmean(s) for m, s in similarities.items()}
-    return reduce(gc.add, terms.values()), terms
-
-
-def _reference_scan_loss(similarities: dict, beta: float):
-    terms = {m: 1.0 - gc.tsum(gc.mul(obj.adaptive_weights(s, beta), s))
-             for m, s in similarities.items()}
-    return reduce(gc.add, terms.values()), terms
-
-
-def _reference_div_loss(avg_probs: dict, k: int):
-    terms = {}
-    for m, p in avg_probs.items():
-        if isinstance(p, dict):
-            p = gc.stack_rows(list(p.values())) if p else Tensor(np.zeros((0, 1)))
-        neg_ent = gc.tsum(gc.mul(p, gc.log_clamped(p)), axis=1)
-        terms[m] = gc.mul(gc.tsum(neg_ent), 1.0 / k)
-    return reduce(gc.add, terms.values()), terms
-
-
-def _reference_em_loss(fused_logits: Tensor) -> Tensor:
-    p = gc.softmax(fused_logits)
-    per_sample = gc.mul(gc.tsum(gc.mul(p, gc.log_clamped(p)), axis=1), -1.0)
-    return gc.tmean(per_sample)
-
-
-def _reference_max_cosine(features, centroids):
-    """Per modality slice ``max_axis1(cosine_matrix(...))``, stacked again."""
-    parts = [gc.max_axis1(gc.cosine_matrix(f, c))
-             for f, c in zip(gc.unstack(features), centroids)]
-    return gc.stack_rows([s for s, _ in parts]), np.stack([idx for _, idx in parts])
-
-
-def _reference_total_loss(similarities: dict, modality_logits: dict, fused_logits, indices,
-                          k, variant, eps_w, lam, alpha, beta):
-    """The per-modality graph of the combined objective: a CAN node in every
-    variant, one cluster mean per modality and a chain of mul and add nodes.
-    Returns (total, {"<term>_<modality>": Tensor})."""
-    can_total, terms = _reference_can_loss(similarities)
-    terms = {"can": terms}
-    em = _reference_em_loss(fused_logits)
-    total = gc.mul(em, eps_w)
-    if variant == MethodVariant.CAN:
-        align = can_total
-    else:
-        align, terms["scan"] = _reference_scan_loss(similarities, beta)
-    total = gc.add(total, gc.mul(align, lam))
-    if variant == MethodVariant.SCANNER and alpha > 0.0:
-        avg = {m: gc.cluster_means(gc.softmax(logits), idx, k)
-               for (m, logits), idx in zip(modality_logits.items(), indices)}
-        div_total, terms["div"] = _reference_div_loss(avg, k)
-        total = gc.add(total, gc.mul(div_total, alpha))
-    return total, {f"{name}_{m}": t for name, ts in terms.items() for m, t in ts.items()}
 
 
 def _slices(stack):
@@ -155,7 +99,7 @@ def test_em_loss_equals_composition_bitwise(seed, b, c, margin, upstream):
     x = _logits(np.random.default_rng(seed), (b, c), margin)
     if margin:
         assert (gc.softmax(x).data < 1e-12).any()
-    _assert_same_bits(lambda: obj.em_loss(x), lambda: _reference_em_loss(x), [x], upstream)
+    _assert_same_bits(lambda: obj.em_loss(x), lambda: reference_em_loss(x), [x], upstream)
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,10 +109,10 @@ def test_can_and_scan_equal_composition_bitwise(seed, n_mod, b, beta, ties, upst
     # one node over the n x B stack against the per-modality graph of its
     # slices; rounding to one decimal makes ties within and across rows
     sims = _similarities(np.random.default_rng(seed), n_mod, b, ties)
-    _assert_same_bits(lambda: obj.can_loss(sims), lambda: _reference_can_loss(_slices(sims)),
+    _assert_same_bits(lambda: obj.can_loss(sims), lambda: reference_can_loss(_slices(sims)),
                       [sims], upstream)
     _assert_same_bits(lambda: obj.scan_loss(sims, beta),
-                      lambda: _reference_scan_loss(_slices(sims), beta), [sims], upstream)
+                      lambda: reference_scan_loss(_slices(sims), beta), [sims], upstream)
     # the CAN terms that scan and scanner log from the values alone
     assert ({m: _bits(t.data) for m, t in obj._can_terms(sims).items()}
             == {m: _bits(t.data) for m, t in obj.can_loss(sims)[1].items()})
@@ -204,7 +148,7 @@ def test_div_loss_equals_composition_bitwise(seed, n_mod, b, c, k, patterns, mar
         return obj.div_loss(obj.cluster_avg_probs(logits, idx, k), k, sizes)
 
     def reference():
-        return _reference_div_loss({m: gc.cluster_means(gc.softmax(x), i, k)
+        return reference_div_loss({m: gc.cluster_means(gc.softmax(x), i, k)
                                     for (m, x), i in zip(_slices(logits).items(), idx)}, k)
 
     _assert_same_bits(fused, reference, [logits], upstream)
@@ -239,8 +183,8 @@ def test_total_loss_equals_composition_bitwise(seed, variant, n_mod, b, k, patte
         return _fused_total_loss(s, logits, fused_logits, idx, **weights)
 
     def reference():
-        s, _ = _reference_max_cosine(features, centroids)
-        return _reference_total_loss(_slices(s), _slices(logits), fused_logits, idx, **weights)
+        s, _ = reference_max_cosine(features, centroids)
+        return reference_total_loss(_slices(s), _slices(logits), fused_logits, idx, **weights)
 
     _assert_same_bits(fused, reference, [features, logits, fused_logits], upstream)
 
@@ -271,7 +215,7 @@ def test_dict_inputs_equal_the_stacks_bitwise():
     rows = {"v": {0: rng.dirichlet(np.ones(3)), 2: rng.dirichlet(np.ones(3))},
             "t": {}, "a": {1: rng.dirichlet(np.ones(3))}}
     rows = {m: {j: Tensor(r, requires_grad=True) for j, r in ps.items()} for m, ps in rows.items()}
-    _assert_same_bits(lambda: obj.div_loss(rows, 3), lambda: _reference_div_loss(rows, 3),
+    _assert_same_bits(lambda: obj.div_loss(rows, 3), lambda: reference_div_loss(rows, 3),
                       [t for ps in rows.values() for t in ps.values()], -2.0)
 
 
@@ -289,17 +233,17 @@ def test_adapt_steps_equal_composition_bitwise(monkeypatch, variant):
                  for r in rows],
                 {name: _bits(p.data) for name, p in model.named_parameters().items()})
 
-    def reference_total_loss(s, logits, fused_logits, idx, **kw):
-        total, terms = _reference_total_loss(
+    def reference_breakdown(s, logits, fused_logits, idx, **kw):
+        total, terms = reference_total_loss(
             _slices(s), None if logits is None else _slices(logits), fused_logits, idx, **kw)
-        row = {"em": _reference_em_loss(fused_logits).item(), "total": total.item()}
+        row = {"em": reference_em_loss(fused_logits).item(), "total": total.item()}
         row.update({key: t.item() for key, t in terms.items()})
         return obj.LossBreakdown(total=total, row=row)
 
     fused = run()
-    monkeypatch.setattr(obj, "em_loss", _reference_em_loss)
-    monkeypatch.setattr(obj, "total_loss", reference_total_loss)
-    monkeypatch.setattr(gc, "max_cosine", _reference_max_cosine)
+    monkeypatch.setattr(obj, "em_loss", reference_em_loss)
+    monkeypatch.setattr(obj, "total_loss", reference_breakdown)
+    monkeypatch.setattr(gc, "max_cosine", reference_max_cosine)
     assert fused == run()
 
 

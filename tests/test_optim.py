@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles import PerTensorAdamW, reference_adamw
+
 from driftadapt.errors import ContractError, ShapeMismatchError
 from driftadapt.gradcore import Tensor
 from driftadapt.model import ModelDims, SourceModel
@@ -21,22 +23,6 @@ def test_single_step_hand_value():
     assert p.data[0] == pytest.approx(0.89100000198, abs=1e-11)
 
 
-def _reference_adamw(theta, grads, lr, wd, b1, b2, eps):
-    """Scalar-loop reference, independent of the vectorized implementation."""
-    theta = theta.copy()
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    for t, g in enumerate(grads, start=1):
-        for i in range(theta.size):
-            m[i] = b1 * m[i] + (1 - b1) * g[i]
-            v[i] = b2 * v[i] + (1 - b2) * g[i] * g[i]
-            mh = m[i] / (1 - b1**t)
-            vh = v[i] / (1 - b2**t)
-            theta[i] -= lr * mh / (np.sqrt(vh) + eps)
-            theta[i] -= lr * wd * theta[i]
-    return theta
-
-
 def test_multi_step_matches_reference():
     rng = np.random.default_rng(3)
     theta0 = rng.normal(0, 1, 5)
@@ -46,7 +32,7 @@ def test_multi_step_matches_reference():
     for g in grads:
         p.grad = g.copy()
         opt.step()
-    ref = _reference_adamw(theta0, grads, 0.01, 0.05, 0.9, 0.999, 1e-8)
+    ref = reference_adamw(theta0, grads, 0.01, 0.05, 0.9, 0.999, 1e-8)
     np.testing.assert_allclose(p.data, ref, atol=1e-12)
 
 
@@ -86,38 +72,13 @@ def test_zero_grad_clears():
     assert p.grad is None
 
 
-class _PerTensorAdamW:
-    """The per-tensor update the flat optimizer replaced, kept as its oracle."""
-
-    def __init__(self, params: dict, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = dict(params)
-        self.lr, self.weight_decay = lr, weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-
-    def step(self):
-        self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        for name, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            mhat = self.m[name] / (1 - b1**self.t)
-            vhat = self.v[name] / (1 - b2**self.t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-            if self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
-
-
 @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
 def test_flat_step_matches_per_tensor_bitwise(weight_decay):
     rng = np.random.default_rng(17)
     shapes = {"w": (5, 3), "b": (3,), "g": (1,), "frozen": (4, 2), "m": (2, 2, 2)}
     init = {k: rng.normal(0, 1, s) for k, s in shapes.items()}
     runs = []
-    for cls in (AdamW, _PerTensorAdamW):
+    for cls in (AdamW, PerTensorAdamW):
         params = {k: Tensor(v.copy(), requires_grad=True) for k, v in init.items()}
         opt = cls(params, lr=3e-3, weight_decay=weight_decay)
         grad_rng = np.random.default_rng(5)

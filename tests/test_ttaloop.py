@@ -319,18 +319,23 @@ def test_nonfinite_grad_skips_step():
 # classifier node over the stack and DIV's softmax, cluster-mean and plogp
 # nodes. Losses that read per-modality slices of the stacks made these 5,
 # 4, 12, 13 and 26; one encoder and one max-cosine node per modality 7, 6,
-# 13, 14 and 26; op-by-op losses 80 for scanner, 55 scan, 38 can, 12 tent_em
-CLUSTER_BATCH_NODE_BUDGET = {"st": 5, "tent_em": 4, "can": 7, "scan": 7, "scanner": 11}
+# 13, 14 and 26; op-by-op losses 80 for scanner, 55 scan, 38 can, 12 tent_em.
+# With alpha = 0 DIV does not run, and scanner builds scan's graph (it built
+# the unread classifier node too, 8)
+CLUSTER_BATCH_NODE_BUDGET = {"st": 5, "tent_em": 4, "can": 7, "scan": 7, "scanner": 11,
+                             "scanner-alpha0": 7}
 
 
-@pytest.mark.parametrize("variant", sorted(CLUSTER_BATCH_NODE_BUDGET))
-def test_cluster_batch_graph_size(monkeypatch, variant):
+@pytest.mark.parametrize("case", sorted(CLUSTER_BATCH_NODE_BUDGET))
+def test_cluster_batch_graph_size(monkeypatch, case):
     # after the banks are seeded at tau=0, a k=5 batch with every cluster
     # filled; st keeps some pseudo-labels, so every variant takes a step
     made = []
     make = gc._make
     monkeypatch.setattr(gc, "_make", lambda *args: made.append(1) or make(*args))
-    cfg = AdaptConfig(k=5, batch_size=32, st_confidence=0.51)
+    variant, _, alpha = case.partition("-alpha")
+    cfg = AdaptConfig(k=5, batch_size=32, st_confidence=0.51,
+                      alpha=float(alpha) if alpha else AdaptConfig.alpha)
     state = tt.init_adapt_state(tiny_model(), cfg, variant)
     batch = tiny_batch(np.random.default_rng(0), n=32)
     tt.adapt_batch(state, batch)
@@ -338,7 +343,7 @@ def test_cluster_batch_graph_size(monkeypatch, variant):
     res = tt.adapt_batch(state, batch)
     assert all(len(set(a.tolist())) == 5 for a in res.assignments.values())
     assert res.grad_norm > 0
-    assert len(made) == CLUSTER_BATCH_NODE_BUDGET[variant]
+    assert len(made) == CLUSTER_BATCH_NODE_BUDGET[case]
 
 
 def test_grad_norm_sums_the_per_modality_slices_in_name_order():
