@@ -47,10 +47,12 @@ class Assignment:
     similarities: np.ndarray = None  # per-sample max cosine similarity, if kept
 
 
-def _sse(features: np.ndarray, centroids: np.ndarray) -> tuple:
+def _sse(features: np.ndarray, centroids: np.ndarray, total: bool = True) -> tuple:
+    """The nearest centroid of each row and, if ``total``, the SSE of that
+    assignment (else None)."""
     d2 = ((features[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     labels = d2.argmin(axis=1)
-    return labels, float(d2[np.arange(len(features)), labels].sum())
+    return labels, float(d2[np.arange(len(features)), labels].sum()) if total else None
 
 
 def init_kmeanspp(features: np.ndarray, k: int, seed=0,
@@ -62,7 +64,7 @@ def init_kmeanspp(features: np.ndarray, k: int, seed=0,
     if b < k:
         raise ConfigError(f"need at least k={k} points, got {b}")
     x = l2_normalize_rows(np.asarray(features, dtype=np.float64))
-    if k > 1 and np.allclose(x, x[0], atol=1e-12):
+    if k > 1 and np.all(np.abs(x - x[0]) <= 1e-12 + 1e-5 * np.abs(x[0])):
         raise DegenerateDataError("all points identical; cannot seed k>1 clusters")
 
     rng = np.random.default_rng(seed)
@@ -79,11 +81,12 @@ def init_kmeanspp(features: np.ndarray, k: int, seed=0,
         d2 = np.minimum(d2, ((x - centroids[j]) ** 2).sum(axis=1))
 
     # each centroid set is assigned once: Lloyd updates from these labels,
-    # and the labels of the converged centroids seed the swap refinement
-    labels = _sse(x, centroids)[0]
+    # and the labels of the converged centroids seed the swap refinement;
+    # nothing here reads the SSE, so it is not summed
+    labels = _sse(x, centroids, False)[0]
     for _ in range(_MAX_SWEEPS):
         centroids = _lloyd_step(x, centroids, labels)
-        labels, previous = _sse(x, centroids)[0], labels
+        labels, previous = _sse(x, centroids, False)[0], labels
         if np.array_equal(labels, previous):
             break
     centroids = _hartigan_refine(x, centroids, labels)

@@ -93,9 +93,10 @@ def load_compatible(ckpt_path, cfg: ExperimentConfig) -> SourceModel:
     return model
 
 
-def run_one(cfg: ExperimentConfig, ckpt_path, target, variant: str, seed: int) -> RunReport:
+def run_one(cfg: ExperimentConfig, ckpt_path, target, variant: str, seed: int,
+            bank_seeds: dict = None) -> RunReport:
     return run_stream(load_compatible(ckpt_path, cfg), target, cfg.adapt, variant,
-                      seed=seed, n_classes=cfg.n_classes)
+                      seed=seed, n_classes=cfg.n_classes, bank_seeds=bank_seeds)
 
 
 def _outcome(result):
@@ -109,7 +110,10 @@ def _outcome(result):
 def cmd_adapt(cfg: ExperimentConfig, ckpt_dir, out_dir) -> dict:
     """Run every (variant, seed) pair; writes reports, metrics, diagnostics.
 
-    Each seed's target stream is built once and shared by all its variants.
+    Each seed's target stream is built once and shared by all its variants,
+    and so are its centroid banks, seeded in the first bank run of the seed.
+    Pool jobs each receive their own copy of the empty ``bank_seeds`` dict, so
+    with ``workers > 1`` every bank run seeds its own banks.
     A job that raises a DriftAdaptError fails alone: ``report.json`` lists it
     under ``failed_runs`` (variant, seed, error code and message), and every
     other run's files are written as if it had not run. Without a failure
@@ -119,14 +123,15 @@ def cmd_adapt(cfg: ExperimentConfig, ckpt_dir, out_dir) -> dict:
     out = Path(out_dir)
     (out / "diagnostics").mkdir(parents=True, exist_ok=True)
     targets = {seed: build_domain(cfg, seed, "target") for seed in cfg.seeds}
+    bank_seeds = {}
     jobs = [(cfg, checkpoint_path(ckpt_dir, seed), targets[seed], variant, seed)
             for variant in cfg.variants for seed in cfg.seeds]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(run_one, *job) for job in jobs]
+            futures = [pool.submit(run_one, *job, bank_seeds) for job in jobs]
             outcomes = [_outcome(f.result) for f in futures]
     else:
-        outcomes = [_outcome(partial(run_one, *job)) for job in jobs]
+        outcomes = [_outcome(partial(run_one, *job, bank_seeds)) for job in jobs]
     reports = [r for r in outcomes if isinstance(r, RunReport)]
     failed = [{"variant": variant, "seed": seed, "code": exc.code, "message": str(exc)}
               for (*_, variant, seed), exc in zip(jobs, outcomes)

@@ -184,6 +184,22 @@ def test_init_rejects_identical_points():
         cb.init_kmeanspp(np.ones((5, 3)), k=2)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-14, 1e-12, 1e-6, 1e-5, 1e-4, 1e-2]))
+def test_identical_points_check_is_allclose(seed, scale):
+    # the written-out check rejects exactly the batches np.allclose(x, x[0],
+    # atol=1e-12) finds identical, also at its relative tolerance of 1e-5
+    rng = np.random.default_rng(seed)
+    features = rng.normal(0.0, 1.0, 4) + scale * rng.normal(0.0, 1.0, (6, 4))
+    x = cb.l2_normalize_rows(features)
+    try:
+        cb.init_kmeanspp(features, k=2, seed=0)
+        rejected = False
+    except DegenerateDataError:
+        rejected = True
+    assert rejected == np.allclose(x, x[0], atol=1e-12)
+
+
 def test_normalize_rejects_zero_row():
     with pytest.raises(DegenerateDataError):
         cb.l2_normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))

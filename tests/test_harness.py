@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import tiny_experiment, tiny_model
 
-from driftadapt import checkpoint, cli, driftgen, errors, gradcore as gc, harness, selftest
+from driftadapt import (
+    centroids as cb, checkpoint, cli, driftgen, errors, gradcore as gc, harness, selftest,
+)
 from driftadapt.cli import main as cli_main
 from driftadapt.config import AdaptConfig, BenchmarkConfig, ExperimentConfig, preset_benchmark
 from driftadapt.errors import (
@@ -197,6 +199,64 @@ def test_adapt_builds_each_seed_target_once(tmp_path, monkeypatch):
     assert sorted(calls) == [(0, "target"), (1, "target")]
 
 
+
+def _counting_kmeanspp(monkeypatch, fail_seeds=()):
+    """Patch the bank seeding to record each call's k-means++ seed and to
+    raise DegenerateDataError for the seeds in ``fail_seeds``."""
+    calls = []
+    init = cb.init_kmeanspp
+
+    def counting(features, k, seed=0, **kwargs):
+        calls.append(seed)
+        if seed in fail_seeds:
+            raise DegenerateDataError("all points identical; cannot seed k>1 clusters")
+        return init(features, k, seed=seed, **kwargs)
+
+    monkeypatch.setattr(cb, "init_kmeanspp", counting)
+    return calls
+
+
+def test_adapt_seeds_each_seeds_banks_once(tmp_path, monkeypatch):
+    cfg = tiny_experiment(tmp_path)
+    cfg.seeds = [0, 1]
+    cfg.variants = ["can", "scan", "scanner"]
+    harness.cmd_pretrain(cfg, tmp_path)
+    calls = _counting_kmeanspp(monkeypatch)
+    shared = harness.cmd_adapt(cfg, tmp_path, tmp_path / "shared")
+    # one k-means++ per (seed, modality), seeded in the first bank run (can)
+    assert calls == [0, 1, 2, 101, 102, 103]
+    for variant in cfg.variants:
+        out = tmp_path / variant
+        alone = harness.cmd_adapt(replace(cfg, variants=[variant]), tmp_path, out)
+        runs = [r for r in shared["runs"] if r["variant"] == variant]
+        assert [json.dumps(r, sort_keys=True) for r in runs] == \
+            [json.dumps(r, sort_keys=True) for r in alone["runs"]]
+        for seed in cfg.seeds:
+            name = f"{variant}_seed{seed}.csv"
+            assert (out / "diagnostics" / name).read_bytes() == \
+                (tmp_path / "shared" / "diagnostics" / name).read_bytes()
+    # every run alone seeds its own banks
+    assert len(calls) == 6 + 3 * 6
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_degenerate_bank_seeding_fails_each_bank_run_alone(tmp_path, monkeypatch, workers):
+    cfg = tiny_experiment(tmp_path)
+    cfg.seeds = [0, 1]
+    cfg.variants = ["source", "can", "scanner"]
+    cfg.workers = workers
+    harness.cmd_pretrain(cfg, tmp_path)
+    clean = harness.cmd_adapt(cfg, tmp_path, tmp_path / "clean")
+    # the pool's processes fork after the patch, so they run it too
+    _counting_kmeanspp(monkeypatch, fail_seeds={101})
+    doc = harness.cmd_adapt(cfg, tmp_path, tmp_path / "out")
+    message = "all points identical; cannot seed k>1 clusters"
+    assert doc["failed_runs"] == [
+        {"variant": variant, "seed": 1, "code": "degenerate", "message": message}
+        for variant in ("can", "scanner")]
+    assert doc["runs"] == [r for r in clean["runs"] if (r["variant"], r["seed"]) not in
+                           {("can", 1), ("scanner", 1)}]
+
 def test_each_command_generates_only_the_domain_it_reads(tmp_path, monkeypatch):
     cfg = tiny_experiment(tmp_path)
     cfg.benchmark.n_target = 64
@@ -339,10 +399,11 @@ def test_failed_run_stays_in_its_own_run(tmp_path, capsys, monkeypatch, workers)
 
     run = harness.run_stream
 
-    def diverging(model, target, adapt_cfg, variant, seed=0, n_classes=2):
+    def diverging(model, target, adapt_cfg, variant, seed=0, n_classes=2, bank_seeds=None):
         if (variant, seed) == ("scanner", 1):
             raise DivergenceError("non-finite loss at tau=3: {}")
-        return run(model, target, adapt_cfg, variant, seed=seed, n_classes=n_classes)
+        return run(model, target, adapt_cfg, variant, seed=seed, n_classes=n_classes,
+                   bank_seeds=bank_seeds)
 
     # the pool's processes fork after the patch, so they run it too
     monkeypatch.setattr(harness, "run_stream", diverging)
