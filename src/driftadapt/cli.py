@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoints", default=None,
                    help="directory with pretrain checkpoints (default: --out)")
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel (variant, seed) runs")
+                   help="seeds run in parallel, each with all its variants")
 
     p = sub.add_parser("export-embeddings",
                        help="export mean encoder embeddings with domain tags")

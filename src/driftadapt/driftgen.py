@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import BenchmarkConfig
 from .errors import ConfigError, ContractError
-from .gradcore import Tensor, cluster_sums, log_clamped_array, softmax_array
+from .gradcore import Tensor, cluster_sums, entropy_array, softmax_array
 from .model import MODALITIES
 
 _CORE_MARGIN = 2.0     # least pairwise distance of the core embeddings
@@ -203,9 +203,8 @@ def cluster_ratio_diag(indices, preds, labels, k: int) -> dict:
 
 
 def entropy_rows(logits: np.ndarray) -> np.ndarray:
-    """Entropy (nats) of each row's softmax, probabilities floored at 1e-12."""
-    logp, p = log_clamped_array(softmax_array(logits))
-    return -(p * logp).sum(axis=1)
+    """Entropy (nats) of each row's softmax, as the ``em`` loss computes it."""
+    return entropy_array(softmax_array(logits))[0]
 
 
 def entropy_diag(bank, model, features: np.ndarray, indices: np.ndarray) -> dict:

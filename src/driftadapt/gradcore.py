@@ -708,14 +708,20 @@ def _plogp_backward(c, p: np.ndarray, logp: np.ndarray, clamped: np.ndarray):
     return c * logp + _log_clamped_backward(c * p, p, clamped)
 
 
+def entropy_array(p: np.ndarray):
+    """Entropy -sum_c p log max(p, 1e-12) of each row of the probabilities p,
+    which only the log clamps: (entropies, log, clamped p)."""
+    logp, clamped = log_clamped_array(p)
+    return (p * logp).sum(axis=1) * -1.0, logp, clamped
+
+
 def mean_entropy(logits: Tensor) -> Tensor:
-    """Mean over rows of the entropy -sum_c p log max(p, 1e-12) of
-    p = softmax(logits): the composition ``softmax``, ``log_clamped``,
-    ``mul``, ``tsum(axis=1)``, ``mul(-1)``, ``tmean``."""
+    """Mean over rows of the ``entropy_array`` of p = softmax(logits): the
+    composition ``softmax``, ``log_clamped``, ``mul``, ``tsum(axis=1)``,
+    ``mul(-1)``, ``tmean``."""
     logits = _wrap(logits)
     p = softmax_array(logits.data)
-    logp, clamped = log_clamped_array(p)
-    per_row = (p * logp).sum(axis=1) * -1.0
+    per_row, logp, clamped = entropy_array(p)
     inv_n = 1.0 / per_row.size
 
     def bwd(g):

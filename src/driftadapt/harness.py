@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -93,28 +92,28 @@ def load_compatible(ckpt_path, cfg: ExperimentConfig) -> SourceModel:
     return model
 
 
-def run_one(cfg: ExperimentConfig, ckpt_path, target, variant: str, seed: int,
-            bank_seeds: dict = None) -> RunReport:
-    return run_stream(load_compatible(ckpt_path, cfg), target, cfg.adapt, variant,
-                      seed=seed, n_classes=cfg.n_classes, bank_seeds=bank_seeds)
-
-
-def _outcome(result):
-    """What ``result()`` returns, or the DriftAdaptError it raised."""
-    try:
-        return result()
-    except DriftAdaptError as exc:
-        return exc
+def run_seed(cfg: ExperimentConfig, ckpt_path, target, seed: int) -> list:
+    """The adapt job of one seed: per variant of ``cfg``, in config order, the
+    RunReport of a run on a fresh model, or the DriftAdaptError it raised.
+    The bank runs share one ``seeded`` list, so the banks are seeded once."""
+    seeded, outcomes = [], []
+    for variant in cfg.variants:
+        try:
+            outcomes.append(run_stream(load_compatible(ckpt_path, cfg), target, cfg.adapt,
+                                       variant, seed=seed, n_classes=cfg.n_classes,
+                                       seeded=seeded))
+        except DriftAdaptError as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def cmd_adapt(cfg: ExperimentConfig, ckpt_dir, out_dir) -> dict:
     """Run every (variant, seed) pair; writes reports, metrics, diagnostics.
 
-    Each seed's target stream is built once and shared by all its variants,
-    and so are its centroid banks, seeded in the first bank run of the seed.
-    Pool jobs each receive their own copy of the empty ``bank_seeds`` dict, so
-    with ``workers > 1`` every bank run seeds its own banks.
-    A job that raises a DriftAdaptError fails alone: ``report.json`` lists it
+    Each seed is one ``run_seed`` job, ``workers`` of them in parallel
+    processes; its target stream is built once. The outputs list the runs
+    variant by variant whatever ``workers`` is.
+    A run that raises a DriftAdaptError fails alone: ``report.json`` lists it
     under ``failed_runs`` (variant, seed, error code and message), and every
     other run's files are written as if it had not run. Without a failure
     there is no ``failed_runs`` key.
@@ -122,20 +121,20 @@ def cmd_adapt(cfg: ExperimentConfig, ckpt_dir, out_dir) -> dict:
     cfg.validate()
     out = Path(out_dir)
     (out / "diagnostics").mkdir(parents=True, exist_ok=True)
-    targets = {seed: build_domain(cfg, seed, "target") for seed in cfg.seeds}
-    bank_seeds = {}
-    jobs = [(cfg, checkpoint_path(ckpt_dir, seed), targets[seed], variant, seed)
-            for variant in cfg.variants for seed in cfg.seeds]
+    # run_seed's arguments, one column per parameter and one row per seed
+    jobs = ([cfg] * len(cfg.seeds), [checkpoint_path(ckpt_dir, s) for s in cfg.seeds],
+            [build_domain(cfg, s, "target") for s in cfg.seeds], cfg.seeds)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(run_one, *job, bank_seeds) for job in jobs]
-            outcomes = [_outcome(f.result) for f in futures]
+            by_seed = list(pool.map(run_seed, *jobs))
     else:
-        outcomes = [_outcome(partial(run_one, *job, bank_seeds)) for job in jobs]
-    reports = [r for r in outcomes if isinstance(r, RunReport)]
+        by_seed = list(map(run_seed, *jobs))
+    # variant-major, the order of the runs in every output
+    runs = [(variant, seed, outcomes[i]) for i, variant in enumerate(cfg.variants)
+            for seed, outcomes in zip(cfg.seeds, by_seed)]
+    reports = [r for *_, r in runs if isinstance(r, RunReport)]
     failed = [{"variant": variant, "seed": seed, "code": exc.code, "message": str(exc)}
-              for (*_, variant, seed), exc in zip(jobs, outcomes)
-              if isinstance(exc, DriftAdaptError)]
+              for variant, seed, exc in runs if isinstance(exc, DriftAdaptError)]
 
     report_doc = {
         "version": __version__,

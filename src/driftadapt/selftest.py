@@ -18,23 +18,23 @@ def _check_softmax(rng):
 
 
 def _check_cosine_bounds(rng):
-    for _ in range(50):
+    for _ in range(50):   # a 3 x B x d modality stack, as the banks score it
         b, k, d = rng.integers(1, 10, 3)
-        s = gc.cosine_matrix(Tensor(rng.normal(0, 1, (b, d)) + 0.1),
-                             rng.normal(0, 1, (k, d)) + 0.1).data
-        assert s.shape == (b, k) and np.all(np.abs(s) <= 1 + 1e-12)
-    return "cosine similarity within [-1, 1]"
+        s, idx = gc.max_cosine(Tensor(rng.normal(0, 1, (3, b, d)) + 0.1),
+                               rng.normal(0, 1, (3, k, d)) + 0.1)
+        assert s.data.shape == idx.shape == (3, b)
+        assert np.all(np.abs(s.data) <= 1 + 1e-12) and np.all((idx >= 0) & (idx < k))
+    return "max cosine similarity within [-1, 1]"
 
 
 def _check_gradients(rng):
-    x = Tensor(rng.normal(0, 1, (4, 3)), requires_grad=True)
-
-    def f(t):
-        return gc.tsum(gc.mul(gc.softmax(t), gc.log_clamped(gc.softmax(t))))
-
-    err = gc.finite_diff_params(lambda: f(x), [x])
+    x = Tensor(rng.normal(0, 1, (5, 4)), requires_grad=True)
+    w = Tensor(rng.normal(0, 0.5, (4, 3)), requires_grad=True)
+    b = Tensor(rng.normal(0, 0.5, 3), requires_grad=True)
+    labels = rng.integers(0, 3, 5)
+    err = gc.finite_diff_params(lambda: gc.cross_entropy(gc.linear(x, w, b), labels), [x, w, b])
     assert err < 1e-4, err
-    return "composite gradient matches finite differences"
+    return "pretraining cross-entropy gradient matches finite differences"
 
 
 def _check_attention_gradients(rng):
@@ -144,14 +144,16 @@ def run_selftest() -> list:
     """Returns (name, passed, detail) triples for each invariant suite.
 
     A check that raises fails its own row; the remaining checks still run.
+    Each check draws from its own generator, so a check's data does not
+    depend on what the checks before it draw.
     """
-    rng = np.random.default_rng(0)
+    checks = (_check_softmax, _check_cosine_bounds, _check_gradients,
+              _check_attention_gradients, _check_scan_dominance,
+              _check_momentum, _check_metrics, _check_clustering,
+              _check_cluster_gradients, _check_encoder_gradients,
+              _check_loss_gradients)
     results = []
-    for check in (_check_softmax, _check_cosine_bounds, _check_gradients,
-                  _check_attention_gradients, _check_scan_dominance,
-                  _check_momentum, _check_metrics, _check_clustering,
-                  _check_cluster_gradients, _check_encoder_gradients,
-                  _check_loss_gradients):
+    for check, rng in zip(checks, np.random.default_rng(0).spawn(len(checks))):
         name = check.__name__.lstrip("_")
         try:
             results.append((name, True, check(rng)))

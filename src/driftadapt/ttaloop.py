@@ -48,14 +48,14 @@ class AdaptState:
     banks: dict = None          # modality -> CentroidBank, lazily initialized
     optimizer: AdamW = None
     tau: int = 0
-    # run seed -> (k, tau=0 features, seeded centroids), shared by the runs
-    # that pass the same dict; see _init_banks
-    bank_seeds: dict = None
+    # the seeded centroids, one array per modality, shared by the runs that
+    # pass the same list; see _init_banks
+    seeded: list = field(default_factory=list)
 
 
 def init_adapt_state(model: SourceModel, cfg: AdaptConfig,
                      variant: MethodVariant, seed: int = 0,
-                     bank_seeds: dict = None) -> AdaptState:
+                     seeded: list = None) -> AdaptState:
     cfg.validate()
     variant = MethodVariant(variant)
     # only the encoders of a gradient variant train, so no other variant
@@ -67,7 +67,7 @@ def init_adapt_state(model: SourceModel, cfg: AdaptConfig,
             p.requires_grad = True
         opt = AdamW(model.trainable_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     return AdaptState(model=model, cfg=cfg, variant=variant, seed=seed, optimizer=opt,
-                      bank_seeds=bank_seeds)
+                      seeded=[] if seeded is None else seeded)
 
 
 def _grad_norm(model: SourceModel) -> float:
@@ -80,28 +80,21 @@ def _grad_norm(model: SourceModel) -> float:
 
 
 def _init_banks(state: AdaptState, features: np.ndarray):
-    """Seed one bank per modality from the tau=0 features.
+    """Seed one bank per modality from the tau=0 features, unless
+    ``state.seeded`` already holds the centroids.
 
-    The seeded centroids depend only on ``k``, the features and the run
-    seed, so a run reuses the entry its ``bank_seeds`` holds for its seed
-    when ``k`` and the features' bytes are the same (bytes, not values:
-    0.0 and -0.0 compare equal); otherwise it seeds the banks and stores
-    them. Each run gets fresh banks over copied centroids, so its momentum
-    updates never reach the stored entry.
+    The runs that share a ``seeded`` list must seed from the same ``k``,
+    features and run seed, as the runs of one ``harness.run_seed`` job do.
+    All three modalities are stored at once, so a seeding that fails leaves
+    the list empty. Each run gets fresh banks over copied centroids, so its
+    momentum updates never reach the stored ones.
     """
-    k, seeds = state.cfg.k, state.bank_seeds
-    entry = seeds.get(state.seed) if seeds is not None else None
-    if (entry is not None and entry[0] == k and entry[1].shape == features.shape
-            and entry[1].tobytes() == features.tobytes()):
-        seeded = entry[2]
-    else:
-        seeded = [cb.init_kmeanspp(features[i], k, seed=state.seed * 101 + i,
-                                   momentum=state.cfg.gamma, modality=m).centroids
-                  for i, m in enumerate(MODALITIES)]
-        if seeds is not None:
-            seeds[state.seed] = (k, features.copy(), seeded)
+    if not state.seeded:
+        state.seeded[:] = [cb.init_kmeanspp(features[i], state.cfg.k, seed=state.seed * 101 + i,
+                                            momentum=state.cfg.gamma, modality=m).centroids
+                           for i, m in enumerate(MODALITIES)]
     state.banks = {m: cb.CentroidBank(modality=m, centroids=c.copy(), momentum=state.cfg.gamma)
-                   for m, c in zip(MODALITIES, seeded)}
+                   for m, c in zip(MODALITIES, state.seeded)}
 
 
 def adapt_batch(state: AdaptState, batch: dict) -> BatchResult:
@@ -234,21 +227,21 @@ class RunReport:
 
 def run_stream(model: SourceModel, target: SyntheticDataset, cfg: AdaptConfig,
                variant, seed: int = 0, n_classes: int = 2,
-               bank_seeds: dict = None) -> RunReport:
+               seeded: list = None) -> RunReport:
     """Single online epoch over the target stream, then a final full pass.
 
     ``source`` changes neither parameters nor input statistics, so its final
     pass is its online pass: its final predictions are the online ones, bit
     for bit, and it makes no second pass. Target labels are read only here,
     for metrics and diagnostics; the adaptation path receives feature
-    batches alone. Runs that pass one ``bank_seeds`` dict seed the centroid
-    banks of a seed once between them (see ``_init_banks``).
+    batches alone. Runs that pass one ``seeded`` list seed the centroid
+    banks once between them (see ``_init_banks``).
     """
     variant = MethodVariant(variant)
     n = len(target)
     if n == 0:
         raise ContractError("empty target stream")
-    state = init_adapt_state(model, cfg, variant, seed=seed, bank_seeds=bank_seeds)
+    state = init_adapt_state(model, cfg, variant, seed=seed, seeded=seeded)
     report = RunReport(variant=variant.value, seed=seed)
 
     online_preds = np.empty(n, dtype=np.int64)

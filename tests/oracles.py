@@ -259,9 +259,8 @@ def f1_oracle(preds, labels, n_classes=2):
 
 def entropy_rows_inline(logits: np.ndarray) -> np.ndarray:
     """``driftgen.entropy_rows`` with its softmax and floored log written out
-    inline, as it computed them before it ran ``softmax_array`` and
-    ``log_clamped_array``."""
+    inline: the unfloored probabilities times the log of the floored ones,
+    summed per row, times -1.0."""
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     p = e / e.sum(axis=1, keepdims=True)
-    p = np.maximum(p, 1e-12)
-    return -(p * np.log(p)).sum(axis=1)
+    return (p * np.log(np.maximum(p, 1e-12))).sum(axis=1) * -1.0

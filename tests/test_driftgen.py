@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import entropy_rows_inline, f1_oracle, outlier_mask_loop
 
-from driftadapt import driftgen as dg, gradcore as gc
+from driftadapt import driftgen as dg, gradcore as gc, objectives as obj
 from driftadapt.config import BenchmarkConfig, preset_benchmark
 from driftadapt.errors import ConfigError, ContractError
 from driftadapt.model import MODALITIES
@@ -246,14 +246,23 @@ def test_entropy_rows_shift_invariant(seed):
                                rtol=0, atol=1e-9)
 
 
+def test_entropy_rows_mean_is_the_em_loss_on_saturated_rows():
+    # a margin of 40 puts the other class below the 1e-12 floor, where a
+    # floored probability would scale the log by 1e-12 instead of 4e-18
+    logits = np.zeros((8, 2))
+    logits[:, 0] = 40.0
+    em = obj.em_loss(gc.Tensor(logits)).item()
+    assert 0.0 < em < 1e-15
+    assert dg.entropy_rows(logits).sum() * (1 / 8) == em
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 7),
        st.sampled_from([0.0, 20.0, 40.0, 800.0]), st.sampled_from([0.1, 3.0, 1e3]))
 def test_entropy_rows_equal_inline_arithmetic_bitwise(seed, n, c, margin, scale):
     # at a logit spread of 0.1, margins of 40 and more put the other classes'
-    # probabilities below the 1e-12 floor (800 underflows them to zero);
-    # entropy_rows floors the probabilities it multiplies, where
-    # mean_entropy does not
+    # probabilities below the 1e-12 floor (800 underflows them to zero),
+    # where only the log's argument is floored, not the probability it scales
     rng = np.random.default_rng(seed)
     logits = rng.normal(0, scale, (n, c))
     logits[:, 0] += margin

@@ -163,20 +163,22 @@ def test_adapt_outputs_independent_of_workers(tmp_path):
     cfg.variants = ["source", "tent_em", "scanner"]
     harness.cmd_pretrain(cfg, tmp_path)
     outs = {}
-    for workers in (1, 2):
+    # 3 workers are more than the 2 seeds, so one of them runs no job
+    for workers in (1, 2, 3):
         cfg.workers = workers
         outs[workers] = tmp_path / f"w{workers}"
         harness.cmd_adapt(cfg, tmp_path, outs[workers])
-    one, two = outs[1], outs[2]
-    assert (one / "metrics.csv").read_bytes() == (two / "metrics.csv").read_bytes()
+    one = outs[1]
     diag = sorted(p.name for p in (one / "diagnostics").glob("*.csv"))
     assert len(diag) == 6
-    assert diag == sorted(p.name for p in (two / "diagnostics").glob("*.csv"))
-    for name in diag:
-        assert (one / "diagnostics" / name).read_bytes() == \
-            (two / "diagnostics" / name).read_bytes()
-    # workers is an execution setting: the recorded config leaves it out
-    assert (one / "report.json").read_bytes() == (two / "report.json").read_bytes()
+    for many in (outs[2], outs[3]):
+        assert (one / "metrics.csv").read_bytes() == (many / "metrics.csv").read_bytes()
+        assert diag == sorted(p.name for p in (many / "diagnostics").glob("*.csv"))
+        for name in diag:
+            assert (one / "diagnostics" / name).read_bytes() == \
+                (many / "diagnostics" / name).read_bytes()
+        # workers is an execution setting: the recorded config leaves it out
+        assert (one / "report.json").read_bytes() == (many / "report.json").read_bytes()
     assert "workers" not in json.loads((one / "report.json").read_text())["config"]
     summary = json.loads((tmp_path / "pretrain_summary.json").read_text())
     assert "workers" not in summary["config"]
@@ -239,8 +241,34 @@ def test_adapt_seeds_each_seeds_banks_once(tmp_path, monkeypatch):
     assert len(calls) == 6 + 3 * 6
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_degenerate_bank_seeding_fails_each_bank_run_alone(tmp_path, monkeypatch, workers):
+def test_pool_seeds_each_seeds_banks_once(tmp_path, monkeypatch):
+    cfg = tiny_experiment(tmp_path)
+    cfg.seeds = [0, 1]
+    cfg.variants = ["can", "scan", "scanner"]
+    cfg.workers = 2
+    harness.cmd_pretrain(cfg, tmp_path)
+    log = tmp_path / "kmeanspp_seeds.txt"
+    init = cb.init_kmeanspp
+
+    def logging(features, k, seed=0, **kwargs):
+        # forked pool processes share no Python list, so each call logs a line
+        with open(log, "a") as fh:
+            fh.write(f"{seed}\n")
+        return init(features, k, seed=seed, **kwargs)
+
+    # the pool's processes fork after the patch, so they run it too
+    monkeypatch.setattr(cb, "init_kmeanspp", logging)
+    harness.cmd_adapt(cfg, tmp_path, tmp_path / "out")
+    # one k-means++ per (seed, modality), not one per (variant, seed, modality)
+    assert sorted(int(line) for line in log.read_text().split()) == [0, 1, 2, 101, 102, 103]
+
+
+# 101 and 102 seed the first and the second modality of seed 1: a failure in
+# the second must leave no first-modality centroids for the next bank run
+@pytest.mark.parametrize("workers, fail_seed", [(1, 101), (2, 101), (1, 102), (2, 102)],
+                         ids=["1", "2", "1-102", "2-102"])
+def test_degenerate_bank_seeding_fails_each_bank_run_alone(tmp_path, monkeypatch, workers,
+                                                           fail_seed):
     cfg = tiny_experiment(tmp_path)
     cfg.seeds = [0, 1]
     cfg.variants = ["source", "can", "scanner"]
@@ -248,7 +276,7 @@ def test_degenerate_bank_seeding_fails_each_bank_run_alone(tmp_path, monkeypatch
     harness.cmd_pretrain(cfg, tmp_path)
     clean = harness.cmd_adapt(cfg, tmp_path, tmp_path / "clean")
     # the pool's processes fork after the patch, so they run it too
-    _counting_kmeanspp(monkeypatch, fail_seeds={101})
+    _counting_kmeanspp(monkeypatch, fail_seeds={fail_seed})
     doc = harness.cmd_adapt(cfg, tmp_path, tmp_path / "out")
     message = "all points identical; cannot seed k>1 clusters"
     assert doc["failed_runs"] == [
@@ -399,11 +427,11 @@ def test_failed_run_stays_in_its_own_run(tmp_path, capsys, monkeypatch, workers)
 
     run = harness.run_stream
 
-    def diverging(model, target, adapt_cfg, variant, seed=0, n_classes=2, bank_seeds=None):
+    def diverging(model, target, adapt_cfg, variant, seed=0, n_classes=2, seeded=None):
         if (variant, seed) == ("scanner", 1):
             raise DivergenceError("non-finite loss at tau=3: {}")
         return run(model, target, adapt_cfg, variant, seed=seed, n_classes=n_classes,
-                   bank_seeds=bank_seeds)
+                   seeded=seeded)
 
     # the pool's processes fork after the patch, so they run it too
     monkeypatch.setattr(harness, "run_stream", diverging)

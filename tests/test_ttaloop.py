@@ -231,15 +231,11 @@ def test_reused_model_adapts_again():
 
 
 
-def _report_text(report) -> str:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True)
-
-
-def _adapted_run(target, variant, bank_seeds=None):
+def _adapted_run(target, variant, seeded=None):
     model = tiny_model(seed=1)
     model.set_input_stats(target.features)
     return tt.run_stream(model, target, _cfg(batch_size=16), variant, seed=3,
-                         bank_seeds=bank_seeds)
+                         seeded=seeded)
 
 
 def test_stored_bank_seeds_stay_those_of_a_fresh_seeding(monkeypatch):
@@ -248,13 +244,12 @@ def test_stored_bank_seeds_stay_those_of_a_fresh_seeding(monkeypatch):
     init = tt.init_adapt_state
     monkeypatch.setattr(tt, "init_adapt_state",
                         lambda *a, **kw: states.append(init(*a, **kw)) or states[-1])
-    bank_seeds = {}
-    _adapted_run(target, "can", bank_seeds)
-    k, features, seeded = bank_seeds[3]
+    seeded = []
+    _adapted_run(target, "can", seeded)
+    assert states[0].seeded is seeded and len(seeded) == len(MODALITIES)
     model = tiny_model(seed=1)
     model.set_input_stats(target.features)
     fresh = model.embed({m: target.features[m][:16] for m in MODALITIES}).data
-    assert k == 2 and features.tobytes() == fresh.tobytes()
     for i, m in enumerate(MODALITIES):
         bank = cb.init_kmeanspp(fresh[i], 2, seed=3 * 101 + i)
         assert seeded[i].tobytes() == bank.centroids.tobytes()
@@ -262,40 +257,6 @@ def test_stored_bank_seeds_stay_those_of_a_fresh_seeding(monkeypatch):
         assert states[0].banks[m].centroids.tobytes() != bank.centroids.tobytes()
         assert states[0].banks[m].tau == 4   # ceil(64 / 16) updates
 
-
-def test_bank_seeds_are_reused_only_for_equal_features(monkeypatch):
-    targets = _tiny_target(seed=0), _tiny_target(seed=1)
-    alone = [_report_text(_adapted_run(t, "scanner")) for t in targets]
-    calls = []
-    init = cb.init_kmeanspp
-    monkeypatch.setattr(cb, "init_kmeanspp",
-                        lambda *a, **kw: calls.append(kw["seed"]) or init(*a, **kw))
-    bank_seeds = {}
-    # the same seed over other features seeds its banks again
-    shared = [_report_text(_adapted_run(t, "scanner", bank_seeds)) for t in targets]
-    assert shared == alone
-    assert calls == [303, 304, 305] * 2
-    # the same seed over the same features reuses the stored entry
-    reused = _report_text(_adapted_run(targets[1], "scan", bank_seeds))
-    assert calls == [303, 304, 305] * 2
-    assert reused == _report_text(_adapted_run(targets[1], "scan"))
-
-
-def test_bank_seeds_match_feature_bytes(monkeypatch):
-    calls = []
-    init = cb.init_kmeanspp
-    monkeypatch.setattr(cb, "init_kmeanspp",
-                        lambda *a, **kw: calls.append(kw["seed"]) or init(*a, **kw))
-    state = tt.init_adapt_state(tiny_model(), _cfg(), MethodVariant.CAN, bank_seeds={})
-    features = np.random.default_rng(0).normal(0.0, 1.0, (3, 8, 6))
-    features[0, 0, 0] = 0.0
-    tt._init_banks(state, features)
-    tt._init_banks(state, features.copy())
-    assert calls == [0, 1, 2]
-    # -0.0 equals 0.0 as a value, but other bytes may seed other centroids
-    features[0, 0, 0] = -0.0
-    tt._init_banks(state, features)
-    assert calls == [0, 1, 2] * 2
 
 def test_report_dict_equals_its_deep_copy():
     # k = 12 clusters: sort_keys orders the cluster keys as text, "10" before "2"

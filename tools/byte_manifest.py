@@ -43,7 +43,7 @@ ALL_VARIANTS = ("source", "norm", "st", "tent_em", "can", "scan", "scanner")
 # (preset, variants) cells of the standard matrix
 MATRIX = (("severe", ALL_VARIANTS), ("collapse", ("can", "scan", "scanner")))
 SEEDS = (0, 1, 2, 3, 4)
-WORKERS = (1, 2)
+WORKERS = (1, 4)
 
 
 def _sha256(path: Path) -> str:
