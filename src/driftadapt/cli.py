@@ -19,16 +19,16 @@ from .selftest import run_selftest
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The config document, with --preset and --workers written in, resolved once."""
     raw = ExperimentConfig.parse_json(Path(args.config).read_text()) if args.config else {}
-    if args.preset and isinstance(raw, dict) and isinstance(raw.get("benchmark", {}), dict):
-        # the preset is the base of the benchmark block; the config's
-        # explicit benchmark fields still override it
-        raw["benchmark"] = {**raw.get("benchmark", {}), "preset": args.preset}
-    cfg = ExperimentConfig.from_dict(raw)
-    if getattr(args, "workers", None) is not None:
-        cfg.workers = args.workers
-    cfg.validate()
-    return cfg
+    if isinstance(raw, dict):
+        if args.preset and isinstance(raw.get("benchmark", {}), dict):
+            # the preset is the base of the benchmark block; the config's
+            # explicit benchmark fields still override it
+            raw["benchmark"] = {**raw.get("benchmark", {}), "preset": args.preset}
+        if getattr(args, "workers", None) is not None:
+            raw["workers"] = args.workers
+    return ExperimentConfig.from_dict(raw)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -126,15 +126,16 @@ class ExperimentConfig:
     variants: list = field(default_factory=lambda: ["source", "scanner"])
     seeds: list = field(default_factory=lambda: [0, 1, 2, 3, 4])
     d_h: int = 32
-    n_classes: int = 2
     pretrain_epochs: int = 50
     workers: int = 1
+    # the benchmark's labels are binary (hateful or not); a class constant,
+    # not a field, so no config can average an F1 over a class without labels
+    n_classes = 2
 
     def validate(self):
         self.benchmark.validate()
         self.adapt.validate()
-        _check_numbers(self, minimum={"d_h": 1, "n_classes": 2,
-                                      "pretrain_epochs": 1, "workers": 1})
+        _check_numbers(self, minimum={"d_h": 1, "pretrain_epochs": 1, "workers": 1})
         if not isinstance(self.seeds, list) or not self.seeds:
             raise ConfigError("seeds must be a non-empty list")
         for seed in self.seeds:
@@ -174,37 +175,28 @@ class ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(cls.parse_json(text))
-
-    @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        kwargs = dict(raw)
+        kwargs = dict(_fields_of(cls, raw))
         if "benchmark" in kwargs:
             # the named preset is the base; the block's explicit fields override it
-            block = _sub(BenchmarkConfig, kwargs["benchmark"])
-            kwargs["benchmark"] = replace(preset_benchmark(block.preset), **kwargs["benchmark"])
+            block = _fields_of(BenchmarkConfig, kwargs["benchmark"])
+            base = preset_benchmark(block.get("preset", BenchmarkConfig.preset))
+            kwargs["benchmark"] = replace(base, **block)
         if "adapt" in kwargs:
-            kwargs["adapt"] = _sub(AdaptConfig, kwargs["adapt"])
+            kwargs["adapt"] = AdaptConfig(**_fields_of(AdaptConfig, kwargs["adapt"]))
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
 
 
-def _sub(klass, raw: dict):
+def _fields_of(klass, raw) -> dict:
+    """``raw``, a JSON object that names only fields of ``klass``."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{klass.__name__} must be a JSON object")
-    known = {f.name for f in fields(klass)}
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(klass)}
     if unknown:
         raise ConfigError(f"unknown {klass.__name__} fields: {sorted(unknown)}")
-    return klass(**raw)
+    return raw
 
 
 def _integer(name: str, value, minimum: int):

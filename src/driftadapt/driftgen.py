@@ -158,11 +158,15 @@ def generate_domain(cores: CoreSpec, domain: DomainSpec, n: int, seed: int) -> S
 # -- metrics --------------------------------------------------------------
 
 
-def accuracy(preds, labels) -> float:
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
+def _aligned(preds, labels):
+    preds, labels = np.asarray(preds), np.asarray(labels)
     if preds.shape != labels.shape or preds.size == 0:
         raise ContractError(f"length mismatch: {preds.shape} vs {labels.shape}")
+    return preds, labels
+
+
+def accuracy(preds, labels) -> float:
+    preds, labels = _aligned(preds, labels)
     return float(np.mean(preds == labels))
 
 
@@ -171,10 +175,7 @@ def macro_f1(preds, labels, n_classes: int = 2) -> float:
 
     A class absent from both predictions and labels contributes F1 = 0.
     """
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
-    if preds.shape != labels.shape or preds.size == 0:
-        raise ContractError(f"length mismatch: {preds.shape} vs {labels.shape}")
+    preds, labels = _aligned(preds, labels)
     f1s = []
     for c in range(n_classes):
         tp = np.sum((preds == c) & (labels == c))
@@ -213,13 +214,7 @@ def entropy_diag(bank, model, features: np.ndarray, indices: np.ndarray) -> dict
     The centroid is scored by feeding it through the shared classifier as if
     it were a feature vector.
     """
-    cent_logits = model.classifier.forward(Tensor(bank.centroids)).data
-    member_logits = model.classifier.forward(Tensor(features)).data
-    member_ent = entropy_rows(member_logits)
-    cent_ent = entropy_rows(cent_logits)
-    out = {}
-    for j in range(bank.k):
-        members = indices == j
-        if members.any():
-            out[j] = (float(cent_ent[j]), float(member_ent[members].mean()))
-    return out
+    cent_ent = entropy_rows(model.classifier.forward(Tensor(bank.centroids)).data)
+    member_ent = entropy_rows(model.classifier.forward(Tensor(features)).data)
+    return {j: (float(cent_ent[j]), float(member_ent[indices == j].mean()))
+            for j in np.unique(indices).tolist()}

@@ -37,9 +37,13 @@ class ContractError(DriftAdaptError, ValueError):
 
 
 class DivergenceError(DriftAdaptError, RuntimeError):
-    """Training or adaptation produced a non-finite loss."""
+    """A non-finite loss; ``tau`` is the adaptation batch's index, None in pretraining."""
 
     code = "divergence"
+
+    def __init__(self, message: str, tau: int = None):
+        super().__init__(message)
+        self.tau = tau
 
 
 class NumericError(DriftAdaptError, RuntimeError):

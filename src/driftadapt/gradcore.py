@@ -77,9 +77,6 @@ class Tensor:
     def detach(self) -> np.ndarray:
         return self.data.copy()
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
@@ -169,10 +166,8 @@ def tsum(x: Tensor, axis=None) -> Tensor:
     out_data = x.data.sum(axis=axis)
 
     def bwd(g):
-        if axis is None:
-            _accum(x, np.broadcast_to(g, x.data.shape).copy())
-        else:
-            _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())
+        g = g if axis is None else np.expand_dims(g, axis)
+        _accum(x, np.broadcast_to(g, x.data.shape).copy())
 
     return _make(out_data, (x,), bwd)
 

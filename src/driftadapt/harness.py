@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,11 @@ def checkpoint_path(out_dir, seed: int) -> Path:
     return Path(out_dir) / f"pretrain_seed{seed}.ckpt"
 
 
+def model_dims(cfg: ExperimentConfig) -> ModelDims:
+    """The dims of the source model that ``cfg`` pretrains and adapts."""
+    return ModelDims(cfg.benchmark.d_in, cfg.d_h, cfg.n_classes)
+
+
 def cmd_pretrain(cfg: ExperimentConfig, out_dir) -> dict:
     """Pretrain one source model per seed; writes checkpoints + summary."""
     cfg.validate()
@@ -60,9 +66,7 @@ def cmd_pretrain(cfg: ExperimentConfig, out_dir) -> dict:
     summary = {"version": __version__, "config": cfg.recorded(), "seeds": {}}
     for seed in cfg.seeds:
         source = build_domain(cfg, seed, "source")
-        model = SourceModel(
-            ModelDims(cfg.benchmark.d_in, cfg.d_h, cfg.n_classes), seed=seed
-        )
+        model = SourceModel(model_dims(cfg), seed=seed)
         result = pretrain_source(
             model, source.features, source.labels,
             epochs=cfg.pretrain_epochs, batch_size=cfg.adapt.batch_size,
@@ -81,49 +85,56 @@ def cmd_pretrain(cfg: ExperimentConfig, out_dir) -> dict:
 
 
 def load_compatible(ckpt_path, cfg: ExperimentConfig) -> SourceModel:
-    model = SourceModel.load(ckpt_path)
-    if (model.dims.d_in, model.dims.d_h, model.dims.n_classes) != (
-        cfg.benchmark.d_in, cfg.d_h, cfg.n_classes
-    ):
-        raise CompatibilityError(
-            f"checkpoint dims {model.dims} do not match config "
-            f"({cfg.benchmark.d_in}, {cfg.d_h}, {cfg.n_classes})"
-        )
+    model, dims = SourceModel.load(ckpt_path), model_dims(cfg)
+    if model.dims != dims:
+        raise CompatibilityError(f"checkpoint dims {model.dims} do not match config {dims}")
     return model
 
 
-def run_seed(cfg: ExperimentConfig, ckpt_path, target, seed: int) -> list:
+def run_seed(cfg: ExperimentConfig, ckpt_dir, seed: int) -> list:
     """The adapt job of one seed: per variant of ``cfg``, in config order, the
-    RunReport of a run on a fresh model, or the DriftAdaptError it raised.
-    The bank runs share one ``seeded`` list, so the banks are seeded once."""
+    RunReport of a run on a fresh model from the seed's checkpoint in
+    ``ckpt_dir``, or the error it raised; a target that cannot be built fails
+    every run. The bank runs share one ``seeded`` list, so they seed once."""
+    try:
+        target = build_domain(cfg, seed, "target")
+    except DriftAdaptError as exc:
+        return [exc] * len(cfg.variants)
     seeded, outcomes = [], []
     for variant in cfg.variants:
         try:
-            outcomes.append(run_stream(load_compatible(ckpt_path, cfg), target, cfg.adapt,
-                                       variant, seed=seed, n_classes=cfg.n_classes,
-                                       seeded=seeded))
-        except DriftAdaptError as exc:
+            outcomes.append(run_stream(load_compatible(checkpoint_path(ckpt_dir, seed), cfg),
+                                       target, cfg.adapt, variant, seed=seed, seeded=seeded))
+        except (DriftAdaptError, OSError) as exc:
             outcomes.append(exc)
     return outcomes
+
+
+def _failure(variant: str, seed: int, exc: Exception) -> dict:
+    """A ``failed_runs`` entry; an OSError has the CLI's code ``io``."""
+    code = exc.code if isinstance(exc, DriftAdaptError) else "io"
+    entry = {"variant": variant, "seed": seed, "code": code, "message": str(exc)}
+    if getattr(exc, "tau", None) is not None:   # the batch a divergence raised at
+        entry["tau"] = exc.tau
+    return entry
 
 
 def cmd_adapt(cfg: ExperimentConfig, ckpt_dir, out_dir) -> dict:
     """Run every (variant, seed) pair; writes reports, metrics, diagnostics.
 
     Each seed is one ``run_seed`` job, ``workers`` of them in parallel
-    processes; its target stream is built once. The outputs list the runs
-    variant by variant whatever ``workers`` is.
-    A run that raises a DriftAdaptError fails alone: ``report.json`` lists it
-    under ``failed_runs`` (variant, seed, error code and message), and every
-    other run's files are written as if it had not run. Without a failure
-    there is no ``failed_runs`` key.
+    processes. The outputs list the runs variant by variant whatever
+    ``workers`` is.
+    A run that raises a DriftAdaptError or an OSError fails alone:
+    ``report.json`` lists it under ``failed_runs`` (variant, seed, error code,
+    message and a divergence's ``tau``), and every other run's files are
+    written as if it had not run. Without a failure there is no
+    ``failed_runs`` key.
     """
     cfg.validate()
     out = Path(out_dir)
     (out / "diagnostics").mkdir(parents=True, exist_ok=True)
-    # run_seed's arguments, one column per parameter and one row per seed
-    jobs = ([cfg] * len(cfg.seeds), [checkpoint_path(ckpt_dir, s) for s in cfg.seeds],
-            [build_domain(cfg, s, "target") for s in cfg.seeds], cfg.seeds)
+    jobs = (repeat(cfg), repeat(ckpt_dir), cfg.seeds)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             by_seed = list(pool.map(run_seed, *jobs))
@@ -133,8 +144,7 @@ def cmd_adapt(cfg: ExperimentConfig, ckpt_dir, out_dir) -> dict:
     runs = [(variant, seed, outcomes[i]) for i, variant in enumerate(cfg.variants)
             for seed, outcomes in zip(cfg.seeds, by_seed)]
     reports = [r for *_, r in runs if isinstance(r, RunReport)]
-    failed = [{"variant": variant, "seed": seed, "code": exc.code, "message": str(exc)}
-              for variant, seed, exc in runs if isinstance(exc, DriftAdaptError)]
+    failed = [_failure(*run) for run in runs if not isinstance(run[2], RunReport)]
 
     report_doc = {
         "version": __version__,

@@ -41,8 +41,6 @@ class ModalityEncoder:
 
     def __init__(self, d_in: int, d_h: int, rng: np.random.Generator):
         n = len(MODALITIES)
-        self.d_in = d_in
-        self.d_h = d_h
         scale = 1.0 / np.sqrt(d_in)
         # one draw of n weights equals n draws of one, in modality order
         self.weight = Tensor(rng.normal(0.0, scale, (n, d_in, d_h)), requires_grad=True)
@@ -279,11 +277,11 @@ def pretrain_source(model: SourceModel, features: dict, labels: np.ndarray,
     opt = AdamW(model.named_parameters(), lr=lr, weight_decay=weight_decay)
     rng = np.random.default_rng(seed)
     result = PretrainResult()
+    starts = range(0, n_train, batch_size)
     for epoch in range(epochs):
         order = rng.permutation(n_train)
         epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n_train, batch_size):
+        for start in starts:
             idx = order[start : start + batch_size]
             model.zero_grad()
             logits = model.head(model.encoder.forward(Tensor(train_x.take(idx, axis=1))))
@@ -293,8 +291,7 @@ def pretrain_source(model: SourceModel, features: dict, labels: np.ndarray,
             gc.backward(loss)
             opt.step()
             epoch_loss += loss.item()
-            n_batches += 1
-        result.losses.append(epoch_loss / max(n_batches, 1))
+        result.losses.append(epoch_loss / max(len(starts), 1))
     if n_hold:
         preds = predict(model, hold_feat)
         result.holdout_accuracy = float(np.mean(preds == hold_y))

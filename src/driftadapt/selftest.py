@@ -79,21 +79,33 @@ def _check_metrics(rng):
     return "metrics bounded"
 
 
+def _partition_sse(x, labels):
+    return sum(((x[labels == j] - x[labels == j].mean(axis=0)) ** 2).sum() for j in set(labels))
+
+
 def _check_clustering(rng):
-    # 6 points, k=2: the best of ten seedings reaches the SSE of the best of
-    # all 31 bipartitions. Lloyd alone misses it on a few percent of such
-    # sets, so 40 of them also exercise the swap refinement.
+    # on every set, each centroid is the mean of the points nearest to it and
+    # no single point move lowers the SSE by more than 1e-12; Lloyd alone
+    # stops short of that on 40-60% of such sets
     for _ in range(40):
-        x = cb.l2_normalize_rows(rng.normal(0, 1, (6, 3)))
-        best = np.inf
-        for bits in range(1, 2**5):
-            mask = np.array([(bits >> i) & 1 for i in range(6)], dtype=bool)
-            c = np.stack([x[mask].mean(axis=0), x[~mask].mean(axis=0)])
-            best = min(best, cb._sse(x, c)[1])
-        found = min(cb._sse(x, cb.init_kmeanspp(x, k=2, seed=s).centroids)[1]
-                    for s in range(10))
+        n, k = rng.integers(6, 13), rng.integers(2, 4)
+        x = cb.l2_normalize_rows(rng.normal(0, 1, (n, 3)))
+        c = cb.init_kmeanspp(x, k=k, seed=rng.integers(1000)).centroids
+        labels = cb._sse(x, c, False)[0]
+        means = np.stack([x[labels == j].mean(axis=0) for j in range(k)])
+        assert np.allclose(c, means, rtol=0.0, atol=1e-12), "a centroid is not its cluster's mean"
+        sse = _partition_sse(x, labels)
+        for i, j in np.argwhere(np.arange(k) != labels[:, None]):
+            moved = np.where(np.arange(n) == i, j, labels)
+            assert _partition_sse(x, moved) >= sse - 1e-12, f"moving point {i} lowers the SSE"
+    # on fixed 6-point sets, the best of ten seedings (k=2) reaches the least
+    # SSE of all 31 bipartitions
+    for data_seed in range(10):
+        x = cb.l2_normalize_rows(np.random.default_rng(data_seed).normal(0, 1, (6, 3)))
+        best = min(_partition_sse(x, (bits >> np.arange(6)) & 1) for bits in range(1, 32))
+        found = min(cb._sse(x, cb.init_kmeanspp(x, k=2, seed=s).centroids)[1] for s in range(10))
         assert found <= best + 1e-9, (found, best)
-    return "k-means seeding reaches the brute-force optimal SSE"
+    return "k-means seeding ends at a single-move optimum, the brute-force one on fixed sets"
 
 
 def _check_cluster_gradients(rng):

@@ -33,8 +33,8 @@ class BatchResult:
     tau: int
     predictions: np.ndarray
     entropies: np.ndarray
-    loss_row: dict
-    grad_norm: float
+    loss_row: dict = field(default_factory=dict)
+    grad_norm: float = 0.0
     skipped: bool = False
     assignments: dict = field(default_factory=dict)  # modality -> cluster indices
 
@@ -103,13 +103,8 @@ def adapt_batch(state: AdaptState, batch: dict) -> BatchResult:
     model.zero_grad()
     features = model.embed(batch)
     fused_logits = model.head(features)
-    result = BatchResult(
-        tau=state.tau,
-        predictions=fused_logits.data.argmax(axis=1),
-        entropies=entropy_rows(fused_logits.data),
-        loss_row={},
-        grad_norm=0.0,
-    )
+    result = BatchResult(tau=state.tau, predictions=fused_logits.data.argmax(axis=1),
+                         entropies=entropy_rows(fused_logits.data))
 
     # SOURCE only predicts
     if state.variant == MethodVariant.NORM:
@@ -129,9 +124,8 @@ def adapt_batch(state: AdaptState, batch: dict) -> BatchResult:
 
 def _apply_step(state: AdaptState, loss, result: BatchResult):
     if not np.isfinite(loss.data):
-        raise DivergenceError(
-            f"non-finite loss at tau={state.tau}: {result.loss_row}"
-        )
+        raise DivergenceError(f"non-finite loss at tau={state.tau}: {result.loss_row}",
+                              tau=state.tau)
     gc.backward(loss)
     result.grad_norm = _grad_norm(state.model)
     if not np.isfinite(result.grad_norm):
@@ -226,8 +220,7 @@ class RunReport:
 
 
 def run_stream(model: SourceModel, target: SyntheticDataset, cfg: AdaptConfig,
-               variant, seed: int = 0, n_classes: int = 2,
-               seeded: list = None) -> RunReport:
+               variant, seed: int = 0, seeded: list = None) -> RunReport:
     """Single online epoch over the target stream, then a final full pass.
 
     ``source`` changes neither parameters nor input statistics, so its final
@@ -256,7 +249,7 @@ def run_stream(model: SourceModel, target: SyntheticDataset, cfg: AdaptConfig,
 
     labels = target.labels
     report.online_accuracy = accuracy(online_preds, labels)
-    report.online_macro_f1 = macro_f1(online_preds, labels, n_classes)
+    report.online_macro_f1 = macro_f1(online_preds, labels, model.dims.n_classes)
 
     if variant == MethodVariant.SOURCE:
         # the same head(embed(batch)) on the same rows of an unchanged model
@@ -275,7 +268,7 @@ def run_stream(model: SourceModel, target: SyntheticDataset, cfg: AdaptConfig,
             if features is not None:
                 features[:, rows] = encoded.data
     report.final_accuracy = accuracy(final_preds, labels)
-    report.final_macro_f1 = macro_f1(final_preds, labels, n_classes)
+    report.final_macro_f1 = macro_f1(final_preds, labels, model.dims.n_classes)
 
     if state.banks is not None:
         gaps = []

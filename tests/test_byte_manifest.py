@@ -35,6 +35,12 @@ def test_manifest_hashes_every_output_of_every_cell(manifest):
     expected.add("severe_w1/embeddings.csv")
     assert set(manifest["files"]) == expected
     assert all(len(digest) == 64 for digest in manifest["files"].values())
+    # the JSON outputs also have one digest per top-level key
+    assert set(manifest["keys"]) == {name for name in expected if name.endswith(".json")}
+    assert set(manifest["keys"]["severe_w1/report.json"]) == {
+        "version", "config", "runs", "aggregate"}
+    assert set(manifest["keys"]["severe_w1/pretrain_summary.json"]) == {
+        "version", "config", "seeds"}
     # outputs do not depend on the workers setting
     for name, digest in manifest["files"].items():
         if "_w1/" in name and not name.endswith("embeddings.csv"):
@@ -56,12 +62,19 @@ def test_diff_lists_each_file_and_margin_that_moved(manifest, tmp_path, capsys):
     assert bm.diff(manifest, manifest) == []
     moved = copy.deepcopy(manifest)
     moved["files"]["severe_w2/report.json"] = "0" * 64
+    moved["keys"]["severe_w2/report.json"]["config"] = "0" * 64
+    moved["files"]["severe_w2/pretrain_summary.json"] = "0" * 64
+    del moved["keys"]["severe_w2/pretrain_summary.json"]["version"]
+    moved["keys"]["severe_w2/pretrain_summary.json"]["failed"] = "0" * 64
+    moved["files"]["collapse_w2/metrics.csv"] = "0" * 64
     del moved["files"]["collapse_w1/metrics.csv"]
     ratio = manifest["margins"]["severe"]["grad_ratio_scan_can"]["0"]
     moved["margins"]["severe"]["grad_ratio_scan_can"]["0"] = ratio + 1e-12
     assert bm.diff(manifest, moved) == [
         "file collapse_w1/metrics.csv: missing",
-        "file severe_w2/report.json: changed",
+        "file collapse_w2/metrics.csv: changed",
+        "file severe_w2/pretrain_summary.json: changed (failed, version)",
+        "file severe_w2/report.json: changed (config)",
         f"margin severe.grad_ratio_scan_can.0: {ratio} -> {ratio + 1e-12}",
     ]
     old, new = tmp_path / "old.json", tmp_path / "new.json"
@@ -72,4 +85,17 @@ def test_diff_lists_each_file_and_margin_that_moved(manifest, tmp_path, capsys):
     assert capsys.readouterr().out == f"{n} of {n} files identical, 0 margins moved\n"
     assert bm.main(["diff", str(old), str(new)]) == 1
     assert capsys.readouterr().out.endswith(
-        f"{n - 2} of {n} files identical, 1 margins moved\n")
+        f"{n - 4} of {n} files identical, 1 margins moved\n")
+
+
+def test_key_digests_name_each_top_level_value(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"b": [1, {"y": 2, "x": 1}], "a": 1.5}))
+    digests = bm.key_digests(path)
+    assert sorted(digests) == ["a", "b"]
+    # canonical JSON: the key order inside a value changes no digest
+    path.write_text(json.dumps({"a": 1.5, "b": [1, {"x": 1, "y": 2}]}, indent=2))
+    assert bm.key_digests(path) == digests
+    path.write_text(json.dumps({"a": 1.5, "b": [1, {"x": 1, "y": 3}]}))
+    assert bm.key_digests(path)["a"] == digests["a"]
+    assert bm.key_digests(path)["b"] != digests["b"]

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from driftadapt.errors import (
     DivergenceError,
     NumericError,
 )
-from driftadapt.model import SourceModel
+from driftadapt.model import ModelDims, SourceModel
 from driftadapt.selftest import run_selftest
 
 
@@ -32,7 +33,7 @@ from driftadapt.selftest import run_selftest
 
 def test_config_json_round_trip(tmp_path):
     cfg = tiny_experiment(tmp_path)
-    back = ExperimentConfig.from_json(cfg.to_json())
+    back = ExperimentConfig.from_dict(json.loads(cfg.to_json()))
     assert back == cfg
 
 
@@ -200,6 +201,28 @@ def test_adapt_builds_each_seed_target_once(tmp_path, monkeypatch):
     harness.cmd_adapt(cfg, tmp_path, tmp_path / "out")
     assert sorted(calls) == [(0, "target"), (1, "target")]
 
+
+def test_pool_workers_build_the_targets(tmp_path, monkeypatch):
+    cfg = tiny_experiment(tmp_path)
+    cfg.seeds = [0, 1]
+    cfg.workers = 2
+    harness.cmd_pretrain(cfg, tmp_path)
+    log = tmp_path / "build_domain_calls.txt"
+    build = harness.build_domain
+
+    def logging_build(cfg, seed, role):
+        # forked pool processes share no Python list, so each call logs a line
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {seed} {role}\n")
+        return build(cfg, seed, role)
+
+    # the pool's processes fork after the patch, so they run it too
+    monkeypatch.setattr(harness, "build_domain", logging_build)
+    harness.cmd_adapt(cfg, tmp_path, tmp_path / "out")
+    calls = [line.split() for line in log.read_text().splitlines()]
+    # the parent builds no target; each seed's job builds its own, once
+    assert str(os.getpid()) not in {pid for pid, *_ in calls}
+    assert sorted((int(seed), role) for _, seed, role in calls) == [(0, "target"), (1, "target")]
 
 
 def _counting_kmeanspp(monkeypatch, fail_seeds=()):
@@ -427,11 +450,10 @@ def test_failed_run_stays_in_its_own_run(tmp_path, capsys, monkeypatch, workers)
 
     run = harness.run_stream
 
-    def diverging(model, target, adapt_cfg, variant, seed=0, n_classes=2, seeded=None):
+    def diverging(model, target, adapt_cfg, variant, seed=0, seeded=None):
         if (variant, seed) == ("scanner", 1):
-            raise DivergenceError("non-finite loss at tau=3: {}")
-        return run(model, target, adapt_cfg, variant, seed=seed, n_classes=n_classes,
-                   seeded=seeded)
+            raise DivergenceError("non-finite loss at tau=3: {}", tau=3)
+        return run(model, target, adapt_cfg, variant, seed=seed, seeded=seeded)
 
     # the pool's processes fork after the patch, so they run it too
     monkeypatch.setattr(harness, "run_stream", diverging)
@@ -442,8 +464,9 @@ def test_failed_run_stays_in_its_own_run(tmp_path, capsys, monkeypatch, workers)
     assert "source: macro-F1" in captured.out and "scanner: macro-F1" in captured.out
 
     failed = json.loads((out / "report.json").read_text())
+    # the pool pickles the error, tau included, back to the parent
     assert failed.pop("failed_runs") == [{"variant": "scanner", "seed": 1, "code": "divergence",
-                                          "message": "non-finite loss at tau=3: {}"}]
+                                          "message": "non-finite loss at tau=3: {}", "tau": 3}]
     kept = [r for r in doc["runs"] if (r["variant"], r["seed"]) != ("scanner", 1)]
     assert failed["runs"] == kept
     assert failed["aggregate"]["source"] == doc["aggregate"]["source"]
@@ -542,6 +565,13 @@ def test_cli_adam_field_is_config_error(tmp_path, capsys):
     _cli_config_error(tmp_path, capsys, '{"adapt": {"adam_beta1": 0.9}}')
 
 
+def test_cli_n_classes_field_is_config_error(tmp_path, capsys):
+    # the class count is the binary benchmark's fixed 2, not a config field
+    assert ExperimentConfig.n_classes == ExperimentConfig().n_classes == 2
+    assert "n_classes" not in ExperimentConfig().recorded()
+    _cli_config_error(tmp_path, capsys, '{"n_classes": 2}')
+
+
 def test_cli_k_above_first_batch_is_config_error(tmp_path, capsys):
     # k=40 clusters cannot be seeded from a first batch of 32 rows; the config
     # is rejected before any run, so no command writes anything
@@ -574,10 +604,10 @@ def test_config_k_checked_against_first_batch_of_bank_variants():
 
 def test_preset_is_the_base_of_the_benchmark_block():
     severe = preset_benchmark("severe")
-    assert ExperimentConfig.from_json('{"benchmark": {"preset": "severe"}}').benchmark == severe
-    cfg = ExperimentConfig.from_json('{"benchmark": {"preset": "severe", "n_target": 96}}')
+    assert ExperimentConfig.from_dict({"benchmark": {"preset": "severe"}}).benchmark == severe
+    cfg = ExperimentConfig.from_dict({"benchmark": {"preset": "severe", "n_target": 96}})
     assert cfg.benchmark == replace(severe, n_target=96)
-    custom = ExperimentConfig.from_json('{"benchmark": {"preset": "custom"}}').benchmark
+    custom = ExperimentConfig.from_dict({"benchmark": {"preset": "custom"}}).benchmark
     assert custom == BenchmarkConfig(preset="custom")
 
 
@@ -666,7 +696,7 @@ def test_config_from_dict_fuzz(raw):
             elif f.type == "float":
                 assert isinstance(value, (int, float)) and np.isfinite(value)
     assert all(isinstance(s, int) and s >= 0 for s in cfg.seeds)
-    assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+    assert ExperimentConfig.from_dict(json.loads(cfg.to_json())) == cfg
 
 
 def test_cli_missing_checkpoint(tmp_path, capsys):
@@ -675,6 +705,71 @@ def test_cli_missing_checkpoint(tmp_path, capsys):
                      "--out", str(tmp_path / "empty")])
     assert code == 2
     assert capsys.readouterr().err.startswith("ERROR io:")
+    # each job reads its own checkpoint, so every run fails alone with io
+    failed = json.loads((tmp_path / "empty" / "report.json").read_text())["failed_runs"]
+    assert [(f["variant"], f["code"]) for f in failed] == [("source", "io"), ("scanner", "io")]
+
+
+def _delete_checkpoint(ckpt_dir, monkeypatch):
+    harness.checkpoint_path(ckpt_dir, 1).unlink()
+    return "io"
+
+
+def _fail_target(ckpt_dir, monkeypatch):
+    build = harness.build_domain
+
+    def failing(cfg, seed, role):
+        if seed == 1:
+            raise ConfigError("cores never separate")
+        return build(cfg, seed, role)
+
+    # the pool's processes fork after the patch, so they run it too
+    monkeypatch.setattr(harness, "build_domain", failing)
+    return "config"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("break_seed", [_delete_checkpoint, _fail_target],
+                         ids=lambda f: f.__name__.lstrip("_"))
+def test_unreadable_seed_inputs_fail_only_that_seeds_runs(tmp_path, capsys, monkeypatch,
+                                                           break_seed, workers):
+    cfg = tiny_experiment(tmp_path)
+    cfg.seeds = [0, 1]
+    cfg.variants = ["source", "scan"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg.to_json())
+    harness.cmd_pretrain(cfg, tmp_path)
+    harness.cmd_adapt(cfg, tmp_path, tmp_path / "clean")
+    clean = json.loads((tmp_path / "clean" / "report.json").read_text())
+    code = break_seed(tmp_path, monkeypatch)
+    out = tmp_path / "out"
+    assert cli_main(["adapt", "--config", str(cfg_path), "--checkpoints", str(tmp_path),
+                     "--out", str(out), "--workers", str(workers)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == [f"ERROR {code}"] * 2
+    assert [line.split(": ")[1] for line in err] == ["source seed 1", "scan seed 1"]
+    doc = json.loads((out / "report.json").read_text())
+    assert [(f["variant"], f["seed"], f["code"]) for f in doc["failed_runs"]] == \
+        [("source", 1, code), ("scan", 1, code)]
+    assert doc["runs"] == [r for r in clean["runs"] if r["seed"] == 0]
+    assert sorted(p.name for p in (out / "diagnostics").iterdir()) == \
+        ["scan_seed0.csv", "source_seed0.csv"]
+    for name in ("scan_seed0.csv", "source_seed0.csv"):
+        assert (out / "diagnostics" / name).read_bytes() == \
+            (tmp_path / "clean" / "diagnostics" / name).read_bytes()
+
+
+def test_cli_three_class_checkpoint_is_compat_error(tmp_path, capsys):
+    # the benchmark's labels are binary, so a 3-class head cannot adapt to it
+    cfg_path = _write_cfg(tmp_path)
+    SourceModel(ModelDims(d_in=4, d_h=6, n_classes=3), seed=0).save(
+        harness.checkpoint_path(tmp_path, 0))
+    code = cli_main(["adapt", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--checkpoints", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2   # one line per failed (variant, seed) run
+    assert all(line.startswith("ERROR compat:") and "n_classes=3" in line for line in err)
 
 
 @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__.lstrip("_"))

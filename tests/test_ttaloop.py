@@ -1,6 +1,7 @@
 """Adaptation-loop behavior tests on tiny synthetic streams."""
 
 import json
+import pickle
 from dataclasses import asdict
 
 import numpy as np
@@ -10,7 +11,7 @@ from conftest import tiny_batch, tiny_model
 
 from driftadapt import centroids as cb, driftgen as dg, gradcore as gc, ttaloop as tt
 from driftadapt.config import AdaptConfig, BenchmarkConfig
-from driftadapt.errors import ContractError
+from driftadapt.errors import ContractError, DivergenceError
 from driftadapt.model import MODALITIES, ModalityEncoder, SourceModel
 from driftadapt.objectives import MethodVariant
 
@@ -311,6 +312,23 @@ def test_adaptation_reduces_entropy_trace():
     report = tt.run_stream(model, target, _cfg(batch_size=32, lr=5e-2),
                            "tent_em", seed=0)
     assert report.mean_entropy_trace[-1] < report.mean_entropy_trace[0]
+
+
+def test_nonfinite_loss_raises_divergence_with_its_tau():
+    state = tt.init_adapt_state(tiny_model(), _cfg(), MethodVariant.TENT_EM)
+    state.tau = 2
+
+    class NanLoss:
+        data = np.asarray(np.nan)
+
+    res = tt.BatchResult(tau=2, predictions=np.zeros(1, dtype=np.int64),
+                         entropies=np.zeros(1), loss_row={"em": np.nan}, grad_norm=0.0)
+    with pytest.raises(DivergenceError) as info:
+        tt._apply_step(state, NanLoss(), res)
+    assert (str(info.value), info.value.tau) == ("non-finite loss at tau=2: {'em': nan}", 2)
+    # a pool job pickles the error back to the parent, tau included
+    back = pickle.loads(pickle.dumps(info.value))
+    assert (str(back), back.tau) == (str(info.value), 2)
 
 
 def test_nonfinite_grad_skips_step():

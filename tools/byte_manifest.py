@@ -9,6 +9,8 @@ JSON manifest with
 - the sha256 of every output file (checkpoints, summaries, reports,
   metrics, diagnostics and the embeddings CSV), keyed by its path under the
   work directory;
+- for each JSON output, the sha256 of each top-level key's value, so that a
+  diff names the keys of a file that moved;
 - the acceptance margins read from each preset's ``report.json`` at the
   first workers setting: the mean final macro-F1 of every variant in percent
   (criterion 6 on ``severe``), the per-seed (scanner, scan) collapse gaps
@@ -22,7 +24,8 @@ tool measures two trees:
     PYTHONPATH=src python tools/byte_manifest.py write change.json
     python tools/byte_manifest.py diff parent.json change.json
 
-``diff`` lists every file and margin that moved and exits 1 if any did.
+``diff`` lists every file and margin that moved, with the top-level keys that
+changed in a JSON file, and exits 1 if any did.
 Digests depend on the numpy and BLAS build, so compare manifests made on one
 machine; no golden manifest is kept in the repository.
 """
@@ -48,6 +51,13 @@ WORKERS = (1, 4)
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def key_digests(path: Path) -> dict:
+    """The sha256 of each top-level value of a JSON object file, as
+    canonical JSON."""
+    return {key: hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+            for key, value in json.loads(path.read_text()).items()}
 
 
 def margins(report: dict) -> dict:
@@ -84,7 +94,7 @@ def run_matrix(work_dir, matrix=MATRIX, seeds=SEEDS, workers=WORKERS, overrides=
     overrides = dict(overrides or {})
     bench = overrides.pop("benchmark", {})
     doc = {"numpy": np.__version__, "python": platform.python_version(),
-           "files": {}, "margins": {}}
+           "files": {}, "keys": {}, "margins": {}}
     for preset, variants in matrix:
         config = {**overrides, "benchmark": {**bench, "preset": preset},
                   "variants": list(variants), "seeds": list(seeds)}
@@ -101,7 +111,10 @@ def run_matrix(work_dir, matrix=MATRIX, seeds=SEEDS, workers=WORKERS, overrides=
                 if code != 0:
                     raise RuntimeError(f"{argv[0]} exited {code} in cell {out.name}")
             for path in sorted(p for p in out.rglob("*") if p.is_file()):
-                doc["files"][path.relative_to(work).as_posix()] = _sha256(path)
+                name = path.relative_to(work).as_posix()
+                doc["files"][name] = _sha256(path)
+                if path.suffix == ".json":
+                    doc["keys"][name] = key_digests(path)
         report = json.loads((work / f"{preset}_w{workers[0]}" / "report.json").read_text())
         doc["margins"][preset] = margins(report)
     return doc
@@ -117,6 +130,12 @@ def diff(old: dict, new: dict) -> list:
         a, b = old["files"].get(name), new["files"].get(name)
         if a != b:
             state = "missing" if b is None else "new" if a is None else "changed"
+            keys_a, keys_b = old.get("keys", {}).get(name), new.get("keys", {}).get(name)
+            if keys_a is not None and keys_b is not None:
+                moved = [k for k in sorted(set(keys_a) | set(keys_b))
+                         if keys_a.get(k) != keys_b.get(k)]
+                if moved:
+                    state += f" ({', '.join(moved)})"
             lines.append(f"file {name}: {state}")
 
     def walk(path, a, b):
