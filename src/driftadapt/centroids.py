@@ -32,7 +32,6 @@ class CentroidBank:
     modality: str
     centroids: np.ndarray  # k x d_h
     momentum: float = 0.9
-    tau: int = 0
     # clusters whose batch mean was carried forward on the last update
     carried_forward: list = field(default_factory=list)
 
@@ -172,12 +171,12 @@ def _lloyd_step(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray):
     return out
 
 
-def batch_means(features: np.ndarray, assignment: Assignment, bank: CentroidBank):
-    """Per-cluster means of the given rows; empty clusters carry the previous
-    centroid forward and are flagged on the bank."""
-    if assignment.indices.shape[0] != features.shape[0]:
+def batch_means(features: np.ndarray, indices: np.ndarray, bank: CentroidBank):
+    """Per-cluster means of the rows under their cluster ``indices``; empty
+    clusters carry the previous centroid forward and are flagged on the bank."""
+    if indices.shape[0] != features.shape[0]:
         raise ContractError("assignment length does not match batch size")
-    sums, counts = gc.cluster_sums(features, assignment.indices, bank.k)
+    sums, counts = gc.cluster_sums(features, indices, bank.k)
     bank.carried_forward = np.flatnonzero(counts == 0).tolist()
     return _means_or(bank.centroids, sums, counts)
 
@@ -189,7 +188,6 @@ def momentum_update(bank: CentroidBank, means: np.ndarray) -> CentroidBank:
     if means.shape != bank.centroids.shape:
         raise ContractError(f"means shape {means.shape} != {bank.centroids.shape}")
     bank.centroids = bank.momentum * bank.centroids + (1.0 - bank.momentum) * means
-    bank.tau += 1
     return bank
 
 

@@ -68,7 +68,7 @@ def loads(blob: bytes) -> dict:
         end = _take(blob, off, 8 * n)
         arr = np.frombuffer(blob, dtype="<f8", count=n, offset=off).reshape(shape)
         off = end
-        out[name] = arr.astype(np.float64).copy()
+        out[name] = arr.astype(np.float64)
     if off != len(blob):
         raise CompatibilityError("trailing bytes in checkpoint file")
     return out

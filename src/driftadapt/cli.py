@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .config import PRESETS, ExperimentConfig
-from .errors import DriftAdaptError
+from .errors import DriftAdaptError, error_code
 from .harness import cmd_adapt, cmd_export_embeddings, cmd_pretrain
 from .selftest import run_selftest
 
@@ -96,11 +96,8 @@ def main(argv=None) -> int:
             cmd_export_embeddings(cfg, args.checkpoint, out_csv)
             print(f"wrote {out_csv}")
         return 0
-    except DriftAdaptError as exc:
-        print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"ERROR io: {exc}", file=sys.stderr)
+    except (DriftAdaptError, OSError) as exc:
+        print(f"ERROR {error_code(exc)}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -153,9 +153,6 @@ class ExperimentConfig:
             raise ConfigError(f"k={self.adapt.k} exceeds the {first} rows of the first "
                               "target batch, which seeds the centroid banks")
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
     def recorded(self) -> dict:
         """The config as output files record it: without ``workers``, an
         execution setting that changes no output, and without the benchmark's

@@ -56,3 +56,8 @@ class CompatibilityError(DriftAdaptError, ValueError):
     """A checkpoint or artifact does not match the current configuration."""
 
     code = "compat"
+
+
+def error_code(exc: Exception) -> str:
+    """The CLI code of an error: its own ``code``, or ``io`` for an OSError."""
+    return exc.code if isinstance(exc, DriftAdaptError) else "io"

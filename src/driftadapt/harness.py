@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, driftgen
 from .config import ExperimentConfig
-from .errors import CompatibilityError, DriftAdaptError
+from .errors import CompatibilityError, DriftAdaptError, error_code
 from .model import MODALITIES, ModelDims, SourceModel, pretrain_source
 from .ttaloop import METRICS, RunReport, run_stream
 
@@ -111,9 +111,8 @@ def run_seed(cfg: ExperimentConfig, ckpt_dir, seed: int) -> list:
 
 
 def _failure(variant: str, seed: int, exc: Exception) -> dict:
-    """A ``failed_runs`` entry; an OSError has the CLI's code ``io``."""
-    code = exc.code if isinstance(exc, DriftAdaptError) else "io"
-    entry = {"variant": variant, "seed": seed, "code": code, "message": str(exc)}
+    """A ``failed_runs`` entry, with the CLI's code of the error."""
+    entry = {"variant": variant, "seed": seed, "code": error_code(exc), "message": str(exc)}
     if getattr(exc, "tau", None) is not None:   # the batch a divergence raised at
         entry["tau"] = exc.tau
     return entry

@@ -105,9 +105,9 @@ class Classifier:
 
 @dataclass
 class ModelDims:
-    d_in: int = 16
-    d_h: int = 32
-    n_classes: int = 2
+    d_in: int
+    d_h: int
+    n_classes: int
 
 
 def stack_modalities(batch: dict) -> np.ndarray:
@@ -181,10 +181,6 @@ class SourceModel:
         """Per-modality B x d_h features, slices of ``embed``."""
         return dict(zip(MODALITIES, gc.unstack(self.embed(batch))))
 
-    def forward(self, batch: dict) -> Tensor:
-        """The fused logits alone."""
-        return self.head(self.embed(batch))
-
     def forward_full(self, batch: dict):
         """Returns (features, per-modality logits, fused logits); the first
         two map each modality to a slice of one stacked node."""
@@ -243,6 +239,8 @@ class SourceModel:
                 raise CompatibilityError(
                     f"checkpoint shape {arrays[name].shape} != {view.shape} for {name}"
                 )
+            if not np.isfinite(arrays[name]).all():
+                raise CompatibilityError(f"checkpoint entry {name} holds NaN or inf")
             view[...] = arrays[name]
         return model
 
@@ -299,4 +297,4 @@ def pretrain_source(model: SourceModel, features: dict, labels: np.ndarray,
 
 
 def predict(model: SourceModel, features: dict) -> np.ndarray:
-    return model.forward(features).data.argmax(axis=1)
+    return model.head(model.embed(features)).data.argmax(axis=1)

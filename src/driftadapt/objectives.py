@@ -10,8 +10,8 @@ modality logits, and row i belongs to ``MODALITIES[i]``. Each loss is one
 graph node over all modalities (``gradcore.mean_entropy``,
 ``one_minus_means``, ``one_minus_weighted_means`` and ``plogp_sums``), and
 ``weighted_sum`` combines them, each replaying the per-modality op-by-op
-composition bit for bit; the per-modality terms are leaf Tensors that carry
-the logged values. A caller that holds one tensor per modality may pass a
+composition bit for bit and returning its per-modality terms as the logged
+floats. A caller that holds one tensor per modality may pass a
 {modality: Tensor} dict instead of a stack; one extra node stacks it.
 """
 
@@ -49,8 +49,8 @@ class LossBreakdown:
 
 
 def _terms(modalities, values) -> dict:
-    """Per-modality leaf Tensors that carry the logged term values."""
-    return {m: Tensor(v) for m, v in zip(modalities, values)}
+    """The logged term values, one float per modality."""
+    return {m: float(v) for m, v in zip(modalities, values)}
 
 
 def _stacked(per_modality):
@@ -193,5 +193,5 @@ def total_loss(similarities, modality_logits, fused_logits: Tensor,
     total = gc.weighted_sum(losses, weights)
 
     row = {"em": em.item(), "total": total.item()}
-    row.update({f"{name}_{m}": t.item() for name, ts in terms.items() for m, t in ts.items()})
+    row.update({f"{name}_{m}": t for name, ts in terms.items() for m, t in ts.items()})
     return LossBreakdown(total=total, row=row)

@@ -36,7 +36,6 @@ class BatchResult:
     loss_row: dict = field(default_factory=dict)
     grad_norm: float = 0.0
     skipped: bool = False
-    assignments: dict = field(default_factory=dict)  # modality -> cluster indices
 
 
 @dataclass
@@ -45,7 +44,7 @@ class AdaptState:
     cfg: AdaptConfig
     variant: MethodVariant
     seed: int = 0
-    banks: dict = None          # modality -> CentroidBank, lazily initialized
+    banks: list = None          # one CentroidBank per modality, lazily initialized
     optimizer: AdamW = None
     tau: int = 0
     # the seeded centroids, one array per modality, shared by the runs that
@@ -90,11 +89,10 @@ def _init_banks(state: AdaptState, features: np.ndarray):
     momentum updates never reach the stored ones.
     """
     if not state.seeded:
-        state.seeded[:] = [cb.init_kmeanspp(features[i], state.cfg.k, seed=state.seed * 101 + i,
-                                            momentum=state.cfg.gamma, modality=m).centroids
-                           for i, m in enumerate(MODALITIES)]
-    state.banks = {m: cb.CentroidBank(modality=m, centroids=c.copy(), momentum=state.cfg.gamma)
-                   for m, c in zip(MODALITIES, state.seeded)}
+        state.seeded[:] = [cb.init_kmeanspp(x, state.cfg.k, seed=state.seed * 101 + i).centroids
+                           for i, x in enumerate(features)]
+    state.banks = [cb.CentroidBank(modality=m, centroids=c.copy(), momentum=state.cfg.gamma)
+                   for m, c in zip(MODALITIES, state.seeded)]
 
 
 def adapt_batch(state: AdaptState, batch: dict) -> BatchResult:
@@ -168,9 +166,7 @@ def _cluster_step(state: AdaptState, features, fused_logits, result: BatchResult
     if state.banks is None:
         _init_banks(state, detached)
 
-    s, idx = cb.max_similarity([state.banks[m] for m in MODALITIES], features)
-    assignments = {m: cb.Assignment(indices=idx[i]) for i, m in enumerate(MODALITIES)}
-    result.assignments = {m: a.indices for m, a in assignments.items()}
+    s, idx = cb.max_similarity(state.banks, features)
     # only DIV reads the modality logits
     logits = (state.model.classifier.forward(features)
               if state.variant == MethodVariant.SCANNER and cfg.alpha > 0.0 else None)
@@ -184,10 +180,8 @@ def _cluster_step(state: AdaptState, features, fused_logits, result: BatchResult
     _apply_step(state, bd.total, result)
 
     # track centroids with features from the pre-update forward, detached
-    normalized = cb.l2_normalize_rows(detached)
-    for i, m in enumerate(MODALITIES):
-        means = cb.batch_means(normalized[i], assignments[m], state.banks[m])
-        cb.momentum_update(state.banks[m], means)
+    for bank, x, indices in zip(state.banks, cb.l2_normalize_rows(detached), idx):
+        cb.momentum_update(bank, cb.batch_means(x, indices, bank))
 
 
 # -- full-stream runner ----------------------------------------------------
@@ -272,14 +266,12 @@ def run_stream(model: SourceModel, target: SyntheticDataset, cfg: AdaptConfig,
 
     if state.banks is not None:
         gaps = []
-        for i, m in enumerate(MODALITIES):
-            normalized = cb.l2_normalize_rows(features[i])
-            assignment = cb.assign(state.banks[m], normalized)
+        for m, bank, x in zip(MODALITIES, state.banks, features):
+            normalized = cb.l2_normalize_rows(x)
+            assignment = cb.assign(bank, normalized)
             ratios = cluster_ratio_diag(assignment.indices, final_preds, labels, cfg.k)
             report.cluster_ratios[m] = ratios
-            report.entropy_table[m] = entropy_diag(
-                state.banks[m], model, normalized, assignment.indices
-            )
+            report.entropy_table[m] = entropy_diag(bank, model, normalized, assignment.indices)
             gaps.extend(abs(p - t) for p, t in ratios.values())
         report.collapse_gap = float(np.mean(gaps)) if gaps else None
     return report

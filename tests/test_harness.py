@@ -33,7 +33,7 @@ from driftadapt.selftest import run_selftest
 
 def test_config_json_round_trip(tmp_path):
     cfg = tiny_experiment(tmp_path)
-    back = ExperimentConfig.from_dict(json.loads(cfg.to_json()))
+    back = ExperimentConfig.from_dict(json.loads(json.dumps(asdict(cfg))))
     assert back == cfg
 
 
@@ -345,6 +345,12 @@ def _garble_first_name(blob):
     return blob[:16] + b"\xff" + blob[17:]
 
 
+def _nan_encoder_weight(blob):
+    arrays = checkpoint.loads(blob)
+    arrays["enc.v.weight"][0, 0] = np.nan
+    return checkpoint.dumps(arrays)
+
+
 CORRUPTIONS = [_cut_to_half, _cut_to_ten_bytes, _drop_input_stats, _garble_first_name]
 
 
@@ -360,6 +366,18 @@ def _corrupt_checkpoint(ckpt_dir, corrupt):
 def test_corrupt_checkpoint_raises_compat(tmp_path, corrupt):
     path = _corrupt_checkpoint(tmp_path, corrupt)
     with pytest.raises(CompatibilityError):
+        SourceModel.load(path)
+
+
+@pytest.mark.parametrize("name, value", [("enc.v.weight", np.nan), ("stats.a.var", np.inf),
+                                         ("clf.bias", -np.inf)])
+def test_non_finite_checkpoint_entry_raises_compat_naming_it(tmp_path, name, value):
+    path = tmp_path / "model.ckpt"
+    tiny_model().save(path)
+    arrays = checkpoint.load(path)
+    arrays[name].flat[-1] = value
+    checkpoint.save(path, arrays)
+    with pytest.raises(CompatibilityError, match=f"checkpoint entry {name} holds NaN or inf"):
         SourceModel.load(path)
 
 
@@ -403,7 +421,7 @@ def test_export_embeddings_builds_no_graph(tmp_path, monkeypatch):
 def _write_cfg(tmp_path):
     cfg = tiny_experiment(tmp_path)
     path = tmp_path / "cfg.json"
-    path.write_text(cfg.to_json())
+    path.write_text(json.dumps(asdict(cfg)))
     return path
 
 
@@ -438,7 +456,7 @@ def test_failed_run_stays_in_its_own_run(tmp_path, capsys, monkeypatch, workers)
     cfg.seeds = [0, 1]
     cfg.variants = ["source", "scanner"]
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(cfg.to_json())
+    cfg_path.write_text(json.dumps(asdict(cfg)))
     harness.cmd_pretrain(cfg, tmp_path)
     clean, out = tmp_path / "clean", tmp_path / "out"
     argv = ["adapt", "--config", str(cfg_path), "--checkpoints", str(tmp_path),
@@ -478,6 +496,15 @@ def test_failed_run_stays_in_its_own_run(tmp_path, capsys, monkeypatch, workers)
     rows = (out / "metrics.csv").read_text().splitlines()
     assert rows[:4] == (clean / "metrics.csv").read_text().splitlines()[:4]
     assert not any(row.startswith("scanner,1,") for row in rows)
+
+
+def test_cli_export_embeddings_of_a_non_finite_checkpoint_is_compat_error(tmp_path, capsys):
+    path = _corrupt_checkpoint(tmp_path / "ckpts", _nan_encoder_weight)
+    code = cli_main(["export-embeddings", "--config", str(_write_cfg(tmp_path)),
+                     "--out", str(tmp_path / "out"), "--checkpoint", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("ERROR compat: checkpoint entry enc.v.weight")
+    assert not (tmp_path / "out" / "embeddings.csv").exists()
 
 
 def test_cli_export_embeddings(tmp_path, capsys):
@@ -628,7 +655,7 @@ def test_cli_preset_keeps_explicit_benchmark_fields(tmp_path, monkeypatch, raw, 
 def test_recorded_config_states_only_the_numbers_that_ran(tmp_path, capsys):
     # every mild field is explicit, so --preset severe changes no number;
     # the recorded config then carries no preset label to contradict them
-    raw = json.loads(tiny_experiment().to_json())
+    raw = json.loads(json.dumps(asdict(tiny_experiment())))
     raw["benchmark"] = {**asdict(BenchmarkConfig()), "n_source": 96, "n_target": 96}
     path = tmp_path / "mild.json"
     path.write_text(json.dumps(raw))
@@ -696,7 +723,7 @@ def test_config_from_dict_fuzz(raw):
             elif f.type == "float":
                 assert isinstance(value, (int, float)) and np.isfinite(value)
     assert all(isinstance(s, int) and s >= 0 for s in cfg.seeds)
-    assert ExperimentConfig.from_dict(json.loads(cfg.to_json())) == cfg
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
 
 def test_cli_missing_checkpoint(tmp_path, capsys):
@@ -728,16 +755,24 @@ def _fail_target(ckpt_dir, monkeypatch):
     return "config"
 
 
+def _nan_in_checkpoint(ckpt_dir, monkeypatch):
+    # its NaN features made scanner's k-means++ seeding raise a ValueError
+    # that wrote no report, and source score one-class predictions
+    path = harness.checkpoint_path(ckpt_dir, 1)
+    path.write_bytes(_nan_encoder_weight(path.read_bytes()))
+    return "compat"
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("break_seed", [_delete_checkpoint, _fail_target],
+@pytest.mark.parametrize("break_seed", [_delete_checkpoint, _fail_target, _nan_in_checkpoint],
                          ids=lambda f: f.__name__.lstrip("_"))
 def test_unreadable_seed_inputs_fail_only_that_seeds_runs(tmp_path, capsys, monkeypatch,
                                                            break_seed, workers):
     cfg = tiny_experiment(tmp_path)
     cfg.seeds = [0, 1]
-    cfg.variants = ["source", "scan"]
+    cfg.variants = ["source", "scanner"]
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(cfg.to_json())
+    cfg_path.write_text(json.dumps(asdict(cfg)))
     harness.cmd_pretrain(cfg, tmp_path)
     harness.cmd_adapt(cfg, tmp_path, tmp_path / "clean")
     clean = json.loads((tmp_path / "clean" / "report.json").read_text())
@@ -747,14 +782,14 @@ def test_unreadable_seed_inputs_fail_only_that_seeds_runs(tmp_path, capsys, monk
                      "--out", str(out), "--workers", str(workers)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert [line.split(":")[0] for line in err] == [f"ERROR {code}"] * 2
-    assert [line.split(": ")[1] for line in err] == ["source seed 1", "scan seed 1"]
+    assert [line.split(": ")[1] for line in err] == ["source seed 1", "scanner seed 1"]
     doc = json.loads((out / "report.json").read_text())
     assert [(f["variant"], f["seed"], f["code"]) for f in doc["failed_runs"]] == \
-        [("source", 1, code), ("scan", 1, code)]
+        [("source", 1, code), ("scanner", 1, code)]
     assert doc["runs"] == [r for r in clean["runs"] if r["seed"] == 0]
     assert sorted(p.name for p in (out / "diagnostics").iterdir()) == \
-        ["scan_seed0.csv", "source_seed0.csv"]
-    for name in ("scan_seed0.csv", "source_seed0.csv"):
+        ["scanner_seed0.csv", "source_seed0.csv"]
+    for name in ("scanner_seed0.csv", "source_seed0.csv"):
         assert (out / "diagnostics" / name).read_bytes() == \
             (tmp_path / "clean" / "diagnostics" / name).read_bytes()
 

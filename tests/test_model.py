@@ -89,7 +89,9 @@ def test_fused_logits_graph_size():
 def test_forward_is_the_fused_logits_of_forward_full():
     model = tiny_model(seed=5)
     batch = tiny_batch(np.random.default_rng(12), n=9)
-    assert np.array_equal(model.forward(batch).data, model.forward_full(batch)[2].data)
+    fused = model.forward_full(batch)[2].data
+    assert np.array_equal(model.head(model.embed(batch)).data, fused)
+    assert np.array_equal(predict(model, batch), fused.argmax(axis=1))
 
 
 def test_pretrain_step_graph_budget(monkeypatch):

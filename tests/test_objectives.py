@@ -26,9 +26,9 @@ def _slices(stack):
 
 
 def _fused_total_loss(*args, **kwargs):
-    """obj.total_loss as (total, {"<term>_<modality>": Tensor})."""
+    """obj.total_loss as (total, {"<term>_<modality>": float})."""
     bd = obj.total_loss(*args, **kwargs)
-    return bd.total, {key: Tensor(v) for key, v in bd.row.items() if key not in ("em", "total")}
+    return bd.total, {key: v for key, v in bd.row.items() if key not in ("em", "total")}
 
 
 def _bits(x):
@@ -36,14 +36,16 @@ def _bits(x):
 
 
 def _value_terms_grads(loss, leaves, upstream):
-    """Bytes of the loss value, of each per-modality term and of every leaf
-    gradient after backpropagating ``upstream * loss``."""
+    """Bytes of the loss value, of each per-modality term (a float, or an
+    oracle's Tensor) and of every leaf gradient after backpropagating
+    ``upstream * loss``."""
     for t in leaves:
         t.grad = None
     out = loss()
     total, terms = out if isinstance(out, tuple) else (out, {})
     gc.backward(gc.mul(total, upstream))
-    return (_bits(total.data), {m: _bits(t.data) for m, t in terms.items()},
+    return (_bits(total.data),
+            {m: _bits(t.data if isinstance(t, Tensor) else t) for m, t in terms.items()},
             [_bits(t.grad) for t in leaves])
 
 
@@ -114,8 +116,8 @@ def test_can_and_scan_equal_composition_bitwise(seed, n_mod, b, beta, ties, upst
     _assert_same_bits(lambda: obj.scan_loss(sims, beta),
                       lambda: reference_scan_loss(_slices(sims), beta), [sims], upstream)
     # the CAN terms that scan and scanner log from the values alone
-    assert ({m: _bits(t.data) for m, t in obj._can_terms(sims).items()}
-            == {m: _bits(t.data) for m, t in obj.can_loss(sims)[1].items()})
+    assert ({m: _bits(t) for m, t in obj._can_terms(sims).items()}
+            == {m: _bits(t) for m, t in obj.can_loss(sims)[1].items()})
 
     # the weights inside the fused node are those of adaptive_weights, row by row
     seen = []
@@ -250,8 +252,8 @@ def test_adapt_steps_equal_composition_bitwise(monkeypatch, variant):
 def test_can_loss_hand_value():
     # row v, s = [0.2, 0.6]: 1 - 0.4 = 0.6; row t adds 1 - 0.9 = 0.1
     total, terms = obj.can_loss(Tensor(np.array([[0.2, 0.6], [0.9, 0.9]])))
-    assert terms["v"].item() == pytest.approx(0.6, abs=1e-12)
-    assert terms["t"].item() == pytest.approx(0.1, abs=1e-12)
+    assert terms["v"] == pytest.approx(0.6, abs=1e-12)
+    assert terms["t"] == pytest.approx(0.1, abs=1e-12)
     assert total.item() == pytest.approx(0.7, abs=1e-12)
 
 
@@ -332,7 +334,7 @@ def test_scan_never_exceeds_can(seed, n_mod, n, beta):
     can_total, can_terms = obj.can_loss(s)
     scan_total, scan_terms = obj.scan_loss(s, beta=beta)
     assert scan_total.item() <= can_total.item() + 1e-9
-    assert all(scan_terms[m].item() <= can_terms[m].item() + 1e-9 for m in can_terms)
+    assert all(scan_terms[m] <= can_terms[m] + 1e-9 for m in can_terms)
 
 
 def test_scan_equals_can_when_similarities_equal():
@@ -361,13 +363,13 @@ def test_div_loss_frozen_value():
     avg = {"v": {0: Tensor(np.array([0.5, 0.5])), 1: Tensor(np.array([1.0, 0.0]))}}
     total, terms = obj.div_loss(avg, k=2)
     assert total.item() == pytest.approx(-0.34657359027997264, abs=1e-9)
-    assert terms["v"].item() == pytest.approx(total.item(), abs=1e-12)
+    assert terms["v"] == pytest.approx(total.item(), abs=1e-12)
 
 
 def test_div_loss_empty_modality_zero():
     total, terms = obj.div_loss({"v": {}}, k=3)
     assert total.item() == 0.0
-    assert terms["v"].item() == 0.0
+    assert terms["v"] == 0.0
 
 
 def test_div_loss_minimized_by_uniform():
@@ -398,9 +400,9 @@ def test_stacked_cluster_avg_probs_rows_follow_modality_then_cluster():
     total, terms = obj.div_loss(avg, 3, [2, 1])
     assert set(terms) == {"v", "t"}
     # (1/3) * (-ln 2 + 0) for v; t's single row is nearly one-hot
-    assert terms["v"].item() == pytest.approx(-np.log(2.0) / 3, abs=1e-3)
-    assert terms["t"].item() == pytest.approx(0.0, abs=1e-3)
-    assert total.item() == terms["v"].item() + terms["t"].item()
+    assert terms["v"] == pytest.approx(-np.log(2.0) / 3, abs=1e-3)
+    assert terms["t"] == pytest.approx(0.0, abs=1e-3)
+    assert total.item() == terms["v"] + terms["t"]
 
 
 def test_plogp_sums_rejects_groups_that_do_not_fit():
