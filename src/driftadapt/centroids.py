@@ -54,11 +54,8 @@ def _sse(features: np.ndarray, centroids: np.ndarray, total: bool = True) -> tup
     return labels, float(d2[np.arange(len(features)), labels].sum()) if total else None
 
 
-def init_kmeanspp(features: np.ndarray, k: int, seed=0,
-                  momentum: float = 0.9, modality: str = "") -> CentroidBank:
+def init_kmeanspp(features: np.ndarray, k: int, seed=0, modality: str = "") -> CentroidBank:
     """k-means++ seeding followed by Lloyd iterations on normalized rows."""
-    if not (0.0 <= momentum < 1.0):
-        raise ConfigError(f"momentum {momentum} outside [0, 1)")
     b = features.shape[0]
     if b < k:
         raise ConfigError(f"need at least k={k} points, got {b}")
@@ -89,7 +86,7 @@ def init_kmeanspp(features: np.ndarray, k: int, seed=0,
         if np.array_equal(labels, previous):
             break
     centroids = _hartigan_refine(x, centroids, labels)
-    return CentroidBank(modality=modality, centroids=centroids, momentum=momentum)
+    return CentroidBank(modality=modality, centroids=centroids)
 
 
 def _hartigan_refine(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray):

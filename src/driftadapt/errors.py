@@ -11,12 +11,6 @@ class DriftAdaptError(Exception):
     code = ""
 
 
-class ShapeMismatchError(DriftAdaptError, ValueError):
-    """Operand shapes are incompatible for the requested operation."""
-
-    code = "shape"
-
-
 class DegenerateDataError(DriftAdaptError, ValueError):
     """Input data cannot support the requested computation: a (near-)zero-norm
     row where direction matters, or all points identical."""
@@ -31,7 +25,8 @@ class ConfigError(DriftAdaptError, ValueError):
 
 
 class ContractError(DriftAdaptError, ValueError):
-    """A caller violated an interface precondition."""
+    """A caller violated an interface precondition, such as operand shapes
+    that do not fit."""
 
     code = "contract"
 

@@ -42,12 +42,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import (
-    ContractError,
-    DegenerateDataError,
-    NumericError,
-    ShapeMismatchError,
-)
+from .errors import ContractError, DegenerateDataError, NumericError
 
 _NORM_FLOOR = 1e-12
 _LOG_FLOOR = 1e-12
@@ -66,10 +61,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
         self._backward_fn = None
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
@@ -234,9 +225,7 @@ def gelu(x: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeMismatchError(
-            f"matmul shapes incompatible: {a.data.shape} x {b.data.shape}"
-        )
+        raise ContractError(f"matmul shapes incompatible: {a.data.shape} x {b.data.shape}")
     out_data = a.data @ b.data
 
     def bwd(g):
@@ -255,9 +244,7 @@ def _linear_inputs(x, w, b):
     if (x.data.ndim not in (2, 3) or w.data.ndim not in (2, 3) or xs[-1] != ws[-2]
             or (w.data.ndim == 3 and (x.data.ndim != 3 or xs[0] != ws[0]))
             or b.data.shape != ws[:-2] + ws[-1:]):
-        raise ShapeMismatchError(
-            f"linear shapes incompatible: {xs} x {ws} + {b.data.shape}"
-        )
+        raise ContractError(f"linear shapes incompatible: {xs} x {ws} + {b.data.shape}")
     return x, w, b
 
 
@@ -293,7 +280,7 @@ def rowdot(a: Tensor, b: Tensor) -> Tensor:
     """Per-row dot product of two B x d tensors -> B."""
     a, b = _wrap(a), _wrap(b)
     if a.data.shape != b.data.shape:
-        raise ShapeMismatchError(f"rowdot shapes differ: {a.data.shape} vs {b.data.shape}")
+        raise ContractError(f"rowdot shapes differ: {a.data.shape} vs {b.data.shape}")
     out_data = np.einsum("ij,ij->i", a.data, b.data)
 
     def bwd(g):
@@ -350,11 +337,11 @@ def attention_pool(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     """
     x, wq, wk, wv = _wrap(x), _wrap(wq), _wrap(wk), _wrap(wv)
     if x.data.ndim != 3 or x.data.shape[0] == 0:
-        raise ShapeMismatchError(f"attention tokens must be an n x B x d stack, got {x.data.shape}")
+        raise ContractError(f"attention tokens must be an n x B x d stack, got {x.data.shape}")
     n, b, d = x.data.shape
     if (wq.data.ndim != 2 or wq.data.shape != wk.data.shape
             or wq.data.shape[0] != d or wv.data.ndim != 2 or wv.data.shape[0] != d):
-        raise ShapeMismatchError(
+        raise ContractError(
             f"attention projections {wq.data.shape}/{wk.data.shape}/{wv.data.shape} "
             f"do not fit token dim {d}"
         )
@@ -500,11 +487,15 @@ def _layernorm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: f
 
     The mean and variance are ``np.mean`` and ``np.var``'s arithmetic (a sum
     divided by d, then the mean of the squared deviations) written out, so
-    the deviations are computed once.
+    the deviations are computed once. A variance that is not finite raises
+    NumericError: an overflow would otherwise make 1/std 0 and every output
+    row ``bias``.
     """
     d = x.shape[-1]
     dev = x - x.sum(axis=-1, keepdims=True) / d
     var = (dev * dev).sum(axis=-1, keepdims=True) / d
+    if not np.isfinite(var).all():
+        raise NumericError("layer norm variance is not finite")
     inv = 1.0 / np.sqrt(var + eps)
     xhat = dev * inv
     return gain[..., None, :] * xhat + bias[..., None, :], xhat, inv
@@ -523,7 +514,7 @@ def _layernorm_backward(g, gain: np.ndarray, xhat, inv):
 def _layernorm_inputs(gain, bias, shape):
     gain, bias = _wrap(gain), _wrap(bias)
     if gain.data.shape != shape or bias.data.shape != shape:
-        raise ShapeMismatchError(
+        raise ContractError(
             f"layernorm affine shapes {gain.data.shape}/{bias.data.shape} "
             f"do not match {shape}"
         )
@@ -535,7 +526,7 @@ def layernorm_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     gain * xhat + bias."""
     x = _wrap(x)
     if x.data.ndim != 2:
-        raise ShapeMismatchError(f"layernorm_affine expects a B x d input, got {x.data.shape}")
+        raise ContractError(f"layernorm_affine expects a B x d input, got {x.data.shape}")
     gain, bias = _layernorm_inputs(gain, bias, x.data.shape[-1:])
     out_data, xhat, inv = _layernorm_forward(x.data, gain.data, bias.data, _LN_EPS)
 
@@ -561,7 +552,7 @@ def linear_layernorm_gelu(x: Tensor, w: Tensor, b: Tensor, gain: Tensor, bias: T
     """
     x, w, b = _linear_inputs(x, w, b)
     if w.data.ndim != 3:
-        raise ShapeMismatchError(
+        raise ContractError(
             f"linear_layernorm_gelu expects an n x d_in x d_h weight stack, got {w.data.shape}"
         )
     gain, bias = _layernorm_inputs(gain, bias, b.data.shape)
@@ -652,7 +643,7 @@ def max_cosine(features: Tensor, centroids: np.ndarray):
     c = np.asarray(centroids, dtype=np.float64)
     if features.data.ndim not in (2, 3) or c.shape[:-2] != features.data.shape[:-2] \
             or c.ndim != features.data.ndim or c.shape[-1] != features.data.shape[-1]:
-        raise ShapeMismatchError(
+        raise ContractError(
             f"max_cosine shapes incompatible: {features.data.shape} vs centroids {c.shape}"
         )
     s, nf, denom = _cosine_forward(features.data, c)
@@ -670,9 +661,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     labels = np.asarray(labels, dtype=np.intp)
     n = logits.data.shape[0]
     if labels.shape != (n,):
-        raise ShapeMismatchError(
-            f"labels shape {labels.shape} does not match batch {n}"
-        )
+        raise ContractError(f"labels shape {labels.shape} does not match batch {n}")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     total = e.sum(axis=1)
@@ -729,7 +718,7 @@ def mean_entropy(logits: Tensor) -> Tensor:
 def _rows(x: Tensor, what: str) -> Tensor:
     x = _wrap(x)
     if x.data.ndim != 2:
-        raise ShapeMismatchError(f"{what} expects an n x B stack, got {x.data.shape}")
+        raise ContractError(f"{what} expects an n x B stack, got {x.data.shape}")
     return x
 
 
@@ -779,7 +768,7 @@ def plogp_sums(p: Tensor, scale: float, sizes):
     per_row = (p.data * logp).sum(axis=1)
     ends = np.cumsum(sizes)
     if ends[-1] != per_row.size:
-        raise ShapeMismatchError(f"groups of {list(sizes)} rows do not fit {per_row.size} rows")
+        raise ContractError(f"groups of {list(sizes)} rows do not fit {per_row.size} rows")
     values = [per_row[end - n:end].sum() * scale for n, end in zip(sizes, ends)]
 
     def bwd(g):

@@ -206,12 +206,15 @@ def cmd_export_embeddings(cfg: ExperimentConfig, ckpt_path, out_path):
     model = load_compatible(ckpt_path, cfg)
     model.freeze()
     source, target = build_domains(cfg, cfg.seeds[0])
+    # both domains are embedded before the file is opened, so a failed
+    # forward leaves no partial CSV
+    embedded = [(tag, ds, np.mean(model.embed(ds.features).data, axis=0))
+                for tag, ds in (("source", source), ("target", target))]
     with open(out_path, "w", newline="") as fh:
         w = csv.writer(fh)
         d_h = model.dims.d_h
         w.writerow(["domain", "label", "core"] + [f"e{i}" for i in range(d_h)])
-        for tag, ds in (("source", source), ("target", target)):
-            mean_emb = np.mean(model.embed(ds.features).data, axis=0)
+        for tag, ds, mean_emb in embedded:
             for i in range(len(ds)):
                 w.writerow([tag, int(ds.labels[i]), int(ds.cores[i])]
                            + [f"{v:.8g}" for v in mean_emb[i]])

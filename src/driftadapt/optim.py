@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, ShapeMismatchError
+from .errors import ContractError
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # moment decays and denominator floor
 
@@ -21,11 +21,10 @@ class AdamW:
     """
 
     def __init__(self, params: dict, lr=1e-3, weight_decay=5e-4):
-        self.params = dict(params)
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        ends = np.cumsum([p.data.size for p in self.params.values()], dtype=np.intp)
+        ends = np.cumsum([p.data.size for p in params.values()], dtype=np.intp)
         n = int(ends[-1]) if ends.size else 0
         self.flat = np.empty(n)
         self.m = np.zeros(n)
@@ -33,7 +32,7 @@ class AdamW:
         self._grad = np.empty(n)
         self._scratch = (np.empty(n), np.empty(n))
         self._views = []   # (name, parameter, its view, its gradient's view)
-        for (name, p), end in zip(self.params.items(), ends):
+        for (name, p), end in zip(params.items(), ends):
             sl = slice(end - p.data.size, end)
             view = self.flat[sl].reshape(p.data.shape)
             view[...] = p.data
@@ -48,9 +47,7 @@ class AdamW:
             if p.grad is None:
                 gview.fill(0.0)
             elif p.grad.shape != view.shape:
-                raise ShapeMismatchError(
-                    f"grad shape {p.grad.shape} vs param {view.shape} for {name}"
-                )
+                raise ContractError(f"grad shape {p.grad.shape} vs param {view.shape} for {name}")
             else:
                 gview[...] = p.grad
         self.t += 1
@@ -70,7 +67,3 @@ class AdamW:
         self.flat -= s
         if self.weight_decay:
             self.flat -= np.multiply(self.flat, lr * self.weight_decay, out=s)
-
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None

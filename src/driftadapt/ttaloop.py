@@ -98,6 +98,8 @@ def _init_banks(state: AdaptState, features: np.ndarray):
 def adapt_batch(state: AdaptState, batch: dict) -> BatchResult:
     """Process one unlabeled target batch; updates state in place."""
     model, cfg = state.model, state.cfg
+    # the one gradient reset; _apply_step leaves its gradients in place,
+    # whether it steps or skips
     model.zero_grad()
     features = model.embed(batch)
     fused_logits = model.head(features)
@@ -126,14 +128,11 @@ def _apply_step(state: AdaptState, loss, result: BatchResult):
                               tau=state.tau)
     gc.backward(loss)
     result.grad_norm = _grad_norm(state.model)
-    if not np.isfinite(result.grad_norm):
-        # skip and flag rather than clip, so the gradient-norm trace keeps
-        # its diagnostic meaning
-        result.skipped = True
-        state.optimizer.zero_grad()
-        return
-    state.optimizer.step()
-    state.optimizer.zero_grad()
+    # skip and flag a non-finite gradient rather than clip it, so the
+    # gradient-norm trace keeps its diagnostic meaning
+    result.skipped = not np.isfinite(result.grad_norm)
+    if not result.skipped:
+        state.optimizer.step()
 
 
 def _norm_update(model: SourceModel, batch: dict, momentum: float):
@@ -224,12 +223,11 @@ def run_stream(model: SourceModel, target: SyntheticDataset, cfg: AdaptConfig,
     batches alone. Runs that pass one ``seeded`` list seed the centroid
     banks once between them (see ``_init_banks``).
     """
-    variant = MethodVariant(variant)
     n = len(target)
     if n == 0:
         raise ContractError("empty target stream")
     state = init_adapt_state(model, cfg, variant, seed=seed, seeded=seeded)
-    report = RunReport(variant=variant.value, seed=seed)
+    report = RunReport(variant=state.variant.value, seed=seed)
 
     online_preds = np.empty(n, dtype=np.int64)
     for start in range(0, n, cfg.batch_size):
@@ -245,7 +243,7 @@ def run_stream(model: SourceModel, target: SyntheticDataset, cfg: AdaptConfig,
     report.online_accuracy = accuracy(online_preds, labels)
     report.online_macro_f1 = macro_f1(online_preds, labels, model.dims.n_classes)
 
-    if variant == MethodVariant.SOURCE:
+    if state.variant == MethodVariant.SOURCE:
         # the same head(embed(batch)) on the same rows of an unchanged model
         final_preds = online_preds
     else:

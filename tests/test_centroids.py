@@ -43,8 +43,11 @@ def test_momentum_shape_mismatch():
 
 
 def test_bad_momentum_rejected():
-    with pytest.raises(ConfigError):
-        cb.init_kmeanspp(np.eye(3), k=2, momentum=1.0)
+    for momentum in (1.0, -0.1):
+        bank = cb.CentroidBank("v", centroids=np.eye(2), momentum=momentum)
+        with pytest.raises(ConfigError):
+            cb.momentum_update(bank, np.zeros((2, 2)))
+        np.testing.assert_array_equal(bank.centroids, np.eye(2))
 
 
 def test_lloyd_sse_monotone():

@@ -11,12 +11,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import attention_pool_inline_softmax, reference_max_cosine
 
 from driftadapt import gradcore as gc
-from driftadapt.errors import (
-    ContractError,
-    DegenerateDataError,
-    NumericError,
-    ShapeMismatchError,
-)
+from driftadapt.errors import ContractError, DegenerateDataError, NumericError
 from driftadapt.gradcore import Tensor
 
 TOL = 1e-6
@@ -66,7 +61,7 @@ def test_backward_requires_scalar_root():
 
 
 def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ContractError):
         gc.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
 
@@ -223,7 +218,7 @@ def test_cluster_means_grad_with_empty_and_singleton_clusters():
         means = gc.cluster_means(x, labels, 4)
         return gc.tsum(gc.mul(gc.mul(means, means), w))
 
-    assert gc.cluster_means(x, labels, 4).shape == (3, 3)
+    assert gc.cluster_means(x, labels, 4).data.shape == (3, 3)
     assert gc.finite_diff_params(loss, [x]) < TOL
 
 
@@ -304,11 +299,11 @@ def test_attention_pool_frozen_projections_get_no_grad():
 
 def test_attention_pool_shape_mismatch():
     w = Tensor(np.ones((3, 3)))
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ContractError):
         gc.attention_pool(Tensor(np.ones((2, 3))), w, w, w)       # not a stack
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ContractError):
         gc.attention_pool(Tensor(np.ones((0, 2, 3))), w, w, w)    # no tokens
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ContractError):
         gc.attention_pool(Tensor(np.ones((3, 2, 4))), w, w, w)
 
 
@@ -435,17 +430,17 @@ def test_linear_frozen_operands_get_no_grad():
 
 def test_linear_shape_mismatch():
     x, w = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ContractError):
         gc.linear(x, Tensor(np.ones((2, 4))), Tensor(np.zeros(4)))
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ContractError):
         gc.linear(x, w, Tensor(np.zeros(3)))
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ContractError):
         gc.linear(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 3, 4))), Tensor(np.zeros((3, 4))))
     # the fused encoder takes stacked inputs alone
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ContractError):
         gc.linear_layernorm_gelu(x, w, Tensor(np.zeros(4)), Tensor(np.ones(4)), Tensor(np.zeros(4)))
     xs, ws, b = Tensor(np.ones((2, 2, 3))), Tensor(np.ones((2, 3, 4))), Tensor(np.zeros((2, 4)))
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ContractError):
         gc.linear_layernorm_gelu(xs, ws, b, Tensor(np.ones(4)), Tensor(np.zeros(4)))
 
 
@@ -466,6 +461,17 @@ def test_layernorm_statistics_are_numpys_mean_and_var_bitwise(seed, n, b, d):
     want_dx = (gy - gy.mean(axis=-1, keepdims=True)
                - xhat * (gy * xhat).mean(axis=-1, keepdims=True)) * inv
     assert gc._layernorm_backward(g, gain, xhat, inv)[2].tobytes() == want_dx.tobytes()
+
+
+def test_overflowing_layer_norm_variance_is_numeric_error():
+    # the squared deviations of 1e200-scale rows overflow to inf, which would
+    # make 1/std 0 and every row of the output the gelu of its bias
+    rng = np.random.default_rng(3)
+    x, w = rng.normal(0, 1, (3, 4, 5)), Tensor(rng.normal(0, 1, (3, 5, 6)))
+    b, gain, shift = Tensor(np.zeros((3, 6))), Tensor(np.ones((3, 6))), Tensor(np.zeros((3, 6)))
+    assert np.isfinite(gc.linear_layernorm_gelu(Tensor(x), w, b, gain, shift).data).all()
+    with pytest.raises(NumericError, match="layer norm variance is not finite"):
+        gc.linear_layernorm_gelu(Tensor(x * 1e200), w, b, gain, shift)
 
 
 def test_gelu_constant_is_shared_by_the_fused_encoder(monkeypatch):

@@ -1,8 +1,12 @@
 """Harness and CLI tests on a miniature experiment."""
 
+import contextlib
 import csv
+import io
 import json
 import os
+import re
+import tempfile
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -351,6 +355,13 @@ def _nan_encoder_weight(blob):
     return checkpoint.dumps(arrays)
 
 
+def _overflowing_encoder_weight(blob):
+    # finite, so the checkpoint loads, but its layer norm variance overflows
+    arrays = checkpoint.loads(blob)
+    arrays["enc.v.weight"] *= 1e200
+    return checkpoint.dumps(arrays)
+
+
 CORRUPTIONS = [_cut_to_half, _cut_to_ten_bytes, _drop_input_stats, _garble_first_name]
 
 
@@ -504,6 +515,16 @@ def test_cli_export_embeddings_of_a_non_finite_checkpoint_is_compat_error(tmp_pa
                      "--out", str(tmp_path / "out"), "--checkpoint", str(path)])
     assert code == 2
     assert capsys.readouterr().err.startswith("ERROR compat: checkpoint entry enc.v.weight")
+    assert not (tmp_path / "out" / "embeddings.csv").exists()
+
+
+def test_cli_export_embeddings_of_an_overflowing_checkpoint_is_numeric_error(tmp_path, capsys):
+    path = _corrupt_checkpoint(tmp_path / "ckpts", _overflowing_encoder_weight)
+    code = cli_main(["export-embeddings", "--config", str(_write_cfg(tmp_path)),
+                     "--out", str(tmp_path / "out"), "--checkpoint", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "ERROR numeric: layer norm variance is not finite"]
     assert not (tmp_path / "out" / "embeddings.csv").exists()
 
 
@@ -726,6 +747,67 @@ def test_config_from_dict_fuzz(raw):
     assert ExperimentConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
 
+# every code an ERROR line may carry: one per error class, and io for an OSError
+ERROR_CODES = {cls.code for cls in errors.DriftAdaptError.__subclasses__()} | {"io"}
+
+
+def _run_cli(argv):
+    """(exit status, stderr lines) of one CLI command; an error that the CLI
+    does not report as an ERROR line propagates as its traceback would."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, err.getvalue().splitlines()
+
+
+def _error_codes(lines):
+    """The codes of the ERROR lines; any other line must be a warning."""
+    codes = []
+    for line in lines:
+        found = re.match(r"ERROR (\w+): ", line)
+        if found:
+            codes.append(found.group(1))
+        else:
+            # numpy's RuntimeWarning and the source line it echoes
+            assert "Warning: " in line or line.startswith(" "), line
+    return codes
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.builds(
+    lambda bench, adapt, top: {"benchmark": bench, "adapt": adapt, **top},
+    _mutated(BenchmarkConfig), _mutated(AdaptConfig), _changes(ExperimentConfig),
+))
+def test_fuzzed_config_runs_or_fails_with_documented_codes(raw):
+    # a drawn document at small sizes either runs every (variant, seed) or
+    # ends each failure in a documented ERROR line, never a traceback
+    raw["benchmark"].update(n_source=48, n_target=48, d_in=4, d_z=4)
+    raw.update(d_h=4, pretrain_epochs=1, workers=1)
+    seeds = raw.setdefault("seeds", [0, 1])
+    if isinstance(seeds, list):
+        raw["seeds"] = seeds[:2]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, out = Path(tmp, "cfg.json"), Path(tmp, "out")
+        cfg_path.write_text(json.dumps(raw))
+        code, err = _run_cli(["pretrain", "--config", str(cfg_path), "--out", str(out)])
+        codes = _error_codes(err)
+        assert (code, len(codes)) in ((0, 0), (2, 1)) and set(codes) <= ERROR_CODES
+        code, err = _run_cli(["adapt", "--config", str(cfg_path), "--out", str(out)])
+        codes = _error_codes(err)
+        assert set(codes) <= ERROR_CODES
+        report = out / "report.json"
+        doc = json.loads(report.read_text()) if report.exists() else None
+        if code == 0:
+            assert not codes
+            cfg = ExperimentConfig.from_dict(raw)
+            assert {(r["variant"], r["seed"]) for r in doc["runs"]} == \
+                {(v, s) for v in cfg.variants for s in cfg.seeds}
+        else:
+            assert code == 2
+            failed = doc["failed_runs"] if doc else [{"code": codes[0]}]
+            assert codes == [f["code"] for f in failed]
+
+
 def test_cli_missing_checkpoint(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path)
     code = cli_main(["adapt", "--config", str(cfg_path),
@@ -763,8 +845,17 @@ def _nan_in_checkpoint(ckpt_dir, monkeypatch):
     return "compat"
 
 
+def _overflow_in_checkpoint(ckpt_dir, monkeypatch):
+    # its encoder turned every row into the bias: source scored the collapse
+    # with no error and scanner failed as degenerate
+    path = harness.checkpoint_path(ckpt_dir, 1)
+    path.write_bytes(_overflowing_encoder_weight(path.read_bytes()))
+    return "numeric"
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("break_seed", [_delete_checkpoint, _fail_target, _nan_in_checkpoint],
+@pytest.mark.parametrize("break_seed", [_delete_checkpoint, _fail_target, _nan_in_checkpoint,
+                                        _overflow_in_checkpoint],
                          ids=lambda f: f.__name__.lstrip("_"))
 def test_unreadable_seed_inputs_fail_only_that_seeds_runs(tmp_path, capsys, monkeypatch,
                                                            break_seed, workers):
@@ -860,8 +951,8 @@ def test_cli_reports_error_code_of_any_driftadapt_error(tmp_path, capsys, monkey
 
 def test_every_error_class_carries_a_code():
     expected = {
-        "ShapeMismatchError": "shape", "DegenerateDataError": "degenerate",
-        "ConfigError": "config", "ContractError": "contract", "DivergenceError": "divergence",
+        "DegenerateDataError": "degenerate", "ConfigError": "config",
+        "ContractError": "contract", "DivergenceError": "divergence",
         "NumericError": "numeric", "CompatibilityError": "compat",
     }
     classes = {name: cls for name, cls in vars(errors).items()
@@ -872,6 +963,13 @@ def test_every_error_class_carries_a_code():
         assert issubclass(cls, errors.DriftAdaptError)
         assert issubclass(cls, (ValueError, RuntimeError))
         assert cls.code == expected[name]
+
+
+def test_readme_error_table_lists_each_code_once():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    table = text.split("### Errors", 1)[1].split("\n#", 1)[0]
+    codes = re.findall(r"^\| `(\w+)` +\|", table, flags=re.MULTILINE)
+    assert sorted(codes) == sorted(ERROR_CODES)
 
 
 def test_cli_selftest(capsys):

@@ -348,7 +348,7 @@ def test_nonfinite_grad_skips_step():
     orig_backward = gc_mod.backward
     try:
         def poisoned(loss):
-            for p in state.optimizer.params.values():
+            for p in model.trainable_parameters().values():
                 p.grad = np.full_like(p.data, np.nan)
 
         tt.gc.backward = poisoned
@@ -358,6 +358,30 @@ def test_nonfinite_grad_skips_step():
     assert res.skipped
     for k, v in _param_snapshot(model).items():
         np.testing.assert_array_equal(v, before[k])
+
+
+@pytest.mark.parametrize("skip_at", [None, 1], ids=["steps", "skip1"])
+@pytest.mark.parametrize("variant", [v.value for v in tt.GRAD_VARIANTS])
+def test_each_backward_starts_from_clear_gradients(monkeypatch, variant, skip_at):
+    # adapt_batch's model.zero_grad() is the one gradient reset: no trainable
+    # parameter holds a gradient at any backward, also after a batch whose
+    # NaN gradients skipped its step
+    model = tiny_model()
+    params = list(model.trainable_parameters().values())
+    backward, clear = gc.backward, []
+
+    def checked(loss):
+        clear.append(all(p.grad is None for p in params))
+        backward(loss)
+        if len(clear) - 1 == skip_at:
+            for p in params:
+                p.grad = np.full_like(p.data, np.nan)
+
+    monkeypatch.setattr(tt.gc, "backward", checked)
+    report = tt.run_stream(model, _tiny_target(), _cfg(batch_size=16, st_confidence=0.51),
+                           variant, seed=0)
+    assert clear == [True] * 4
+    assert report.skipped_steps == (skip_at is not None)
 
 
 # graph nodes per adapt_batch: one encoder node over the modality stack, one
