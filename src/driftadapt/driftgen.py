@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import BenchmarkConfig
+from .config import BenchmarkConfig, ExperimentConfig
 from .errors import ConfigError, ContractError
 from .gradcore import Tensor, cluster_sums, entropy_array, softmax_array
 from .model import MODALITIES
@@ -170,14 +170,15 @@ def accuracy(preds, labels) -> float:
     return float(np.mean(preds == labels))
 
 
-def macro_f1(preds, labels, n_classes: int = 2) -> float:
-    """Unweighted mean of per-class F1; 0/0 ratios count as 0.
+def macro_f1(preds, labels) -> float:
+    """Unweighted mean of per-class F1 over the benchmark's classes; 0/0
+    ratios count as 0.
 
     A class absent from both predictions and labels contributes F1 = 0.
     """
     preds, labels = _aligned(preds, labels)
     f1s = []
-    for c in range(n_classes):
+    for c in range(ExperimentConfig.n_classes):
         tp = np.sum((preds == c) & (labels == c))
         fp = np.sum((preds == c) & (labels != c))
         fn = np.sum((preds != c) & (labels == c))

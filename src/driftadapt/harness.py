@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, driftgen
 from .config import ExperimentConfig
-from .errors import CompatibilityError, DriftAdaptError, error_code
+from .errors import DriftAdaptError, error_code
 from .model import MODALITIES, ModelDims, SourceModel, pretrain_source
 from .ttaloop import METRICS, RunReport, run_stream
 
@@ -85,10 +85,7 @@ def cmd_pretrain(cfg: ExperimentConfig, out_dir) -> dict:
 
 
 def load_compatible(ckpt_path, cfg: ExperimentConfig) -> SourceModel:
-    model, dims = SourceModel.load(ckpt_path), model_dims(cfg)
-    if model.dims != dims:
-        raise CompatibilityError(f"checkpoint dims {model.dims} do not match config {dims}")
-    return model
+    return SourceModel.load(ckpt_path, model_dims(cfg))
 
 
 def run_seed(cfg: ExperimentConfig, ckpt_dir, seed: int) -> list:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import checkpoint, gradcore as gc
-from .errors import CompatibilityError, ContractError, DivergenceError
+from .errors import CompatibilityError, ContractError, DivergenceError, NumericError
 from .gradcore import Tensor
 from .optim import AdamW
 
@@ -31,6 +31,8 @@ MODALITIES = ("v", "t", "a")
 
 # floor for the input-standardization variance
 STATS_EPS = 1e-6
+# the last share of the source data that pretraining holds out
+HOLDOUT_FRAC = 0.2
 
 
 class ModalityEncoder:
@@ -174,8 +176,12 @@ class SourceModel:
         return self.encoder.forward(Tensor(self.standardize(batch)))
 
     def head(self, features: Tensor) -> Tensor:
-        """Fused logits of 3 x B x d_h features."""
-        return self.classifier.forward(self.fusion.forward(features))
+        """Fused logits of 3 x B x d_h features. Logits that are not finite (an
+        overflow in the attention) raise NumericError; argmax would score NaN as 0."""
+        logits = self.classifier.forward(self.fusion.forward(features))
+        if not np.isfinite(logits.data).all():
+            raise NumericError("fused logits are not finite")
+        return logits
 
     def encode(self, batch: dict) -> dict:
         """Per-modality B x d_h features, slices of ``embed``."""
@@ -209,26 +215,14 @@ class SourceModel:
         checkpoint.save(path, self.state_arrays())
 
     @classmethod
-    def load(cls, path) -> "SourceModel":
+    def load(cls, path, dims: ModelDims) -> "SourceModel":
+        """The model saved at ``path``, whose stored dims must be ``dims``."""
         arrays = checkpoint.load(path)
-        if "dims" not in arrays:
-            raise CompatibilityError("checkpoint missing dims entry")
-        dims = arrays["dims"]
-        if (dims.shape != (3,) or not np.all(np.isfinite(dims))
-                or np.any(dims < 1) or np.any(dims != np.floor(dims))):
-            raise CompatibilityError(
-                f"checkpoint dims {dims.tolist()} are not three positive integers"
-            )
-        d_in, d_h, n_cls = (int(v) for v in dims)
-        # two stored weights hold every dim; they are checked before a model
-        # of that size is built
-        for name, shape in ((f"enc.{MODALITIES[0]}.weight", (d_in, d_h)),
-                            ("clf.weight", (d_h, n_cls))):
-            if name not in arrays or arrays[name].shape != shape:
-                raise CompatibilityError(
-                    f"checkpoint dims {dims.tolist()} do not fit its {name} entry"
-                )
-        model = cls(ModelDims(d_in, d_h, n_cls), seed=0)
+        stored, expected = arrays.get("dims"), [dims.d_in, dims.d_h, dims.n_classes]
+        if not np.array_equal(stored, expected):
+            raise CompatibilityError(f"checkpoint dims {np.asarray(stored).tolist()} "
+                                     f"do not match the config's dims {expected}")
+        model = cls(dims, seed=0)
         views = model.state_arrays()
         del views["dims"]
         missing = sorted(set(views) - set(arrays))
@@ -254,16 +248,16 @@ class PretrainResult:
 def pretrain_source(model: SourceModel, features: dict, labels: np.ndarray,
                     epochs: int = 50, batch_size: int = 128,
                     lr: float = 1e-3, weight_decay: float = 5e-4,
-                    holdout_frac: float = 0.2, seed: int = 0) -> PretrainResult:
+                    seed: int = 0) -> PretrainResult:
     """Supervised pretraining with cross entropy on the fused logits.
 
     Standardization stats are estimated from the training split, which is
     standardized once; each step gathers its rows from that 3 x n x d_in
-    array. The last ``holdout_frac`` of the data is held out for the
+    array. The last ``HOLDOUT_FRAC`` of the data is held out for the
     reported accuracy.
     """
     n = labels.shape[0]
-    n_hold = int(round(n * holdout_frac))
+    n_hold = int(round(n * HOLDOUT_FRAC))
     n_train = n - n_hold
     train_feat = {m: features[m][:n_train] for m in MODALITIES}
     train_y = labels[:n_train]

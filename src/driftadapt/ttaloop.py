@@ -241,7 +241,7 @@ def run_stream(model: SourceModel, target: SyntheticDataset, cfg: AdaptConfig,
 
     labels = target.labels
     report.online_accuracy = accuracy(online_preds, labels)
-    report.online_macro_f1 = macro_f1(online_preds, labels, model.dims.n_classes)
+    report.online_macro_f1 = macro_f1(online_preds, labels)
 
     if state.variant == MethodVariant.SOURCE:
         # the same head(embed(batch)) on the same rows of an unchanged model
@@ -260,7 +260,7 @@ def run_stream(model: SourceModel, target: SyntheticDataset, cfg: AdaptConfig,
             if features is not None:
                 features[:, rows] = encoded.data
     report.final_accuracy = accuracy(final_preds, labels)
-    report.final_macro_f1 = macro_f1(final_preds, labels, model.dims.n_classes)
+    report.final_macro_f1 = macro_f1(final_preds, labels)
 
     if state.banks is not None:
         gaps = []

@@ -10,8 +10,11 @@ def rng():
     return np.random.default_rng(0)
 
 
+TINY_DIMS = ModelDims(d_in=4, d_h=6, n_classes=2)
+
+
 def tiny_model(seed: int = 0) -> SourceModel:
-    return SourceModel(ModelDims(d_in=4, d_h=6, n_classes=2), seed=seed)
+    return SourceModel(TINY_DIMS, seed=seed)
 
 
 def tiny_batch(rng, n: int = 3, d_in: int = 4) -> dict:

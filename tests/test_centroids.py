@@ -61,6 +61,27 @@ def test_lloyd_sse_monotone():
     assert all(b <= a + 1e-12 for a, b in zip(sses, sses[1:]))
 
 
+def test_lloyd_reseeds_an_empty_cluster_at_the_farthest_row():
+    x = cb.l2_normalize_rows(np.array([[1.0, 0.0], [0.8, 0.6], [0.0, 1.0]]))
+    bank = cb.CentroidBank("v", centroids=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]))
+    bank, sse = cb.lloyd_iterate(bank, x, _normalized=True)
+    # the last centroid is nearest to no row; rows 0 and 1 share the first,
+    # and row 1 lies farthest from its own centroid
+    np.testing.assert_allclose(bank.centroids, [[0.9, 0.3], [0.0, 1.0], [0.8, 0.6]])
+    assert sse == pytest.approx(0.4)
+
+
+def test_init_seeds_more_clusters_than_distinct_rows():
+    # once a and b are seeds every row coincides with one, so the third seed
+    # is a uniform draw of a row; Lloyd then reseeds whichever duplicate owns
+    # no row at the first row, whatever the draw
+    a, b = [1.0, 0.0], [0.0, 1.0]
+    x = np.array([a, a, b, b])
+    for seed in range(5):
+        centroids = cb.init_kmeanspp(x, k=3, seed=seed).centroids
+        assert sorted(map(tuple, centroids)) == [tuple(b), tuple(a), tuple(a)]
+
+
 def test_init_finds_separated_blobs():
     rng = np.random.default_rng(1)
     centers = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]

@@ -14,13 +14,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import tiny_experiment, tiny_model
+from conftest import TINY_DIMS, tiny_experiment, tiny_model
 
 from driftadapt import (
     centroids as cb, checkpoint, cli, driftgen, errors, gradcore as gc, harness, selftest,
 )
 from driftadapt.cli import main as cli_main
-from driftadapt.config import AdaptConfig, BenchmarkConfig, ExperimentConfig, preset_benchmark
+from driftadapt.config import (
+    PRESETS, AdaptConfig, BenchmarkConfig, ExperimentConfig, preset_benchmark,
+)
 from driftadapt.errors import (
     CompatibilityError,
     ConfigError,
@@ -29,6 +31,7 @@ from driftadapt.errors import (
     NumericError,
 )
 from driftadapt.model import ModelDims, SourceModel
+from driftadapt.objectives import MethodVariant
 from driftadapt.selftest import run_selftest
 
 
@@ -349,6 +352,14 @@ def _garble_first_name(blob):
     return blob[:16] + b"\xff" + blob[17:]
 
 
+def _bad_magic(blob):
+    return b"NOTACKPT" + blob[8:]
+
+
+def _trailing_bytes(blob):
+    return blob + b"\x00"
+
+
 def _nan_encoder_weight(blob):
     arrays = checkpoint.loads(blob)
     arrays["enc.v.weight"][0, 0] = np.nan
@@ -362,7 +373,8 @@ def _overflowing_encoder_weight(blob):
     return checkpoint.dumps(arrays)
 
 
-CORRUPTIONS = [_cut_to_half, _cut_to_ten_bytes, _drop_input_stats, _garble_first_name]
+CORRUPTIONS = [_bad_magic, _cut_to_half, _cut_to_ten_bytes, _drop_input_stats,
+               _garble_first_name, _trailing_bytes]
 
 
 def _corrupt_checkpoint(ckpt_dir, corrupt):
@@ -377,7 +389,7 @@ def _corrupt_checkpoint(ckpt_dir, corrupt):
 def test_corrupt_checkpoint_raises_compat(tmp_path, corrupt):
     path = _corrupt_checkpoint(tmp_path, corrupt)
     with pytest.raises(CompatibilityError):
-        SourceModel.load(path)
+        SourceModel.load(path, TINY_DIMS)
 
 
 @pytest.mark.parametrize("name, value", [("enc.v.weight", np.nan), ("stats.a.var", np.inf),
@@ -389,7 +401,7 @@ def test_non_finite_checkpoint_entry_raises_compat_naming_it(tmp_path, name, val
     arrays[name].flat[-1] = value
     checkpoint.save(path, arrays)
     with pytest.raises(CompatibilityError, match=f"checkpoint entry {name} holds NaN or inf"):
-        SourceModel.load(path)
+        SourceModel.load(path, TINY_DIMS)
 
 
 def test_load_compatible_rejects_dim_mismatch(tmp_path):
@@ -699,6 +711,8 @@ def test_recorded_config_states_only_the_numbers_that_ran(tmp_path, capsys):
     {"seeds": [0, 0]}, {"seeds": [-1]}, {"variants": []}, {"variants": [["can"]]},
     {"n_classes": 1}, {"adapt": {"norm_momentum": 1.5}}, {"adapt": {"st_confidence": 0.5}},
     {"adapt": {"beta": -1.0}}, {"adapt": {"lr": -1e-3}}, [1, 2],
+    {"benchmark": {"p_hate": [1.5, 0.0, 0.0, 0.0]}}, {"benchmark": {"core_jitter": -0.1}},
+    {"benchmark": {"style_drift": -1.0}}, {"benchmark": {"label_noise": 1.5}},
 ])
 def test_config_rejects_wrong_types_and_ranges(raw):
     with pytest.raises(ConfigError):
@@ -713,24 +727,53 @@ _ANY_VALUE = st.recursive(
 )
 
 
-def _changes(klass):
-    """Up to three plain fields of ``klass`` set to arbitrary JSON-like values,
-    or to small numbers of a plausible type, so that many draws validate."""
-    names = [f.name for f in fields(klass) if f.name not in ("benchmark", "adapt")]
-    return st.dictionaries(st.sampled_from(names),
-                           _ANY_VALUE | st.integers(0, 8) | st.floats(0, 1), max_size=3)
+# values that the config's checks accept, by field name or else by declared
+# type: every float range admits (0.5, 1), style_drift and core_jitter (type
+# object) any number >= 0, and n_cores the length of every p_hate drawn here;
+# a batch holds at least the k clusters that seed the banks
+_IN_RANGE = {
+    "int": st.integers(1, 8),
+    "float": st.floats(0.51, 0.99),
+    "object": st.floats(0.0, 1.0),
+    "n_cores": st.just(4),
+    "batch_size": st.integers(8, 64),
+    "preset": st.sampled_from(PRESETS),
+    "outlier_mode": st.sampled_from(["scatter", "clump"]),
+    "p_hate": st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+    "variants": st.lists(st.sampled_from([v.value for v in MethodVariant]),
+                         min_size=1, max_size=3, unique=True),
+    "seeds": st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True),
+}
 
 
-def _mutated(klass):
-    base = {f.name: getattr(klass(), f.name) for f in fields(klass)}
-    return _changes(klass).map(lambda changes: {**base, **changes})
+def _value(f, n):
+    """A value that field ``f``'s check accepts or, in one draw of ``n``, an
+    arbitrary JSON-like value; the accepted values are the simplest draws."""
+    return st.integers(1, n).flatmap(
+        lambda i: _ANY_VALUE if i == n else _IN_RANGE.get(f.name, _IN_RANGE.get(f.type)))
 
 
+def _changes(klass, n):
+    """Up to three plain fields of ``klass``, each set to a ``_value``."""
+    plain = [f for f in fields(klass) if f.name not in ("benchmark", "adapt")]
+    change = st.sampled_from(plain).flatmap(lambda f: st.tuples(st.just(f.name), _value(f, n)))
+    return st.lists(change, max_size=3).map(dict)
+
+
+def _documents(n):
+    """Config documents whose blocks change their fields by ``_changes``."""
+    def mutated(klass):
+        base = {f.name: getattr(klass(), f.name) for f in fields(klass)}
+        return _changes(klass, n).map(lambda changes: {**base, **changes})
+
+    return st.builds(lambda bench, adapt, top: {"benchmark": bench, "adapt": adapt, **top},
+                     mutated(BenchmarkConfig), mutated(AdaptConfig),
+                     _changes(ExperimentConfig, n))
+
+
+# half of the changed values are arbitrary, to probe every check
 @settings(max_examples=300, deadline=None)
-@given(st.builds(
-    lambda bench, adapt, top: {"benchmark": bench, "adapt": adapt, **top},
-    _mutated(BenchmarkConfig), _mutated(AdaptConfig), _changes(ExperimentConfig),
-))
+@given(_documents(2))
 def test_config_from_dict_fuzz(raw):
     try:
         cfg = ExperimentConfig.from_dict(raw)
@@ -773,11 +816,9 @@ def _error_codes(lines):
     return codes
 
 
+# one changed value in twenty is arbitrary, so that most documents run
 @settings(max_examples=25, deadline=None)
-@given(st.builds(
-    lambda bench, adapt, top: {"benchmark": bench, "adapt": adapt, **top},
-    _mutated(BenchmarkConfig), _mutated(AdaptConfig), _changes(ExperimentConfig),
-))
+@given(_documents(20))
 def test_fuzzed_config_runs_or_fails_with_documented_codes(raw):
     # a drawn document at small sizes either runs every (variant, seed) or
     # ends each failure in a documented ERROR line, never a traceback
@@ -853,9 +894,21 @@ def _overflow_in_checkpoint(ckpt_dir, monkeypatch):
     return "numeric"
 
 
+def _overflow_in_attention(ckpt_dir, monkeypatch):
+    # a finite checkpoint whose attention scores overflow: its NaN fused
+    # logits were scored as source predictions, and tent_em and scanner
+    # failed as divergence at tau=0
+    path = harness.checkpoint_path(ckpt_dir, 1)
+    arrays = checkpoint.load(path)
+    arrays["fusion.wq"] *= 1e160
+    arrays["fusion.wk"] *= 1e160
+    checkpoint.save(path, arrays)
+    return "numeric"
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("break_seed", [_delete_checkpoint, _fail_target, _nan_in_checkpoint,
-                                        _overflow_in_checkpoint],
+                                        _overflow_in_checkpoint, _overflow_in_attention],
                          ids=lambda f: f.__name__.lstrip("_"))
 def test_unreadable_seed_inputs_fail_only_that_seeds_runs(tmp_path, capsys, monkeypatch,
                                                            break_seed, workers):
@@ -895,7 +948,8 @@ def test_cli_three_class_checkpoint_is_compat_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2   # one line per failed (variant, seed) run
-    assert all(line.startswith("ERROR compat:") and "n_classes=3" in line for line in err)
+    assert all(line.startswith("ERROR compat:") and "dims [4.0, 6.0, 3.0]" in line
+               for line in err)
 
 
 @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__.lstrip("_"))
@@ -913,9 +967,9 @@ def test_cli_corrupt_checkpoint_is_compat_error(tmp_path, capsys, corrupt):
 @pytest.mark.parametrize("dims", [[4, 6], [4, float("nan"), 2], [4, -6, 2], [[4, 6, 2]],
                                   [4, 6.5, 2], [4, 1e12, 2]], ids=str)
 def test_cli_malformed_checkpoint_dims_is_compat_error(tmp_path, capsys, dims, workers):
-    # the tiny checkpoint's dims are [4, 6, 2]; 6.5 used to be cut to 6 and
-    # load, and 1e12 is checked against the stored weights before a model of
-    # that size is allocated
+    # the tiny checkpoint's dims are [4, 6, 2]; each entry is compared with
+    # the config's dims before a model is built, so 6.5 is not cut to 6 and
+    # 1e12 allocates nothing
     cfg_path = _write_cfg(tmp_path)
     ckpts = tmp_path / "ckpts"
 

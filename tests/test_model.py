@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import tiny_batch, tiny_model
+from conftest import TINY_DIMS, tiny_batch, tiny_model
 from oracles import fusion_op_by_op
 
 from driftadapt import checkpoint, gradcore as gc
-from driftadapt.errors import CompatibilityError, ContractError
+from driftadapt.errors import CompatibilityError, ContractError, DivergenceError, NumericError
 from driftadapt.model import (
     MODALITIES,
     FusionBlock,
@@ -102,8 +102,10 @@ def test_pretrain_step_graph_budget(monkeypatch):
     make = gc._make
     monkeypatch.setattr(gc, "_make", lambda *args: made.append(1) or make(*args))
     features, labels = _separable_data(np.random.default_rng(1), n=128)
-    pretrain_source(tiny_model(), features, labels, epochs=2, batch_size=64, holdout_frac=0.0)
-    assert len(made) == 4 * 4
+    pretrain_source(tiny_model(), features, labels, epochs=2, batch_size=64)
+    # two steps per epoch on the 102 training rows, then one prediction of
+    # the held-out rows (encoder, attention, classifier)
+    assert len(made) == 2 * 2 * 4 + 3
 
 
 def test_whole_model_grad_through_fusion():
@@ -154,7 +156,7 @@ def test_save_load_round_trip(tmp_path):
     model.set_input_stats(tiny_batch(rng, n=32))
     path = tmp_path / "m.ckpt"
     model.save(path)
-    loaded = SourceModel.load(path)
+    loaded = SourceModel.load(path, TINY_DIMS)
     batch = tiny_batch(rng)
     np.testing.assert_array_equal(
         model.forward_full(batch)[2].data, loaded.forward_full(batch)[2].data
@@ -167,7 +169,7 @@ def test_load_rejects_foreign_file(tmp_path):
     path = tmp_path / "bad.ckpt"
     checkpoint.save(path, {"something": np.zeros(3)})
     with pytest.raises(CompatibilityError):
-        SourceModel.load(path)
+        SourceModel.load(path, TINY_DIMS)
 
 
 def test_load_rejects_missing_param(tmp_path):
@@ -177,7 +179,7 @@ def test_load_rejects_missing_param(tmp_path):
     path = tmp_path / "partial.ckpt"
     checkpoint.save(path, arrays)
     with pytest.raises(CompatibilityError):
-        SourceModel.load(path)
+        SourceModel.load(path, TINY_DIMS)
 
 
 def _separable_data(rng, n=256, d_in=4):
@@ -198,6 +200,26 @@ def test_pretrain_learns_separable_data():
     result = pretrain_source(model, features, labels, epochs=15, batch_size=64)
     assert result.holdout_accuracy >= 0.9
     assert result.losses[-1] < result.losses[0]
+
+
+def test_nan_pretraining_loss_raises_divergence(monkeypatch):
+    # finite fused logits whose loss is not finite stop the pretraining
+    monkeypatch.setattr(gc, "cross_entropy", lambda logits, y: gc.Tensor(np.asarray(np.nan)))
+    features, labels = _separable_data(np.random.default_rng(1), n=64)
+    with pytest.raises(DivergenceError, match="non-finite pretraining loss at epoch 0"):
+        pretrain_source(tiny_model(), features, labels, epochs=1, batch_size=32)
+
+
+def test_head_rejects_non_finite_fused_logits():
+    # finite weights whose attention scores overflow give NaN fused logits,
+    # which argmax would score as class 0
+    model = tiny_model()
+    model.fusion.wq.data *= 1e160
+    model.fusion.wk.data *= 1e160
+    features = model.embed(tiny_batch(np.random.default_rng(5)))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError, match="fused logits are not finite"):
+        model.head(features)
 
 
 def test_predict_returns_class_indices():
@@ -254,7 +276,7 @@ def test_hand_built_checkpoint_round_trips(tmp_path):
     arrays = _hand_built_arrays(np.random.default_rng(0))
     path = tmp_path / "hand.ckpt"
     checkpoint.save(path, arrays)
-    model = SourceModel.load(path)
+    model = SourceModel.load(path, TINY_DIMS)
     state = model.state_arrays()
     assert list(state) == list(arrays)
     assert all(state[k].tobytes() == arrays[k].tobytes() for k in arrays)
@@ -266,7 +288,7 @@ def test_load_writes_into_the_stacked_storage(tmp_path):
     arrays = _hand_built_arrays(np.random.default_rng(1))
     path = tmp_path / "hand.ckpt"
     checkpoint.save(path, arrays)
-    model = SourceModel.load(path)
+    model = SourceModel.load(path, TINY_DIMS)
     for i, m in enumerate(MODALITIES):
         for name in ModalityEncoder.NAMES:
             stack = getattr(model.encoder, name).data
@@ -278,7 +300,7 @@ def test_load_writes_into_the_stacked_storage(tmp_path):
     before = model.encode(batch)
     arrays["enc.t.norm_bias"] = arrays["enc.t.norm_bias"] + 1.0
     checkpoint.save(path, arrays)
-    after = SourceModel.load(path).encode(batch)
+    after = SourceModel.load(path, TINY_DIMS).encode(batch)
     assert np.array_equal(after["v"].data, before["v"].data)
     assert np.array_equal(after["a"].data, before["a"].data)
     assert not np.array_equal(after["t"].data, before["t"].data)
@@ -291,7 +313,7 @@ def test_load_rejects_a_wrong_per_modality_shape(tmp_path, name, shape):
     path = tmp_path / "bad.ckpt"
     checkpoint.save(path, arrays)
     with pytest.raises(CompatibilityError):
-        SourceModel.load(path)
+        SourceModel.load(path, TINY_DIMS)
 
 
 def test_optimizer_step_shows_in_state_arrays_and_saved_bytes(tmp_path):
