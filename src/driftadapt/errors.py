@@ -42,9 +42,14 @@ class DivergenceError(DriftAdaptError, RuntimeError):
 
 
 class NumericError(DriftAdaptError, RuntimeError):
-    """A numeric evaluation produced non-finite values."""
+    """A numeric evaluation produced non-finite values; ``tau`` is the
+    adaptation batch's index, None elsewhere."""
 
     code = "numeric"
+
+    def __init__(self, message: str, tau: int = None):
+        super().__init__(message)
+        self.tau = tau
 
 
 class CompatibilityError(DriftAdaptError, ValueError):

@@ -32,7 +32,15 @@ compositions that each fused op replays, built from the small graph ops
 A Tensor has no arithmetic operators: every graph node is built by a named
 op, so ``1 - t`` is ``add(1.0, mul(t, -1.0))``.
 Gradients accumulate with ``+=`` so a sum of losses can be backpropagated
-jointly or term by term with identical results.
+jointly or term by term with identical results. A tensor's first gradient
+is ``g + 0.0``, the bits of a sum that starts from zeros, written into its
+``grad_buffer`` when it has one (an optimizer's flat gradient buffer).
+
+A sum or max over a last axis shorter than 8 (the class, token and cluster
+axes) runs as a left-to-right chain of ufuncs over its columns
+(``sum_last``, ``max_last``), and the attention node's sums over its tokens
+as one over the token slices: numpy reduces in that same order there, so
+the bits are those of ``x.sum(axis=...)``, without a reduction's overhead.
 """
 
 from __future__ import annotations
@@ -53,11 +61,16 @@ _FD_STEP = 1e-5   # central-difference step of finite_diff_params
 class Tensor:
     """A float64 array node in a reverse-accumulation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    # grad_buffer: where a first gradient is written, None to allocate one;
+    # softmax_parts: the arrays of softmax_entropy, once computed
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
+                 "grad_buffer", "softmax_parts")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
         self.grad = None
+        self.grad_buffer = None
+        self.softmax_parts = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
         self._backward_fn = None
@@ -86,8 +99,12 @@ def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # g broadcast to the tensor's shape, plus 0.0: bit for bit the sum
+        # zeros + g, -0.0 included
+        out = t.grad_buffer if t.grad_buffer is not None else np.empty_like(t.data)
+        t.grad = np.add(g, 0.0, out=out)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -98,6 +115,51 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
         if n == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
     return g.reshape(shape)
+
+
+# numpy reduces a contiguous last axis shorter than this left to right,
+# starting from 0.0 (so a row of -0.0 sums to +0.0), and unrolls a longer one
+# by 8; it reduces a non-last axis in that same left-to-right order at any
+# length. tests/test_gradcore.py pins both against the installed numpy.
+_SHORT_AXIS = 8
+
+
+def sum_last(x: np.ndarray, keepdims: bool = False):
+    """``x.sum(axis=-1, keepdims=keepdims)`` of a C-contiguous x bit for bit;
+    a short last axis is summed as a chain of column adds, without a
+    reduction's overhead."""
+    n = x.shape[-1]
+    if not 0 < n < _SHORT_AXIS:
+        return x.sum(axis=-1, keepdims=keepdims)
+    out = x[..., 0] + 0.0
+    for j in range(1, n):
+        out += x[..., j]
+    return out[..., None] if keepdims else out
+
+
+def max_last(x: np.ndarray, keepdims: bool = False):
+    """``x.max(axis=-1, keepdims=keepdims)`` bit for bit, as ``sum_last``
+    sums."""
+    n = x.shape[-1]
+    if not 0 < n < _SHORT_AXIS:
+        return x.max(axis=-1, keepdims=keepdims)
+    out = x[..., 0].copy() if n == 1 else np.maximum(x[..., 0], x[..., 1])
+    for j in range(2, n):
+        out = np.maximum(out, x[..., j])
+    return out[..., None] if keepdims else out
+
+
+def _sum_tokens(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=1)`` of a C-contiguous B x n x m array bit for bit, as a
+    chain over the n token slices. With m = 1, axis 1 is in effect the last,
+    which numpy chains only below 8 too."""
+    n = x.shape[1]
+    if not 0 < n < _SHORT_AXIS:
+        return x.sum(axis=1)
+    out = x[:, 0] + 0.0
+    for j in range(1, n):
+        out += x[:, j]
+    return out
 
 
 def backward(root: Tensor):
@@ -120,8 +182,9 @@ def backward(root: Tensor):
             if id(p) not in seen:
                 stack.append((p, False))
     if root.grad is None:
-        root.grad = np.zeros_like(root.data)
-    root.grad += np.ones_like(root.data)
+        root.grad = np.ones_like(root.data)
+    else:
+        root.grad += 1.0
     for node in reversed(topo):
         if node._backward_fn is not None:
             node._backward_fn(node.grad)
@@ -352,15 +415,15 @@ def attention_pool(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     scale = 1.0 / np.sqrt(q.shape[2])
     s = (q @ k.transpose(0, 2, 1)) * scale
     attn = softmax_array(s)
-    out_data = (attn @ v).sum(axis=1) * (1.0 / n)
+    out_data = _sum_tokens(attn @ v) * (1.0 / n)
 
     def bwd(g):
         # every query row gets g / n, so d(attn)_ij = v_j . g / n for all i
         gv = (v @ g[:, :, None]).transpose(0, 2, 1) * (1.0 / n)   # B x 1 x n
-        ds = attn * (gv - (attn * gv).sum(axis=2, keepdims=True)) * scale
+        ds = attn * (gv - sum_last(attn * gv, keepdims=True)) * scale
         dq = (ds @ k).reshape(b * n, -1)
         dk = (ds.transpose(0, 2, 1) @ q).reshape(b * n, -1)
-        dv = (attn.sum(axis=1)[:, :, None] * (g[:, None, :] * (1.0 / n))).reshape(b * n, -1)
+        dv = (_sum_tokens(attn)[:, :, None] * (g[:, None, :] * (1.0 / n))).reshape(b * n, -1)
         for w, dw in ((wq, dq), (wk, dk), (wv, dv)):
             if w.requires_grad:
                 _accum(w, rows.T @ dw)
@@ -460,13 +523,13 @@ def softmax_array(x: np.ndarray, beta: float = 1.0) -> np.ndarray:
     if not np.isfinite(beta):
         raise ContractError("softmax temperature multiplier must be finite")
     z = beta * x
-    z = z - z.max(axis=-1, keepdims=True)
+    z = z - max_last(z, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / sum_last(e, keepdims=True)
 
 
 def _softmax_backward(g, p: np.ndarray, beta: float):
-    inner = (g * p).sum(axis=-1, keepdims=True)
+    inner = sum_last(g * p, keepdims=True)
     return beta * p * (g - inner)
 
 
@@ -585,7 +648,7 @@ def _cosine_forward(f: np.ndarray, c: np.ndarray):
 
 
 def _cosine_backward(g, f, c, s, nf, denom):
-    return (g / denom) @ c - ((g * s).sum(axis=-1) / nf**2)[..., None] * f
+    return (g / denom) @ c - (sum_last(g * s) / nf**2)[..., None] * f
 
 
 def cosine_matrix(features: Tensor, centroids: np.ndarray) -> Tensor:
@@ -662,9 +725,9 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     n = logits.data.shape[0]
     if labels.shape != (n,):
         raise ContractError(f"labels shape {labels.shape} does not match batch {n}")
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    z = logits.data - max_last(logits.data, keepdims=True)
     e = np.exp(z)
-    total = e.sum(axis=1)
+    total = sum_last(e)
     loss = float(np.mean(np.log(total) - z[np.arange(n), labels]))
     p = e / total[:, None]
 
@@ -696,16 +759,32 @@ def entropy_array(p: np.ndarray):
     """Entropy -sum_c p log max(p, 1e-12) of each row of the probabilities p,
     which only the log clamps: (entropies, log, clamped p)."""
     logp, clamped = log_clamped_array(p)
-    return (p * logp).sum(axis=1) * -1.0, logp, clamped
+    return sum_last(p * logp) * -1.0, logp, clamped
+
+
+def softmax_entropy(logits: Tensor) -> tuple:
+    """(p, per-row entropies, log, clamped p) of p = softmax(logits) along the
+    last axis, computed on the first call and then kept on the node, which
+    must be one whose data no longer changes (not a parameter). A batch's
+    logged entropies, its pseudo-labels and its ``mean_entropy`` node share
+    them."""
+    if logits.softmax_parts is None:
+        p = softmax_array(logits.data)
+        logits.softmax_parts = (p, *entropy_array(p))
+    return logits.softmax_parts
 
 
 def mean_entropy(logits: Tensor) -> Tensor:
     """Mean over rows of the ``entropy_array`` of p = softmax(logits): the
     composition ``softmax``, ``log_clamped``, ``mul``, ``tsum(axis=1)``,
-    ``mul(-1)``, ``tmean``."""
+    ``mul(-1)``, ``tmean``. It reads the arrays that ``softmax_entropy``
+    kept on the node, if any."""
     logits = _wrap(logits)
-    p = softmax_array(logits.data)
-    per_row, logp, clamped = entropy_array(p)
+    if logits.softmax_parts is None:
+        p = softmax_array(logits.data)
+        per_row, logp, clamped = entropy_array(p)
+    else:
+        p, per_row, logp, clamped = logits.softmax_parts
     inv_n = 1.0 / per_row.size
 
     def bwd(g):
@@ -765,7 +844,7 @@ def plogp_sums(p: Tensor, scale: float, sizes):
     matrix q, then an ``add`` chain. Returns (sum, term values)."""
     p = _wrap(p)
     logp, clamped = log_clamped_array(p.data)
-    per_row = (p.data * logp).sum(axis=1)
+    per_row = sum_last(p.data * logp)
     ends = np.cumsum(sizes)
     if ends[-1] != per_row.size:
         raise ContractError(f"groups of {list(sizes)} rows do not fit {per_row.size} rows")

@@ -110,7 +110,7 @@ def run_seed(cfg: ExperimentConfig, ckpt_dir, seed: int) -> list:
 def _failure(variant: str, seed: int, exc: Exception) -> dict:
     """A ``failed_runs`` entry, with the CLI's code of the error."""
     entry = {"variant": variant, "seed": seed, "code": error_code(exc), "message": str(exc)}
-    if getattr(exc, "tau", None) is not None:   # the batch a divergence raised at
+    if getattr(exc, "tau", None) is not None:   # the batch it raised at
         entry["tau"] = exc.tau
     return entry
 
@@ -123,9 +123,9 @@ def cmd_adapt(cfg: ExperimentConfig, ckpt_dir, out_dir) -> dict:
     ``workers`` is.
     A run that raises a DriftAdaptError or an OSError fails alone:
     ``report.json`` lists it under ``failed_runs`` (variant, seed, error code,
-    message and a divergence's ``tau``), and every other run's files are
-    written as if it had not run. Without a failure there is no
-    ``failed_runs`` key.
+    message and, for a divergence or numeric failure, its batch's ``tau``),
+    and every other run's files are written as if it had not run. Without a
+    failure there is no ``failed_runs`` key.
     """
     cfg.validate()
     out = Path(out_dir)

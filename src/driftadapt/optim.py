@@ -17,7 +17,9 @@ class AdamW:
     their values into one flat buffer and makes each ``.data`` a view into
     it, so a step is a few whole-buffer in-place ufuncs over the flat
     parameters, moments and gradients, elementwise the same float operations
-    as a per-tensor update.
+    as a per-tensor update. Each parameter's ``grad_buffer`` is its view of
+    the flat gradient buffer, so backward accumulates its gradient there and
+    a step gathers nothing.
     """
 
     def __init__(self, params: dict, lr=1e-3, weight_decay=5e-4):
@@ -37,18 +39,22 @@ class AdamW:
             view = self.flat[sl].reshape(p.data.shape)
             view[...] = p.data
             p.data = view
-            self._views.append((name, p, view, self._grad[sl].reshape(view.shape)))
+            p.grad_buffer = self._grad[sl].reshape(view.shape)
+            self._views.append((name, p, view, p.grad_buffer))
 
     def step(self):
-        """One update using each parameter's accumulated .grad (None = zero)."""
+        """One update using each parameter's accumulated .grad (None = zero).
+        A gradient that backward accumulated is already in the flat buffer;
+        one assigned to ``.grad`` by hand is copied in."""
         for name, p, view, gview in self._views:
             if p.data is not view:
                 raise ContractError(f"{name}.data was replaced after the optimizer was built")
             if p.grad is None:
                 gview.fill(0.0)
-            elif p.grad.shape != view.shape:
-                raise ContractError(f"grad shape {p.grad.shape} vs param {view.shape} for {name}")
-            else:
+            elif p.grad is not gview:
+                if p.grad.shape != view.shape:
+                    raise ContractError(
+                        f"grad shape {p.grad.shape} vs param {view.shape} for {name}")
                 gview[...] = p.grad
         self.t += 1
         b1, b2, lr = BETA1, BETA2, self.lr

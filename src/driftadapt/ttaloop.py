@@ -15,10 +15,8 @@ import numpy as np
 
 from . import centroids as cb, gradcore as gc, objectives as obj
 from .config import AdaptConfig
-from .driftgen import (
-    SyntheticDataset, accuracy, cluster_ratio_diag, entropy_diag, entropy_rows, macro_f1,
-)
-from .errors import ContractError, DivergenceError
+from .driftgen import SyntheticDataset, accuracy, cluster_ratio_diag, entropy_diag, macro_f1
+from .errors import ContractError, DivergenceError, NumericError
 from .model import MODALITIES, SourceModel, stack_modalities
 from .objectives import BANK_VARIANTS, MethodVariant
 from .optim import AdamW
@@ -96,27 +94,34 @@ def _init_banks(state: AdaptState, features: np.ndarray):
 
 
 def adapt_batch(state: AdaptState, batch: dict) -> BatchResult:
-    """Process one unlabeled target batch; updates state in place."""
+    """Process one unlabeled target batch; updates state in place. A
+    NumericError raised on the way carries the batch's ``tau``."""
     model, cfg = state.model, state.cfg
     # the one gradient reset; _apply_step leaves its gradients in place,
     # whether it steps or skips
     model.zero_grad()
-    features = model.embed(batch)
-    fused_logits = model.head(features)
-    result = BatchResult(tau=state.tau, predictions=fused_logits.data.argmax(axis=1),
-                         entropies=entropy_rows(fused_logits.data))
+    try:
+        features = model.embed(batch)
+        fused_logits = model.head(features)
+        # the batch's one softmax, kept on the node: the logged entropies,
+        # ST's pseudo-labels and the EM loss all read it
+        result = BatchResult(tau=state.tau, predictions=fused_logits.data.argmax(axis=1),
+                             entropies=gc.softmax_entropy(fused_logits)[1])
 
-    # SOURCE only predicts
-    if state.variant == MethodVariant.NORM:
-        _norm_update(model, batch, cfg.norm_momentum)
-    elif state.variant == MethodVariant.TENT_EM:
-        loss = obj.em_loss(fused_logits)
-        result.loss_row = {"em": loss.item(), "total": loss.item()}
-        _apply_step(state, loss, result)
-    elif state.variant == MethodVariant.ST:
-        _st_step(state, fused_logits, result)
-    elif state.variant in BANK_VARIANTS:
-        _cluster_step(state, features, fused_logits, result)
+        # SOURCE only predicts
+        if state.variant == MethodVariant.NORM:
+            _norm_update(model, batch, cfg.norm_momentum)
+        elif state.variant == MethodVariant.TENT_EM:
+            loss = obj.em_loss(fused_logits)
+            result.loss_row = {"em": loss.item(), "total": loss.item()}
+            _apply_step(state, loss, result)
+        elif state.variant == MethodVariant.ST:
+            _st_step(state, fused_logits, result)
+        elif state.variant in BANK_VARIANTS:
+            _cluster_step(state, features, fused_logits, result)
+    except NumericError as exc:
+        exc.tau = state.tau
+        raise
 
     state.tau += 1
     return result
@@ -142,8 +147,8 @@ def _norm_update(model: SourceModel, batch: dict, momentum: float):
 
 
 def _st_step(state: AdaptState, fused_logits, result: BatchResult):
-    probs = gc.softmax_array(fused_logits.data)
-    conf = probs.max(axis=1)
+    probs = gc.softmax_entropy(fused_logits)[0]
+    conf = gc.max_last(probs)
     pseudo = probs.argmax(axis=1)
     keep = np.flatnonzero(conf >= state.cfg.st_confidence)
     if keep.size == 0:

@@ -99,3 +99,31 @@ def test_key_digests_name_each_top_level_value(tmp_path):
     path.write_text(json.dumps({"a": 1.5, "b": [1, {"x": 1, "y": 3}]}))
     assert bm.key_digests(path)["a"] == digests["a"]
     assert bm.key_digests(path)["b"] != digests["b"]
+
+
+def test_manifest_records_the_kernel_its_digests_hold_for(manifest, monkeypatch):
+    kernel = manifest["kernel"]
+    assert set(kernel) == {"numpy", "blas", "OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS"}
+    assert kernel["numpy"] == bm.np.__version__ and "name" in kernel["blas"]
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Prescott")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert bm.kernel() == {**kernel, "OPENBLAS_CORETYPE": "Prescott",
+                           "OPENBLAS_NUM_THREADS": None}
+
+
+def test_diff_says_in_one_line_when_the_kernels_differ(manifest):
+    other = copy.deepcopy(manifest)
+    other["kernel"]["OPENBLAS_CORETYPE"] = "Prescott"
+    other["kernel"]["blas"] = {**other["kernel"]["blas"], "version": "0.0.0"}
+    other["files"]["severe_w1/metrics.csv"] = "0" * 64
+    assert bm.diff(manifest, other) == [
+        "kernel: the manifests come from different kernels (OPENBLAS_CORETYPE, blas); "
+        "digests hold per kernel",
+        "file severe_w1/metrics.csv: changed",
+    ]
+    # a manifest that records no kernel differs in every entry that is set
+    del other["kernel"]
+    named = [k for k, v in sorted(manifest["kernel"].items()) if v is not None]
+    assert bm.diff(other, manifest)[0] == (
+        f"kernel: the manifests come from different kernels ({', '.join(named)}); "
+        "digests hold per kernel")

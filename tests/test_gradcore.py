@@ -487,6 +487,82 @@ def test_gelu_constant_is_shared_by_the_fused_encoder(monkeypatch):
     assert np.array_equal(after[0], composed.data)
 
 
+# -- short-axis reductions -------------------------------------------------
+#
+# The chains replace numpy's own reductions in every softmax, entropy and
+# cosine backward, so the program's bytes rest on numpy summing a short last
+# axis, and a middle axis, left to right from 0.0. A numpy that reorders
+# either fails here instead of moving outputs silently.
+
+
+def _hard_values(rng, shape):
+    """Magnitudes over 40 decades, with +-0.0, +-inf and NaN entries, whole
+    rows of -0.0, and rows of saturated softmax probabilities (exact 0s and
+    1s) and exponentials."""
+    x = rng.normal(0, 1, shape) * 10.0 ** rng.integers(-20, 20, shape)
+    flat = x.reshape(-1)
+    for value, share in ((-0.0, 0.2), (0.0, 0.1), (np.inf, 0.05), (-np.inf, 0.05),
+                         (np.nan, 0.05)):
+        flat[rng.random(flat.size) < share] = value
+    rows = x.reshape(-1, shape[-1])
+    logits = rng.normal(0, 1, rows.shape) * 1e3
+    kind = rng.integers(0, 4, len(rows))   # 0 leaves a row as it is
+    rows[kind == 1] = -0.0
+    rows[kind == 2] = gc.softmax_array(logits)[kind == 2]
+    rows[kind == 3] = np.exp(logits - logits.max(axis=-1, keepdims=True))[kind == 3]
+    return x
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("lead", [(), (37,), (11, 3)])
+def test_short_axis_reductions_equal_numpys_bitwise(n, lead):
+    # below 8 the helpers chain columns; from 8 on they call numpy, which
+    # unrolls by 8 there
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        x = _hard_values(rng, (*lead, n))
+        for keepdims in (False, True):
+            with np.errstate(invalid="ignore"):
+                got_sum, want_sum = gc.sum_last(x, keepdims), x.sum(axis=-1, keepdims=keepdims)
+                got_max, want_max = gc.max_last(x, keepdims), x.max(axis=-1, keepdims=keepdims)
+            assert np.shape(got_sum) == np.shape(want_sum)
+            assert np.asarray(got_sum).tobytes() == np.asarray(want_sum).tobytes()
+            assert np.shape(got_max) == np.shape(want_max)
+            assert np.asarray(got_max).tobytes() == np.asarray(want_max).tobytes()
+    # a row of -0.0 sums to +0.0 (numpy starts from 0.0) and maxes to -0.0
+    zeros = np.full((2, n), -0.0)
+    assert gc.sum_last(zeros).tobytes() == np.zeros(2).tobytes()
+    assert gc.max_last(zeros).tobytes() == zeros[:, 0].tobytes()
+
+
+def test_short_axis_max_of_one_column_is_a_copy():
+    x = np.arange(4.0).reshape(4, 1)
+    out = gc.max_last(x)
+    out[0] = 9.0
+    assert x[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("b, m", [(1, 1), (5, 1), (128, 3), (40, 16)])
+def test_token_sums_equal_numpys_bitwise(n, b, m):
+    # the attention node's sums over its n tokens (axis 1 of B x n x m); the
+    # infinities and NaNs sit in different columns, because which of two NaNs
+    # of opposite sign (inf + -inf is -NaN) survives their sum is the choice
+    # of numpy's strided loop, not of an order. No such sign reaches an
+    # output: a non-finite attention output raises in SourceModel.head.
+    rng = np.random.default_rng(100 + n)
+    for _ in range(20):
+        x = _hard_values(rng, (b, n, m))
+        if m > 1:
+            x[:, :, 1:][np.isinf(x[:, :, 1:])] = 1.0
+            x[:, :, :1][np.isnan(x[:, :, :1])] = 2.0
+        else:
+            x[np.isnan(x)] = 2.0
+        with np.errstate(invalid="ignore"):
+            got, want = gc._sum_tokens(x), x.sum(axis=1)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 # -- property tests --------------------------------------------------------
 
 

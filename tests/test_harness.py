@@ -878,6 +878,24 @@ def _fail_target(ckpt_dir, monkeypatch):
     return "config"
 
 
+def test_numeric_failures_record_the_batch_they_raised_at(tmp_path):
+    # a huge step overflows the encoder a few batches in; the failed run
+    # records that batch's index as a divergence does
+    cfg = tiny_experiment(tmp_path)
+    cfg.variants = ["tent_em", "scanner"]
+    harness.cmd_pretrain(cfg, tmp_path)
+    cfg.adapt.lr = 1e60
+    with np.errstate(over="ignore", invalid="ignore"):
+        doc = harness.cmd_adapt(cfg, tmp_path, tmp_path / "out")
+    n_batches = -(-cfg.benchmark.n_target // cfg.adapt.batch_size)
+    failed = doc["failed_runs"]
+    assert [(f["variant"], f["code"]) for f in failed] == [("tent_em", "numeric"),
+                                                           ("scanner", "numeric")]
+    assert all(type(f["tau"]) is int and 0 < f["tau"] < n_batches for f in failed)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["failed_runs"] == failed
+
+
 def _nan_in_checkpoint(ckpt_dir, monkeypatch):
     # its NaN features made scanner's k-means++ seeding raise a ValueError
     # that wrote no report, and source score one-class predictions

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from conftest import tiny_batch, tiny_model
 from oracles import PerTensorAdamW, reference_adamw
 
+from driftadapt import ttaloop as tt
+from driftadapt.config import AdaptConfig
 from driftadapt.errors import ContractError
 from driftadapt.gradcore import Tensor
-from driftadapt.model import ModelDims, SourceModel
+from driftadapt.model import ModelDims, SourceModel, pretrain_source
 from driftadapt.optim import AdamW
 
 
@@ -132,3 +135,32 @@ def test_second_optimizer_takes_over_storage():
     assert not np.array_equal(p.data, old)
     with pytest.raises(ContractError):
         first.step()
+
+
+def test_backward_accumulates_into_the_flat_buffer(monkeypatch):
+    # after one pretraining step and one scanner batch, each optimized
+    # parameter's .grad is its view of the flat gradient buffer, and the
+    # step only reads it: the views are read-only while it runs
+    step, seen = AdamW.step, []
+
+    def checked(opt):
+        grads = [p.grad for _, p, _, _ in opt._views]
+        seen.append(all(np.shares_memory(g, opt._grad) for g in grads))
+        for g in grads:
+            g.flags.writeable = False
+        try:
+            step(opt)
+        finally:
+            for g in grads:
+                g.flags.writeable = True
+
+    monkeypatch.setattr(AdamW, "step", checked)
+    rng = np.random.default_rng(0)
+    model = tiny_model()
+    pretrain_source(model, tiny_batch(rng, n=20), rng.integers(0, 2, 20), epochs=1,
+                    batch_size=16)
+    assert seen == [True]
+    state = tt.init_adapt_state(model, AdaptConfig(k=3, batch_size=24), "scanner")
+    tt.adapt_batch(state, tiny_batch(rng, n=24))
+    assert seen == [True, True]
+    assert all(p.grad is p.grad_buffer for p in model.trainable_parameters().values())

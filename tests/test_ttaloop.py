@@ -445,3 +445,25 @@ def test_grad_norm_sums_the_per_modality_slices_in_name_order():
     for p in params.values():
         stacked += float((p.grad**2).sum())
     assert np.sqrt(stacked) != tt._grad_norm(model)
+
+
+@pytest.mark.parametrize("variant", ["source", "st", "tent_em", "scanner"])
+def test_each_batch_computes_its_fused_softmax_once(monkeypatch, variant):
+    # the logged entropies, st's pseudo-labels and the em loss share one
+    # softmax of the B x 2 fused logits; the other softmaxes (attention,
+    # adaptive weights, DIV) have other shapes
+    softmax_array, fused = gc.softmax_array, []
+
+    def counting(x, beta=1.0):
+        fused.append(x.shape == (8, 2))
+        return softmax_array(x, beta)
+
+    monkeypatch.setattr(gc, "softmax_array", counting)
+    monkeypatch.setattr(dg, "softmax_array", counting)
+    state = tt.init_adapt_state(tiny_model(), _cfg(k=2, st_confidence=0.51), variant)
+    rng = np.random.default_rng(3)
+    for _ in range(2):
+        res = tt.adapt_batch(state, tiny_batch(rng, n=8))
+        assert sum(fused) == 1
+        fused.clear()
+    assert res.entropies.shape == (8,)

@@ -26,8 +26,12 @@ tool measures two trees:
 
 ``diff`` lists every file and margin that moved, with the top-level keys that
 changed in a JSON file, and exits 1 if any did.
-Digests depend on the numpy and BLAS build, so compare manifests made on one
-machine; no golden manifest is kept in the repository.
+Digests depend on the numpy and BLAS build and on the BLAS kernel that runs,
+so a manifest records its ``kernel``: numpy's version, the ``blas`` entry of
+``numpy.show_config(mode="dicts")``, and ``OPENBLAS_CORETYPE`` and
+``OPENBLAS_NUM_THREADS``. ``diff`` says so in one line when two manifests
+record different kernels. Compare manifests made on one machine; no golden
+manifest is kept in the repository.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
 import sys
 import tempfile
@@ -47,10 +52,20 @@ ALL_VARIANTS = ("source", "norm", "st", "tent_em", "can", "scan", "scanner")
 MATRIX = (("severe", ALL_VARIANTS), ("collapse", ("can", "scan", "scanner")))
 SEEDS = (0, 1, 2, 3, 4)
 WORKERS = (1, 4)
+# the OpenBLAS settings that choose the kernel a run's floats come from
+KERNEL_VARS = ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS")
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def kernel() -> dict:
+    """The numpy build, BLAS build and OpenBLAS settings of this process: the
+    kernel that a manifest's digests hold for."""
+    return {"numpy": np.__version__,
+            "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"],
+            **{var: os.environ.get(var) for var in KERNEL_VARS}}
 
 
 def key_digests(path: Path) -> dict:
@@ -93,7 +108,7 @@ def run_matrix(work_dir, matrix=MATRIX, seeds=SEEDS, workers=WORKERS, overrides=
     work.mkdir(parents=True, exist_ok=True)
     overrides = dict(overrides or {})
     bench = overrides.pop("benchmark", {})
-    doc = {"numpy": np.__version__, "python": platform.python_version(),
+    doc = {"kernel": kernel(), "python": platform.python_version(),
            "files": {}, "keys": {}, "margins": {}}
     for preset, variants in matrix:
         config = {**overrides, "benchmark": {**bench, "preset": preset},
@@ -123,9 +138,13 @@ def run_matrix(work_dir, matrix=MATRIX, seeds=SEEDS, workers=WORKERS, overrides=
 def diff(old: dict, new: dict) -> list:
     """One line per file or margin that differs between two manifests."""
     lines = []
-    for key in ("numpy", "python"):
-        if old.get(key) != new.get(key):
-            lines.append(f"environment {key}: {old.get(key)} -> {new.get(key)}")
+    ka, kb = old.get("kernel", {}), new.get("kernel", {})
+    differ = [k for k in sorted(set(ka) | set(kb)) if ka.get(k) != kb.get(k)]
+    if differ:
+        lines.append(f"kernel: the manifests come from different kernels ({', '.join(differ)}); "
+                     "digests hold per kernel")
+    if old.get("python") != new.get("python"):
+        lines.append(f"environment python: {old.get('python')} -> {new.get('python')}")
     for name in sorted(set(old["files"]) | set(new["files"])):
         a, b = old["files"].get(name), new["files"].get(name)
         if a != b:
