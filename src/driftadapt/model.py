@@ -58,16 +58,13 @@ class ModalityEncoder:
     def parameters(self) -> dict:
         return {f"enc.{name}": getattr(self, name) for name in self.NAMES}
 
-    def modality_slices(self, attr: str = "data"):
-        """(checkpoint name, slice) pairs of each parameter's ``attr`` in
-        checkpoint order: modality by modality, ``NAMES`` within one. The
-        slices are taken from the current storage; an ``attr`` that is None
-        (a parameter with no gradient) is skipped."""
+    def modality_slices(self):
+        """(checkpoint name, slice) pairs of each parameter in checkpoint
+        order: modality by modality, ``NAMES`` within one. The slices are
+        taken from the current storage."""
         for i, m in enumerate(MODALITIES):
             for name in self.NAMES:
-                a = getattr(getattr(self, name), attr)
-                if a is not None:
-                    yield f"enc.{m}.{name}", a[i]
+                yield f"enc.{m}.{name}", getattr(self, name).data[i]
 
 
 class FusionBlock:

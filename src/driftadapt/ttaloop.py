@@ -15,7 +15,8 @@ import numpy as np
 
 from . import centroids as cb, gradcore as gc, objectives as obj
 from .config import AdaptConfig
-from .driftgen import SyntheticDataset, accuracy, cluster_ratio_diag, entropy_diag, macro_f1
+from .driftgen import (SyntheticDataset, accuracy, cluster_ratio_diag, entropy_diag,
+                       entropy_rows, macro_f1)
 from .errors import ContractError, DivergenceError, NumericError
 from .model import MODALITIES, SourceModel, stack_modalities
 from .objectives import BANK_VARIANTS, MethodVariant
@@ -68,11 +69,17 @@ def init_adapt_state(model: SourceModel, cfg: AdaptConfig,
 
 
 def _grad_norm(model: SourceModel) -> float:
-    """Norm of the encoder gradients, its squares summed one per-modality
-    slice at a time in checkpoint order."""
+    """Norm of the encoder gradients. One squared sum per parameter over its
+    (3, -1) view gives each modality slice's sum, bit for bit the sum of the
+    slice alone; the slice sums are added in checkpoint order, modality by
+    modality. A parameter with no gradient adds nothing."""
+    enc = model.encoder
+    sums = [(g.reshape(len(MODALITIES), -1) ** 2).sum(axis=1)
+            for g in (getattr(enc, name).grad for name in enc.NAMES) if g is not None]
     total = 0.0
-    for _, g in model.encoder.modality_slices("grad"):
-        total += float((g ** 2).sum())
+    for per_modality in zip(*sums):
+        for s in per_modality:
+            total += float(s)
     return float(np.sqrt(total))
 
 
@@ -227,6 +234,13 @@ def run_stream(model: SourceModel, target: SyntheticDataset, cfg: AdaptConfig,
     for metrics and diagnostics; the adaptation path receives feature
     batches alone. Runs that pass one ``seeded`` list seed the centroid
     banks once between them (see ``_init_banks``).
+
+    A bank run builds its diagnostics chunk by chunk inside the final pass:
+    each chunk's L2-normalized features are scored against the final banks
+    and through the classifier, and only the per-row cluster indices and
+    member entropies, two 3 x n arrays, are kept, never the 3 x n x d_h
+    feature stack. The per-cluster means are then taken over those
+    full-length arrays, one modality at a time.
     """
     n = len(target)
     if n == 0:
@@ -256,25 +270,27 @@ def run_stream(model: SourceModel, target: SyntheticDataset, cfg: AdaptConfig,
         # stream-sized chunks with every parameter frozen, so no graph is kept
         model.freeze()
         final_preds = np.empty(n, dtype=np.int64)
-        features = (np.empty((len(MODALITIES), n, model.dims.d_h))
-                    if state.banks is not None else None)
+        if state.banks is not None:
+            indices = np.empty((len(MODALITIES), n), dtype=np.int64)
+            member_entropies = np.empty((len(MODALITIES), n))
         for start in range(0, n, cfg.batch_size):
             rows = slice(start, start + cfg.batch_size)
             encoded = model.embed({m: target.features[m][rows] for m in MODALITIES})
             final_preds[rows] = model.head(encoded).data.argmax(axis=1)
-            if features is not None:
-                features[:, rows] = encoded.data
+            if state.banks is not None:
+                normalized = cb.l2_normalize_rows(encoded.data)
+                indices[:, rows] = cb.max_similarity(state.banks, normalized)[1]
+                member_entropies[:, rows] = entropy_rows(
+                    model.classifier.forward(gc.Tensor(normalized)).data)
     report.final_accuracy = accuracy(final_preds, labels)
     report.final_macro_f1 = macro_f1(final_preds, labels)
 
     if state.banks is not None:
         gaps = []
-        for m, bank, x in zip(MODALITIES, state.banks, features):
-            normalized = cb.l2_normalize_rows(x)
-            assignment = cb.assign(bank, normalized)
-            ratios = cluster_ratio_diag(assignment.indices, final_preds, labels, cfg.k)
+        for m, bank, idx, ent in zip(MODALITIES, state.banks, indices, member_entropies):
+            ratios = cluster_ratio_diag(idx, final_preds, labels, cfg.k)
             report.cluster_ratios[m] = ratios
-            report.entropy_table[m] = entropy_diag(bank, model, normalized, assignment.indices)
+            report.entropy_table[m] = entropy_diag(bank, model, ent, idx)
             gaps.extend(abs(p - t) for p, t in ratios.values())
         report.collapse_gap = float(np.mean(gaps)) if gaps else None
     return report

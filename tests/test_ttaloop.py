@@ -2,6 +2,7 @@
 
 import json
 import pickle
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -12,7 +13,7 @@ from conftest import tiny_batch, tiny_model
 from driftadapt import centroids as cb, driftgen as dg, gradcore as gc, ttaloop as tt
 from driftadapt.config import AdaptConfig, BenchmarkConfig
 from driftadapt.errors import ContractError, DivergenceError
-from driftadapt.model import MODALITIES, ModalityEncoder, SourceModel
+from driftadapt.model import MODALITIES, ModalityEncoder, ModelDims, SourceModel
 from driftadapt.objectives import MethodVariant
 
 
@@ -166,7 +167,7 @@ def test_run_stream_source_has_no_banks():
     assert report.grad_norm_trace == [0.0] * len(report.grad_norm_trace)
 
 
-@pytest.mark.parametrize("variant", ["scanner", "source", "norm"])
+@pytest.mark.parametrize("variant", ["scanner", "source", "norm", "can", "scan"])
 def test_final_pass_chunks_match_one_full_forward(monkeypatch, variant):
     # 70 rows in batches of 16: the last chunk of the final pass has 6 rows
     target = _tiny_target(n=70)
@@ -188,11 +189,40 @@ def test_final_pass_chunks_match_one_full_forward(monkeypatch, variant):
     banks = states[0].banks
     if banks is None:
         return
+    # the diagnostics built chunk by chunk equal those of one full-length
+    # assignment and classifier forward per modality, bit for bit
     for m, bank in zip(MODALITIES, banks):
         normalized = cb.l2_normalize_rows(features[m].data)
         idx = cb.assign(bank, normalized).indices
+        member_ent = dg.entropy_rows(model.classifier.forward(gc.Tensor(normalized)).data)
         assert report.cluster_ratios[m] == dg.cluster_ratio_diag(idx, preds, target.labels, 2)
-        assert report.entropy_table[m] == dg.entropy_diag(bank, model, normalized, idx)
+        assert report.entropy_table[m] == dg.entropy_diag(bank, model, member_ent, idx)
+
+
+def test_bank_run_memory_does_not_grow_with_a_feature_stack():
+    # a bank run keeps 3 x n cluster indices and member entropies for its
+    # diagnostics, never the 3 x n x d_h features of the whole target: four
+    # times the rows must raise the traced peak by less than one such stack
+    d_h, n = 32, 512
+    cfg = _cfg(batch_size=32)
+
+    def traced_peak(target):
+        model = SourceModel(ModelDims(d_in=4, d_h=d_h, n_classes=2), seed=1)
+        model.set_input_stats(target.features)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tt.run_stream(model, target, cfg, "scanner", seed=0)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    small, large = _tiny_target(n=n), _tiny_target(n=4 * n)
+    # a first run outside the comparison, so that one-time allocations of
+    # the first call do not count in either peak
+    traced_peak(_tiny_target(n=64))
+    stack = len(MODALITIES) * 4 * n * d_h * np.dtype(np.float64).itemsize
+    assert traced_peak(large) - traced_peak(small) < stack
 
 
 @pytest.mark.parametrize("variant, passes", [
@@ -445,6 +475,29 @@ def test_grad_norm_sums_the_per_modality_slices_in_name_order():
     for p in params.values():
         stacked += float((p.grad**2).sum())
     assert np.sqrt(stacked) != tt._grad_norm(model)
+
+
+@pytest.mark.parametrize("without", [(), ("bias",), ("weight", "norm_bias")])
+def test_grad_norm_reduces_each_parameter_once_with_the_slice_sums_bits(without):
+    # one squared sum per parameter over its (3, -1) view; each row's sum has
+    # the bits of its slice summed alone, so the total is bit for bit the
+    # slice-by-slice sum in checkpoint order. A weight slice's 12 x 32 = 384
+    # entries take numpy's blocked pairwise summation; a parameter with no
+    # gradient adds nothing
+    model = SourceModel(ModelDims(d_in=12, d_h=32, n_classes=2), seed=0)
+    enc = model.encoder
+    rng = np.random.default_rng(1)
+    for name in ModalityEncoder.NAMES:
+        p = getattr(enc, name)
+        p.grad = (None if name in without else
+                  rng.normal(0, 1, p.data.shape) * 10.0 ** rng.integers(-8, 9, p.data.shape))
+    total = 0.0
+    for i in range(len(MODALITIES)):
+        for name in ModalityEncoder.NAMES:
+            g = getattr(enc, name).grad
+            if g is not None:
+                total += float((g[i] ** 2).sum())
+    assert np.float64(tt._grad_norm(model)).tobytes() == np.float64(np.sqrt(total)).tobytes()
 
 
 @pytest.mark.parametrize("variant", ["source", "st", "tent_em", "scanner"])
