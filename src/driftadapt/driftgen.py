@@ -45,9 +45,14 @@ class DomainSpec:
 
 @dataclass
 class SyntheticDataset:
-    features: dict                  # modality -> n x d_in
+    stack: np.ndarray               # 3 x n x d_in; slice i renders MODALITIES[i]
     labels: np.ndarray              # n, ints in {0, 1}
     cores: np.ndarray               # n, latent core index (diagnostics only)
+
+    @property
+    def features(self) -> dict:
+        """modality -> n x d_in, each a view of its slice of ``stack``."""
+        return dict(zip(MODALITIES, self.stack))
 
     def __len__(self):
         return self.labels.shape[0]
@@ -122,7 +127,9 @@ def generate_domain(cores: CoreSpec, domain: DomainSpec, n: int, seed: int) -> S
     """Draw n samples: core -> label (noise-flipped) and per-modality features.
 
     The label path touches only the core index and the label-noise RNG; the
-    rendering maps never see the label.
+    rendering maps never see the label. Each modality is rendered in place
+    in its slice of one 3 x n x d_in stack: tanh(z @ a + b) plus style noise,
+    with the outlier rows then overwritten by their off-manifold noise.
     """
     if n < 1:
         raise ContractError("need at least one sample")
@@ -135,24 +142,30 @@ def generate_domain(cores: CoreSpec, domain: DomainSpec, n: int, seed: int) -> S
     z = cores.embeddings[g] + cores.jitter[g][:, None] * rng.normal(
         0.0, 1.0, (n, cores.embeddings.shape[1])
     )
-    features = {}
-    outlier = _outlier_mask(rng, n, domain.outlier_frac)
-    for m in MODALITIES:
+    outlier = np.flatnonzero(_outlier_mask(rng, n, domain.outlier_frac))
+    d_in = domain.maps[MODALITIES[0]][0].shape[1]
+    stack = np.empty((len(MODALITIES), n, d_in))
+    for m, x in zip(MODALITIES, stack):
         a, b = domain.maps[m]
-        x = np.tanh(z @ a + b)
-        x = x + domain.style_noise * rng.normal(0.0, 1.0, x.shape)
-        noise = _OUTLIER_SCALE * rng.normal(0.0, 1.0, x.shape)
+        np.matmul(z, a, out=x)
+        x += b
+        np.tanh(x, out=x)
+        style = rng.normal(0.0, 1.0, x.shape)
+        style *= domain.style_noise
+        x += style
+        del style   # so that no two full-size draws are ever held at once
+        # each noise draw is of the whole array, so the generator's order
+        # never depends on the outlier rows; only those rows are kept
+        noise = rng.normal(0.0, 1.0, x.shape)[outlier]
         if domain.outlier_mode == "clump":
             # near-duplicate junk (templated spam): one off-manifold direction
-            # shared by the clumped outliers, with moderate dispersion around it
-            d_in = x.shape[1]
+            # shared by the clumped outliers, with moderate dispersion around
+            # it; the scatter draw above is not used
             u = rng.normal(0.0, 1.0, d_in)
             u *= np.sqrt(d_in) / np.linalg.norm(u)
-            noise = _OUTLIER_SCALE * (
-                u[None, :] + domain.outlier_spread * rng.normal(0.0, 1.0, x.shape)
-            )
-        features[m] = np.where(outlier[:, None], noise, x)
-    return SyntheticDataset(features=features, labels=labels, cores=g)
+            noise = u[None, :] + domain.outlier_spread * rng.normal(0.0, 1.0, x.shape)[outlier]
+        x[outlier] = _OUTLIER_SCALE * noise
+    return SyntheticDataset(stack=stack, labels=labels, cores=g)
 
 
 # -- metrics --------------------------------------------------------------

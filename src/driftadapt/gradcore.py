@@ -88,10 +88,12 @@ def _wrap(x) -> Tensor:
 
 def _make(data, parents, backward_fn) -> Tensor:
     out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
-    if out.requires_grad:
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = tuple(parents)
+            out._backward_fn = backward_fn
+            break
     return out
 
 
@@ -321,7 +323,8 @@ def _batch_sum(g: np.ndarray, shape) -> np.ndarray:
 def _linear_backward(g, x: Tensor, w: Tensor, b: Tensor):
     """Accumulates the gradients of ``x @ w + b`` as ``matmul`` and ``add`` do,
     slice by slice over a stacked leading axis."""
-    _accum(b, _batch_sum(g, b.data.shape))
+    if b.requires_grad:
+        _accum(b, _batch_sum(g, b.data.shape))
     if w.requires_grad:
         _accum(w, _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.data.shape))
     if x.requires_grad:
@@ -520,10 +523,12 @@ def softmax_array(x: np.ndarray, beta: float = 1.0) -> np.ndarray:
     ``cross_entropy``'s log-sum-exp."""
     if x.size == 0:
         raise ContractError("softmax of empty input")
-    if not np.isfinite(beta):
-        raise ContractError("softmax temperature multiplier must be finite")
-    z = beta * x
-    z = z - max_last(z, keepdims=True)
+    # x * 1.0 is x bit for bit, so a unit beta skips the multiply
+    if beta != 1.0:
+        if not np.isfinite(beta):
+            raise ContractError("softmax temperature multiplier must be finite")
+        x = beta * x
+    z = x - max_last(x, keepdims=True)
     e = np.exp(z)
     return e / sum_last(e, keepdims=True)
 

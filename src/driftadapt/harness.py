@@ -68,7 +68,7 @@ def cmd_pretrain(cfg: ExperimentConfig, out_dir) -> dict:
         source = build_domain(cfg, seed, "source")
         model = SourceModel(model_dims(cfg), seed=seed)
         result = pretrain_source(
-            model, source.features, source.labels,
+            model, source.stack, source.labels,
             epochs=cfg.pretrain_epochs, batch_size=cfg.adapt.batch_size,
             lr=cfg.adapt.lr, weight_decay=cfg.adapt.weight_decay,
             seed=PRETRAIN_SEED_OFFSET + seed,
@@ -205,7 +205,7 @@ def cmd_export_embeddings(cfg: ExperimentConfig, ckpt_path, out_path):
     source, target = build_domains(cfg, cfg.seeds[0])
     # both domains are embedded before the file is opened, so a failed
     # forward leaves no partial CSV
-    embedded = [(tag, ds, np.mean(model.embed(ds.features).data, axis=0))
+    embedded = [(tag, ds, np.mean(model.embed(ds.stack).data, axis=0))
                 for tag, ds in (("source", source), ("target", target))]
     with open(out_path, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -109,8 +109,16 @@ class ModelDims:
     n_classes: int
 
 
-def stack_modalities(batch: dict) -> np.ndarray:
-    """The 3 x B x d array of a {modality: B x d} batch."""
+def stack_modalities(batch) -> np.ndarray:
+    """The 3 x B x d array of a batch. A 3 x B x d array, such as a slice of
+    a dataset's stack, is used as it is, without a copy; a {modality: B x d}
+    dict is stacked into a new one."""
+    if not isinstance(batch, dict):
+        x = np.asarray(batch, dtype=np.float64)
+        if x.ndim != 3 or x.shape[0] != len(MODALITIES):
+            raise ContractError(f"a stacked batch is {len(MODALITIES)} x B x d, "
+                                f"not {x.shape}")
+        return x
     xs = [np.asarray(batch[m], dtype=np.float64) for m in MODALITIES]
     sizes = {m: x.shape[0] for m, x in zip(MODALITIES, xs)}
     if len(set(sizes.values())) != 1:
@@ -129,6 +137,8 @@ class SourceModel:
         # baseline re-estimates these from test batches
         self.input_mean = np.zeros((len(MODALITIES), dims.d_in))
         self.input_var = np.ones((len(MODALITIES), dims.d_in))
+        # every parameter tensor, for the per-batch gradient reset and freeze
+        self._parameters = tuple(self.named_parameters().values())
 
     # -- parameter registry ------------------------------------------------
 
@@ -147,29 +157,30 @@ class SourceModel:
         return out
 
     def zero_grad(self):
-        for p in self.named_parameters().values():
+        for p in self._parameters:
             p.grad = None
 
     def freeze(self):
         """Stop every parameter from requiring a gradient, so a forward
         builds no autodiff graph."""
-        for p in self.named_parameters().values():
+        for p in self._parameters:
             p.requires_grad = False
 
-    def set_input_stats(self, features: dict):
+    def set_input_stats(self, features):
         x = stack_modalities(features)
         self.input_mean = x.mean(axis=1)
         self.input_var = x.var(axis=1)
 
     # -- forward -----------------------------------------------------------
 
-    def standardize(self, batch: dict) -> np.ndarray:
+    def standardize(self, batch) -> np.ndarray:
         """The standardized 3 x B x d_in input of a batch."""
         return ((stack_modalities(batch) - self.input_mean[:, None, :])
                 / np.sqrt(self.input_var[:, None, :] + STATS_EPS))
 
-    def embed(self, batch: dict) -> Tensor:
-        """3 x B x d_h features of a batch: one encoder node."""
+    def embed(self, batch) -> Tensor:
+        """3 x B x d_h features of a batch, stacked or by modality (see
+        ``stack_modalities``): one encoder node."""
         return self.encoder.forward(Tensor(self.standardize(batch)))
 
     def head(self, features: Tensor) -> Tensor:
@@ -242,11 +253,12 @@ class PretrainResult:
     holdout_accuracy: float = 0.0
 
 
-def pretrain_source(model: SourceModel, features: dict, labels: np.ndarray,
+def pretrain_source(model: SourceModel, features, labels: np.ndarray,
                     epochs: int = 50, batch_size: int = 128,
                     lr: float = 1e-3, weight_decay: float = 5e-4,
                     seed: int = 0) -> PretrainResult:
-    """Supervised pretraining with cross entropy on the fused logits.
+    """Supervised pretraining with cross entropy on the fused logits of
+    ``features``, stacked or by modality (see ``stack_modalities``).
 
     Standardization stats are estimated from the training split, which is
     standardized once; each step gathers its rows from that 3 x n x d_in
@@ -256,9 +268,9 @@ def pretrain_source(model: SourceModel, features: dict, labels: np.ndarray,
     n = labels.shape[0]
     n_hold = int(round(n * HOLDOUT_FRAC))
     n_train = n - n_hold
-    train_feat = {m: features[m][:n_train] for m in MODALITIES}
+    x = stack_modalities(features)
+    train_feat, hold_feat = x[:, :n_train], x[:, n_train:]
     train_y = labels[:n_train]
-    hold_feat = {m: features[m][n_train:] for m in MODALITIES}
     hold_y = labels[n_train:]
 
     model.set_input_stats(train_feat)
@@ -287,5 +299,5 @@ def pretrain_source(model: SourceModel, features: dict, labels: np.ndarray,
     return result
 
 
-def predict(model: SourceModel, features: dict) -> np.ndarray:
+def predict(model: SourceModel, features) -> np.ndarray:
     return model.head(model.embed(features)).data.argmax(axis=1)

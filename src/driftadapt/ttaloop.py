@@ -100,9 +100,10 @@ def _init_banks(state: AdaptState, features: np.ndarray):
                    for m, c in zip(MODALITIES, state.seeded)]
 
 
-def adapt_batch(state: AdaptState, batch: dict) -> BatchResult:
-    """Process one unlabeled target batch; updates state in place. A
-    NumericError raised on the way carries the batch's ``tau``."""
+def adapt_batch(state: AdaptState, batch) -> BatchResult:
+    """Process one unlabeled target batch, a 3 x B x d_in stack or a
+    {modality: B x d_in} dict; updates state in place. A NumericError raised
+    on the way carries the batch's ``tau``."""
     model, cfg = state.model, state.cfg
     # the one gradient reset; _apply_step leaves its gradients in place,
     # whether it steps or skips
@@ -147,7 +148,7 @@ def _apply_step(state: AdaptState, loss, result: BatchResult):
         state.optimizer.step()
 
 
-def _norm_update(model: SourceModel, batch: dict, momentum: float):
+def _norm_update(model: SourceModel, batch, momentum: float):
     x = stack_modalities(batch)
     model.input_mean = (1 - momentum) * model.input_mean + momentum * x.mean(axis=1)
     model.input_var = (1 - momentum) * model.input_var + momentum * x.var(axis=1)
@@ -232,8 +233,9 @@ def run_stream(model: SourceModel, target: SyntheticDataset, cfg: AdaptConfig,
     pass is its online pass: its final predictions are the online ones, bit
     for bit, and it makes no second pass. Target labels are read only here,
     for metrics and diagnostics; the adaptation path receives feature
-    batches alone. Runs that pass one ``seeded`` list seed the centroid
-    banks once between them (see ``_init_banks``).
+    batches alone, each a 3 x B x d_in view of ``target.stack``, never a
+    copy. Runs that pass one ``seeded`` list seed the centroid banks once
+    between them (see ``_init_banks``).
 
     A bank run builds its diagnostics chunk by chunk inside the final pass:
     each chunk's L2-normalized features are scored against the final banks
@@ -251,7 +253,7 @@ def run_stream(model: SourceModel, target: SyntheticDataset, cfg: AdaptConfig,
     online_preds = np.empty(n, dtype=np.int64)
     for start in range(0, n, cfg.batch_size):
         rows = slice(start, start + cfg.batch_size)
-        res = adapt_batch(state, {m: target.features[m][rows] for m in MODALITIES})
+        res = adapt_batch(state, target.stack[:, rows])
         online_preds[rows] = res.predictions
         report.loss_trace.append({"tau": res.tau, **res.loss_row})
         report.grad_norm_trace.append(res.grad_norm)
@@ -275,7 +277,7 @@ def run_stream(model: SourceModel, target: SyntheticDataset, cfg: AdaptConfig,
             member_entropies = np.empty((len(MODALITIES), n))
         for start in range(0, n, cfg.batch_size):
             rows = slice(start, start + cfg.batch_size)
-            encoded = model.embed({m: target.features[m][rows] for m in MODALITIES})
+            encoded = model.embed(target.stack[:, rows])
             final_preds[rows] = model.head(encoded).data.argmax(axis=1)
             if state.banks is not None:
                 normalized = cb.l2_normalize_rows(encoded.data)

@@ -11,8 +11,9 @@ from functools import reduce
 
 import numpy as np
 
-from driftadapt import centroids as cb, gradcore as gc, objectives as obj
+from driftadapt import centroids as cb, driftgen as dg, gradcore as gc, objectives as obj
 from driftadapt.gradcore import Tensor
+from driftadapt.model import MODALITIES
 from driftadapt.objectives import MethodVariant
 
 
@@ -239,6 +240,37 @@ def outlier_mask_loop(rng, n, frac):
             mask[i] = True
             marked += 1
     return mask
+
+
+def reference_generate_domain(cores, domain, n, seed):
+    """``driftgen.generate_domain`` as three separate modality arrays, each
+    built from whole-array temporaries and an ``np.where`` over the outlier
+    mask: (features by modality, labels, cores)."""
+    rng = np.random.default_rng(seed)
+    g = rng.integers(0, cores.n_cores, n)
+    labels = (rng.random(n) < cores.p_hate[g]).astype(np.int64)
+    flip = rng.random(n) < cores.label_noise
+    labels = np.where(flip, 1 - labels, labels)
+
+    z = cores.embeddings[g] + cores.jitter[g][:, None] * rng.normal(
+        0.0, 1.0, (n, cores.embeddings.shape[1])
+    )
+    features = {}
+    outlier = dg._outlier_mask(rng, n, domain.outlier_frac)
+    for m in MODALITIES:
+        a, b = domain.maps[m]
+        x = np.tanh(z @ a + b)
+        x = x + domain.style_noise * rng.normal(0.0, 1.0, x.shape)
+        noise = dg._OUTLIER_SCALE * rng.normal(0.0, 1.0, x.shape)
+        if domain.outlier_mode == "clump":
+            d_in = x.shape[1]
+            u = rng.normal(0.0, 1.0, d_in)
+            u *= np.sqrt(d_in) / np.linalg.norm(u)
+            noise = dg._OUTLIER_SCALE * (
+                u[None, :] + domain.outlier_spread * rng.normal(0.0, 1.0, x.shape)
+            )
+        features[m] = np.where(outlier[:, None], noise, x)
+    return features, labels, g
 
 
 def f1_oracle(preds, labels, n_classes=2):

@@ -1,10 +1,14 @@
 """Benchmark generator and metric tests."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import entropy_rows_inline, f1_oracle, outlier_mask_loop
+from oracles import (entropy_rows_inline, f1_oracle, outlier_mask_loop,
+                     reference_generate_domain)
 
 from driftadapt import driftgen as dg, gradcore as gc, objectives as obj
 from driftadapt.config import BenchmarkConfig, preset_benchmark
@@ -190,6 +194,69 @@ def test_clump_outliers_share_direction():
     mean_dir = rows.mean(axis=0)
     mean_dir /= np.linalg.norm(mean_dir)
     assert np.mean(rows @ mean_dir) > 0.9
+
+
+def _same_domain(ds, reference):
+    features, labels, cores = reference
+    assert ds.stack.shape == (len(MODALITIES),) + features[MODALITIES[0]].shape
+    for m in MODALITIES:
+        assert ds.features[m].tobytes() == features[m].tobytes()
+    assert ds.labels.tobytes() == labels.tobytes()
+    assert ds.cores.tobytes() == cores.tobytes()
+
+
+# the severe target is the only preset domain with outliers, and they clump
+SCATTER = BenchmarkConfig(preset="custom", outlier_frac=0.3, outlier_mode="scatter")
+
+
+@pytest.mark.parametrize("bench", [preset_benchmark(p) for p in ("mild", "severe", "collapse")]
+                         + [SCATTER], ids=["mild", "severe", "collapse", "scatter"])
+def test_generate_domain_equals_the_per_modality_reference_bytes(bench):
+    # the stacked, in-place rendering draws the same numbers in the same
+    # order and does the same arithmetic as three whole-array renderings
+    for seed in range(3):
+        cores = dg.make_core_spec(bench, 1000 + seed)
+        for i, domain in enumerate(dg.make_domain_pair(bench, 2000 + seed)):
+            no_outliers = dataclasses.replace(domain, outlier_frac=0.0)
+            for n in (1, 37, 500):
+                data_seed = 3000 + 1000 * i + seed
+                for spec in (domain, no_outliers):
+                    _same_domain(dg.generate_domain(cores, spec, n, data_seed),
+                                 reference_generate_domain(cores, spec, n, data_seed))
+
+
+def test_features_are_views_of_the_stack():
+    bench = _bench(outlier_frac=0.2)
+    ds = dg.generate_domain(dg.make_core_spec(bench, 0), dg.make_domain_pair(bench, 0)[1],
+                            50, seed=1)
+    assert ds.stack.shape == (len(MODALITIES), 50, bench.d_in)
+    for i, m in enumerate(MODALITIES):
+        assert np.shares_memory(ds.features[m], ds.stack)
+        assert ds.features[m].base is ds.stack
+        assert np.array_equal(ds.features[m], ds.stack[i])
+
+
+@pytest.mark.parametrize("role", [0, 1], ids=["source", "target"])
+def test_generate_domain_peak_is_the_stack_plus_under_three_modality_arrays(role):
+    # each modality is rendered in its slice of the stack, and no two
+    # full-size noise draws are held at once; three separate modality
+    # arrays, each an np.where over whole-array temporaries, took the peak
+    # past the stack plus 3.5 such arrays on the severe target (clumped
+    # outliers) and source
+    bench = preset_benchmark("severe")
+    cores = dg.make_core_spec(bench, 0)
+    domain = dg.make_domain_pair(bench, 0)[role]
+    n = bench.n_target
+    dg.generate_domain(cores, domain, 8, seed=1)   # one-time allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        dg.generate_domain(cores, domain, n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    one = n * bench.d_in * np.dtype(np.float64).itemsize
+    assert peak < len(MODALITIES) * one + 2.5 * one
 
 
 def test_style_drift_override_scales_target_noise():

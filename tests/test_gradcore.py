@@ -575,6 +575,24 @@ def test_softmax_rows_normalized(seed, n, k):
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
 
+def test_softmax_array_of_unit_beta_skips_only_an_exact_multiply():
+    # a unit beta skips beta * x, whose product is x bit for bit: -0.0,
+    # infinities and NaN included; a non-finite beta is still rejected
+    x = np.array([[-0.0, 0.0, 1.5, -3.25], [np.inf, 1.0, -2.0, 0.5],
+                  [-np.inf, 0.0, 7.0, -0.0], [np.nan, 1.0, 2.0, 3.0]])
+    x = np.concatenate([x, np.random.default_rng(5).normal(0, 40, (50, 4))])
+    assert (1.0 * x).tobytes() == x.tobytes()
+    with np.errstate(invalid="ignore"):
+        z = 1.0 * x
+        z = z - gc.max_last(z, keepdims=True)
+        e = np.exp(z)
+        want = e / gc.sum_last(e, keepdims=True)
+        assert gc.softmax_array(x).tobytes() == want.tobytes()
+    for beta in (np.nan, np.inf):
+        with pytest.raises(ContractError, match="finite"):
+            gc.softmax_array(x, beta)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_softmax_shift_invariant(seed):

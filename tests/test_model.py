@@ -16,6 +16,7 @@ from driftadapt.model import (
     SourceModel,
     predict,
     pretrain_source,
+    stack_modalities,
 )
 from driftadapt.optim import AdamW
 
@@ -148,6 +149,22 @@ def test_encode_batch_size_mismatch():
     batch["a"] = batch["a"][:2]
     with pytest.raises(ContractError):
         model.encode(batch)
+
+
+def test_stack_modalities_takes_a_stack_as_it_is():
+    stack = np.random.default_rng(3).normal(0.0, 1.0, (len(MODALITIES), 10, 4))
+    view = stack[:, 2:7]
+    assert stack_modalities(view) is view
+    batch = dict(zip(MODALITIES, view))
+    assert stack_modalities(batch).tobytes() == view.tobytes()
+    model = tiny_model()
+    assert model.embed(view).data.tobytes() == model.embed(batch).data.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 5, 4), (4, 5, 4), (5, 4), (3, 1, 5, 4), (3,)])
+def test_stack_modalities_rejects_a_wrong_leading_axis_or_rank(shape):
+    with pytest.raises(ContractError, match="stacked batch"):
+        stack_modalities(np.zeros(shape))
 
 
 def test_save_load_round_trip(tmp_path):

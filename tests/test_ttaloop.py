@@ -311,11 +311,61 @@ def test_report_dict_equals_its_deep_copy():
 def test_run_stream_rejects_empty_target():
     target = _tiny_target()
     empty = dg.SyntheticDataset(
-        features={m: target.features[m][:0] for m in MODALITIES},
+        stack=target.stack[:, :0],
         labels=target.labels[:0], cores=target.cores[:0],
     )
     with pytest.raises(ContractError):
         tt.run_stream(tiny_model(), empty, _cfg(), "source")
+
+
+@pytest.mark.parametrize("variant", ["norm", "tent_em", "scanner"])
+def test_run_stream_batches_are_views_of_the_target_stack(monkeypatch, variant):
+    # every online batch, every norm update and every final-pass chunk reads
+    # a 3 x B x d_in slice of the target's one stack, never a copy of it
+    target = _tiny_target(n=70)
+    seen = {"adapt": [], "norm": [], "embed": []}
+    adapt_batch, norm_update, embed = tt.adapt_batch, tt._norm_update, SourceModel.embed
+    monkeypatch.setattr(tt, "adapt_batch",
+                        lambda state, batch: seen["adapt"].append(batch)
+                        or adapt_batch(state, batch))
+    monkeypatch.setattr(tt, "_norm_update",
+                        lambda model, batch, momentum: seen["norm"].append(batch)
+                        or norm_update(model, batch, momentum))
+    monkeypatch.setattr(SourceModel, "embed",
+                        lambda self, batch: seen["embed"].append(batch) or embed(self, batch))
+    model = tiny_model(seed=1)
+    model.set_input_stats(target.features)
+    tt.run_stream(model, target, _cfg(batch_size=16), variant, seed=0)
+    assert len(seen["adapt"]) == 5 and len(seen["embed"]) == 10
+    assert len(seen["norm"]) == (5 if variant == "norm" else 0)
+    for batch in (b for batches in seen.values() for b in batches):
+        assert isinstance(batch, np.ndarray) and batch.base is target.stack
+        assert batch.shape[0] == len(MODALITIES) and batch.shape[2] == target.stack.shape[2]
+    sizes = [b.shape[1] for b in seen["adapt"]]
+    assert sizes == [16, 16, 16, 16, 6]
+
+
+@pytest.mark.parametrize("variant", [v.value for v in MethodVariant])
+def test_adapt_batch_gives_the_same_bytes_on_a_stack_slice_and_a_dict(variant):
+    target = _tiny_target(n=64)
+    results, states = [], []
+    for as_dict in (False, True):
+        model = tiny_model(seed=1)
+        model.set_input_stats(target.features)
+        state = tt.init_adapt_state(model, _cfg(batch_size=16), variant, seed=0, seeded=[])
+        rows = []
+        for start in range(0, 64, 16):
+            batch = target.stack[:, start:start + 16]
+            if as_dict:
+                batch = {m: x.copy() for m, x in zip(MODALITIES, batch)}
+            res = tt.adapt_batch(state, batch)
+            rows.append((res.predictions.tobytes(), res.entropies.tobytes(),
+                         repr(res.loss_row), repr(res.grad_norm), res.skipped))
+        results.append(rows)
+        states.append([p.tobytes() for p in _param_snapshot(model).values()]
+                      + [x.tobytes() for x in _stats_snapshot(model)])
+    assert results[0] == results[1]
+    assert states[0] == states[1]
 
 
 def test_labels_never_reach_adaptation():
@@ -323,7 +373,7 @@ def test_labels_never_reach_adaptation():
     # the adapted parameters bit-identical
     target = _tiny_target()
     flipped = dg.SyntheticDataset(
-        features={m: target.features[m].copy() for m in MODALITIES},
+        stack=target.stack.copy(),
         labels=1 - target.labels, cores=target.cores,
     )
     params = []
