@@ -15,7 +15,10 @@ PRESETS = ("mild", "severe", "collapse")
 
 @dataclass
 class AdaptConfig:
-    """All adaptation hyperparameters."""
+    """All adaptation hyperparameters. ``batch_size`` is pretraining's batch
+    size too, on purpose: it is the one batch size of both phases. No other
+    field reaches pretraining, whose optimizer settings are fixed in
+    ``model``."""
 
     k: int = 5                 # clusters per modality
     gamma: float = 0.9         # centroid momentum

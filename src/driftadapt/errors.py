@@ -6,9 +6,14 @@ and names its own ``code``; the CLI prints it as ``ERROR <code>: <text>``.
 
 
 class DriftAdaptError(Exception):
-    """Base of all driftadapt errors; ``code`` is the CLI error code."""
+    """Base of all driftadapt errors; ``code`` is the CLI error code and
+    ``tau`` the adaptation batch's index where one is known, else None."""
 
     code = ""
+
+    def __init__(self, message: str, tau: int = None):
+        super().__init__(message)
+        self.tau = tau
 
 
 class DegenerateDataError(DriftAdaptError, ValueError):
@@ -32,24 +37,15 @@ class ContractError(DriftAdaptError, ValueError):
 
 
 class DivergenceError(DriftAdaptError, RuntimeError):
-    """A non-finite loss; ``tau`` is the adaptation batch's index, None in pretraining."""
+    """A non-finite loss; its ``tau`` is None in pretraining."""
 
     code = "divergence"
 
-    def __init__(self, message: str, tau: int = None):
-        super().__init__(message)
-        self.tau = tau
-
 
 class NumericError(DriftAdaptError, RuntimeError):
-    """A numeric evaluation produced non-finite values; ``tau`` is the
-    adaptation batch's index, None elsewhere."""
+    """A numeric evaluation produced non-finite values."""
 
     code = "numeric"
-
-    def __init__(self, message: str, tau: int = None):
-        super().__init__(message)
-        self.tau = tau
 
 
 class CompatibilityError(DriftAdaptError, ValueError):

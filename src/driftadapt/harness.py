@@ -59,7 +59,8 @@ def model_dims(cfg: ExperimentConfig) -> ModelDims:
 
 
 def cmd_pretrain(cfg: ExperimentConfig, out_dir) -> dict:
-    """Pretrain one source model per seed; writes checkpoints + summary."""
+    """Pretrain one source model per seed; writes checkpoints + summary.
+    Of the ``adapt`` block, only ``batch_size`` reaches a checkpoint."""
     cfg.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -67,12 +68,9 @@ def cmd_pretrain(cfg: ExperimentConfig, out_dir) -> dict:
     for seed in cfg.seeds:
         source = build_domain(cfg, seed, "source")
         model = SourceModel(model_dims(cfg), seed=seed)
-        result = pretrain_source(
-            model, source.stack, source.labels,
-            epochs=cfg.pretrain_epochs, batch_size=cfg.adapt.batch_size,
-            lr=cfg.adapt.lr, weight_decay=cfg.adapt.weight_decay,
-            seed=PRETRAIN_SEED_OFFSET + seed,
-        )
+        result = pretrain_source(model, source.stack, source.labels,
+                                 epochs=cfg.pretrain_epochs, batch_size=cfg.adapt.batch_size,
+                                 seed=PRETRAIN_SEED_OFFSET + seed)
         model.save(checkpoint_path(out, seed))
         summary["seeds"][str(seed)] = {
             "holdout_accuracy": result.holdout_accuracy,

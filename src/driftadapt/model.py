@@ -33,6 +33,10 @@ MODALITIES = ("v", "t", "a")
 STATS_EPS = 1e-6
 # the last share of the source data that pretraining holds out
 HOLDOUT_FRAC = 0.2
+# pretraining's AdamW settings, fixed so that no adaptation setting moves a
+# checkpoint; adaptation reads its own from AdaptConfig
+PRETRAIN_LR = 1e-3
+PRETRAIN_WEIGHT_DECAY = 5e-4
 
 
 class ModalityEncoder:
@@ -254,11 +258,10 @@ class PretrainResult:
 
 
 def pretrain_source(model: SourceModel, features, labels: np.ndarray,
-                    epochs: int = 50, batch_size: int = 128,
-                    lr: float = 1e-3, weight_decay: float = 5e-4,
-                    seed: int = 0) -> PretrainResult:
+                    epochs: int, batch_size: int, seed: int) -> PretrainResult:
     """Supervised pretraining with cross entropy on the fused logits of
-    ``features``, stacked or by modality (see ``stack_modalities``).
+    ``features``, stacked or by modality (see ``stack_modalities``), by AdamW
+    at ``PRETRAIN_LR`` and ``PRETRAIN_WEIGHT_DECAY``.
 
     Standardization stats are estimated from the training split, which is
     standardized once; each step gathers its rows from that 3 x n x d_in
@@ -275,7 +278,7 @@ def pretrain_source(model: SourceModel, features, labels: np.ndarray,
 
     model.set_input_stats(train_feat)
     train_x = model.standardize(train_feat)
-    opt = AdamW(model.named_parameters(), lr=lr, weight_decay=weight_decay)
+    opt = AdamW(model.named_parameters(), PRETRAIN_LR, PRETRAIN_WEIGHT_DECAY)
     rng = np.random.default_rng(seed)
     result = PretrainResult()
     starts = range(0, n_train, batch_size)

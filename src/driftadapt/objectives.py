@@ -148,6 +148,11 @@ def div_loss(avg_probs, k: int, sizes=None):
     return total, _terms(names, values)
 
 
+def runs_div(variant: MethodVariant, alpha: float) -> bool:
+    """Whether the combined objective has a DIV term: SCANNER with alpha > 0."""
+    return variant == MethodVariant.SCANNER and alpha > 0.0
+
+
 def em_loss(fused_logits: Tensor) -> Tensor:
     """Mean Shannon entropy of the fused prediction distribution."""
     if fused_logits.data.shape[0] < 1:
@@ -181,7 +186,7 @@ def total_loss(similarities, modality_logits, fused_logits: Tensor,
         terms["can"] = _can_terms(similarities)
         align, terms["scan"] = scan_loss(similarities, beta)
     losses, weights = [em, align], [eps_w, lam]
-    if variant == MethodVariant.SCANNER and alpha > 0.0:
+    if runs_div(variant, alpha):
         if isinstance(assignments, dict):
             assignments = np.stack([a.indices for a in assignments.values()])
         if isinstance(modality_logits, dict):

@@ -22,7 +22,7 @@ class AdamW:
     a step gathers nothing.
     """
 
-    def __init__(self, params: dict, lr=1e-3, weight_decay=5e-4):
+    def __init__(self, params: dict, lr: float, weight_decay: float):
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0

@@ -27,29 +27,6 @@ def _check_cosine_bounds(rng):
     return "max cosine similarity within [-1, 1]"
 
 
-def _check_gradients(rng):
-    x = Tensor(rng.normal(0, 1, (5, 4)), requires_grad=True)
-    w = Tensor(rng.normal(0, 0.5, (4, 3)), requires_grad=True)
-    b = Tensor(rng.normal(0, 0.5, 3), requires_grad=True)
-    labels = rng.integers(0, 3, 5)
-    err = gc.finite_diff_params(lambda: gc.cross_entropy(gc.linear(x, w, b), labels), [x, w, b])
-    assert err < 1e-4, err
-    return "pretraining cross-entropy gradient matches finite differences"
-
-
-def _check_attention_gradients(rng):
-    tokens = Tensor(rng.normal(0, 1, (3, 3, 4)), requires_grad=True)
-    ws = [Tensor(rng.normal(0, 0.5, (4, 4)), requires_grad=True) for _ in range(3)]
-    weights = Tensor(rng.normal(0, 1, (3, 4)))
-
-    def loss():
-        return gc.tsum(gc.mul(gc.attention_pool(tokens, *ws), weights))
-
-    err = gc.finite_diff_params(loss, [tokens, *ws])
-    assert err < 1e-4, err
-    return "fused attention gradient matches finite differences"
-
-
 def _check_scan_dominance(rng):
     for _ in range(200):
         s = Tensor(rng.uniform(-1, 1, (rng.integers(1, 4), rng.integers(2, 30))))
@@ -108,34 +85,27 @@ def _check_clustering(rng):
     return "k-means seeding ends at a single-move optimum, the brute-force one on fixed sets"
 
 
-def _check_cluster_gradients(rng):
-    logits = Tensor(rng.normal(0, 2, (2, 7, 3)), requires_grad=True)
-    # row 0: cluster 1 empty, cluster 2 a singleton; row 1: one cluster
-    labels = np.array([[0, 2, 0, 3, 3, 0, 3], [1, 1, 1, 1, 1, 1, 1]])
-    err = gc.finite_diff_params(
-        lambda: obj.div_loss(obj.cluster_avg_probs(logits, labels, 4), 4, [3, 1])[0], [logits])
-    assert err < 1e-4, err
-    return "per-cluster mean and diversity gradients match finite differences"
-
-
-def _check_encoder_gradients(rng):
-    x = Tensor(rng.normal(0, 1, (2, 5, 3)), requires_grad=True)
-    params = [Tensor(rng.normal(0, s, shape), requires_grad=True)
-              for s, shape in ((1.0, (2, 3, 4)), (0.5, (2, 4)), (1.0, (2, 4)), (0.5, (2, 4)))]
-    weights = Tensor(rng.normal(0, 1, (2, 5, 4)))
-    err = gc.finite_diff_params(
-        lambda: gc.tsum(gc.mul(gc.linear_layernorm_gelu(x, *params), weights)), [x, *params])
-    assert err < 1e-4, err
-    return "fused encoder gradient matches finite differences"
-
-
 def _check_loss_gradients(rng):
     sims = Tensor(rng.uniform(-1, 1, (2, 5)), requires_grad=True)
     logits = Tensor(rng.normal(0, 2, (7, 3)), requires_grad=True)
     labels = np.array([2, 0, 2, 2, 0, 3, 0])   # cluster 1 empty, cluster 3 a singleton
+    stacked = Tensor(rng.normal(0, 2, (2, 7, 3)), requires_grad=True)
+    # row 0: cluster 1 empty, cluster 2 a singleton; row 1: one cluster
+    stacked_labels = np.array([[0, 2, 0, 3, 3, 0, 3], [1, 1, 1, 1, 1, 1, 1]])
     features = Tensor(rng.normal(0, 1, (6, 4)), requires_grad=True)
     centroids = rng.normal(0, 1, (3, 4))
     weights = Tensor(rng.normal(0, 1, 6))
+    x = Tensor(rng.normal(0, 1, (5, 4)), requires_grad=True)
+    w = Tensor(rng.normal(0, 0.5, (4, 3)), requires_grad=True)
+    b = Tensor(rng.normal(0, 0.5, 3), requires_grad=True)
+    classes = rng.integers(0, 3, 5)
+    tokens = Tensor(rng.normal(0, 1, (3, 3, 4)), requires_grad=True)
+    ws = [Tensor(rng.normal(0, 0.5, (4, 4)), requires_grad=True) for _ in range(3)]
+    pool_weights = Tensor(rng.normal(0, 1, (3, 4)))
+    inputs = Tensor(rng.normal(0, 1, (2, 5, 3)), requires_grad=True)
+    enc = [Tensor(rng.normal(0, s, shape), requires_grad=True)
+           for s, shape in ((1.0, (2, 3, 4)), (0.5, (2, 4)), (1.0, (2, 4)), (0.5, (2, 4)))]
+    enc_weights = Tensor(rng.normal(0, 1, (2, 5, 4)))
     losses = {
         "em_loss": (lambda: obj.em_loss(logits), [logits]),
         "can_loss": (lambda: obj.can_loss(sims)[0], [sims]),
@@ -143,13 +113,21 @@ def _check_loss_gradients(rng):
         "scan_loss beta=10": (lambda: obj.scan_loss(sims, 10.0)[0], [sims]),
         "div_loss": (lambda: obj.div_loss(
             obj.cluster_avg_probs(logits, labels, 4), 4, [3])[0], [logits]),
+        "stacked div_loss": (lambda: obj.div_loss(
+            obj.cluster_avg_probs(stacked, stacked_labels, 4), 4, [3, 1])[0], [stacked]),
         "max_cosine": (lambda: gc.tsum(gc.mul(
             gc.max_cosine(features, centroids)[0], weights)), [features]),
+        "pretraining cross_entropy": (
+            lambda: gc.cross_entropy(gc.linear(x, w, b), classes), [x, w, b]),
+        "attention_pool": (lambda: gc.tsum(gc.mul(
+            gc.attention_pool(tokens, *ws), pool_weights)), [tokens, *ws]),
+        "linear_layernorm_gelu": (lambda: gc.tsum(gc.mul(
+            gc.linear_layernorm_gelu(inputs, *enc), enc_weights)), [inputs, *enc]),
     }
     for name, (loss, params) in losses.items():
         err = gc.finite_diff_params(loss, params)
         assert err < 1e-4, f"{name}: {err}"
-    return "fused loss and max-cosine gradients match finite differences"
+    return "every loss, fused op and max-cosine gradient matches finite differences"
 
 
 def run_selftest() -> list:
@@ -159,10 +137,8 @@ def run_selftest() -> list:
     Each check draws from its own generator, so a check's data does not
     depend on what the checks before it draw.
     """
-    checks = (_check_softmax, _check_cosine_bounds, _check_gradients,
-              _check_attention_gradients, _check_scan_dominance,
+    checks = (_check_softmax, _check_cosine_bounds, _check_scan_dominance,
               _check_momentum, _check_metrics, _check_clustering,
-              _check_cluster_gradients, _check_encoder_gradients,
               _check_loss_gradients)
     results = []
     for check, rng in zip(checks, np.random.default_rng(0).spawn(len(checks))):

@@ -170,8 +170,8 @@ def _st_step(state: AdaptState, fused_logits, result: BatchResult):
 
 def _cluster_step(state: AdaptState, features, fused_logits, result: BatchResult):
     """One bank-variant step on the 3 x B x d_h features: one max-cosine node
-    and, when DIV runs (SCANNER with alpha > 0), one classifier node over the
-    stack, which every loss reads as it is."""
+    and, when DIV runs (see ``objectives.runs_div``), one classifier node over
+    the stack, which every loss reads as it is."""
     cfg = state.cfg
     # the pre-update features; no later operation writes into this array
     detached = features.data
@@ -181,7 +181,7 @@ def _cluster_step(state: AdaptState, features, fused_logits, result: BatchResult
     s, idx = cb.max_similarity(state.banks, features)
     # only DIV reads the modality logits
     logits = (state.model.classifier.forward(features)
-              if state.variant == MethodVariant.SCANNER and cfg.alpha > 0.0 else None)
+              if obj.runs_div(state.variant, cfg.alpha) else None)
 
     bd = obj.total_loss(
         s, logits, fused_logits, idx,

@@ -3,6 +3,9 @@
 import copy
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,7 +106,8 @@ def test_key_digests_name_each_top_level_value(tmp_path):
 
 def test_manifest_records_the_kernel_its_digests_hold_for(manifest, monkeypatch):
     kernel = manifest["kernel"]
-    assert set(kernel) == {"numpy", "blas", "OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS"}
+    assert set(kernel) == {"numpy", "blas", "OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS",
+                           "openblas_core"}
     assert kernel["numpy"] == bm.np.__version__ and "name" in kernel["blas"]
     monkeypatch.setenv("OPENBLAS_CORETYPE", "Prescott")
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
@@ -127,3 +131,28 @@ def test_diff_says_in_one_line_when_the_kernels_differ(manifest):
     assert bm.diff(other, manifest)[0] == (
         f"kernel: the manifests come from different kernels ({', '.join(named)}); "
         "digests hold per kernel")
+
+
+def test_kernel_names_the_openblas_core_that_runs(monkeypatch):
+    core = bm.openblas_core()
+    if core is None:
+        pytest.skip("this numpy bundles no OpenBLAS that names its core")
+    assert core and bm.kernel()["openblas_core"] == core
+    # the core is chosen when the library loads: a process started with
+    # another core type reports that one
+    script = (f"import sys; sys.path.insert(0, {str(_PATH.parent)!r}); "
+              "import byte_manifest; print(byte_manifest.openblas_core())")
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott"}
+    other = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                           capture_output=True, text=True).stdout.strip()
+    assert other not in (core, "None")
+    monkeypatch.setattr(bm, "CORENAME_SYMBOLS", ("no_such_symbol",))
+    assert bm.openblas_core() is None
+
+
+def test_diff_names_a_change_of_core(manifest):
+    other = copy.deepcopy(manifest)
+    other["kernel"]["openblas_core"] = "Prescott"
+    assert bm.diff(manifest, other) == [
+        "kernel: the manifests come from different kernels (openblas_core); "
+        "digests hold per kernel"]

@@ -103,7 +103,7 @@ def test_pretrain_step_graph_budget(monkeypatch):
     make = gc._make
     monkeypatch.setattr(gc, "_make", lambda *args: made.append(1) or make(*args))
     features, labels = _separable_data(np.random.default_rng(1), n=128)
-    pretrain_source(tiny_model(), features, labels, epochs=2, batch_size=64)
+    pretrain_source(tiny_model(), features, labels, epochs=2, batch_size=64, seed=0)
     # two steps per epoch on the 102 training rows, then one prediction of
     # the held-out rows (encoder, attention, classifier)
     assert len(made) == 2 * 2 * 4 + 3
@@ -214,7 +214,7 @@ def test_pretrain_learns_separable_data():
     rng = np.random.default_rng(0)
     features, labels = _separable_data(rng)
     model = SourceModel(ModelDims(d_in=4, d_h=6, n_classes=2), seed=0)
-    result = pretrain_source(model, features, labels, epochs=15, batch_size=64)
+    result = pretrain_source(model, features, labels, epochs=15, batch_size=64, seed=0)
     assert result.holdout_accuracy >= 0.9
     assert result.losses[-1] < result.losses[0]
 
@@ -224,7 +224,7 @@ def test_nan_pretraining_loss_raises_divergence(monkeypatch):
     monkeypatch.setattr(gc, "cross_entropy", lambda logits, y: gc.Tensor(np.asarray(np.nan)))
     features, labels = _separable_data(np.random.default_rng(1), n=64)
     with pytest.raises(DivergenceError, match="non-finite pretraining loss at epoch 0"):
-        pretrain_source(tiny_model(), features, labels, epochs=1, batch_size=32)
+        pretrain_source(tiny_model(), features, labels, epochs=1, batch_size=32, seed=0)
 
 
 def test_head_rejects_non_finite_fused_logits():
@@ -337,7 +337,7 @@ def test_optimizer_step_shows_in_state_arrays_and_saved_bytes(tmp_path):
     model = tiny_model(seed=2)
     before = {k: v.copy() for k, v in model.state_arrays().items()}
     model.save(tmp_path / "before.ckpt")
-    opt = AdamW(model.trainable_parameters(), lr=0.1)
+    opt = AdamW(model.trainable_parameters(), lr=0.1, weight_decay=5e-4)
     # the optimizer now owns the stacks: their storage is its flat buffer
     assert all(np.shares_memory(p.data, opt.flat) for p in model.trainable_parameters().values())
     for p in model.trainable_parameters().values():

@@ -108,7 +108,7 @@ def test_subset_optimizer_leaves_other_tensors_untouched():
 def test_grad_shape_mismatch_raises_before_any_update():
     p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     q = Tensor(np.array([3.0]), requires_grad=True)
-    opt = AdamW({"p": p, "q": q}, lr=0.1)
+    opt = AdamW({"p": p, "q": q}, lr=0.1, weight_decay=5e-4)
     p.grad = np.array([1.0, 1.0])
     q.grad = np.array([1.0, 1.0])
     with pytest.raises(ContractError):
@@ -118,7 +118,7 @@ def test_grad_shape_mismatch_raises_before_any_update():
 
 def test_replaced_param_data_is_rejected():
     p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = AdamW({"p": p}, lr=0.1)
+    opt = AdamW({"p": p}, lr=0.1, weight_decay=5e-4)
     p.data = np.array([2.0])
     with pytest.raises(ContractError):
         opt.step()
@@ -126,9 +126,9 @@ def test_replaced_param_data_is_rejected():
 
 def test_second_optimizer_takes_over_storage():
     p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    first = AdamW({"p": p}, lr=0.1)
+    first = AdamW({"p": p}, lr=0.1, weight_decay=5e-4)
     old = p.data
-    second = AdamW({"p": p}, lr=0.1)
+    second = AdamW({"p": p}, lr=0.1, weight_decay=5e-4)
     assert p.data is not old and np.array_equal(p.data, old)
     p.grad = np.array([1.0, 1.0])
     second.step()
@@ -158,7 +158,7 @@ def test_backward_accumulates_into_the_flat_buffer(monkeypatch):
     rng = np.random.default_rng(0)
     model = tiny_model()
     pretrain_source(model, tiny_batch(rng, n=20), rng.integers(0, 2, 20), epochs=1,
-                    batch_size=16)
+                    batch_size=16, seed=0)
     assert seen == [True]
     state = tt.init_adapt_state(model, AdaptConfig(k=3, batch_size=24), "scanner")
     tt.adapt_batch(state, tiny_batch(rng, n=24))

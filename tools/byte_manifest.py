@@ -28,15 +28,18 @@ tool measures two trees:
 changed in a JSON file, and exits 1 if any did.
 Digests depend on the numpy and BLAS build and on the BLAS kernel that runs,
 so a manifest records its ``kernel``: numpy's version, the ``blas`` entry of
-``numpy.show_config(mode="dicts")``, and ``OPENBLAS_CORETYPE`` and
-``OPENBLAS_NUM_THREADS``. ``diff`` says so in one line when two manifests
-record different kernels. Compare manifests made on one machine; no golden
+``numpy.show_config(mode="dicts")``, ``OPENBLAS_CORETYPE`` and
+``OPENBLAS_NUM_THREADS``, and the core that the OpenBLAS numpy bundles runs
+on, which a ``DYNAMIC_ARCH`` build picks at run time and the ``blas`` entry
+does not name. ``diff`` says so in one line when two manifests record
+different kernels. Compare manifests made on one machine; no golden
 manifest is kept in the repository.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -54,18 +57,40 @@ SEEDS = (0, 1, 2, 3, 4)
 WORKERS = (1, 4)
 # the OpenBLAS settings that choose the kernel a run's floats come from
 KERNEL_VARS = ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS")
+# the functions that name the running core, as the OpenBLAS builds spell them
+CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                    "openblas_get_corename")
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def openblas_core():
+    """The core name that the OpenBLAS in numpy's wheel (``numpy.libs``)
+    reports, or None when no library there exports one of
+    ``CORENAME_SYMBOLS``. Loading the library again returns the handle numpy
+    already holds, so the name is the one its kernels run with."""
+    for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for symbol in CORENAME_SYMBOLS:
+            corename = getattr(handle, symbol, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
 def kernel() -> dict:
-    """The numpy build, BLAS build and OpenBLAS settings of this process: the
-    kernel that a manifest's digests hold for."""
+    """The numpy build, BLAS build, OpenBLAS settings and OpenBLAS core of
+    this process: the kernel that a manifest's digests hold for."""
     return {"numpy": np.__version__,
             "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"],
-            **{var: os.environ.get(var) for var in KERNEL_VARS}}
+            **{var: os.environ.get(var) for var in KERNEL_VARS},
+            "openblas_core": openblas_core()}
 
 
 def key_digests(path: Path) -> dict:
