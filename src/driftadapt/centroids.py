@@ -4,6 +4,11 @@ momentum tracking across online batches, and max-cosine scoring.
 Clustering runs in Euclidean geometry on L2-normalized feature rows so that
 nearest-centroid structure is consistent with the cosine scores used during
 adaptation. Centroids are alignment targets: they never receive gradient.
+
+A bank is one k x d set of centroids or an n x k x d stack of n banks, as
+an adaptation run holds over the modality stack: slice i belongs to
+``MODALITIES[i]``. Scoring and tracking take either, and a stack's slices
+get bit for bit the results of their own k x d banks.
 """
 
 from __future__ import annotations
@@ -29,15 +34,16 @@ def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CentroidBank:
-    modality: str
-    centroids: np.ndarray  # k x d_h
+    modality: str          # "" for a stack, whose slice i is MODALITIES[i]'s
+    centroids: np.ndarray  # k x d_h, or a stack of n x k x d_h
     momentum: float = 0.9
-    # clusters whose batch mean was carried forward on the last update
+    # clusters whose batch mean was carried forward on the last update; a
+    # stack keeps one list per slice
     carried_forward: list = field(default_factory=list)
 
     @property
     def k(self) -> int:
-        return self.centroids.shape[0]
+        return self.centroids.shape[-2]
 
 
 @dataclass
@@ -143,7 +149,7 @@ def _hartigan_refine(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray):
 
 def _means_or(fallback: np.ndarray, sums: np.ndarray, counts: np.ndarray):
     """Per-cluster means ``sums / counts``; an empty cluster keeps its
-    ``fallback`` row."""
+    ``fallback`` row. The clusters may be an n x k stack of them."""
     out = fallback.copy()
     filled = counts > 0
     out[filled] = sums[filled] / counts[filled, None]
@@ -168,14 +174,27 @@ def _lloyd_step(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray):
     return out
 
 
-def batch_means(features: np.ndarray, indices: np.ndarray, bank: CentroidBank):
+def batch_means(features: np.ndarray, indices: np.ndarray, bank: CentroidBank,
+                counts=None):
     """Per-cluster means of the rows under their cluster ``indices``; empty
-    clusters carry the previous centroid forward and are flagged on the bank."""
-    if indices.shape[0] != features.shape[0]:
-        raise ContractError("assignment length does not match batch size")
-    sums, counts = gc.cluster_sums(features, indices, bank.k)
-    bank.carried_forward = np.flatnonzero(counts == 0).tolist()
-    return _means_or(bank.centroids, sums, counts)
+    clusters carry the previous centroid forward and are flagged on the bank.
+
+    A stacked bank takes an n x B x d feature stack and n x B indices, and
+    one weighted bincount sums every slice's clusters (``gc.cluster_ids``).
+    ``counts`` is ``gc.cluster_counts(indices, bank.k)`` when the caller has
+    it.
+    """
+    shape = bank.centroids.shape
+    if (indices.shape != features.shape[:-1] or features.shape[:-2] != shape[:-2]
+            or features.shape[-1] != shape[-1]):
+        raise ContractError(f"indices {indices.shape} and features {features.shape} "
+                            f"do not fit a bank of {shape}")
+    ids, n_ids = gc.cluster_ids(indices, bank.k)
+    sums, counts = gc.cluster_sums(features.reshape(-1, shape[-1]), ids, n_ids, counts)
+    empty = counts.reshape(shape[:-1]) == 0
+    bank.carried_forward = (np.flatnonzero(empty).tolist() if empty.ndim == 1
+                            else [np.flatnonzero(e).tolist() for e in empty])
+    return _means_or(bank.centroids, sums.reshape(shape), counts.reshape(shape[:-1]))
 
 
 def momentum_update(bank: CentroidBank, means: np.ndarray) -> CentroidBank:
@@ -188,17 +207,16 @@ def momentum_update(bank: CentroidBank, means: np.ndarray) -> CentroidBank:
     return bank
 
 
-def max_similarity(bank, features):
+def max_similarity(bank: CentroidBank, features, norms=None):
     """Max cosine similarity of each feature row to the bank's centroids.
 
     Accepts a Tensor (gradient flows into the features, never the centroids)
     or a plain array. Returns (similarity Tensor, argmax indices); ties go to
-    the lowest index. ``bank`` may also be a sequence of n banks that score
-    the slices of an n x B x d feature stack in one node.
+    the lowest index. A stacked bank scores the slices of an n x B x d
+    feature stack in one node. ``norms`` are the features' row norms when
+    the caller has them (see ``gc.max_cosine``).
     """
-    if isinstance(bank, CentroidBank):
-        return gc.max_cosine(features, bank.centroids)
-    return gc.max_cosine(features, np.stack([b.centroids for b in bank]))
+    return gc.max_cosine(features, bank.centroids, norms)
 
 
 def assign(bank: CentroidBank, features: np.ndarray) -> Assignment:

@@ -222,13 +222,14 @@ def entropy_rows(logits: np.ndarray) -> np.ndarray:
     return entropy_array(softmax_array(logits))[0]
 
 
-def entropy_diag(bank, model, member_entropies: np.ndarray, indices: np.ndarray) -> dict:
+def entropy_diag(centroids: np.ndarray, model, member_entropies: np.ndarray,
+                 indices: np.ndarray) -> dict:
     """Per nonempty cluster: (centroid prediction entropy, mean member entropy).
 
-    ``member_entropies`` holds the ``entropy_rows`` of each member's logits.
-    The centroid is scored by feeding it through the shared classifier as if
-    it were a feature vector.
+    ``centroids`` are one modality's k x d_h bank. ``member_entropies`` holds
+    the ``entropy_rows`` of each member's logits. The centroid is scored by
+    feeding it through the shared classifier as if it were a feature vector.
     """
-    cent_ent = entropy_rows(model.classifier.forward(Tensor(bank.centroids)).data)
+    cent_ent = entropy_rows(model.classifier.forward(Tensor(centroids)).data)
     return {j: (float(cent_ent[j]), float(member_entropies[indices == j].mean()))
             for j in np.unique(indices).tolist()}

@@ -4,7 +4,9 @@ Just enough operations for the model and every adaptation loss: matmul,
 elementwise arithmetic with limited broadcasting, softmax, layer norm with
 affine parameters, cosine similarities against constant centroid sets,
 row gathers, per-cluster means (``cluster_means``, on the array helper
-``cluster_sums``), cross entropy, and one node per model block.
+``cluster_sums``, with ``cluster_ids`` giving the clusters of n rows of
+indices one id space and ``cluster_counts`` their one bincount), cross
+entropy, and one node per model block.
 
 The model's modalities are one stacked leading axis, so the blocks take an
 n x B x d stack: the encoders of all modalities are one
@@ -481,29 +483,51 @@ def unstack(x: Tensor) -> tuple:
     return tuple(part(i) for i in range(x.data.shape[0]))
 
 
-def cluster_sums(x: np.ndarray, labels, k: int):
+def cluster_ids(indices, k: int) -> tuple:
+    """(ids, number of ids) of cluster indices in [0, k). Index j of row i
+    of n x B indices is id j + k*i of n*k, so one bincount counts the
+    clusters of every row, and one ``cluster_sums`` over the nB rows of an
+    n x B x d stack sums them, each cluster's members in row order. The
+    ids are raveled; a 1-D vector of indices is its own ids, of k."""
+    indices = np.asarray(indices, dtype=np.intp)
+    if indices.ndim == 1:
+        return indices, k
+    n = indices.shape[0]
+    return (indices + k * np.arange(n)[:, None]).ravel(), k * n
+
+
+def cluster_counts(indices, k: int) -> np.ndarray:
+    """The members of each cluster of ``cluster_ids``: the one bincount that
+    a caller shares between ``cluster_sums`` calls over the same indices."""
+    ids, n_ids = cluster_ids(indices, k)
+    return np.bincount(ids, minlength=n_ids)
+
+
+def cluster_sums(x: np.ndarray, labels, k: int, counts=None):
     """Row sums and row counts per cluster of an n x d array, labels in [0, k).
 
     One weighted bincount adds each cluster's rows in row order, so a sum is
     bit for bit ``x[labels == j].sum(axis=0)`` when d >= 2 (numpy sums a
     single column pairwise). An empty cluster has a zero sum and count.
+    ``counts``, the bincount of the labels, is taken as given when a caller
+    has it (see ``cluster_counts``).
     """
     labels = np.asarray(labels, dtype=np.intp)
     d = x.shape[1]
     flat = (labels[:, None] * d + np.arange(d)).ravel()
     sums = np.bincount(flat, weights=x.ravel(), minlength=k * d).reshape(k, d)
-    return sums, np.bincount(labels, minlength=k)
+    return sums, np.bincount(labels, minlength=k) if counts is None else counts
 
 
-def cluster_means(x: Tensor, labels, k: int) -> Tensor:
+def cluster_means(x: Tensor, labels, k: int, counts=None) -> Tensor:
     """k' x d row means of the nonempty clusters, in cluster order, with
     ``tmean``'s arithmetic: ``sum * (1/n)``, and ``g * (1/n)`` to each member.
 
     The rows of x are those of its last axis: an n x B x d stack is nB rows
-    with n x B labels."""
+    with n x B labels. ``counts`` is passed on to ``cluster_sums``."""
     x = _wrap(x)
     labels = np.asarray(labels, dtype=np.intp).ravel()
-    sums, counts = cluster_sums(x.data.reshape(-1, x.data.shape[-1]), labels, k)
+    sums, counts = cluster_sums(x.data.reshape(-1, x.data.shape[-1]), labels, k, counts)
     filled = counts > 0
     inv = (1.0 / counts[filled])[:, None]
     row = np.cumsum(filled) - 1   # output row of each nonempty cluster
@@ -637,11 +661,13 @@ def linear_layernorm_gelu(x: Tensor, w: Tensor, b: Tensor, gain: Tensor, bias: T
     return _make(out_data, (x, w, b, gain, bias), bwd)
 
 
-def _cosine_forward(f: np.ndarray, c: np.ndarray):
+def _cosine_forward(f: np.ndarray, c: np.ndarray, nf=None):
     """(B x k cosines, feature norms, norm products) of feature rows f
     against centroid rows c, slice by slice for an n x B x d f and an
-    n x k x d c; zero-norm rows raise."""
-    nf = np.linalg.norm(f, axis=-1)
+    n x k x d c; zero-norm rows raise. The feature norms ``nf`` are
+    ``np.linalg.norm(f, axis=-1)``, computed here unless given."""
+    if nf is None:
+        nf = np.linalg.norm(f, axis=-1)
     nc = np.linalg.norm(c, axis=-1)
     bad = np.flatnonzero(nf < _NORM_FLOOR)
     if bad.size:
@@ -698,23 +724,26 @@ def max_axis1(x: Tensor):
     return _make(out_data, (x,), bwd), idx
 
 
-def max_cosine(features: Tensor, centroids: np.ndarray):
+def max_cosine(features: Tensor, centroids: np.ndarray, norms=None):
     """``max_axis1(cosine_matrix(features, centroids))`` as one graph node.
 
     Returns (maxima, argmax indices). B x d features score against k x d
     centroids; an n x B x d stack scores slice i against slice i of an
     n x k x d centroid stack, giving n x B maxima. The forward and backward
     run the float operations of the two-op composition on each slice in the
-    same order, so values and gradients are bit for bit the same.
+    same order, so values and gradients are bit for bit the same. ``norms``
+    are the features' row norms, ``np.linalg.norm(features, axis=-1)``, for
+    a caller that needs them too and computes them once.
     """
     features = _wrap(features)
     c = np.asarray(centroids, dtype=np.float64)
     if features.data.ndim not in (2, 3) or c.shape[:-2] != features.data.shape[:-2] \
-            or c.ndim != features.data.ndim or c.shape[-1] != features.data.shape[-1]:
+            or c.ndim != features.data.ndim or c.shape[-1] != features.data.shape[-1] \
+            or (norms is not None and norms.shape != features.data.shape[:-1]):
         raise ContractError(
             f"max_cosine shapes incompatible: {features.data.shape} vs centroids {c.shape}"
         )
-    s, nf, denom = _cosine_forward(features.data, c)
+    s, nf, denom = _cosine_forward(features.data, c, norms)
     out_data, idx, route = _max_rows(s)
 
     def bwd(g):

@@ -130,6 +130,17 @@ def stack_modalities(batch) -> np.ndarray:
     return np.stack(xs)
 
 
+def batch_stats(x: np.ndarray) -> tuple:
+    """(mean, variance) over the batch axis of a 3 x B x d stack, bit for bit
+    ``x.mean(axis=1)`` and ``x.var(axis=1)``: ``np.var``'s arithmetic (a sum
+    divided by B, then the mean of the squared deviations) written out from
+    the one mean."""
+    n = x.shape[1]
+    mean = x.sum(axis=1, keepdims=True) / n
+    dev = x - mean
+    return mean[:, 0], (dev * dev).sum(axis=1) / n
+
+
 class SourceModel:
     def __init__(self, dims: ModelDims, seed: int = 0):
         self.dims = dims
@@ -171,9 +182,7 @@ class SourceModel:
             p.requires_grad = False
 
     def set_input_stats(self, features):
-        x = stack_modalities(features)
-        self.input_mean = x.mean(axis=1)
-        self.input_var = x.var(axis=1)
+        self.input_mean, self.input_var = batch_stats(stack_modalities(features))
 
     # -- forward -----------------------------------------------------------
 

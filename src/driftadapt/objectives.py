@@ -106,23 +106,22 @@ def scan_loss(similarities, beta: float):
     return total, _terms(names, values)
 
 
-def cluster_avg_probs(logits: Tensor, indices, k: int) -> Tensor:
+def cluster_avg_probs(logits: Tensor, indices, k: int, counts=None) -> Tensor:
     """Mean softmax probability per nonempty cluster: a k' x C matrix whose
     rows follow the cluster order. For n x B x C modality logits and n x B
     cluster indices, the rows of every modality's nonempty clusters follow
     those of the modality before: cluster j of modality i is cluster
-    j + i*k of one ``cluster_means`` over the nB rows."""
-    indices = np.asarray(indices)
-    if indices.ndim == 2:
-        n = indices.shape[0]
-        indices, k = indices + k * np.arange(n)[:, None], k * n
-    return gc.cluster_means(gc.softmax(logits), indices, k)
+    j + i*k of one ``cluster_means`` over the nB rows (``gc.cluster_ids``).
+    ``counts`` is ``gc.cluster_counts(indices, k)`` when the caller has it."""
+    ids, n_ids = gc.cluster_ids(indices, k)
+    return gc.cluster_means(gc.softmax(logits), ids, n_ids, counts)
 
 
-def _filled_clusters(indices, k: int) -> list:
-    """The number of nonempty clusters of each row of n x B cluster indices:
-    the row groups of ``cluster_avg_probs``."""
-    return [int(np.count_nonzero(np.bincount(i, minlength=k))) for i in indices]
+def _filled_clusters(counts, k: int) -> list:
+    """The number of nonempty clusters of each modality, from the
+    ``gc.cluster_counts`` of their n x B cluster indices: the row groups of
+    ``cluster_avg_probs``."""
+    return np.count_nonzero(counts.reshape(-1, k), axis=1).tolist()
 
 
 def div_loss(avg_probs, k: int, sizes=None):
@@ -162,7 +161,8 @@ def em_loss(fused_logits: Tensor) -> Tensor:
 
 def total_loss(similarities, modality_logits, fused_logits: Tensor,
                assignments, k: int, variant: MethodVariant,
-               eps_w: float, lam: float, alpha: float, beta: float) -> LossBreakdown:
+               eps_w: float, lam: float, alpha: float, beta: float,
+               counts=None) -> LossBreakdown:
     """Weighted combined objective: eps_w * EM + lam * alignment + alpha * DIV.
 
     Variant CAN uses the plain alignment loss with alpha forced to 0; SCAN
@@ -171,7 +171,8 @@ def total_loss(similarities, modality_logits, fused_logits: Tensor,
     the n x B x C logits (read by SCANNER alone) and ``assignments`` the
     n x B cluster indices; dicts of per-modality Tensors and
     ``Assignment``s are stacked first. SCAN and SCANNER log the CAN terms
-    from the score values, without a CAN node.
+    from the score values, without a CAN node. DIV reads ``counts``, the
+    ``gc.cluster_counts`` of the assignments, when the caller has them.
     """
     for w in (eps_w, lam, alpha, beta):
         if not np.isfinite(w) or w < 0:
@@ -191,8 +192,10 @@ def total_loss(similarities, modality_logits, fused_logits: Tensor,
             assignments = np.stack([a.indices for a in assignments.values()])
         if isinstance(modality_logits, dict):
             modality_logits = _stacked(modality_logits)[1]
-        avg = cluster_avg_probs(modality_logits, assignments, k)
-        div, terms["div"] = div_loss(avg, k, _filled_clusters(assignments, k))
+        if counts is None:
+            counts = gc.cluster_counts(assignments, k)
+        avg = cluster_avg_probs(modality_logits, assignments, k, counts)
+        div, terms["div"] = div_loss(avg, k, _filled_clusters(counts, k))
         losses.append(div)
         weights.append(alpha)
     total = gc.weighted_sum(losses, weights)

@@ -18,7 +18,7 @@ from .config import AdaptConfig
 from .driftgen import (SyntheticDataset, accuracy, cluster_ratio_diag, entropy_diag,
                        entropy_rows, macro_f1)
 from .errors import ContractError, DivergenceError, NumericError
-from .model import MODALITIES, SourceModel, stack_modalities
+from .model import MODALITIES, SourceModel, batch_stats, stack_modalities
 from .objectives import BANK_VARIANTS, MethodVariant
 from .optim import AdamW
 
@@ -43,7 +43,7 @@ class AdaptState:
     cfg: AdaptConfig
     variant: MethodVariant
     seed: int = 0
-    banks: list = None          # one CentroidBank per modality, lazily initialized
+    bank: cb.CentroidBank = None   # one bank over the modality stack, lazily initialized
     optimizer: AdamW = None
     tau: int = 0
     # the seeded centroids, one array per modality, shared by the runs that
@@ -84,20 +84,21 @@ def _grad_norm(model: SourceModel) -> float:
 
 
 def _init_banks(state: AdaptState, features: np.ndarray):
-    """Seed one bank per modality from the tau=0 features, unless
-    ``state.seeded`` already holds the centroids.
+    """Seed each modality's bank from the tau=0 features, unless
+    ``state.seeded`` already holds the centroids, and give the run one bank
+    over their stack: slice i is ``MODALITIES[i]``'s.
 
     The runs that share a ``seeded`` list must seed from the same ``k``,
     features and run seed, as the runs of one ``harness.run_seed`` job do.
     All three modalities are stored at once, so a seeding that fails leaves
-    the list empty. Each run gets fresh banks over copied centroids, so its
-    momentum updates never reach the stored ones.
+    the list empty. The stack is a fresh array, so a run's momentum updates
+    never reach the stored centroids.
     """
     if not state.seeded:
         state.seeded[:] = [cb.init_kmeanspp(x, state.cfg.k, seed=state.seed * 101 + i).centroids
                            for i, x in enumerate(features)]
-    state.banks = [cb.CentroidBank(modality=m, centroids=c.copy(), momentum=state.cfg.gamma)
-                   for m, c in zip(MODALITIES, state.seeded)]
+    state.bank = cb.CentroidBank(modality="", centroids=np.stack(state.seeded),
+                                 momentum=state.cfg.gamma)
 
 
 def adapt_batch(state: AdaptState, batch) -> BatchResult:
@@ -149,9 +150,9 @@ def _apply_step(state: AdaptState, loss, result: BatchResult):
 
 
 def _norm_update(model: SourceModel, batch, momentum: float):
-    x = stack_modalities(batch)
-    model.input_mean = (1 - momentum) * model.input_mean + momentum * x.mean(axis=1)
-    model.input_var = (1 - momentum) * model.input_var + momentum * x.var(axis=1)
+    mean, var = batch_stats(stack_modalities(batch))
+    model.input_mean = (1 - momentum) * model.input_mean + momentum * mean
+    model.input_var = (1 - momentum) * model.input_var + momentum * var
 
 
 def _st_step(state: AdaptState, fused_logits, result: BatchResult):
@@ -171,14 +172,20 @@ def _st_step(state: AdaptState, fused_logits, result: BatchResult):
 def _cluster_step(state: AdaptState, features, fused_logits, result: BatchResult):
     """One bank-variant step on the 3 x B x d_h features: one max-cosine node
     and, when DIV runs (see ``objectives.runs_div``), one classifier node over
-    the stack, which every loss reads as it is."""
+    the stack, which every loss reads as it is.
+
+    The batch's feature row norms and cluster counts are computed once:
+    scoring and tracking read the norms, tracking and DIV the counts, and
+    the run's one stacked bank is scored and tracked as it is."""
     cfg = state.cfg
     # the pre-update features; no later operation writes into this array
     detached = features.data
-    if state.banks is None:
+    if state.bank is None:
         _init_banks(state, detached)
 
-    s, idx = cb.max_similarity(state.banks, features)
+    norms = np.linalg.norm(detached, axis=-1)
+    s, idx = cb.max_similarity(state.bank, features, norms)
+    counts = gc.cluster_counts(idx, cfg.k)
     # only DIV reads the modality logits
     logits = (state.model.classifier.forward(features)
               if obj.runs_div(state.variant, cfg.alpha) else None)
@@ -186,14 +193,15 @@ def _cluster_step(state: AdaptState, features, fused_logits, result: BatchResult
     bd = obj.total_loss(
         s, logits, fused_logits, idx,
         k=cfg.k, variant=state.variant, eps_w=cfg.eps_w, lam=cfg.lam,
-        alpha=cfg.alpha, beta=cfg.beta,
+        alpha=cfg.alpha, beta=cfg.beta, counts=counts,
     )
     result.loss_row = bd.row
     _apply_step(state, bd.total, result)
 
-    # track centroids with features from the pre-update forward, detached
-    for bank, x, indices in zip(state.banks, cb.l2_normalize_rows(detached), idx):
-        cb.momentum_update(bank, cb.batch_means(x, indices, bank))
+    # track centroids with the unit rows of the pre-update features, the
+    # values of cb.l2_normalize_rows (a zero-norm row raised in the scoring)
+    cb.momentum_update(state.bank,
+                       cb.batch_means(detached / norms[..., None], idx, state.bank, counts))
 
 
 # -- full-stream runner ----------------------------------------------------
@@ -242,7 +250,7 @@ def run_stream(model: SourceModel, target: SyntheticDataset, cfg: AdaptConfig,
     and through the classifier, and only the per-row cluster indices and
     member entropies, two 3 x n arrays, are kept, never the 3 x n x d_h
     feature stack. The per-cluster means are then taken over those
-    full-length arrays, one modality at a time.
+    full-length arrays, one modality and one k x d_h bank slice at a time.
     """
     n = len(target)
     if n == 0:
@@ -272,27 +280,28 @@ def run_stream(model: SourceModel, target: SyntheticDataset, cfg: AdaptConfig,
         # stream-sized chunks with every parameter frozen, so no graph is kept
         model.freeze()
         final_preds = np.empty(n, dtype=np.int64)
-        if state.banks is not None:
+        if state.bank is not None:
             indices = np.empty((len(MODALITIES), n), dtype=np.int64)
             member_entropies = np.empty((len(MODALITIES), n))
         for start in range(0, n, cfg.batch_size):
             rows = slice(start, start + cfg.batch_size)
             encoded = model.embed(target.stack[:, rows])
             final_preds[rows] = model.head(encoded).data.argmax(axis=1)
-            if state.banks is not None:
+            if state.bank is not None:
                 normalized = cb.l2_normalize_rows(encoded.data)
-                indices[:, rows] = cb.max_similarity(state.banks, normalized)[1]
+                indices[:, rows] = cb.max_similarity(state.bank, normalized)[1]
                 member_entropies[:, rows] = entropy_rows(
                     model.classifier.forward(gc.Tensor(normalized)).data)
     report.final_accuracy = accuracy(final_preds, labels)
     report.final_macro_f1 = macro_f1(final_preds, labels)
 
-    if state.banks is not None:
+    if state.bank is not None:
         gaps = []
-        for m, bank, idx, ent in zip(MODALITIES, state.banks, indices, member_entropies):
+        for m, centroids, idx, ent in zip(MODALITIES, state.bank.centroids, indices,
+                                          member_entropies):
             ratios = cluster_ratio_diag(idx, final_preds, labels, cfg.k)
             report.cluster_ratios[m] = ratios
-            report.entropy_table[m] = entropy_diag(bank, model, ent, idx)
+            report.entropy_table[m] = entropy_diag(centroids, model, ent, idx)
             gaps.extend(abs(p - t) for p, t in ratios.values())
         report.collapse_gap = float(np.mean(gaps)) if gaps else None
     return report

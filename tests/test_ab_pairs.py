@@ -60,8 +60,50 @@ def test_pairs_alternate_which_side_runs_first():
     assert rows["final_macro_f1"]["wins"] == 0 and not rows["final_macro_f1"]["beyond_iqr"]
     lines = ab.format_table(list(rows.values()), results)
     assert lines[1].split()[:2] == ["samples_per_s", "100"]
-    assert lines[1].endswith("3/4   yes")
+    # 3 of 4 pairs make no claim; the stub metrics have no bound
+    assert lines[1].endswith("3/4   yes        no     -")
     assert lines[-2:] == ["parent: 0 of 4 operations failed", "change: 0 of 4 operations failed"]
+
+
+# the parent's runs: median 100, quartiles 99.5 and 100.5, so an IQR of 1
+PARENT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 101.0, 99.0, 100.5, 99.5]
+# each metric's change runs against those parent runs, pair by pair
+VERDICTS = {
+    # 9 wins and 1 loss, median 5 better: a claim
+    "nine": ("higher", [v + 5.0 for v in PARENT[:9]] + [PARENT[9] - 1.0], "yes", "within"),
+    # 8 wins: no claim, however far the median moves
+    "eight": ("higher", [v + 5.0 for v in PARENT[:8]] + [v - 1.0 for v in PARENT[8:]],
+              "no", "within"),
+    # 8 wins and 2 ties: a tie counts for neither side, so 8 of 10
+    "tied": ("higher", [v + 5.0 for v in PARENT[:8]] + PARENT[8:], "no", "within"),
+    # 10 wins, but the median gains 0.5, inside the parent's IQR
+    "close": ("higher", [v + 0.5 for v in PARENT], "no", "within"),
+    # lower is better and the change is 15% higher: past a bound of 10%
+    "rss": ("lower", [v * 1.15 for v in PARENT], "no", "past"),
+    # 5% worse: within the bound
+    "p50": ("lower", [v * 1.05 for v in PARENT], "no", "within"),
+}
+
+
+def test_claim_and_bound_columns_judge_ten_stub_pairs():
+    runs = {"parent": [{name: a for name in VERDICTS} for a in PARENT],
+            "change": [{name: v[1][i] for name, v in VERDICTS.items()} for i in range(10)]}
+
+    def runner(tree):
+        return {"attempted": 1, "failed": 0, "metrics": runs[tree].pop(0)}
+
+    results = ab.run_pairs({"parent": "parent", "change": "change"}, 10, runner,
+                           report=lambda line: None)
+    metrics = [{"name": name, "better": v[0], "bound": 0.1} for name, v in VERDICTS.items()]
+    rows = ab.summarize(results, metrics)
+    lines = ab.format_table(rows, results)
+    for name, (_, _, claim, bound) in VERDICTS.items():
+        line = next(line for line in lines if line.split()[0] == name)
+        assert line.split()[-2:] == [claim, bound], name
+    rows = {r["metric"]: r for r in rows}
+    assert (rows["nine"]["wins"], rows["eight"]["wins"], rows["tied"]["wins"]) == (9, 8, 8)
+    assert rows["eight"]["beyond_iqr"] and rows["tied"]["beyond_iqr"]
+    assert rows["close"]["wins"] == 10 and not rows["close"]["beyond_iqr"]
 
 
 def _git(repo, *args):
@@ -106,7 +148,7 @@ def test_main_runs_both_trees_of_one_layout(tmp_path, capsys, aa):
         "pair 1 parent: samples_per_s=100 peak_rss_mb=50",
     ]
     row = next(line for line in out if line.startswith("samples_per_s"))
-    assert row.endswith("0/2   no" if aa else "2/2   yes")
+    assert row.endswith("0/2   no         no     -" if aa else "2/2   yes        yes    -")
     assert out[-2:] == ["parent: 2 of 4 operations failed", "change: 2 of 4 operations failed"]
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import reference_hartigan
 
-from driftadapt import centroids as cb
+from driftadapt import centroids as cb, gradcore as gc
 from driftadapt.errors import ConfigError, ContractError, DegenerateDataError
 from driftadapt.gradcore import Tensor
 
@@ -242,6 +242,53 @@ def test_batch_means_length_mismatch():
     bank = cb.CentroidBank("v", centroids=np.eye(2))
     with pytest.raises(ContractError):
         cb.batch_means(np.eye(2), np.zeros(3, dtype=int), bank)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 60), st.integers(1, 7),
+       st.lists(st.sampled_from(["random", "empty", "singleton"]), min_size=3, max_size=3),
+       st.integers(1, 3))
+def test_stacked_bank_tracking_equals_its_slices_bitwise(seed, n, b, k, patterns, steps):
+    # batch_means + momentum_update on an n x k x d bank with n x B indices
+    # against each slice's own k x d bank; "empty" leaves cluster k-1 empty
+    # and "singleton" gives it one row, so carried_forward is tested too
+    rng = np.random.default_rng(seed)
+    stacked = cb.CentroidBank("", centroids=rng.normal(0, 1, (n, k, 4)), momentum=0.9)
+    own = [cb.CentroidBank(m, centroids=c.copy(), momentum=0.9)
+           for m, c in zip("vta", stacked.centroids)]
+    for _ in range(steps):
+        x = rng.normal(0, 1, (n, b, 4))
+        idx = rng.integers(0, k, (n, b))
+        for row, pattern in zip(idx, patterns):
+            if pattern != "random" and k >= 2:
+                row[row == k - 1] = 0
+                if pattern == "singleton":
+                    row[rng.integers(b)] = k - 1
+        counts = gc.cluster_counts(idx, k)
+        cb.momentum_update(stacked, cb.batch_means(x, idx, stacked, counts))
+        for bank, xi, i in zip(own, x, idx):
+            cb.momentum_update(bank, cb.batch_means(xi, i, bank))
+        assert stacked.carried_forward == [bank.carried_forward for bank in own]
+        assert [c.tobytes() for c in stacked.centroids] == [bank.centroids.tobytes()
+                                                            for bank in own]
+    # the counts are taken as given, and a stack computes its own the same way
+    again = cb.CentroidBank("", centroids=stacked.centroids.copy())
+    assert (cb.batch_means(x, idx, again).tobytes()
+            == cb.batch_means(x, idx, stacked, counts).tobytes())
+
+
+def test_batch_means_on_a_stack_checks_the_whole_index_shape():
+    # axis 0 is 3 on both sides: only the full shape tells them apart
+    bank = cb.CentroidBank("", centroids=np.ones((3, 2, 4)))
+    with pytest.raises(ContractError):
+        cb.batch_means(np.ones((3, 5, 4)), np.zeros((3, 4), dtype=int), bank)
+    with pytest.raises(ContractError):
+        cb.batch_means(np.ones((3, 5, 4)), np.zeros((3,), dtype=int), bank)
+    # a feature stack of another slice count or width does not fit either
+    with pytest.raises(ContractError):
+        cb.batch_means(np.ones((2, 5, 4)), np.zeros((2, 5), dtype=int), bank)
+    with pytest.raises(ContractError):
+        cb.batch_means(np.ones((3, 5, 3)), np.zeros((3, 5), dtype=int), bank)
 
 
 def test_max_similarity_array_and_tensor_agree():

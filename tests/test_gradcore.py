@@ -177,6 +177,33 @@ def test_max_cosine_equals_composition_bitwise(seed, b, k, d, ties, n):
         assert np.array_equal(s[..., :k], s[..., k:]) and (idx < k).all()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 140), st.integers(1, 7), st.integers(0, 3))
+def test_max_cosine_with_given_norms_equals_its_own_bitwise(seed, b, k, n):
+    # the feature norms that a bank step computes once and passes in give
+    # the maxima, indices and input gradient of the node's own norms
+    rng = np.random.default_rng(seed)
+    lead = (n,) if n else ()
+    c = rng.normal(0, 1, (*lead, k, 5))
+    x = Tensor(rng.normal(0, 1, (*lead, b, 5)), requires_grad=True)
+    weights = Tensor(rng.normal(0, 1, (*lead, b)))
+    norms = np.linalg.norm(x.data, axis=-1)
+    got, want = (_value_and_grads(lambda: f()[0], [x], weights)
+                 for f in (lambda: gc.max_cosine(x, c, norms), lambda: gc.max_cosine(x, c)))
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1][0].tobytes() == want[1][0].tobytes()
+    assert gc.max_cosine(x, c, norms)[1].tobytes() == gc.max_cosine(x, c)[1].tobytes()
+
+
+def test_max_cosine_with_given_norms_still_checks_them():
+    x = np.ones((3, 4, 2))
+    x[1, 2] = 0.0
+    with pytest.raises(DegenerateDataError, match="row 2"):
+        gc.max_cosine(Tensor(x), np.ones((3, 2, 2)), np.linalg.norm(x, axis=-1))
+    with pytest.raises(ContractError):
+        gc.max_cosine(Tensor(np.ones((3, 4, 2))), np.ones((3, 2, 2)), np.ones((3, 5)))
+
+
 def test_max_axis1_ties_lowest_index_and_grad_routing():
     x = Tensor(np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0]]), requires_grad=True)
     s, idx = gc.max_axis1(x)

@@ -14,6 +14,7 @@ from driftadapt.model import (
     ModalityEncoder,
     ModelDims,
     SourceModel,
+    batch_stats,
     predict,
     pretrain_source,
     stack_modalities,
@@ -140,6 +141,24 @@ def test_standardization_applied():
     shifted = model.forward_full({m: batch[m] + 10.0 for m in MODALITIES})[2].data
     # shifting inputs and stats together leaves standardized inputs unchanged
     np.testing.assert_allclose(shifted, base, atol=1e-9)
+
+
+def test_batch_stats_equal_numpy_mean_and_var_bitwise():
+    # the (3, B, d) views of a (3, n, d) stack that run_stream hands the norm
+    # update, B from 1 to 140 at several row offsets, and a whole stack as
+    # set_input_stats reads it; magnitudes far from zero make the deviations
+    # lose bits, so a different order of operations shows
+    stack = np.random.default_rng(7).normal(1e3, 2.0, (3, 400, 5))
+    for b in range(1, 141):
+        for start in (0, 3, 400 - b):
+            x = stack[:, start:start + b]
+            mean, var = batch_stats(x)
+            assert mean.tobytes() == x.mean(axis=1).tobytes()
+            assert var.tobytes() == x.var(axis=1).tobytes()
+    model = tiny_model()
+    model.set_input_stats(stack)
+    assert model.input_mean.tobytes() == stack.mean(axis=1).tobytes()
+    assert model.input_var.tobytes() == stack.var(axis=1).tobytes()
 
 
 def test_encode_batch_size_mismatch():

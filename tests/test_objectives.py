@@ -136,18 +136,24 @@ def test_can_and_scan_equal_composition_bitwise(seed, n_mod, b, beta, ties, upst
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 140), st.integers(2, 4),
-       st.integers(1, 7), st.lists(_PATTERNS, min_size=3, max_size=3), _MARGINS, _UPSTREAM)
-def test_div_loss_equals_composition_bitwise(seed, n_mod, b, c, k, patterns, margin, upstream):
+       st.integers(1, 7), st.lists(_PATTERNS, min_size=3, max_size=3), _MARGINS, _UPSTREAM,
+       st.booleans())
+def test_div_loss_equals_composition_bitwise(seed, n_mod, b, c, k, patterns, margin, upstream,
+                                             shared):
     # one softmax, one cluster mean over the nB rows and one plogp node
-    # against a softmax, a cluster mean and a plogp chain per modality
+    # against a softmax, a cluster mean and a plogp chain per modality; with
+    # ``shared`` the cluster mean reads the counts that a bank step shares
     rng = np.random.default_rng(seed)
     logits = _logits(rng, (n_mod, b, c), margin)
     idx = _cluster_indices(rng, b, k, patterns[:n_mod])
-    sizes = obj._filled_clusters(idx, k)
+    counts = gc.cluster_counts(idx, k)
+    assert counts.tobytes() == np.concatenate([np.bincount(i, minlength=k) for i in idx]).tobytes()
+    sizes = obj._filled_clusters(counts, k)
     assert sizes == [np.unique(i).size for i in idx]
 
     def fused():
-        return obj.div_loss(obj.cluster_avg_probs(logits, idx, k), k, sizes)
+        return obj.div_loss(obj.cluster_avg_probs(logits, idx, k, counts if shared else None),
+                            k, sizes)
 
     def reference():
         return reference_div_loss({m: gc.cluster_means(gc.softmax(x), i, k)
@@ -209,7 +215,7 @@ def test_dict_inputs_equal_the_stacks_bitwise():
                       leaves, 1.0)
     _assert_same_bits(
         lambda: obj.div_loss(obj.cluster_avg_probs(logits, idx, 3), 3,
-                             obj._filled_clusters(idx, 3)),
+                             obj._filled_clusters(gc.cluster_counts(idx, 3), 3)),
         lambda: obj.div_loss({m: obj.cluster_avg_probs(x, i, 3)
                               for (m, x), i in zip(_slices(logits).items(), idx)}, 3),
         leaves, 1.0)
@@ -235,7 +241,9 @@ def test_adapt_steps_equal_composition_bitwise(monkeypatch, variant):
                  for r in rows],
                 {name: _bits(p.data) for name, p in model.named_parameters().items()})
 
-    def reference_breakdown(s, logits, fused_logits, idx, **kw):
+    # the shims take the step's shared norms and counts and ignore them: the
+    # references recompute everything from their inputs
+    def reference_breakdown(s, logits, fused_logits, idx, counts=None, **kw):
         total, terms = reference_total_loss(
             _slices(s), None if logits is None else _slices(logits), fused_logits, idx, **kw)
         row = {"em": reference_em_loss(fused_logits).item(), "total": total.item()}
@@ -245,7 +253,9 @@ def test_adapt_steps_equal_composition_bitwise(monkeypatch, variant):
     fused = run()
     monkeypatch.setattr(obj, "em_loss", reference_em_loss)
     monkeypatch.setattr(obj, "total_loss", reference_breakdown)
-    monkeypatch.setattr(gc, "max_cosine", reference_max_cosine)
+    monkeypatch.setattr(gc, "max_cosine",
+                        lambda features, centroids, norms=None:
+                        reference_max_cosine(features, centroids))
     assert fused == run()
 
 
@@ -395,7 +405,7 @@ def test_stacked_cluster_avg_probs_rows_follow_modality_then_cluster():
                               [[0.0, 10.0], [0.0, 10.0], [0.0, 10.0]]]))
     idx = np.array([[0, 0, 2], [1, 1, 1]])
     avg = obj.cluster_avg_probs(logits, idx, k=3)
-    assert obj._filled_clusters(idx, 3) == [2, 1]
+    assert obj._filled_clusters(gc.cluster_counts(idx, 3), 3) == [2, 1]
     np.testing.assert_allclose(avg.data, [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]], atol=1e-4)
     total, terms = obj.div_loss(avg, 3, [2, 1])
     assert set(terms) == {"v", "t"}

@@ -112,13 +112,13 @@ def test_st_threshold_controls_updates():
 def test_cluster_variants_build_banks_lazily():
     model = tiny_model()
     state = tt.init_adapt_state(model, _cfg(), MethodVariant.SCANNER)
-    assert state.banks is None
+    assert state.bank is None
     res = tt.adapt_batch(state, tiny_batch(np.random.default_rng(5), n=16))
-    # one bank per modality, in the order of the stack they score
-    assert [bank.modality for bank in state.banks] == list(MODALITIES)
-    assert all(bank.k == 2 for bank in state.banks)
-    # the batch's means moved every bank off its seeded centroids
-    assert all(not np.array_equal(bank.centroids, c) for bank, c in zip(state.banks, state.seeded))
+    # one bank over the modality stack: slice i is MODALITIES[i]'s
+    assert state.bank.centroids.shape == (len(MODALITIES), 2, model.dims.d_h)
+    assert state.bank.k == 2
+    # the batch's means moved every slice off its seeded centroids
+    assert all(not np.array_equal(own, c) for own, c in zip(state.bank.centroids, state.seeded))
     assert "scan_v" in res.loss_row and "div_v" in res.loss_row
 
 
@@ -186,17 +186,19 @@ def test_final_pass_chunks_match_one_full_forward(monkeypatch, variant):
     if variant == "source":
         assert report.final_accuracy == report.online_accuracy
         assert report.final_macro_f1 == report.online_macro_f1
-    banks = states[0].banks
-    if banks is None:
+    bank = states[0].bank
+    if bank is None:
         return
-    # the diagnostics built chunk by chunk equal those of one full-length
-    # assignment and classifier forward per modality, bit for bit
-    for m, bank in zip(MODALITIES, banks):
+    # the diagnostics built chunk by chunk against the stacked bank equal
+    # those of one full-length assignment to each modality's own k x d_h
+    # bank and one classifier forward per modality, bit for bit
+    for m, centroids in zip(MODALITIES, bank.centroids):
         normalized = cb.l2_normalize_rows(features[m].data)
-        idx = cb.assign(bank, normalized).indices
+        idx = cb.assign(cb.CentroidBank(m, centroids.copy()), normalized).indices
         member_ent = dg.entropy_rows(model.classifier.forward(gc.Tensor(normalized)).data)
         assert report.cluster_ratios[m] == dg.cluster_ratio_diag(idx, preds, target.labels, 2)
-        assert report.entropy_table[m] == dg.entropy_diag(bank, model, member_ent, idx)
+        assert report.entropy_table[m] == dg.entropy_diag(centroids.copy(), model, member_ent,
+                                                          idx)
 
 
 def test_bank_run_memory_does_not_grow_with_a_feature_stack():
@@ -282,11 +284,11 @@ def test_stored_bank_seeds_stay_those_of_a_fresh_seeding(monkeypatch):
     model = tiny_model(seed=1)
     model.set_input_stats(target.features)
     fresh = model.embed({m: target.features[m][:16] for m in MODALITIES}).data
-    for i, (stored, own) in enumerate(zip(seeded, states[0].banks)):
+    for i, (stored, own) in enumerate(zip(seeded, states[0].bank.centroids)):
         bank = cb.init_kmeanspp(fresh[i], 2, seed=3 * 101 + i)
         assert stored.tobytes() == bank.centroids.tobytes()
-        # the run's own bank moved away from the stored centroids
-        assert own.centroids.tobytes() != bank.centroids.tobytes()
+        # the run's own bank slice moved away from the stored centroids
+        assert own.tobytes() != bank.centroids.tobytes()
     assert states[0].tau == 4   # ceil(64 / 16) batches, each of which updates the banks
 
 
@@ -499,10 +501,33 @@ def test_cluster_batch_graph_size(monkeypatch, case):
     for counter in (made, tensors, assignments):
         counter.clear()
     res = tt.adapt_batch(state, batch)
-    assert all(bank.carried_forward == [] for bank in state.banks or [])
+    assert state.bank is None or state.bank.carried_forward == [[]] * len(MODALITIES)
     assert res.grad_norm > 0
     assert len(made) == CLUSTER_BATCH_NODE_BUDGET[case]
     assert (len(tensors), assignments) == (len(made) + 1, [])
+
+
+@pytest.mark.parametrize("variant", ["can", "scan", "scanner"])
+def test_bank_batch_computes_its_norms_and_counts_once(monkeypatch, variant):
+    # after the banks are seeded at tau=0, a bank batch takes its feature
+    # row norms once for scoring and tracking, counts its clusters with one
+    # bincount for tracking and DIV, and stacks no centroids
+    state = tt.init_adapt_state(tiny_model(), _cfg(k=3), variant)
+    batch = np.stack(list(tiny_batch(np.random.default_rng(0), n=16).values()))
+    tt.adapt_batch(state, batch)
+    normed, counted, stacked = [], [], []
+    norm, bincount, stack = np.linalg.norm, np.bincount, np.stack
+    monkeypatch.setattr(np.linalg, "norm",
+                        lambda x, *a, **kw: normed.append(x.shape) or norm(x, *a, **kw))
+    monkeypatch.setattr(np, "bincount", lambda x, weights=None, minlength=0: (
+        counted.append(weights is None) or bincount(x, weights, minlength)))
+    monkeypatch.setattr(np, "stack", lambda *a, **kw: stacked.append(1) or stack(*a, **kw))
+    tt.adapt_batch(state, batch)
+    # the other norm is the centroids', inside the max-cosine node
+    assert sorted(normed) == [(3, 3, 6), (3, 16, 6)]
+    # one counts bincount; the weighted ones are tracking's sums and DIV's
+    assert counted == [True, False] + [False] * (variant == "scanner")
+    assert stacked == []
 
 
 def test_grad_norm_sums_the_per_modality_slices_in_name_order():

@@ -21,8 +21,18 @@ end gives, for each end-to-end metric of ``BENCHMARK.json``, the parent's
 median and quartiles, the change's median and its relative difference, the
 number of pairs in which the change is better in the metric's ``better``
 direction, and whether the change's median is better by more than the
-parent's interquartile range, and each side's failed operations. A run that
-prints no JSON result line stops the tool.
+parent's interquartile range, and each side's failed operations. Two more
+columns give the verdicts that a performance claim is judged by:
+
+- ``claim`` is "yes" only when the change wins at least 9 in 10 of the pairs
+  run, ties counting for neither side, and its median is better by more
+  than the parent's interquartile range;
+- ``bound`` is "past" when the change's median is worse than the parent's by
+  more than the metric's ``bound`` in ``BENCHMARK.json``, a relative change
+  like the ``diff`` column, "within" when it is not, and "-" for a metric
+  without a bound.
+
+A run that prints no JSON result line stops the tool.
 """
 
 from __future__ import annotations
@@ -116,8 +126,10 @@ def _quartiles(values: list) -> tuple:
 
 def summarize(results: dict, metrics: list) -> list:
     """One row per end-to-end metric that both sides report: name, parent
-    median, Q1, Q3, change median, relative difference, wins and whether the
-    change's median is better by more than the parent's IQR."""
+    median, Q1, Q3, change median, relative difference, wins, whether the
+    change's median is better by more than the parent's IQR, whether that
+    makes a claim (see the module docstring) and whether it is worse than
+    the parent's by more than the metric's bound (None without one)."""
     rows = []
     for metric in metrics:
         name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
@@ -129,23 +141,29 @@ def summarize(results: dict, metrics: list) -> list:
         old, new = [a for a, _ in pairs], [b for _, b in pairs]
         m_old, m_new = statistics.median(old), statistics.median(new)
         q1, q3 = _quartiles(old)
+        diff = (m_new - m_old) / m_old if m_old else float("nan")
+        wins = sum(sign * (b - a) > 0 for a, b in pairs)
+        beyond_iqr = sign * (m_new - m_old) > q3 - q1
+        bound = metric.get("bound")
         rows.append({
             "metric": name, "parent": m_old, "q1": q1, "q3": q3, "change": m_new,
-            "diff": (m_new - m_old) / m_old if m_old else float("nan"),
-            "wins": sum(sign * (b - a) > 0 for a, b in pairs), "pairs": len(pairs),
-            "beyond_iqr": sign * (m_new - m_old) > q3 - q1,
+            "diff": diff, "wins": wins, "pairs": len(pairs), "beyond_iqr": beyond_iqr,
+            "claim": beyond_iqr and 10 * wins >= 9 * len(pairs),
+            "past_bound": None if bound is None else sign * diff < -bound,
         })
     return rows
 
 
 def format_table(rows: list, results: dict) -> list:
     lines = [f"{'metric':<16} {'parent median (Q1-Q3)':>30} {'change':>12} "
-             f"{'diff':>8} {'wins':>6}  gap > IQR"]
+             f"{'diff':>8} {'wins':>6}  gap > IQR  claim  bound"]
     for r in rows:
         spread = f"{r['parent']:.6g} ({r['q1']:.6g}-{r['q3']:.6g})"
+        bound = {None: "-", True: "past", False: "within"}[r["past_bound"]]
         lines.append(f"{r['metric']:<16} {spread:>30} {r['change']:>12.6g} "
                      f"{r['diff']:>+8.1%} {r['wins']:>3}/{r['pairs']:<2}  "
-                     f"{'yes' if r['beyond_iqr'] else 'no'}")
+                     f"{'yes' if r['beyond_iqr'] else 'no':<9}  "
+                     f"{'yes' if r['claim'] else 'no':<5}  {bound}")
     for side in SIDES:
         failed = sum(r.get("failed", 0) for r in results[side])
         attempted = sum(r.get("attempted", 0) for r in results[side])
