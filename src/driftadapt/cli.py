@@ -20,7 +20,7 @@ from .selftest import run_selftest
 
 def _load_config(args) -> ExperimentConfig:
     """The config document, with --preset and --workers written in, resolved once."""
-    raw = ExperimentConfig.parse_json(Path(args.config).read_text()) if args.config else {}
+    raw = ExperimentConfig.parse_json(Path(args.config).read_bytes()) if args.config else {}
     if isinstance(raw, dict):
         if args.preset and isinstance(raw.get("benchmark", {}), dict):
             # the preset is the base of the benchmark block; the config's

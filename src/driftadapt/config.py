@@ -167,8 +167,8 @@ class ExperimentConfig:
         return doc
 
     @staticmethod
-    def parse_json(text: str):
-        """The JSON value of a config document; malformed JSON is a ConfigError."""
+    def parse_json(text):
+        """The JSON value of a config's text or bytes; bad JSON is a ConfigError."""
         try:
             return json.loads(text)
         except ValueError as exc:

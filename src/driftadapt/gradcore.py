@@ -30,7 +30,8 @@ and every clamped log ``log_clamped_array``; the fused ops share those and
 the cosine arithmetic of ``cosine_matrix`` and ``max_axis1``. The op-by-op
 compositions that each fused op replays, built from the small graph ops
 (``add``, ``mul``, ``tsum``, ``rowdot``, ``rowscale``, ``stack_cols``,
-``col`` and the rest), live in ``tests/oracles.py`` as bitwise references.
+``col`` and the rest, which no program code calls), live in
+``tests/oracles.py`` as bitwise references.
 A Tensor has no arithmetic operators: every graph node is built by a named
 op, so ``1 - t`` is ``add(1.0, mul(t, -1.0))``.
 Gradients accumulate with ``+=`` so a sum of losses can be backpropagated
@@ -40,9 +41,10 @@ is ``g + 0.0``, the bits of a sum that starts from zeros, written into its
 
 A sum or max over a last axis shorter than 8 (the class, token and cluster
 axes) runs as a left-to-right chain of ufuncs over its columns
-(``sum_last``, ``max_last``), and the attention node's sums over its tokens
-as one over the token slices: numpy reduces in that same order there, so
-the bits are those of ``x.sum(axis=...)``, without a reduction's overhead.
+(``sum_last``, ``max_last``); the attention node sums over its tokens the
+same way, through a view with the token axis swapped last. Numpy reduces
+in that same order there, so the bits are those of ``x.sum(axis=...)``,
+without a reduction's overhead.
 """
 
 from __future__ import annotations
@@ -129,9 +131,9 @@ _SHORT_AXIS = 8
 
 
 def sum_last(x: np.ndarray, keepdims: bool = False):
-    """``x.sum(axis=-1, keepdims=keepdims)`` of a C-contiguous x bit for bit;
-    a short last axis is summed as a chain of column adds, without a
-    reduction's overhead."""
+    """``x.sum(axis=-1, keepdims=keepdims)`` bit for bit, of a C-contiguous x
+    or of one with its last two axes swapped; a short last axis is summed as
+    a chain of column adds, without a reduction's overhead."""
     n = x.shape[-1]
     if not 0 < n < _SHORT_AXIS:
         return x.sum(axis=-1, keepdims=keepdims)
@@ -151,19 +153,6 @@ def max_last(x: np.ndarray, keepdims: bool = False):
     for j in range(2, n):
         out = np.maximum(out, x[..., j])
     return out[..., None] if keepdims else out
-
-
-def _sum_tokens(x: np.ndarray) -> np.ndarray:
-    """``x.sum(axis=1)`` of a C-contiguous B x n x m array bit for bit, as a
-    chain over the n token slices. With m = 1, axis 1 is in effect the last,
-    which numpy chains only below 8 too."""
-    n = x.shape[1]
-    if not 0 < n < _SHORT_AXIS:
-        return x.sum(axis=1)
-    out = x[:, 0] + 0.0
-    for j in range(1, n):
-        out += x[:, j]
-    return out
 
 
 def backward(root: Tensor):
@@ -420,7 +409,7 @@ def attention_pool(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     scale = 1.0 / np.sqrt(q.shape[2])
     s = (q @ k.transpose(0, 2, 1)) * scale
     attn = softmax_array(s)
-    out_data = _sum_tokens(attn @ v) * (1.0 / n)
+    out_data = sum_last(np.swapaxes(attn @ v, 1, 2)) * (1.0 / n)
 
     def bwd(g):
         # every query row gets g / n, so d(attn)_ij = v_j . g / n for all i
@@ -428,7 +417,8 @@ def attention_pool(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
         ds = attn * (gv - sum_last(attn * gv, keepdims=True)) * scale
         dq = (ds @ k).reshape(b * n, -1)
         dk = (ds.transpose(0, 2, 1) @ q).reshape(b * n, -1)
-        dv = (_sum_tokens(attn)[:, :, None] * (g[:, None, :] * (1.0 / n))).reshape(b * n, -1)
+        dv = (sum_last(np.swapaxes(attn, 1, 2))[:, :, None]
+              * (g[:, None, :] * (1.0 / n))).reshape(b * n, -1)
         for w, dw in ((wq, dq), (wk, dk), (wv, dv)):
             if w.requires_grad:
                 _accum(w, rows.T @ dw)

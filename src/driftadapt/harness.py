@@ -116,9 +116,9 @@ def _failure(variant: str, seed: int, exc: Exception) -> dict:
 def cmd_adapt(cfg: ExperimentConfig, ckpt_dir, out_dir) -> dict:
     """Run every (variant, seed) pair; writes reports, metrics, diagnostics.
 
-    Each seed is one ``run_seed`` job, ``workers`` of them in parallel
-    processes. The outputs list the runs variant by variant whatever
-    ``workers`` is.
+    Each seed is one ``run_seed`` job, ``workers`` of them, but no more than
+    the seeds, in parallel processes; one job runs in this process. The
+    outputs list the runs variant by variant whatever ``workers`` is.
     A run that raises a DriftAdaptError or an OSError fails alone:
     ``report.json`` lists it under ``failed_runs`` (variant, seed, error code,
     message and, for a divergence or numeric failure, its batch's ``tau``),
@@ -129,8 +129,10 @@ def cmd_adapt(cfg: ExperimentConfig, ckpt_dir, out_dir) -> dict:
     out = Path(out_dir)
     (out / "diagnostics").mkdir(parents=True, exist_ok=True)
     jobs = (repeat(cfg), repeat(ckpt_dir), cfg.seeds)
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # a forked pool starts all of its processes at the first job
+    workers = min(cfg.workers, len(cfg.seeds))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             by_seed = list(pool.map(run_seed, *jobs))
     else:
         by_seed = list(map(run_seed, *jobs))

@@ -94,18 +94,15 @@ def _check_loss_gradients(rng):
     stacked_labels = np.array([[0, 2, 0, 3, 3, 0, 3], [1, 1, 1, 1, 1, 1, 1]])
     features = Tensor(rng.normal(0, 1, (6, 4)), requires_grad=True)
     centroids = rng.normal(0, 1, (3, 4))
-    weights = Tensor(rng.normal(0, 1, 6))
     x = Tensor(rng.normal(0, 1, (5, 4)), requires_grad=True)
     w = Tensor(rng.normal(0, 0.5, (4, 3)), requires_grad=True)
     b = Tensor(rng.normal(0, 0.5, 3), requires_grad=True)
     classes = rng.integers(0, 3, 5)
     tokens = Tensor(rng.normal(0, 1, (3, 3, 4)), requires_grad=True)
     ws = [Tensor(rng.normal(0, 0.5, (4, 4)), requires_grad=True) for _ in range(3)]
-    pool_weights = Tensor(rng.normal(0, 1, (3, 4)))
     inputs = Tensor(rng.normal(0, 1, (2, 5, 3)), requires_grad=True)
     enc = [Tensor(rng.normal(0, s, shape), requires_grad=True)
            for s, shape in ((1.0, (2, 3, 4)), (0.5, (2, 4)), (1.0, (2, 4)), (0.5, (2, 4)))]
-    enc_weights = Tensor(rng.normal(0, 1, (2, 5, 4)))
     losses = {
         "em_loss": (lambda: obj.em_loss(logits), [logits]),
         "can_loss": (lambda: obj.can_loss(sims)[0], [sims]),
@@ -115,14 +112,15 @@ def _check_loss_gradients(rng):
             obj.cluster_avg_probs(logits, labels, 4), 4, [3])[0], [logits]),
         "stacked div_loss": (lambda: obj.div_loss(
             obj.cluster_avg_probs(stacked, stacked_labels, 4), 4, [3, 1])[0], [stacked]),
-        "max_cosine": (lambda: gc.tsum(gc.mul(
-            gc.max_cosine(features, centroids)[0], weights)), [features]),
+        # each fused op reduces through mean_entropy, a loss node the program runs
+        "max_cosine": (lambda: gc.mean_entropy(
+            gc.max_cosine(features, centroids)[0]), [features]),
         "pretraining cross_entropy": (
             lambda: gc.cross_entropy(gc.linear(x, w, b), classes), [x, w, b]),
-        "attention_pool": (lambda: gc.tsum(gc.mul(
-            gc.attention_pool(tokens, *ws), pool_weights)), [tokens, *ws]),
-        "linear_layernorm_gelu": (lambda: gc.tsum(gc.mul(
-            gc.linear_layernorm_gelu(inputs, *enc), enc_weights)), [inputs, *enc]),
+        "attention_pool": (lambda: gc.mean_entropy(
+            gc.attention_pool(tokens, *ws)), [tokens, *ws]),
+        "linear_layernorm_gelu": (lambda: gc.mean_entropy(
+            gc.linear_layernorm_gelu(inputs, *enc)), [inputs, *enc]),
     }
     for name, (loss, params) in losses.items():
         err = gc.finite_diff_params(loss, params)

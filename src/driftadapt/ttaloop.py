@@ -174,17 +174,14 @@ def _cluster_step(state: AdaptState, features, fused_logits, result: BatchResult
     and, when DIV runs (see ``objectives.runs_div``), one classifier node over
     the stack, which every loss reads as it is.
 
-    The batch's feature row norms and cluster counts are computed once:
-    scoring and tracking read the norms, tracking and DIV the counts, and
-    the run's one stacked bank is scored and tracked as it is."""
+    The batch is scored by ``_score``; its cluster counts are computed once,
+    for tracking and DIV, and the run's one stacked bank is scored and
+    tracked as it is."""
     cfg = state.cfg
-    # the pre-update features; no later operation writes into this array
-    detached = features.data
     if state.bank is None:
-        _init_banks(state, detached)
+        _init_banks(state, features.data)
 
-    norms = np.linalg.norm(detached, axis=-1)
-    s, idx = cb.max_similarity(state.bank, features, norms)
+    s, idx, unit = _score(state.bank, features)
     counts = gc.cluster_counts(idx, cfg.k)
     # only DIV reads the modality logits
     logits = (state.model.classifier.forward(features)
@@ -197,11 +194,17 @@ def _cluster_step(state: AdaptState, features, fused_logits, result: BatchResult
     )
     result.loss_row = bd.row
     _apply_step(state, bd.total, result)
+    cb.momentum_update(state.bank, cb.batch_means(unit, idx, state.bank, counts))
 
-    # track centroids with the unit rows of the pre-update features, the
-    # values of cb.l2_normalize_rows (a zero-norm row raised in the scoring)
-    cb.momentum_update(state.bank,
-                       cb.batch_means(detached / norms[..., None], idx, state.bank, counts))
+
+def _score(bank: cb.CentroidBank, features):
+    """(max-cosine node, cluster indices, unit rows) of a 3 x B x d_h feature
+    Tensor against the bank, in an adaptation step and in the final pass.
+    The row norms are taken once, for the scores and for the unit rows, the
+    values of ``cb.l2_normalize_rows`` (a zero-norm row raises in scoring)."""
+    norms = np.linalg.norm(features.data, axis=-1)
+    s, idx = cb.max_similarity(bank, features, norms)
+    return s, idx, features.data / norms[..., None]
 
 
 # -- full-stream runner ----------------------------------------------------
@@ -246,10 +249,10 @@ def run_stream(model: SourceModel, target: SyntheticDataset, cfg: AdaptConfig,
     between them (see ``_init_banks``).
 
     A bank run builds its diagnostics chunk by chunk inside the final pass:
-    each chunk's L2-normalized features are scored against the final banks
-    and through the classifier, and only the per-row cluster indices and
-    member entropies, two 3 x n arrays, are kept, never the 3 x n x d_h
-    feature stack. The per-cluster means are then taken over those
+    each chunk is scored against the final banks as an online step is
+    (``_score``), its unit rows go through the classifier, and only the
+    per-row cluster indices and member entropies, two 3 x n arrays, are
+    kept, never the 3 x n x d_h feature stack. The per-cluster means are then taken over those
     full-length arrays, one modality and one k x d_h bank slice at a time.
     """
     n = len(target)
@@ -288,10 +291,9 @@ def run_stream(model: SourceModel, target: SyntheticDataset, cfg: AdaptConfig,
             encoded = model.embed(target.stack[:, rows])
             final_preds[rows] = model.head(encoded).data.argmax(axis=1)
             if state.bank is not None:
-                normalized = cb.l2_normalize_rows(encoded.data)
-                indices[:, rows] = cb.max_similarity(state.bank, normalized)[1]
+                _, indices[:, rows], unit = _score(state.bank, encoded)
                 member_entropies[:, rows] = entropy_rows(
-                    model.classifier.forward(gc.Tensor(normalized)).data)
+                    model.classifier.forward(gc.Tensor(unit)).data)
     report.final_accuracy = accuracy(final_preds, labels)
     report.final_macro_f1 = macro_f1(final_preds, labels)
 

@@ -572,7 +572,8 @@ def test_short_axis_max_of_one_column_is_a_copy():
 @pytest.mark.parametrize("n", range(1, 10))
 @pytest.mark.parametrize("b, m", [(1, 1), (5, 1), (128, 3), (40, 16)])
 def test_token_sums_equal_numpys_bitwise(n, b, m):
-    # the attention node's sums over its n tokens (axis 1 of B x n x m); the
+    # the attention node's sums over its n tokens (axis 1 of B x n x m),
+    # taken by sum_last over the view with that axis swapped last; the
     # infinities and NaNs sit in different columns, because which of two NaNs
     # of opposite sign (inf + -inf is -NaN) survives their sum is the choice
     # of numpy's strided loop, not of an order. No such sign reaches an
@@ -586,7 +587,7 @@ def test_token_sums_equal_numpys_bitwise(n, b, m):
         else:
             x[np.isnan(x)] = 2.0
         with np.errstate(invalid="ignore"):
-            got, want = gc._sum_tokens(x), x.sum(axis=1)
+            got, want = gc.sum_last(np.swapaxes(x, 1, 2)), x.sum(axis=1)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 

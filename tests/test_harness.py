@@ -212,7 +212,7 @@ def test_adapt_outputs_independent_of_workers(tmp_path):
     cfg.variants = ["source", "tent_em", "scanner"]
     harness.cmd_pretrain(cfg, tmp_path)
     outs = {}
-    # 3 workers are more than the 2 seeds, so one of them runs no job
+    # 3 workers are more than the 2 seeds, so the pool starts 2 processes
     for workers in (1, 2, 3):
         cfg.workers = workers
         outs[workers] = tmp_path / f"w{workers}"
@@ -231,6 +231,39 @@ def test_adapt_outputs_independent_of_workers(tmp_path):
     assert "workers" not in json.loads((one / "report.json").read_text())["config"]
     summary = json.loads((tmp_path / "pretrain_summary.json").read_text())
     assert "workers" not in summary["config"]
+
+
+class _RecordingPool:
+    """A stand-in for ProcessPoolExecutor: it records the size it is built
+    with and runs its jobs in this process, starting none."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_adapt_pool_starts_no_more_processes_than_seeds(tmp_path, monkeypatch):
+    cfg = tiny_experiment(tmp_path)
+    cfg.seeds = [0, 1, 2]
+    harness.cmd_pretrain(cfg, tmp_path)
+    sizes = []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor",
+                        lambda max_workers: _RecordingPool(sizes, max_workers))
+    # (workers, seeds, the pool's size; None: the jobs run in this process)
+    for workers, seeds, pool in ((4, [0], None), (1, [0, 1], None), (4, [0, 1], 2),
+                                 (2, [0, 1, 2], 2), (8, [0, 1, 2], 3)):
+        sizes.clear()
+        harness.cmd_adapt(replace(cfg, workers=workers, seeds=seeds), tmp_path,
+                          tmp_path / f"w{workers}s{len(seeds)}")
+        assert sizes == ([] if pool is None else [pool]), (workers, seeds)
 
 
 def test_adapt_builds_each_seed_target_once(tmp_path, monkeypatch):
@@ -620,12 +653,14 @@ def test_cli_zero_size_is_config_error(tmp_path, capsys, raw):
 
 def _cli_config_error(tmp_path, capsys, text, *extra):
     path = tmp_path / "probe.json"
-    path.write_text(text)
+    path.write_bytes(text.encode() if isinstance(text, str) else text)
     code = cli_main(["adapt", "--config", str(path), "--out", str(tmp_path), *extra])
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("ERROR config:") and "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ERROR config:") and "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
     assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "diagnostics").exists()
 
 
 def test_cli_zero_cores_is_config_error(tmp_path, capsys):
@@ -660,6 +695,13 @@ def test_cli_zero_workers_is_config_error(tmp_path, capsys):
 
 def test_cli_malformed_json_is_config_error(tmp_path, capsys):
     _cli_config_error(tmp_path, capsys, '{"adapt": ')
+
+
+# a UTF-16 byte order mark and a truncated unit; a stray byte after UTF-8 JSON
+@pytest.mark.parametrize("raw", [b"\xff\xfe\x00", b'{"seeds": [0]}\xff'],
+                         ids=["utf16-truncated", "utf8-stray-byte"])
+def test_cli_config_in_no_json_encoding_is_config_error(tmp_path, capsys, raw):
+    _cli_config_error(tmp_path, capsys, raw)
 
 
 def test_cli_adam_field_is_config_error(tmp_path, capsys):

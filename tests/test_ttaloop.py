@@ -190,15 +190,36 @@ def test_final_pass_chunks_match_one_full_forward(monkeypatch, variant):
     if bank is None:
         return
     # the diagnostics built chunk by chunk against the stacked bank equal
-    # those of one full-length assignment to each modality's own k x d_h
-    # bank and one classifier forward per modality, bit for bit
+    # those of one full-length scoring of the features by each modality's own
+    # k x d_h bank and one classifier forward of their unit rows per
+    # modality, bit for bit
     for m, centroids in zip(MODALITIES, bank.centroids):
+        idx = cb.max_similarity(cb.CentroidBank(m, centroids.copy()), features[m].data)[1]
         normalized = cb.l2_normalize_rows(features[m].data)
-        idx = cb.assign(cb.CentroidBank(m, centroids.copy()), normalized).indices
         member_ent = dg.entropy_rows(model.classifier.forward(gc.Tensor(normalized)).data)
         assert report.cluster_ratios[m] == dg.cluster_ratio_diag(idx, preds, target.labels, 2)
         assert report.entropy_table[m] == dg.entropy_diag(centroids.copy(), model, member_ent,
                                                           idx)
+
+
+@pytest.mark.parametrize("variant", ["can", "scan", "scanner"])
+def test_seeded_bank_run_normalizes_no_rows_on_their_own(monkeypatch, variant):
+    # the online steps and the final pass take each batch's unit rows from
+    # the norms that its scoring takes, so a run whose banks are already
+    # seeded never calls l2_normalize_rows; the final pass once called it on
+    # each of its 5 chunks
+    target = _tiny_target(n=70)
+    models = [tiny_model(seed=1), tiny_model(seed=1)]
+    for model in models:
+        model.set_input_stats(target.features)
+    seeded = []
+    tt.run_stream(models[0], target, _cfg(batch_size=16), variant, seed=0, seeded=seeded)
+    assert len(seeded) == len(MODALITIES)
+    calls = []
+    normalize = cb.l2_normalize_rows
+    monkeypatch.setattr(cb, "l2_normalize_rows", lambda x: calls.append(x.shape) or normalize(x))
+    tt.run_stream(models[1], target, _cfg(batch_size=16), variant, seed=0, seeded=seeded)
+    assert calls == []
 
 
 def test_bank_run_memory_does_not_grow_with_a_feature_stack():
