@@ -3,7 +3,8 @@
 Subcommands: pretrain, adapt, export-embeddings, selftest. Every failure
 exits nonzero and prints one machine-readable line ``ERROR <code>: <text>``;
 ``adapt`` prints one such line per failed (variant, seed) run, after
-writing the outputs of the others.
+writing the outputs of the others. The commands compute with numpy's
+floating-point warnings off, so stderr holds the ERROR lines alone.
 """
 
 from __future__ import annotations

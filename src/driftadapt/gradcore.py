@@ -21,17 +21,20 @@ ones, so a stacked node's values and gradients are bit for bit those of one
 node per slice; ``unstack`` gives per-slice nodes where a caller holds one
 tensor per modality.
 
-Each adaptation loss is one node over the stacks too: ``mean_entropy`` of
-the fused logits, ``one_minus_means`` and ``one_minus_weighted_means`` of
-the n x B max-cosine scores (one term per row), ``plogp_sums`` of the
-per-cluster mean probabilities (one term per group of rows), and
-``weighted_sum`` of the loss terms. Every softmax runs ``softmax_array``
-and every clamped log ``log_clamped_array``; the fused ops share those and
-the cosine arithmetic of ``cosine_matrix`` and ``max_axis1``. The op-by-op
-compositions that each fused op replays, built from the small graph ops
-(``add``, ``mul``, ``tsum``, ``rowdot``, ``rowscale``, ``stack_cols``,
-``col`` and the rest, which no program code calls), live in
-``tests/oracles.py`` as bitwise references.
+Every softmax runs ``softmax_array`` and every clamped log
+``log_clamped_array``; the fused ops share those and the cosine arithmetic
+of ``cosine_matrix`` and ``max_axis1``. The op-by-op compositions that each
+fused op replays, built from the small graph ops (``add``, ``mul``,
+``tsum``, ``rowdot``, ``rowscale``, ``stack_cols``, ``col`` and the rest,
+which no program code calls), live in ``tests/oracles.py`` as bitwise
+references.
+
+Every node of the package is built the same way: ``_make(data, parents,
+backward_fn)`` makes the node, and ``backward_fn(g)`` hands each parent its
+gradient with ``_accum(parent, ...)``. The adaptation losses of
+``objectives`` and the oracles of ``tests/oracles.py`` build their nodes
+with these two, always as ``gc._make`` and ``gc._accum``, so a node counter
+patched onto ``gradcore._make`` sees every node.
 A Tensor has no arithmetic operators: every graph node is built by a named
 op, so ``1 - t`` is ``add(1.0, mul(t, -1.0))``.
 Gradients accumulate with ``+=`` so a sum of losses can be backpropagated
@@ -48,9 +51,6 @@ without a reduction's overhead.
 """
 
 from __future__ import annotations
-
-import operator
-from functools import reduce
 
 import numpy as np
 
@@ -563,6 +563,25 @@ def softmax(x: Tensor, beta: float = 1.0) -> Tensor:
     return _make(p, (x,), bwd)
 
 
+def entropy_array(p: np.ndarray):
+    """Entropy -sum_c p log max(p, 1e-12) of each row of the probabilities p,
+    which only the log clamps: (entropies, log, clamped p)."""
+    logp, clamped = log_clamped_array(p)
+    return sum_last(p * logp) * -1.0, logp, clamped
+
+
+def softmax_entropy(logits: Tensor) -> tuple:
+    """(p, per-row entropies, log, clamped p) of p = softmax(logits) along the
+    last axis, computed on the first call and then kept on the node, which
+    must be one whose data no longer changes (not a parameter). A batch's
+    logged entropies, its pseudo-labels and its ``objectives.em_loss`` node
+    share them."""
+    if logits.softmax_parts is None:
+        p = softmax_array(logits.data)
+        logits.softmax_parts = (p, *entropy_array(p))
+    return logits.softmax_parts
+
+
 def _layernorm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
     """gain * xhat + bias of the last-axis standardization xhat: (out, xhat, 1/std).
     A gain and bias of shape n x d act on the n slices of an n x B x d x.
@@ -761,137 +780,6 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         _accum(logits, g * (p - onehot) / n)
 
     return _make(np.asarray(loss), (logits,), bwd)
-
-
-# -- loss terms -------------------------------------------------------------
-#
-# One node per loss. Each forward and backward runs the float operations of
-# the op-by-op composition it replaces, in the same order, so values and
-# gradients are bit for bit those of the composition. A term of the form
-# 1 - t was the graph ``add(1.0, mul(t, -1.0))``, and a sum over tensors the
-# chain ``add(add(t_0, t_1), t_2)``, which passes the upstream gradient to
-# every term unchanged.
-
-
-def _plogp_backward(c, p: np.ndarray, logp: np.ndarray, clamped: np.ndarray):
-    """Gradient of ``p * log_clamped(p)`` for the upstream scalar c, summed
-    in the order of the ``mul`` and then the ``log_clamped`` backward."""
-    return c * logp + _log_clamped_backward(c * p, p, clamped)
-
-
-def entropy_array(p: np.ndarray):
-    """Entropy -sum_c p log max(p, 1e-12) of each row of the probabilities p,
-    which only the log clamps: (entropies, log, clamped p)."""
-    logp, clamped = log_clamped_array(p)
-    return sum_last(p * logp) * -1.0, logp, clamped
-
-
-def softmax_entropy(logits: Tensor) -> tuple:
-    """(p, per-row entropies, log, clamped p) of p = softmax(logits) along the
-    last axis, computed on the first call and then kept on the node, which
-    must be one whose data no longer changes (not a parameter). A batch's
-    logged entropies, its pseudo-labels and its ``mean_entropy`` node share
-    them."""
-    if logits.softmax_parts is None:
-        p = softmax_array(logits.data)
-        logits.softmax_parts = (p, *entropy_array(p))
-    return logits.softmax_parts
-
-
-def mean_entropy(logits: Tensor) -> Tensor:
-    """Mean over rows of the ``entropy_array`` of p = softmax(logits): the
-    composition ``softmax``, ``log_clamped``, ``mul``, ``tsum(axis=1)``,
-    ``mul(-1)``, ``tmean``. It reads the arrays that ``softmax_entropy``
-    kept on the node, if any."""
-    logits = _wrap(logits)
-    if logits.softmax_parts is None:
-        p = softmax_array(logits.data)
-        per_row, logp, clamped = entropy_array(p)
-    else:
-        p, per_row, logp, clamped = logits.softmax_parts
-    inv_n = 1.0 / per_row.size
-
-    def bwd(g):
-        gp = _plogp_backward(g * inv_n * -1.0, p, logp, clamped)
-        _accum(logits, _softmax_backward(gp, p, 1.0))
-
-    return _make(per_row.sum() * inv_n, (logits,), bwd)
-
-
-def _rows(x: Tensor, what: str) -> Tensor:
-    x = _wrap(x)
-    if x.data.ndim != 2:
-        raise ContractError(f"{what} expects an n x B stack, got {x.data.shape}")
-    return x
-
-
-def one_minus_means_array(x: np.ndarray):
-    """1 - mean of each row of an n x B array, with the arithmetic of
-    ``1.0 - tmean(row)``: (term values, 1/B)."""
-    inv_n = 1.0 / x.shape[-1]
-    return 1.0 + x.sum(axis=-1) * inv_n * -1.0, inv_n
-
-
-def one_minus_means(x: Tensor):
-    """Sum over the rows of an n x B tensor of 1 - mean(row): the composition
-    ``1.0 - tmean(row)`` per row, then an ``add`` chain. Returns (sum, term
-    values)."""
-    x = _rows(x, "one_minus_means")
-    values, inv_n = one_minus_means_array(x.data)
-
-    def bwd(g):
-        _accum(x, np.broadcast_to(g * -1.0 * inv_n, x.data.shape))
-
-    return _make(reduce(operator.add, values), (x,), bwd), values
-
-
-def one_minus_weighted_means(x: Tensor, beta: float):
-    """Sum over the rows of an n x B tensor of 1 - sum(softmax(beta * row) *
-    row): the composition ``1.0 - tsum(mul(softmax(row, beta), row))`` per
-    row, then an ``add`` chain. Returns (sum, term values)."""
-    x = _rows(x, "one_minus_weighted_means")
-    w = softmax_array(x.data, beta)
-    values = 1.0 + (w * x.data).sum(axis=-1) * -1.0
-
-    def bwd(g):
-        c = g * -1.0
-        _accum(x, c * w + _softmax_backward(c * x.data, w, beta))
-
-    return _make(reduce(operator.add, values), (x,), bwd), values
-
-
-def plogp_sums(p: Tensor, scale: float, sizes):
-    """Sum over groups of rows of scale * sum p log max(p, 1e-12): the rows of
-    the K x C matrix p fall into consecutive groups of ``sizes`` rows, and
-    each group is the composition
-    ``mul(tsum(tsum(mul(q, log_clamped(q)), axis=1)), scale)`` of its own
-    matrix q, then an ``add`` chain. Returns (sum, term values)."""
-    p = _wrap(p)
-    logp, clamped = log_clamped_array(p.data)
-    per_row = sum_last(p.data * logp)
-    ends = np.cumsum(sizes)
-    if ends[-1] != per_row.size:
-        raise ContractError(f"groups of {list(sizes)} rows do not fit {per_row.size} rows")
-    values = [per_row[end - n:end].sum() * scale for n, end in zip(sizes, ends)]
-
-    def bwd(g):
-        _accum(p, _plogp_backward(g * scale, p.data, logp, clamped))
-
-    return _make(reduce(operator.add, values), (p,), bwd), values
-
-
-def weighted_sum(xs, weights) -> Tensor:
-    """x_0 * w_0 + x_1 * w_1 + ... of scalar tensors and float weights, added
-    left to right: the chain of ``mul`` and ``add`` nodes, whose backward
-    gives each x the upstream times its weight."""
-    xs = [_wrap(x) for x in xs]
-
-    def bwd(g):
-        for x, w in zip(xs, weights):
-            _accum(x, g * w)
-
-    terms = [x.data * w for x, w in zip(xs, weights)]
-    return _make(reduce(operator.add, terms), tuple(xs), bwd)
 
 
 # -- gradient checking ----------------------------------------------------

@@ -25,6 +25,11 @@ from .ttaloop import METRICS, RunReport, run_stream
 
 PRETRAIN_SEED_OFFSET = 7000
 
+# numpy's floating-point warnings would reach stderr ahead of the CLI's
+# ERROR lines; every non-finite value they flag already ends in a
+# NumericError, a DivergenceError or a skipped step
+_quiet_floats = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
 
 def _data_seeds(seed: int):
     """(core spec seed, domain seed, source data seed, target data seed)."""
@@ -58,6 +63,7 @@ def model_dims(cfg: ExperimentConfig) -> ModelDims:
     return ModelDims(cfg.benchmark.d_in, cfg.d_h, cfg.n_classes)
 
 
+@_quiet_floats
 def cmd_pretrain(cfg: ExperimentConfig, out_dir) -> dict:
     """Pretrain one source model per seed; writes checkpoints + summary.
     Of the ``adapt`` block, only ``batch_size`` reaches a checkpoint."""
@@ -86,6 +92,7 @@ def load_compatible(ckpt_path, cfg: ExperimentConfig) -> SourceModel:
     return SourceModel.load(ckpt_path, model_dims(cfg))
 
 
+@_quiet_floats   # in this job's own process too, however the pool starts it
 def run_seed(cfg: ExperimentConfig, ckpt_dir, seed: int) -> list:
     """The adapt job of one seed: per variant of ``cfg``, in config order, the
     RunReport of a run on a fresh model from the seed's checkpoint in
@@ -196,6 +203,7 @@ def write_diagnostics_csv(path, report: RunReport):
                         f"{report.mean_entropy_trace[i]:.6f}", *ratios.values()])
 
 
+@_quiet_floats
 def cmd_export_embeddings(cfg: ExperimentConfig, ckpt_path, out_path):
     """Per-sample mean of the modality-encoder outputs on the data of the
     first config seed, tagged by domain."""

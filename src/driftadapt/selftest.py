@@ -112,14 +112,14 @@ def _check_loss_gradients(rng):
             obj.cluster_avg_probs(logits, labels, 4), 4, [3])[0], [logits]),
         "stacked div_loss": (lambda: obj.div_loss(
             obj.cluster_avg_probs(stacked, stacked_labels, 4), 4, [3, 1])[0], [stacked]),
-        # each fused op reduces through mean_entropy, a loss node the program runs
-        "max_cosine": (lambda: gc.mean_entropy(
+        # each fused op reduces through the EM loss, a node the program runs
+        "max_cosine": (lambda: obj.em_loss(
             gc.max_cosine(features, centroids)[0]), [features]),
         "pretraining cross_entropy": (
             lambda: gc.cross_entropy(gc.linear(x, w, b), classes), [x, w, b]),
-        "attention_pool": (lambda: gc.mean_entropy(
+        "attention_pool": (lambda: obj.em_loss(
             gc.attention_pool(tokens, *ws)), [tokens, *ws]),
-        "linear_layernorm_gelu": (lambda: gc.mean_entropy(
+        "linear_layernorm_gelu": (lambda: obj.em_loss(
             gc.linear_layernorm_gelu(inputs, *enc)), [inputs, *enc]),
     }
     for name, (loss, params) in losses.items():

@@ -22,6 +22,10 @@ def test_momentum_update_hand_value():
     bank = cb.CentroidBank("v", centroids=np.array([[1.0, 0.0]]), momentum=0.9)
     cb.momentum_update(bank, np.array([[0.0, 1.0]]))
     np.testing.assert_allclose(bank.centroids, [[0.9, 0.1]])
+    # momentum 0 is in range: the bank becomes the batch means
+    bank = cb.CentroidBank("v", centroids=np.array([[1.0, 0.0]]), momentum=0.0)
+    cb.momentum_update(bank, np.array([[0.25, -0.5]]))
+    assert bank.centroids.tolist() == [[0.25, -0.5]]
 
 
 def test_momentum_update_contracts_toward_fixed_mean():

@@ -497,7 +497,8 @@ def test_overflowing_layer_norm_variance_is_numeric_error():
     x, w = rng.normal(0, 1, (3, 4, 5)), Tensor(rng.normal(0, 1, (3, 5, 6)))
     b, gain, shift = Tensor(np.zeros((3, 6))), Tensor(np.ones((3, 6))), Tensor(np.zeros((3, 6)))
     assert np.isfinite(gc.linear_layernorm_gelu(Tensor(x), w, b, gain, shift).data).all()
-    with pytest.raises(NumericError, match="layer norm variance is not finite"):
+    with pytest.raises(NumericError, match="layer norm variance is not finite"), \
+            pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
         gc.linear_layernorm_gelu(Tensor(x * 1e200), w, b, gain, shift)
 
 

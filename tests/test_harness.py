@@ -20,6 +20,7 @@ from conftest import TINY_DIMS, tiny_experiment, tiny_model
 
 from driftadapt import (
     centroids as cb, checkpoint, cli, driftgen, errors, gradcore as gc, harness, selftest,
+    ttaloop,
 )
 from driftadapt.cli import main as cli_main
 from driftadapt.config import (
@@ -35,6 +36,7 @@ from driftadapt.errors import (
 from driftadapt.model import ModelDims, SourceModel
 from driftadapt.objectives import MethodVariant
 from driftadapt.selftest import run_selftest
+from driftadapt.ttaloop import METRICS
 
 
 # -- config round trip -----------------------------------------------------
@@ -71,6 +73,33 @@ def test_config_validation_errors():
         BenchmarkConfig(outlier_mode="mixed").validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(variants=["nonsense"]).validate()
+
+
+# one out-of-range field for each entry point, which it would otherwise run with
+@pytest.mark.parametrize("entry, block, name, value", [
+    ("cmd_pretrain", "benchmark", "severity", -1.0),
+    ("cmd_adapt", None, "workers", 0),
+    ("cmd_export_embeddings", "adapt", "gamma", 1.0),
+    ("run_stream", "adapt", "st_confidence", 0.4),
+])
+def test_entry_points_reject_a_directly_built_invalid_config(tmp_path, entry, block, name, value):
+    cfg = tiny_experiment()
+    ckpt = harness.checkpoint_path(tmp_path, 0)
+    tiny_model().save(ckpt)
+    target = harness.build_domain(cfg, 0, "target")
+    setattr(getattr(cfg, block) if block else cfg, name, value)
+    out = tmp_path / "out"
+    out.mkdir()
+    run = {
+        "cmd_pretrain": lambda: harness.cmd_pretrain(cfg, out),
+        "cmd_adapt": lambda: harness.cmd_adapt(cfg, tmp_path, out),
+        "cmd_export_embeddings": lambda: harness.cmd_export_embeddings(
+            cfg, ckpt, out / "embeddings.csv"),
+        "run_stream": lambda: ttaloop.run_stream(tiny_model(), target, cfg.adapt, "st"),
+    }[entry]
+    with pytest.raises(ConfigError):
+        run()
+    assert list(out.iterdir()) == []
 
 
 # -- pretrain + adapt ------------------------------------------------------
@@ -165,6 +194,13 @@ def test_metrics_csv_matches_report(tmp_path):
         assert float(row["final_macro_f1"]) == pytest.approx(
             run["final_macro_f1"], abs=1e-6
         )
+    # one mean row per variant, which README points readers to
+    means = [r for r in rows if r["seed"] == "mean"]
+    assert [r["variant"] for r in means] == list(doc["aggregate"])
+    for row in means:
+        for metric in METRICS:
+            assert float(row[metric]) == pytest.approx(
+                doc["aggregate"][row["variant"]][metric]["mean"], abs=1e-6)
 
 
 def test_diagnostics_csv_has_trace_rows(tmp_path):
@@ -887,16 +923,10 @@ def _run_cli(argv):
 
 
 def _error_codes(lines):
-    """The codes of the ERROR lines; any other line must be a warning."""
-    codes = []
-    for line in lines:
-        found = re.match(r"ERROR (\w+): ", line)
-        if found:
-            codes.append(found.group(1))
-        else:
-            # numpy's RuntimeWarning and the source line it echoes
-            assert "Warning: " in line or line.startswith(" "), line
-    return codes
+    """The codes of the ERROR lines, which must be all the lines."""
+    found = [re.match(r"ERROR (\w+): ", line) for line in lines]
+    assert all(found), lines
+    return [m.group(1) for m in found]
 
 
 # one changed value in twenty is arbitrary, so that most documents run
@@ -968,8 +998,7 @@ def test_numeric_failures_record_the_batch_they_raised_at(tmp_path):
     cfg.variants = ["tent_em", "scanner"]
     harness.cmd_pretrain(cfg, tmp_path)
     cfg.adapt.lr = 1e60
-    with np.errstate(over="ignore", invalid="ignore"):
-        doc = harness.cmd_adapt(cfg, tmp_path, tmp_path / "out")
+    doc = harness.cmd_adapt(cfg, tmp_path, tmp_path / "out")
     n_batches = -(-cfg.benchmark.n_target // cfg.adapt.batch_size)
     failed = doc["failed_runs"]
     assert [(f["variant"], f["code"]) for f in failed] == [("tent_em", "numeric"),
@@ -1037,6 +1066,41 @@ def test_unreadable_seed_inputs_fail_only_that_seeds_runs(tmp_path, capsys, monk
     for name in ("scanner_seed0.csv", "source_seed0.csv"):
         assert (out / "diagnostics" / name).read_bytes() == \
             (tmp_path / "clean" / "diagnostics" / name).read_bytes()
+
+
+_CLI = "import sys; from driftadapt.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_cli_failures_print_only_their_error_lines(tmp_path):
+    # stderr holds the ERROR lines alone, no numpy overflow warning. The CLI
+    # runs in a child process, where no test harness captures warnings, and
+    # adapt runs each seed in a pool worker
+    cfg = tiny_experiment()
+    cfg.seeds = [0, 1]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(asdict(cfg)))
+    for seed in cfg.seeds:
+        tiny_model(seed).save(harness.checkpoint_path(tmp_path, seed))
+    _overflow_in_attention(tmp_path, None)
+    encoder = _corrupt_checkpoint(tmp_path / "encoder", _overflowing_encoder_weight)
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+
+    def cli(*argv):
+        done = subprocess.run([sys.executable, "-c", _CLI, *argv], capture_output=True,
+                              text=True, env=env)
+        return done.returncode, done.stderr.splitlines()
+
+    assert cli("export-embeddings", "--config", str(cfg_path), "--out", str(tmp_path / "emb"),
+               "--checkpoint", str(encoder)) == (
+        2, ["ERROR numeric: layer norm variance is not finite"])
+    out = tmp_path / "out"
+    code, err = cli("adapt", "--config", str(cfg_path), "--checkpoints", str(tmp_path),
+                    "--out", str(out), "--workers", "2")
+    failed = json.loads((out / "report.json").read_text())["failed_runs"]
+    assert [(f["variant"], f["seed"], f["code"]) for f in failed] == [
+        ("source", 1, "numeric"), ("scanner", 1, "numeric")]
+    assert (code, err) == (
+        2, [f"ERROR numeric: {f['variant']} seed 1: {f['message']}" for f in failed])
 
 
 def test_cli_three_class_checkpoint_is_compat_error(tmp_path, capsys):

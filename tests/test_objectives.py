@@ -303,6 +303,8 @@ def test_adaptive_weights_beta_zero_uniform():
 def test_adaptive_weights_negative_beta_rejected():
     with pytest.raises(ConfigError):
         obj.adaptive_weights(Tensor(np.array([0.1])), beta=-1.0)
+    with pytest.raises(ConfigError):
+        obj.scan_loss(Tensor(np.array([[0.1, 0.2]])), beta=-1.0)
 
 
 def test_empty_batch_rejected():
@@ -415,16 +417,16 @@ def test_stacked_cluster_avg_probs_rows_follow_modality_then_cluster():
     assert total.item() == terms["v"] + terms["t"]
 
 
-def test_plogp_sums_rejects_groups_that_do_not_fit():
+def test_div_loss_rejects_groups_that_do_not_fit():
     with pytest.raises(ContractError):
-        gc.plogp_sums(Tensor(np.full((3, 2), 0.5)), 1.0, [1, 1])
+        obj.div_loss(Tensor(np.full((3, 2), 0.5)), 1, [1, 1])
 
 
 def test_stacked_losses_reject_more_rows_than_modalities():
     with pytest.raises(ContractError):
         obj.can_loss(Tensor(np.zeros((4, 2))))
     with pytest.raises(ContractError):
-        gc.one_minus_means(Tensor(np.zeros(3)))
+        obj.can_loss(Tensor(np.zeros(3)))
 
 
 def _toy_inputs(seed=0, n=6, k=2):

@@ -275,6 +275,23 @@ def test_inference_variants_build_no_graph(monkeypatch, variant):
     assert made and not any(t._parents for t in made)
 
 
+@pytest.mark.parametrize("variant", ["st", "tent_em", "can", "scan", "scanner"])
+def test_gradient_runs_end_with_every_parameter_frozen(variant):
+    # the final pass runs on a frozen model, so it builds no graph, and the
+    # finished run leaves no parameter requiring a gradient
+    target = _tiny_target()
+    model = tiny_model(seed=1)
+    model.set_input_stats(target.features)
+    tt.run_stream(model, target, _cfg(batch_size=16), variant, seed=0)
+    assert not any(p.requires_grad for p in model.named_parameters().values())
+
+
+def test_tent_em_loss_rows_log_em_as_the_total():
+    report = _adapted_run(_tiny_target(), "tent_em")
+    assert [set(row) for row in report.loss_trace] == [{"tau", "em", "total"}] * 4
+    assert all(row["em"] == row["total"] > 0 for row in report.loss_trace)
+
+
 def test_reused_model_adapts_again():
     target = _tiny_target()
     model = tiny_model(seed=1)
