@@ -44,10 +44,15 @@ is ``g + 0.0``, the bits of a sum that starts from zeros, written into its
 
 A sum or max over a last axis shorter than 8 (the class, token and cluster
 axes) runs as a left-to-right chain of ufuncs over its columns
-(``sum_last``, ``max_last``); the attention node sums over its tokens the
-same way, through a view with the token axis swapped last. Numpy reduces
+(``sum_last``, ``max_last``); the attention node sums over its queries the
+same way, through a view with the query axis swapped last. Numpy reduces
 in that same order there, so the bits are those of ``x.sum(axis=...)``,
-without a reduction's overhead.
+without a reduction's overhead. The layer norm's row sums and the
+parameter gradients' batch sums (``_row_sums``, ``_batch_sum``) run through
+einsum, which is faster than ``ndarray.sum`` there and sums each row on its
+own: a row gets the same bits whatever rows share the call, whether the
+array is stacked and wherever it starts in memory, which a BLAS product
+with a ones vector does not give (``tests/test_gradcore.py`` pins it).
 """
 
 from __future__ import annotations
@@ -116,7 +121,7 @@ def _accum(t: Tensor, g: np.ndarray):
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Reduce a broadcasted gradient back to the operand's shape."""
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        g = np.einsum("i...->...", g)   # summed as _batch_sum sums, bit for bit
     for ax, n in enumerate(shape):
         if n == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
@@ -153,6 +158,13 @@ def max_last(x: np.ndarray, keepdims: bool = False):
     for j in range(2, n):
         out = np.maximum(out, x[..., j])
     return out[..., None] if keepdims else out
+
+
+def _row_sums(x: np.ndarray, y=None) -> np.ndarray:
+    """Last-axis sums of x, or of x * y without the product's temporary, with
+    the axis kept: one einsum, which sums each row on its own."""
+    sums = np.einsum("...d->...", x) if y is None else np.einsum("...d,...d->...", x, y)
+    return sums[..., None]
 
 
 def backward(root: Tensor):
@@ -304,11 +316,13 @@ def _linear_inputs(x, w, b):
     return x, w, b
 
 
-def _batch_sum(g: np.ndarray, shape) -> np.ndarray:
+def _batch_sum(g: np.ndarray, shape, y=None) -> np.ndarray:
     """Gradient of a parameter of ``shape`` that was broadcast over the batch
-    axis (second to last) of g: one sum over that axis, then over any
-    leading axis the parameter lacks."""
-    return _unbroadcast(g.sum(axis=-2), shape)
+    axis (second to last) of g, or of g * y: one einsum over that axis,
+    without the product's temporary, then a sum over any leading axis the
+    parameter lacks."""
+    sums = np.einsum("...bd->...d", g) if y is None else np.einsum("...bd,...bd->...d", g, y)
+    return _unbroadcast(sums, shape)
 
 
 def _linear_backward(g, x: Tensor, w: Tensor, b: Tensor):
@@ -385,12 +399,17 @@ def col(x: Tensor, j: int) -> Tensor:
 
 def attention_pool(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     """Self-attention over the n tokens of an n x B x d stack, mean-pooled
-    over the queries.
+    over the queries, in closed form.
 
     Per sample, with x_i the i-th token: a = softmax_j((x_i wq).(x_j wk) / sqrt(d_k))
-    and the output is (1/n) sum_i sum_j a_ij (x_j wv), a B x d_v tensor. One
-    graph node: forward and backward are batched matmuls over the B x n x d
-    tokens.
+    and the output is (1/n) sum_i sum_j a_ij (x_j wv), a B x d_v tensor. The
+    scores are x_i M x_j^T / sqrt(d_k) with the d x d product M = wq wk^T, and
+    the mean over queries is (1/n) u wv with u = sum_j c_j x_j, where
+    c_j = sum_i a_ij is the attention that token j receives. So the forward
+    runs one nB-row product ``rows @ M`` and one B-row product ``u @ wv``, and
+    the backward two nB-row products (``rows.T @ dP`` for the projections and
+    ``dP @ M.T`` for the tokens) where a projection-by-projection form runs
+    six. One graph node; frozen projections get no gradient.
     """
     x, wq, wk, wv = _wrap(x), _wrap(wq), _wrap(wk), _wrap(wv)
     if x.data.ndim != 3 or x.data.shape[0] == 0:
@@ -403,27 +422,33 @@ def attention_pool(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
             f"do not fit token dim {d}"
         )
     rows = x.data.transpose(1, 0, 2).reshape(b * n, d)   # sample-major tokens
-    q = (rows @ wq.data).reshape(b, n, -1)
-    k = (rows @ wk.data).reshape(b, n, -1)
-    v = (rows @ wv.data).reshape(b, n, -1)
-    scale = 1.0 / np.sqrt(q.shape[2])
-    s = (q @ k.transpose(0, 2, 1)) * scale
-    attn = softmax_array(s)
-    out_data = sum_last(np.swapaxes(attn @ v, 1, 2)) * (1.0 / n)
+    toks = rows.reshape(b, n, d)
+    m = wq.data @ wk.data.T
+    p = (rows @ m).reshape(b, n, d)
+    scale = 1.0 / np.sqrt(wq.data.shape[1])
+    attn = softmax_array((p @ toks.transpose(0, 2, 1)) * scale)
+    c = sum_last(np.swapaxes(attn, 1, 2))                  # B x n, summed over queries
+    u = np.einsum("bj,bjd->bd", c, toks)
+    out_data = (u @ wv.data) * (1.0 / n)
 
     def bwd(g):
-        # every query row gets g / n, so d(attn)_ij = v_j . g / n for all i
-        gv = (v @ g[:, :, None]).transpose(0, 2, 1) * (1.0 / n)   # B x 1 x n
-        ds = attn * (gv - sum_last(attn * gv, keepdims=True)) * scale
-        dq = (ds @ k).reshape(b * n, -1)
-        dk = (ds.transpose(0, 2, 1) @ q).reshape(b * n, -1)
-        dv = (sum_last(np.swapaxes(attn, 1, 2))[:, :, None]
-              * (g[:, None, :] * (1.0 / n))).reshape(b * n, -1)
-        for w, dw in ((wq, dq), (wk, dk), (wv, dv)):
-            if w.requires_grad:
-                _accum(w, rows.T @ dw)
+        g = g * (1.0 / n)
+        if wv.requires_grad:
+            _accum(wv, u.T @ g)
+        du = g @ wv.data.T
+        # every query row i gets d(attn)_ij = dc_j = x_j . du
+        dc = np.einsum("bjd,bd->bj", toks, du)[:, None, :]
+        ds = attn * (dc - sum_last(attn * dc, keepdims=True)) * scale
+        dp = (ds @ toks).reshape(b * n, d)
+        if wq.requires_grad or wk.requires_grad:
+            dm = rows.T @ dp
+            if wq.requires_grad:
+                _accum(wq, dm @ wk.data)
+            if wk.requires_grad:
+                _accum(wk, dm.T @ wq.data)
         if x.requires_grad:
-            dx = (dq @ wq.data.T + dk @ wk.data.T + dv @ wv.data.T).reshape(b, n, d)
+            dx = ((dp @ m.T).reshape(b, n, d) + ds.transpose(0, 2, 1) @ p
+                  + c[:, :, None] * du[:, None, :])
             _accum(x, dx.transpose(1, 0, 2))
 
     return _make(out_data, (x, wq, wk, wv), bwd)
@@ -586,15 +611,17 @@ def _layernorm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: f
     """gain * xhat + bias of the last-axis standardization xhat: (out, xhat, 1/std).
     A gain and bias of shape n x d act on the n slices of an n x B x d x.
 
-    The mean and variance are ``np.mean`` and ``np.var``'s arithmetic (a sum
-    divided by d, then the mean of the squared deviations) written out, so
-    the deviations are computed once. A variance that is not finite raises
-    NumericError: an overflow would otherwise make 1/std 0 and every output
-    row ``bias``.
+    The mean is a row sum divided by d and the variance the mean of the
+    squared deviations, a fused dot, both by ``_row_sums``, so the deviations
+    are computed once and never squared into a temporary; each is within a
+    d-term sum's rounding of ``np.mean`` and ``np.var``. A variance that is
+    not finite raises NumericError (einsum sets no floating-point flag, so
+    no warning comes with it): an overflow would otherwise make 1/std 0 and
+    every output row ``bias``.
     """
     d = x.shape[-1]
-    dev = x - x.sum(axis=-1, keepdims=True) / d
-    var = (dev * dev).sum(axis=-1, keepdims=True) / d
+    dev = x - _row_sums(x) / d
+    var = _row_sums(dev, dev) / d
     if not np.isfinite(var).all():
         raise NumericError("layer norm variance is not finite")
     inv = 1.0 / np.sqrt(var + eps)
@@ -606,9 +633,9 @@ def _layernorm_backward(g, gain: np.ndarray, xhat, inv):
     """(d gain, d bias, d x) of ``_layernorm_forward`` for the upstream g."""
     d = xhat.shape[-1]
     gy = g * gain[..., None, :]
-    m1 = gy.sum(axis=-1, keepdims=True) / d            # np.mean's arithmetic
-    m2 = (gy * xhat).sum(axis=-1, keepdims=True) / d
-    return (_batch_sum(g * xhat, gain.shape), _batch_sum(g, gain.shape),
+    m1 = _row_sums(gy) / d
+    m2 = _row_sums(gy, xhat) / d
+    return (_batch_sum(g, gain.shape, xhat), _batch_sum(g, gain.shape),
             (gy - m1 - xhat * m2) * inv)
 
 

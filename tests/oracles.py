@@ -100,30 +100,38 @@ def fusion_op_by_op(fusion, features):
 
 
 def attention_pool_inline_softmax(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
-    """``gc.attention_pool`` with its softmax written out inline, as the node
-    computed it before every softmax ran ``softmax_array``."""
+    """``gc.attention_pool``'s closed form with its softmax written out
+    inline and numpy's own sums over the query axis: the arithmetic that
+    ``softmax_array`` and ``sum_last`` must give bit for bit."""
     n, b, d = x.data.shape
     rows = x.data.transpose(1, 0, 2).reshape(b * n, d)
-    q = (rows @ wq.data).reshape(b, n, -1)
-    k = (rows @ wk.data).reshape(b, n, -1)
-    v = (rows @ wv.data).reshape(b, n, -1)
-    scale = 1.0 / np.sqrt(q.shape[2])
-    s = (q @ k.transpose(0, 2, 1)) * scale
+    toks = rows.reshape(b, n, d)
+    m = wq.data @ wk.data.T
+    p = (rows @ m).reshape(b, n, d)
+    scale = 1.0 / np.sqrt(wq.data.shape[1])
+    s = (p @ toks.transpose(0, 2, 1)) * scale
     e = np.exp(s - s.max(axis=2, keepdims=True))
     attn = e / e.sum(axis=2, keepdims=True)
-    out_data = (attn @ v).sum(axis=1) * (1.0 / n)
+    c = attn.sum(axis=1)
+    u = np.einsum("bj,bjd->bd", c, toks)
+    out_data = (u @ wv.data) * (1.0 / n)
 
     def bwd(g):
-        gv = (v @ g[:, :, None]).transpose(0, 2, 1) * (1.0 / n)
-        ds = attn * (gv - (attn * gv).sum(axis=2, keepdims=True)) * scale
-        dq = (ds @ k).reshape(b * n, -1)
-        dk = (ds.transpose(0, 2, 1) @ q).reshape(b * n, -1)
-        dv = (attn.sum(axis=1)[:, :, None] * (g[:, None, :] * (1.0 / n))).reshape(b * n, -1)
-        for w, dw in ((wq, dq), (wk, dk), (wv, dv)):
-            if w.requires_grad:
-                gc._accum(w, rows.T @ dw)
+        g = g * (1.0 / n)
+        if wv.requires_grad:
+            gc._accum(wv, u.T @ g)
+        du = g @ wv.data.T
+        dc = np.einsum("bjd,bd->bj", toks, du)[:, None, :]
+        ds = attn * (dc - (attn * dc).sum(axis=2, keepdims=True)) * scale
+        dp = (ds @ toks).reshape(b * n, d)
+        dm = rows.T @ dp
+        if wq.requires_grad:
+            gc._accum(wq, dm @ wk.data)
+        if wk.requires_grad:
+            gc._accum(wk, dm.T @ wq.data)
         if x.requires_grad:
-            dx = (dq @ wq.data.T + dk @ wk.data.T + dv @ wv.data.T).reshape(b, n, d)
+            dx = ((dp @ m.T).reshape(b, n, d) + ds.transpose(0, 2, 1) @ p
+                  + c[:, :, None] * du[:, None, :])
             gc._accum(x, dx.transpose(1, 0, 2))
 
     return gc._make(out_data, (x, wq, wk, wv), bwd)

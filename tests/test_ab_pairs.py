@@ -3,11 +3,13 @@
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "ab_pairs.py"
+sys.path.insert(0, str(_PATH.parent))   # as for the script: its sibling byte_manifest
 _SPEC = importlib.util.spec_from_file_location("ab_pairs", _PATH)
 ab = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(ab)
@@ -158,3 +160,45 @@ def test_a_failing_run_stops_the_tool(tmp_path):
     (tree / "perfbench" / "run.py").write_text("import sys; sys.exit(2)")
     with pytest.raises(RuntimeError, match="parent: run.py exited 2 with no result"):
         ab.perfbench_runner("w", 3, 5)(tree)
+
+
+# the stub run.py above, for a workload of any name
+STUB_ANY_WORKLOAD = STUB_RUN.replace('"--workload", "w", ', '"--workload", sys.argv[2], ')
+
+
+def test_json_record_keeps_each_workloads_table(tmp_path, capsys):
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "perfbench" / "run.py").write_text(STUB_ANY_WORKLOAD)
+    (repo / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    (repo / "VALUE").write_text("100")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "base")
+    base = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+    record = tmp_path / "BENCH.json"
+    argv = ["--pairs", "2", "--seconds", "3", "--workload-seed", "5", "--json", str(record)]
+    changes = {"w": 125.0, "v": 90.0}   # each workload's change runs at its own value
+    for workload, value in changes.items():
+        (repo / "VALUE").write_text(str(value))
+        assert ab.main(["--workload", workload, *argv], repo=repo) == 0
+    capsys.readouterr()
+
+    def stub(value):
+        return {"attempted": 2, "failed": 1,
+                "metrics": {"samples_per_s": value, "peak_rss_mb": 50.0}}
+
+    want = {}
+    for workload, value in changes.items():
+        rows = ab.summarize({"parent": [stub(100.0)] * 2, "change": [stub(value)] * 2}, METRICS)
+        want[workload] = {
+            "rows": rows, "pairs": 2, "seconds": 3, "workload_seed": 5, "base": base,
+            "aa": False, "kernel": ab.kernel(),
+            "operations": {side: {"failed": 2, "attempted": 4} for side in ab.SIDES}}
+    # the second workload's table did not replace the first one's
+    assert json.loads(record.read_text()) == want
+    assert [r["metric"] for r in want["w"]["rows"]] == ["samples_per_s", "peak_rss_mb"]
+    assert [(r["wins"], r["claim"]) for r in (want["w"]["rows"][0], want["v"]["rows"][0])] \
+        == [(2, True), (0, False)]

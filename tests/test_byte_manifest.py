@@ -73,22 +73,38 @@ def test_diff_lists_each_file_and_margin_that_moved(manifest, tmp_path, capsys):
     del moved["files"]["collapse_w1/metrics.csv"]
     ratio = manifest["margins"]["severe"]["grad_ratio_scan_can"]["0"]
     moved["margins"]["severe"]["grad_ratio_scan_can"]["0"] = ratio + 1e-12
-    assert bm.diff(manifest, moved) == [
+    # each margin line gives its relative change; a list's is its largest
+    # entry's, and a margin that one side lacks has none
+    base = copy.deepcopy(manifest)
+    base["margins"]["collapse"]["collapse_gap_scanner_scan"]["0"] = [0.2, 0.4]
+    moved["margins"]["collapse"]["collapse_gap_scanner_scan"]["0"] = [0.21, 0.3]
+    f1 = moved["margins"]["severe"]["final_macro_f1_pct"].pop("can")
+    assert bm.diff(base, moved) == [
         "file collapse_w1/metrics.csv: missing",
         "file collapse_w2/metrics.csv: changed",
         "file severe_w2/pretrain_summary.json: changed (failed, version)",
         "file severe_w2/report.json: changed (config)",
-        f"margin severe.grad_ratio_scan_can.0: {ratio} -> {ratio + 1e-12}",
+        "margin collapse.collapse_gap_scanner_scan.0: [0.2, 0.4] -> [0.21, 0.3] "
+        "(relative -2.5e-01)",
+        f"margin severe.final_macro_f1_pct.can: {f1} -> None",
+        f"margin severe.grad_ratio_scan_can.0: {ratio} -> {ratio + 1e-12} "
+        f"(relative {1e-12 / ratio:+.1e})",
     ]
     old, new = tmp_path / "old.json", tmp_path / "new.json"
-    old.write_text(json.dumps(manifest))
+    old.write_text(json.dumps(base))
     new.write_text(json.dumps(moved))
     assert bm.main(["diff", str(old), str(old)]) == 0
     n = len(manifest["files"])
     assert capsys.readouterr().out == f"{n} of {n} files identical, 0 margins moved\n"
     assert bm.main(["diff", str(old), str(new)]) == 1
     assert capsys.readouterr().out.endswith(
-        f"{n - 4} of {n} files identical, 1 margins moved\n")
+        f"{n - 4} of {n} files identical, 3 margins moved, largest relative move 2.5e-01\n")
+    # the sizes of single moves: a move from zero is infinite
+    assert bm.relative_move(2.0, 2.5) == 0.25 and bm.relative_move(-2.0, -2.5) == -0.25
+    assert bm.relative_move(0.0, 1e-300) == float("inf")
+    assert bm.relative_move(0.0, -1e-300) == -float("inf")
+    assert bm.relative_move([1.0, 2.0], [0.5, 2.0]) == -0.5
+    assert bm.relative_move([1.0], None) is None and bm.relative_move(1.0, [1.0]) is None
 
 
 def test_key_digests_name_each_top_level_value(tmp_path):

@@ -473,21 +473,40 @@ def test_linear_shape_mismatch():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 140), st.integers(1, 40))
-def test_layernorm_statistics_are_numpys_mean_and_var_bitwise(seed, n, b, d):
-    # the layer norm writes out np.mean and np.var to share the deviations
+def test_layernorm_statistics_are_einsum_sums_bitwise_and_numpys_mean_and_var_within_eps(
+        seed, n, b, d):
+    # the layer norm sums each row with einsum, and takes the variance as a
+    # fused dot of the deviations, which it computes once
     rng = np.random.default_rng(seed)
     x = rng.normal(0, 3, (n, b, d)) + rng.normal(0, 100, (n, b, 1))
     gain, bias, g = rng.normal(0, 1, (n, d)), rng.normal(0, 1, (n, d)), rng.normal(0, 1, x.shape)
     out, xhat, inv = gc._layernorm_forward(x, gain, bias, 1e-5)
-    mu, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
-    want_inv = 1.0 / np.sqrt(var + 1e-5)
-    want_xhat = (x - mu) * want_inv
+    dev = x - np.einsum("...d->...", x)[..., None] / d
+    want_inv = 1.0 / np.sqrt(np.einsum("...d,...d->...", dev, dev)[..., None] / d + 1e-5)
+    want_xhat = dev * want_inv
     assert inv.tobytes() == want_inv.tobytes() and xhat.tobytes() == want_xhat.tobytes()
     assert out.tobytes() == (gain[:, None, :] * want_xhat + bias[:, None, :]).tobytes()
     gy = g * gain[:, None, :]
-    want_dx = (gy - gy.mean(axis=-1, keepdims=True)
-               - xhat * (gy * xhat).mean(axis=-1, keepdims=True)) * inv
-    assert gc._layernorm_backward(g, gain, xhat, inv)[2].tobytes() == want_dx.tobytes()
+    want_dx = (gy - np.einsum("...d->...", gy)[..., None] / d
+               - xhat * (np.einsum("...d,...d->...", gy, xhat)[..., None] / d)) * inv
+    dgain, dbias, dx = gc._layernorm_backward(g, gain, xhat, inv)
+    assert dx.tobytes() == want_dx.tobytes()
+    assert dgain.tobytes() == np.einsum("...bd,...bd->...d", g, xhat).tobytes()
+    assert dbias.tobytes() == np.einsum("...bd->...d", g).tobytes()
+    # np.mean and np.var sum in another order: each differs from the einsum
+    # statistics by at most the rounding of a d-term sum, d * eps * max|row|
+    # (relative, for the nonnegative squares; 1/std adds a square root's and
+    # a division's rounding)
+    eps = np.finfo(np.float64).eps
+    mu, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+    np.testing.assert_allclose(inv, 1.0 / np.sqrt(var + 1e-5), rtol=(d + 2) * eps, atol=0.0)
+    tol = d * eps * np.abs(x).max(axis=-1, keepdims=True) * inv
+    assert (np.abs(xhat - (x - mu) / np.sqrt(var + 1e-5)) <= tol).all()
+    numpys_dx = (gy - gy.mean(axis=-1, keepdims=True)
+                 - xhat * (gy * xhat).mean(axis=-1, keepdims=True)) * inv
+    tol = (d * eps * np.abs(gy).max(axis=-1, keepdims=True)
+           * np.maximum(np.abs(xhat).max(axis=-1, keepdims=True), 1.0) * inv)
+    assert (np.abs(dx - numpys_dx) <= tol).all()
 
 
 def test_overflowing_layer_norm_variance_is_numeric_error():
@@ -497,8 +516,7 @@ def test_overflowing_layer_norm_variance_is_numeric_error():
     x, w = rng.normal(0, 1, (3, 4, 5)), Tensor(rng.normal(0, 1, (3, 5, 6)))
     b, gain, shift = Tensor(np.zeros((3, 6))), Tensor(np.ones((3, 6))), Tensor(np.zeros((3, 6)))
     assert np.isfinite(gc.linear_layernorm_gelu(Tensor(x), w, b, gain, shift).data).all()
-    with pytest.raises(NumericError, match="layer norm variance is not finite"), \
-            pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+    with pytest.raises(NumericError, match="layer norm variance is not finite"):
         gc.linear_layernorm_gelu(Tensor(x * 1e200), w, b, gain, shift)
 
 
@@ -513,6 +531,58 @@ def test_gelu_constant_is_shared_by_the_fused_encoder(monkeypatch):
     linear = gc.linear(Tensor(x.data[0]), Tensor(w.data[0]), b.data[0])
     composed = gc.gelu(gc.layernorm_affine(linear, gain.data[0], shift.data[0]))
     assert np.array_equal(after[0], composed.data)
+
+
+# -- long-axis reductions --------------------------------------------------
+#
+# The layer norm's row sums and the parameter gradients' batch sums run
+# through einsum. A row must get the same bits whatever rows share the call:
+# the final pass runs the encoders chunk by chunk, a stacked node must equal
+# its slices, and repeated runs and every workers setting must be
+# byte-identical. A BLAS product with a ones vector is faster, but its bits
+# for a row depend on how many rows share the call.
+
+
+def _at_offset(a, offset):
+    """A copy of a that starts ``offset`` float64s (8 bytes each) into a
+    fresh buffer."""
+    out = np.empty(a.size + offset)[offset:].reshape(a.shape)
+    out[...] = a
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 160), st.integers(1, 70))
+def test_einsum_reductions_are_row_independent(seed, n, b, d):
+    rng = np.random.default_rng(seed)
+    x, y = (rng.normal(0, 1, (n, b, d)) * 10.0 ** rng.integers(-3, 4, (n, b, 1))
+            for _ in range(2))
+    eps = np.finfo(np.float64).eps
+    for args in ((x,), (x, y)):
+        terms = args[0] if len(args) == 1 else args[0] * args[1]
+        # a row's sum: alone, inside its batch, in the stack, at every offset
+        stacked = gc._row_sums(*args)
+        for i in range(n):
+            batch = gc._row_sums(*(a[i] for a in args))
+            assert batch.tobytes() == stacked[i].tobytes()
+            for j in range(b):
+                assert gc._row_sums(*(a[i, j] for a in args)).tobytes() == batch[j].tobytes()
+        for offset in range(8):
+            moved = gc._row_sums(*(_at_offset(a, offset) for a in args))
+            assert moved.tobytes() == stacked.tobytes()
+        bound = 2 * d * eps * np.abs(terms).sum(axis=-1, keepdims=True)
+        assert (np.abs(stacked - terms.sum(axis=-1, keepdims=True)) <= bound).all()
+        # a B x d slice's batch sum: alone, in the stack, at every offset
+        stacked = gc._batch_sum(x, (n, d), *args[1:])
+        for i in range(n):
+            alone = gc._batch_sum(x[i], (d,), *(a[i] for a in args[1:]))
+            assert alone.tobytes() == stacked[i].tobytes()
+        for offset in range(8):
+            moved = gc._batch_sum(_at_offset(x, offset), (n, d),
+                                  *(_at_offset(a, offset) for a in args[1:]))
+            assert moved.tobytes() == stacked.tobytes()
+        bound = 2 * b * eps * np.abs(terms).sum(axis=-2)
+        assert (np.abs(stacked - terms.sum(axis=-2)) <= bound).all()
 
 
 # -- short-axis reductions -------------------------------------------------

@@ -15,6 +15,7 @@ base, which shows the spread that identical code gives.
     python tools/ab_pairs.py --workload adapt_grad --pairs 10 --seconds 20
     python tools/ab_pairs.py --workload adapt_grad --pairs 10 --workload-seed 5
     python tools/ab_pairs.py --workload adapt_infer --pairs 6 --aa
+    python tools/ab_pairs.py --workload pretrain_severe --pairs 10 --json BENCH.json
 
 Each run's end-to-end metrics are printed as it finishes. The table at the
 end gives, for each end-to-end metric of ``BENCHMARK.json``, the parent's
@@ -32,6 +33,14 @@ columns give the verdicts that a performance claim is judged by:
   like the ``diff`` column, "within" when it is not, and "-" for a metric
   without a bound.
 
+With ``--json PATH`` the tool also writes the table to PATH as the record
+of a speed claim: a JSON object keyed by workload, whose entry holds the
+``summarize`` rows, the pairs, seconds, workload seed, base commit and
+``--aa`` of the batch, each side's failed and attempted operations, and
+``byte_manifest.kernel()``, the numpy and BLAS kernel that the runs inherit
+from this process. The entries of other workloads already in the file are
+kept, so one file can hold the tables of every workload.
+
 A run that prints no JSON result line stops the tool.
 """
 
@@ -48,6 +57,8 @@ import tarfile
 import tempfile
 from io import BytesIO
 from pathlib import Path
+
+from byte_manifest import kernel   # the sibling tool, beside this script on sys.path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
@@ -154,6 +165,21 @@ def summarize(results: dict, metrics: list) -> list:
     return rows
 
 
+def operations(results: dict) -> dict:
+    """{side: {"failed": n, "attempted": n}}, summed over a side's runs."""
+    return {side: {key: sum(r.get(key, 0) for r in results[side])
+                   for key in ("failed", "attempted")} for side in SIDES}
+
+
+def write_record(path, workload: str, entry: dict):
+    """Sets ``workload``'s entry of the JSON record at path, keeping the
+    entries of other workloads that the file holds."""
+    path = Path(path)
+    record = json.loads(path.read_text()) if path.exists() else {}
+    record[workload] = entry
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+
+
 def format_table(rows: list, results: dict) -> list:
     lines = [f"{'metric':<16} {'parent median (Q1-Q3)':>30} {'change':>12} "
              f"{'diff':>8} {'wins':>6}  gap > IQR  claim  bound"]
@@ -164,10 +190,8 @@ def format_table(rows: list, results: dict) -> list:
                      f"{r['diff']:>+8.1%} {r['wins']:>3}/{r['pairs']:<2}  "
                      f"{'yes' if r['beyond_iqr'] else 'no':<9}  "
                      f"{'yes' if r['claim'] else 'no':<5}  {bound}")
-    for side in SIDES:
-        failed = sum(r.get("failed", 0) for r in results[side])
-        attempted = sum(r.get("attempted", 0) for r in results[side])
-        lines.append(f"{side}: {failed} of {attempted} operations failed")
+    for side, ops in operations(results).items():
+        lines.append(f"{side}: {ops['failed']} of {ops['attempted']} operations failed")
     return lines
 
 
@@ -180,6 +204,8 @@ def main(argv=None, repo=ROOT) -> int:
     parser.add_argument("--base", default="HEAD", help="the parent commit (default HEAD)")
     parser.add_argument("--aa", action="store_true",
                         help="A/A: both sides are archives of the base commit")
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write the table to this JSON record, under the workload")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -188,11 +214,18 @@ def main(argv=None, repo=ROOT) -> int:
         paths = layout(repo, args.base, tmp, aa=args.aa)
         runner = perfbench_runner(args.workload, args.seconds, args.workload_seed)
         results = run_pairs(paths, args.pairs, runner)
+    rows = summarize(results, metrics)
     mode = "A/A, both sides" if args.aa else "parent"
     print(f"{args.workload} (workload seed {args.workload_seed}): {args.pairs} pairs, "
           f"{mode} = {args.base}")
-    for line in format_table(summarize(results, metrics), results):
+    for line in format_table(rows, results):
         print(line)
+    if args.json:
+        base = _git(Path(repo), "rev-parse", args.base).decode().strip()
+        write_record(args.json, args.workload, {
+            "rows": rows, "pairs": args.pairs, "seconds": args.seconds,
+            "workload_seed": args.workload_seed, "base": base, "aa": args.aa,
+            "operations": operations(results), "kernel": kernel()})
     return 0
 
 

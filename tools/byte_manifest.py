@@ -25,7 +25,8 @@ tool measures two trees:
     python tools/byte_manifest.py diff parent.json change.json
 
 ``diff`` lists every file and margin that moved, with the top-level keys that
-changed in a JSON file, and exits 1 if any did.
+changed in a JSON file and each margin's relative change, sums up with the
+largest relative margin move, and exits 1 if anything moved.
 Digests depend on the numpy and BLAS build and on the BLAS kernel that runs,
 so a manifest records its ``kernel``: numpy's version, the ``blas`` entry of
 ``numpy.show_config(mode="dicts")``, ``OPENBLAS_CORETYPE`` and
@@ -42,6 +43,7 @@ import argparse
 import ctypes
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -160,6 +162,27 @@ def run_matrix(work_dir, matrix=MATRIX, seeds=SEEDS, workers=WORKERS, overrides=
     return doc
 
 
+def relative_move(a, b):
+    """(b - a) / |a| of two margins, the one of largest size over the entries
+    of two equal-length lists, or None when a side is missing."""
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b) and a:
+        moves = [relative_move(x, y) for x, y in zip(a, b)]
+        return None if None in moves else max(moves, key=abs)
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return (b - a) / abs(a) if a else (0.0 if b == a else math.copysign(math.inf, b))
+    return None
+
+
+def moved_margins(old, new, path=""):
+    """(dotted path, old value, new value) of each margin that differs
+    between two manifests' ``margins``."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for k in sorted(set(old) | set(new)):
+            yield from moved_margins(old.get(k), new.get(k), f"{path}.{k}")
+    elif old != new:
+        yield path[1:], old, new
+
+
 def diff(old: dict, new: dict) -> list:
     """One line per file or margin that differs between two manifests."""
     lines = []
@@ -181,15 +204,10 @@ def diff(old: dict, new: dict) -> list:
                 if moved:
                     state += f" ({', '.join(moved)})"
             lines.append(f"file {name}: {state}")
-
-    def walk(path, a, b):
-        if isinstance(a, dict) and isinstance(b, dict):
-            for k in sorted(set(a) | set(b)):
-                walk(f"{path}.{k}", a.get(k), b.get(k))
-        elif a != b:
-            lines.append(f"margin {path[1:]}: {a} -> {b}")
-
-    walk("", old["margins"], new["margins"])
+    for path, a, b in moved_margins(old["margins"], new["margins"]):
+        move = relative_move(a, b)
+        size = "" if move is None else f" (relative {move:+.1e})"
+        lines.append(f"margin {path}: {a} -> {b}{size}")
     return lines
 
 
@@ -213,8 +231,11 @@ def main(argv=None) -> int:
     for line in lines:
         print(line)
     same = sum(old["files"].get(k) == v for k, v in new["files"].items())
+    moves = [relative_move(a, b) for _, a, b in moved_margins(old["margins"], new["margins"])]
+    largest = max((abs(m) for m in moves if m is not None), default=None)
     print(f"{same} of {len(set(old['files']) | set(new['files']))} files identical, "
-          f"{sum(line.startswith('margin') for line in lines)} margins moved")
+          f"{len(moves)} margins moved"
+          + ("" if largest is None else f", largest relative move {largest:.1e}"))
     return 1 if lines else 0
 
 
