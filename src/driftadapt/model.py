@@ -40,7 +40,12 @@ PRETRAIN_WEIGHT_DECAY = 5e-4
 
 
 class ModalityEncoder:
-    """The encoders of all modalities: gelu(layernorm(x @ w + b)) per slice."""
+    """The encoders of all modalities: gelu(layernorm(x @ w + b)) per slice,
+    as one ``gc.linear_layernorm_gelu`` node. That node removes the layer
+    norm's row mean through ``w`` and ``b`` centred over d_h and computes
+    the tanh GELU with one exp, so it equals the op-by-op composition up to
+    rounding; the parameters and what a checkpoint stores are those of the
+    composition."""
 
     # the per-modality checkpoint name of each stacked parameter
     NAMES = ("weight", "bias", "norm_gain", "norm_bias")

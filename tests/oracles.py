@@ -99,6 +99,43 @@ def fusion_op_by_op(fusion, features):
     return gc.mul(pooled, 1.0 / len(toks))
 
 
+def linear_layernorm_gelu_inline(x: Tensor, w: Tensor, b: Tensor, gain: Tensor,
+                                 bias: Tensor) -> Tensor:
+    """``gc.linear_layernorm_gelu``'s arithmetic written out inline: the
+    layer norm's mean removed through the weights centred over d_h, and
+    the tanh GELU as ``y / (1 + exp(y (k1 + k3 y^2)))``, with the constants
+    read at call time. The backward centres the weight and bias gradients
+    over d_h and takes the input gradient through the centred weights."""
+    d = w.data.shape[-1]
+    wc = w.data - np.einsum("...d->...", w.data)[..., None] / d
+    bc = b.data - np.einsum("...d->...", b.data)[..., None] / d
+    dev = x.data @ wc + bc[:, None, :]
+    inv = 1.0 / np.sqrt(np.einsum("...d,...d->...", dev, dev)[..., None] / d + gc._LN_EPS)
+    xhat = dev * inv
+    y = gain.data[:, None, :] * xhat + bias.data[:, None, :]
+    k1 = -2.0 * gc._GELU_C
+    y2 = y * y
+    with np.errstate(over="ignore"):
+        den = 1.0 + np.exp(y * (k1 + (k1 * gc._GELU_A) * y2))
+    out_data = y / den
+
+    def bwd(g):
+        s = 1.0 / den
+        gs = g * (s + out_data * (s - 1.0) * (k1 + (3.0 * k1 * gc._GELU_A) * y2))
+        gc._accum(gain, np.einsum("...bd,...bd->...d", gs, xhat))
+        gc._accum(bias, np.einsum("...bd->...d", gs))
+        gy = gs * gain.data[:, None, :]
+        m2 = np.einsum("...d,...d->...", gy, xhat)[..., None] / d
+        u = (gy - xhat * m2) * inv
+        db = np.einsum("...bd->...d", u)
+        gc._accum(b, db - np.einsum("...d->...", db)[..., None] / d)
+        dw = x.data.transpose(0, 2, 1) @ u
+        gc._accum(w, dw - np.einsum("...d->...", dw)[..., None] / d)
+        gc._accum(x, u @ wc.transpose(0, 2, 1))
+
+    return gc._make(out_data, (x, w, b, gain, bias), bwd)
+
+
 def attention_pool_inline_softmax(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     """``gc.attention_pool``'s closed form with its softmax written out
     inline and numpy's own sums over the query axis: the arithmetic that

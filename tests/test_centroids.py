@@ -206,6 +206,30 @@ def test_init_requires_enough_points():
         cb.init_kmeanspp(np.eye(2), k=3)
 
 
+@pytest.mark.parametrize("seed", [0, 2, 4, 5, 7, 8, 9, 10])
+def test_kmeanspp_draws_a_uniform_row_once_the_remaining_distances_vanish(seed):
+    # one far row and eight rows 1e-8 apart in orthogonal directions, too
+    # close for _NORM_FLOOR but not all identical: once the far row and a
+    # near row are seeds, the remaining d2 sum is 1.4e-15, so the third seed
+    # is x[rng.integers(b)]. At these seeds that draw is a near row not yet a
+    # seed; the ties send every other near row to the earlier seed, and no
+    # swap gains more than 1e-12, so the drawn row stays a centroid as it is
+    x = np.zeros((9, 10))
+    x[0, 9] = 1.0
+    x[1:, 0] = 1.0
+    x[np.arange(1, 9), np.arange(1, 9)] = 1e-8
+    rng = np.random.default_rng(seed)
+    first = rng.integers(9)
+    d2 = ((x - x[first]) ** 2).sum(axis=1)
+    second = rng.choice(9, p=d2 / d2.sum())
+    d2 = np.minimum(d2, ((x - x[second]) ** 2).sum(axis=1))
+    assert d2.sum() < cb._NORM_FLOOR
+    drawn = rng.integers(9)
+    assert drawn not in (first, second)
+    centroids = cb.init_kmeanspp(x, k=3, seed=seed).centroids
+    assert any(c.tobytes() == x[drawn].tobytes() for c in centroids)
+
+
 def test_init_rejects_identical_points():
     with pytest.raises(DegenerateDataError):
         cb.init_kmeanspp(np.ones((5, 3)), k=2)

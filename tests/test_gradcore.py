@@ -4,11 +4,14 @@ Analytic gradients are checked against central finite differences; simple
 ops additionally against closed-form expectations.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import attention_pool_inline_softmax, reference_max_cosine
+from oracles import (attention_pool_inline_softmax, linear_layernorm_gelu_inline,
+                     reference_max_cosine)
 
 from driftadapt import gradcore as gc
 from driftadapt.errors import ContractError, DegenerateDataError, NumericError
@@ -386,20 +389,93 @@ def _per_slice(op, *stacks):
     return gc.stack_rows([op(*parts) for parts in zip(*(gc.unstack(t) for t in stacks))])
 
 
+def _encoder_leaves(rng, n, b, d_in, d, offset):
+    """x, w, b, gain and bias of the fused encoder; ``offset`` adds a part
+    common to every column of w and b, so each row of ``x @ w + b`` has a
+    mean about ``offset`` times larger than its spread."""
+    x = rng.normal(0, 1, (n, b, d_in))
+    w = rng.normal(0, 1, (n, d_in, d)) + offset * rng.normal(0, 1, (n, d_in, 1))
+    bias = rng.normal(0, 0.5, (n, d)) + offset * rng.normal(0, 1, (n, 1))
+    return [Tensor(a, requires_grad=True)
+            for a in (x, w, bias, rng.normal(0, 1, (n, d)), rng.normal(0, 0.5, (n, d)))]
+
+
+def _composed_encoder(x, w, b, gain, bias):
+    """The op-by-op ``gelu(layernorm_affine(linear(...)))``, slice by slice."""
+    return _per_slice(lambda *p: gc.gelu(gc.layernorm_affine(gc.linear(p[0], p[1], p[2]),
+                                                             p[3], p[4])),
+                      x, w, b, gain, bias)
+
+
+_ENCODER_DRAWS = given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 140),
+                       st.integers(1, 5), st.integers(1, 6), st.sampled_from([0.0, 30.0]))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 140), st.integers(1, 5),
-       st.integers(1, 6))
-def test_linear_layernorm_gelu_equals_composition_bitwise(seed, n, b, d_in, d):
+@_ENCODER_DRAWS
+def test_linear_layernorm_gelu_equals_inline_arithmetic_bitwise(seed, n, b, d_in, d, offset):
     rng = np.random.default_rng(seed)
-    x, w, bias, gain, shift = (
-        Tensor(rng.normal(0, s, shape), requires_grad=True)
-        for s, shape in ((1.0, (n, b, d_in)), (1.0, (n, d_in, d)), (0.5, (n, d)),
-                         (1.0, (n, d)), (0.5, (n, d))))
-    _assert_same_node(
-        lambda: gc.linear_layernorm_gelu(x, w, bias, gain, shift),
-        lambda: _per_slice(lambda *p: gc.gelu(gc.layernorm_affine(
-            gc.add(gc.matmul(p[0], p[1]), p[2]), p[3], p[4])), x, w, bias, gain, shift),
-        [x, w, bias, gain, shift], Tensor(rng.normal(0, 1, (n, b, d))))
+    leaves = _encoder_leaves(rng, n, b, d_in, d, offset)
+    weights = Tensor(rng.normal(0, 1, (n, b, d)))
+    got, want = (_value_and_grads(lambda: op(*leaves), leaves, weights)
+                 for op in (gc.linear_layernorm_gelu, linear_layernorm_gelu_inline))
+    assert got[0].tobytes() == want[0].tobytes()
+    assert [g.tobytes() for g in got[1]] == [g.tobytes() for g in want[1]]
+
+
+def _encoder_rounding_bounds(x, w, b, gain, bias, g):
+    """First-order bounds on how far the fused encoder's value and its five
+    gradients (x, w, b, gain, bias) may lie from the op-by-op composition's
+    for the upstream gradient g: each side's rounding, propagated.
+
+    Both sides remove a row's mean from the linear output, the composition
+    after the product and the fused op through the weights, so each leaves
+    in the deviations a rounding error of about (d_in + d_h) eps times the
+    row's magnitude before the removal, ``m``. The layer norm divides it by
+    the row's std, so it reaches xhat as a relative error ``err`` of the
+    row, times (1 + |xhat|); the GELU's slope is at most 1.13 and its
+    curvature 0.8, so the value and each gradient term carry that relative
+    error of their magnitudes, computed here from absolute values. Each sum
+    over the batch or the row adds its length times eps."""
+    eps = np.finfo(np.float64).eps
+    n_b, d = x.shape[1], w.shape[-1]
+    h = x @ w + b[:, None, :]
+    inv = 1.0 / np.sqrt(h.var(axis=-1, keepdims=True) + 1e-5)
+    xhat = (h - h.mean(axis=-1, keepdims=True)) * inv
+    a, ag = 1.0 + np.abs(xhat), np.abs(gain)[:, None, :]
+    y = gain[:, None, :] * xhat + bias[:, None, :]
+    m = (np.abs(x) @ np.abs(w).max(axis=-1, keepdims=True)
+         + np.abs(b).max(axis=-1)[:, None, None])
+    err = (x.shape[-1] + d + 4) * eps * (1.0 + m * inv)
+    value = err * a * (ag + np.abs(bias)[:, None, :]) * (1.0 + np.abs(y))
+    ga = np.abs(g) * (1.0 + ag) * a
+    dgain = ((err + n_b * eps) * ga * a).sum(axis=1)
+    dbias = ((err + n_b * eps) * ga).sum(axis=1)
+    ua = inv * (ga * (1.0 + ag) + a * (ga * (1.0 + ag) * a).mean(axis=-1, keepdims=True))
+    ua = ua + ua.max(axis=-1, keepdims=True)
+    dw = np.abs(x).transpose(0, 2, 1) @ ((err + (n_b + d) * eps) * ua)
+    db = ((err + (n_b + d) * eps) * ua).sum(axis=1)
+    dx = ((err + (d + 2) * eps) * ua.sum(axis=-1, keepdims=True)
+          * 2.0 * np.abs(w).max(axis=-1)[:, None, :])
+    return value, [dx, dw, db, dgain, dbias]
+
+
+@settings(max_examples=60, deadline=None)
+@_ENCODER_DRAWS
+def test_linear_layernorm_gelu_matches_composition_within_row_rounding(seed, n, b, d_in, d,
+                                                                       offset):
+    # over 20000 draws of these shapes the largest difference came to 0.09 of
+    # the bound, for the value
+    rng = np.random.default_rng(seed)
+    leaves = _encoder_leaves(rng, n, b, d_in, d, offset)
+    weights = Tensor(rng.normal(0, 1, (n, b, d)))
+    (got, got_grads), (want, want_grads) = (
+        _value_and_grads(op, leaves, weights)
+        for op in (lambda: gc.linear_layernorm_gelu(*leaves), lambda: _composed_encoder(*leaves)))
+    value, grads = _encoder_rounding_bounds(*(t.data for t in leaves), weights.data)
+    assert (np.abs(got - want) <= value).all()
+    for name, g, w, bound in zip("x w b gain bias".split(), got_grads, want_grads, grads):
+        assert (np.abs(g - w) <= bound).all(), name
 
 
 @settings(max_examples=40, deadline=None)
@@ -475,22 +551,25 @@ def test_linear_shape_mismatch():
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 140), st.integers(1, 40))
 def test_layernorm_statistics_are_einsum_sums_bitwise_and_numpys_mean_and_var_within_eps(
         seed, n, b, d):
-    # the layer norm sums each row with einsum, and takes the variance as a
-    # fused dot of the deviations, which it computes once
+    # layernorm_affine removes each row's einsum mean; the layer norm takes
+    # the variance of those deviations as a fused dot and hands back the row
+    # gradient before the mean removal, which layernorm_affine centres
     rng = np.random.default_rng(seed)
     x = rng.normal(0, 3, (n, b, d)) + rng.normal(0, 100, (n, b, 1))
     gain, bias, g = rng.normal(0, 1, (n, d)), rng.normal(0, 1, (n, d)), rng.normal(0, 1, x.shape)
-    out, xhat, inv = gc._layernorm_forward(x, gain, bias, 1e-5)
     dev = x - np.einsum("...d->...", x)[..., None] / d
+    assert gc._centred(x).tobytes() == dev.tobytes()
+    out, xhat, inv = gc._layernorm_forward(dev, gain, bias, 1e-5)
     want_inv = 1.0 / np.sqrt(np.einsum("...d,...d->...", dev, dev)[..., None] / d + 1e-5)
     want_xhat = dev * want_inv
     assert inv.tobytes() == want_inv.tobytes() and xhat.tobytes() == want_xhat.tobytes()
     assert out.tobytes() == (gain[:, None, :] * want_xhat + bias[:, None, :]).tobytes()
     gy = g * gain[:, None, :]
-    want_dx = (gy - np.einsum("...d->...", gy)[..., None] / d
-               - xhat * (np.einsum("...d,...d->...", gy, xhat)[..., None] / d)) * inv
-    dgain, dbias, dx = gc._layernorm_backward(g, gain, xhat, inv)
-    assert dx.tobytes() == want_dx.tobytes()
+    want_ddev = (gy - xhat * (np.einsum("...d,...d->...", gy, xhat)[..., None] / d)) * inv
+    dgain, dbias, ddev = gc._layernorm_backward(g, gain, xhat, inv)
+    assert ddev.tobytes() == want_ddev.tobytes()
+    dx = gc._centred(ddev)
+    assert dx.tobytes() == (want_ddev - np.einsum("...d->...", want_ddev)[..., None] / d).tobytes()
     assert dgain.tobytes() == np.einsum("...bd,...bd->...d", g, xhat).tobytes()
     assert dbias.tobytes() == np.einsum("...bd->...d", g).tobytes()
     # np.mean and np.var sum in another order: each differs from the einsum
@@ -500,12 +579,15 @@ def test_layernorm_statistics_are_einsum_sums_bitwise_and_numpys_mean_and_var_wi
     eps = np.finfo(np.float64).eps
     mu, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
     np.testing.assert_allclose(inv, 1.0 / np.sqrt(var + 1e-5), rtol=(d + 2) * eps, atol=0.0)
-    tol = d * eps * np.abs(x).max(axis=-1, keepdims=True) * inv
-    assert (np.abs(xhat - (x - mu) / np.sqrt(var + 1e-5)) <= tol).all()
+    kappa = np.abs(x).max(axis=-1, keepdims=True) * inv
+    assert (np.abs(xhat - (x - mu) / np.sqrt(var + 1e-5)) <= d * eps * kappa).all()
+    # centring the row gradient removes m1 = mean(gy) and, with it,
+    # m2 * mean(xhat), where the rounded xhat's row mean is up to
+    # d * eps * kappa rather than 0
     numpys_dx = (gy - gy.mean(axis=-1, keepdims=True)
                  - xhat * (gy * xhat).mean(axis=-1, keepdims=True)) * inv
     tol = (d * eps * np.abs(gy).max(axis=-1, keepdims=True)
-           * np.maximum(np.abs(xhat).max(axis=-1, keepdims=True), 1.0) * inv)
+           * np.maximum(np.abs(xhat).max(axis=-1, keepdims=True), 1.0) * inv * (1.0 + kappa))
     assert (np.abs(dx - numpys_dx) <= tol).all()
 
 
@@ -522,15 +604,92 @@ def test_overflowing_layer_norm_variance_is_numeric_error():
 
 def test_gelu_constant_is_shared_by_the_fused_encoder(monkeypatch):
     rng = np.random.default_rng(2)
-    x, w = Tensor(rng.normal(0, 1, (1, 4, 3))), Tensor(rng.normal(0, 1, (1, 3, 5)))
-    b, gain, shift = Tensor(np.zeros((1, 5))), Tensor(np.ones((1, 5))), Tensor(np.zeros((1, 5)))
-    before = gc.linear_layernorm_gelu(x, w, b, gain, shift).data
+    leaves = _encoder_leaves(rng, 1, 4, 3, 5, 0.0)
+    before = gc.linear_layernorm_gelu(*leaves).data
     monkeypatch.setattr(gc, "_GELU_A", 0.0449)
-    after = gc.linear_layernorm_gelu(x, w, b, gain, shift).data
-    assert not np.array_equal(before, after)
-    linear = gc.linear(Tensor(x.data[0]), Tensor(w.data[0]), b.data[0])
-    composed = gc.gelu(gc.layernorm_affine(linear, gain.data[0], shift.data[0]))
-    assert np.array_equal(after[0], composed.data)
+    after = gc.linear_layernorm_gelu(*leaves).data
+    assert after.tobytes() == linear_layernorm_gelu_inline(*leaves).data.tobytes()
+    # gelu reads the patched constant too: the composition moves with the
+    # fused op, by far more than their rounding bound
+    value, _ = _encoder_rounding_bounds(*(t.data for t in leaves), np.ones(after.shape))
+    assert (np.abs(after - _composed_encoder(*leaves).data) <= value).all()
+    assert (np.abs(after - before) > value).any()
+
+
+# inputs where exp overflows (below about -21), the tail before it, and a
+# large positive input, where the exp is 0
+_GELU_TAIL = np.concatenate([np.linspace(-40.0, -20.0, 201), [-1e3, 1e3]])
+
+
+def test_gelu_tail_is_finite_and_reaches_its_limits_without_warnings():
+    x = Tensor(_GELU_TAIL, requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = gc.gelu(x)
+        gc.backward(gc.tsum(out))
+    assert np.isfinite(out.data).all() and np.isfinite(x.grad).all()
+    tail = _GELU_TAIL < 0.0
+    assert (out.data[tail] <= 0.0).all() and (np.abs(out.data[tail]) < 1e-250).all()
+    assert (np.abs(x.grad[tail]) < 1e-250).all()
+    # the limits: -0.0 and a slope of 0 where exp overflows, x and 1 at 1e3
+    gone = _GELU_TAIL < -22.0
+    assert np.signbit(out.data[gone]).all() and (out.data[gone] == 0.0).all()
+    assert (x.grad[gone] == 0.0).all()
+    assert out.data[-1] == 1e3 and x.grad[-1] == 1.0
+
+
+@pytest.mark.parametrize("gain", [0.0, 1.0])
+def test_linear_layernorm_gelu_tail_is_finite_and_reaches_its_limits_without_warnings(gain):
+    # the GELU's input is gain * xhat + shift, with |xhat| <= 2 over 5 columns,
+    # so the norm's shift puts each column in the tail or at 1e3
+    shift = np.array([-1e3, -40.0, -30.0, -20.0, 1e3])
+    rng = np.random.default_rng(11)
+    n, b = 2, 7
+    leaves = [Tensor(a, requires_grad=True)
+              for a in (rng.normal(0, 1, (n, b, 3)), rng.normal(0, 1, (n, 3, 5)),
+                        rng.normal(0, 1, (n, 5)), np.full((n, 5), gain), np.tile(shift, (n, 1)))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = gc.linear_layernorm_gelu(*leaves)
+        gc.backward(gc.tsum(out))
+    assert np.isfinite(out.data).all() and all(np.isfinite(t.grad).all() for t in leaves)
+    assert (out.data[..., :4] <= 0.0).all() and (np.abs(out.data[..., :4]) < 1e-150).all()
+    # the shift's gradient sums the GELU's slope over the batch: 0 where the
+    # exp overflows, one per row at 1e3
+    gone = out.data[..., :2]
+    assert np.signbit(gone).all() and (gone == 0.0).all()
+    assert (leaves[4].grad[:, :2] == 0.0).all() and (leaves[4].grad[:, 4] == b).all()
+    if gain == 0.0:
+        assert (out.data[..., 4] == 1e3).all()
+
+
+@settings(max_examples=40, deadline=None)
+@_ENCODER_DRAWS
+def test_linear_layernorm_gelu_weight_and_bias_gradients_have_zero_mean_over_d_h(
+        seed, n, b, d_in, d, offset):
+    # the layer norm is blind to a shift common to every column of x @ w + b,
+    # so the exact gradients of w and b have zero mean over d_h. The node
+    # centres them, which leaves a mean of at most (d + 2) eps times the
+    # largest uncentred entry, itself at most |x|^T |u| and sum_b |u| for the
+    # row gradient u before the layer norm's centring (the last factor 2
+    # covers the rounding of the u and the sums the node computes)
+    rng = np.random.default_rng(seed)
+    leaves = _encoder_leaves(rng, n, b, d_in, d, offset)
+    weights = Tensor(rng.normal(0, 1, (n, b, d)))
+    _, grads = _value_and_grads(lambda: gc.linear_layernorm_gelu(*leaves), leaves, weights)
+    x, w, bias, gain, shift = (t.data for t in leaves)
+    h = x @ w + bias[:, None, :]
+    inv = 1.0 / np.sqrt(h.var(axis=-1, keepdims=True) + 1e-5)
+    xhat = (h - h.mean(axis=-1, keepdims=True)) * inv
+    y = gain[:, None, :] * xhat + shift[:, None, :]
+    t = np.tanh(gc._GELU_C * (y + gc._GELU_A * y**3))
+    slope = 0.5 * (1.0 + t) + 0.5 * y * (1.0 - t**2) * gc._GELU_C * (1.0 + 3 * gc._GELU_A * y**2)
+    gy = weights.data * slope * gain[:, None, :]
+    u = np.abs(gy - xhat * (gy * xhat).mean(axis=-1, keepdims=True)) * inv
+    tol = 2.0 * (d + 2) * np.finfo(np.float64).eps
+    assert (np.abs(grads[1].mean(axis=-1))
+            <= tol * (np.abs(x).transpose(0, 2, 1) @ u).max(axis=-1)).all()
+    assert (np.abs(grads[2].mean(axis=-1)) <= tol * u.sum(axis=1).max(axis=-1)).all()
 
 
 # -- long-axis reductions --------------------------------------------------
