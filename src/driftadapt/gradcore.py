@@ -18,7 +18,10 @@ centroid stack in one node. Stacked matmuls, batch-axis sums and last-axis
 reductions run slice by slice with the float operations of the unstacked
 ones, so a stacked node's values and gradients are bit for bit those of one
 node per slice; ``unstack`` gives per-slice nodes where a caller holds one
-tensor per modality.
+tensor per modality. Pretraining adds a leading seed axis: the encoder runs
+over S x n x B x d_in with S x n weight stacks, and ``attention_pool``,
+``linear`` and ``cross_entropy`` take S slices with S stacks of weights
+(or S rows of labels), bit for bit S calls of their own.
 
 Every softmax runs ``softmax_array`` and every clamped log
 ``log_clamped_array``; the fused ops share those and the cosine arithmetic
@@ -324,12 +327,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def _linear_inputs(x, w, b):
     """Checks ``x @ w + b``: a B x d or n x B x d input times a d x h weight,
-    or an n x B x d input times an n x d x h stack of weights, plus a bias
-    of shape h or n x h to match the weight."""
+    or an L x B x d input times an L x d x h stack of weights with the
+    input's leading axes L, plus a bias of shape h or L x h to match the
+    weight."""
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     xs, ws = x.data.shape, w.data.shape
-    if (x.data.ndim not in (2, 3) or w.data.ndim not in (2, 3) or xs[-1] != ws[-2]
-            or (w.data.ndim == 3 and (x.data.ndim != 3 or xs[0] != ws[0]))
+    if (x.data.ndim < 2 or w.data.ndim < 2 or xs[-1] != ws[-2]
+            or (x.data.ndim > 3 and w.data.ndim == 2)
+            or (w.data.ndim > 2 and xs[:-2] != ws[:-2])
             or b.data.shape != ws[:-2] + ws[-1:]):
         raise ContractError(f"linear shapes incompatible: {xs} x {ws} + {b.data.shape}")
     return x, w, b
@@ -357,7 +362,8 @@ def _linear_backward(g, x: Tensor, w: Tensor, b: Tensor):
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for a B x d input, or for each slice of an n x B x d stack,
-    and a bias of length w's column count."""
+    and a bias of length w's column count; an L x d x h weight stack and an
+    L x h bias score slice i of an L x B x d input through slice i of each."""
     x, w, b = _linear_inputs(x, w, b)
 
     def bwd(g):
@@ -429,46 +435,54 @@ def attention_pool(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     the backward two nB-row products (``rows.T @ dP`` for the projections and
     ``dP @ M.T`` for the tokens) where a projection-by-projection form runs
     six. One graph node; frozen projections get no gradient.
+
+    With a leading seed axis, S x n x B x d tokens and S x d x d_k,
+    S x d x d_k and S x d x d_v projections give S x B x d_v: slice s is the
+    attention of token slice s through projection slice s, bit for bit one
+    call per slice, since every product runs slice by slice and every other
+    operation row by row.
     """
     x, wq, wk, wv = _wrap(x), _wrap(wq), _wrap(wk), _wrap(wv)
-    if x.data.ndim != 3 or x.data.shape[0] == 0:
-        raise ContractError(f"attention tokens must be an n x B x d stack, got {x.data.shape}")
-    n, b, d = x.data.shape
-    if (wq.data.ndim != 2 or wq.data.shape != wk.data.shape
-            or wq.data.shape[0] != d or wv.data.ndim != 2 or wv.data.shape[0] != d):
+    if x.data.ndim not in (3, 4) or x.data.shape[-3] == 0:
+        raise ContractError(f"attention tokens must be an [S x] n x B x d stack, "
+                            f"got {x.data.shape}")
+    *lead, n, b, d = x.data.shape
+    lead = tuple(lead)
+    if (wq.data.shape[:-1] != lead + (d,) or wq.data.shape != wk.data.shape
+            or wv.data.shape[:-1] != lead + (d,)):
         raise ContractError(
             f"attention projections {wq.data.shape}/{wk.data.shape}/{wv.data.shape} "
-            f"do not fit token dim {d}"
+            f"do not fit tokens {x.data.shape}"
         )
-    rows = x.data.transpose(1, 0, 2).reshape(b * n, d)   # sample-major tokens
-    toks = rows.reshape(b, n, d)
-    m = wq.data @ wk.data.T
-    p = (rows @ m).reshape(b, n, d)
-    scale = 1.0 / np.sqrt(wq.data.shape[1])
-    attn = softmax_array((p @ toks.transpose(0, 2, 1)) * scale)
-    c = sum_last(np.swapaxes(attn, 1, 2))                  # B x n, summed over queries
-    u = np.einsum("bj,bjd->bd", c, toks)
+    rows = x.data.swapaxes(-3, -2).reshape(lead + (b * n, d))   # sample-major tokens
+    toks = rows.reshape(lead + (b, n, d))
+    m = wq.data @ wk.data.swapaxes(-1, -2)
+    p = (rows @ m).reshape(toks.shape)
+    scale = 1.0 / np.sqrt(wq.data.shape[-1])
+    attn = softmax_array((p @ toks.swapaxes(-1, -2)) * scale)
+    c = sum_last(attn.swapaxes(-1, -2))                     # [S x] B x n, summed over queries
+    u = np.einsum("...j,...jd->...d", c, toks)
     out_data = (u @ wv.data) * (1.0 / n)
 
     def bwd(g):
         g = g * (1.0 / n)
         if wv.requires_grad:
-            _accum(wv, u.T @ g)
-        du = g @ wv.data.T
+            _accum(wv, u.swapaxes(-1, -2) @ g)
+        du = g @ wv.data.swapaxes(-1, -2)
         # every query row i gets d(attn)_ij = dc_j = x_j . du
-        dc = np.einsum("bjd,bd->bj", toks, du)[:, None, :]
+        dc = np.einsum("...jd,...d->...j", toks, du)[..., None, :]
         ds = attn * (dc - sum_last(attn * dc, keepdims=True)) * scale
-        dp = (ds @ toks).reshape(b * n, d)
+        dp = (ds @ toks).reshape(rows.shape)
         if wq.requires_grad or wk.requires_grad:
-            dm = rows.T @ dp
+            dm = rows.swapaxes(-1, -2) @ dp
             if wq.requires_grad:
                 _accum(wq, dm @ wk.data)
             if wk.requires_grad:
-                _accum(wk, dm.T @ wq.data)
+                _accum(wk, dm.swapaxes(-1, -2) @ wq.data)
         if x.requires_grad:
-            dx = ((dp @ m.T).reshape(b, n, d) + ds.transpose(0, 2, 1) @ p
-                  + c[:, :, None] * du[:, None, :])
-            _accum(x, dx.transpose(1, 0, 2))
+            dx = ((dp @ m.swapaxes(-1, -2)).reshape(toks.shape) + ds.swapaxes(-1, -2) @ p
+                  + c[..., None] * du[..., None, :])
+            _accum(x, dx.swapaxes(-3, -2))
 
     return _make(out_data, (x, wq, wk, wv), bwd)
 
@@ -695,11 +709,13 @@ def linear_layernorm_gelu(x: Tensor, w: Tensor, b: Tensor, gain: Tensor, bias: T
     """gelu(layernorm_affine(x @ w + b, gain, bias)) of each slice of a stack,
     as one graph node.
 
-    ``x`` is n x B x d_in, ``w`` n x d_in x d_h, and ``b``, ``gain`` and
-    ``bias`` n x d_h: slice i of the output is slice i of the input through
-    slice i of every parameter. A layer norm right after a linear layer sees
-    only the weights centred over d_h: the row mean of ``x @ w + b`` is
-    ``x @ mean(w) + mean(b)``, so the deviations are ``x @ wc + bc`` with
+    ``x`` is L x B x d_in, ``w`` L x d_in x d_h, and ``b``, ``gain`` and
+    ``bias`` L x d_h, for leading axes L such as n modalities or S x n
+    (seeds by modalities): slice i of the output is slice i of the input
+    through slice i of every parameter. A layer norm right after a linear
+    layer sees only the weights centred over d_h: the row mean of
+    ``x @ w + b`` is ``x @ mean(w) + mean(b)``, so the deviations are
+    ``x @ wc + bc`` with
     ``wc`` and ``bc`` the parameters minus their mean over d_h, and no
     B x d_h mean is taken. In the backward the uncentred row gradient of
     ``_layernorm_backward`` flows to the weight and bias gradients, which are
@@ -712,13 +728,13 @@ def linear_layernorm_gelu(x: Tensor, w: Tensor, b: Tensor, gain: Tensor, bias: T
     where it ran 24.
     """
     x, w, b = _linear_inputs(x, w, b)
-    if w.data.ndim != 3:
+    if w.data.ndim < 3:
         raise ContractError(
-            f"linear_layernorm_gelu expects an n x d_in x d_h weight stack, got {w.data.shape}"
+            f"linear_layernorm_gelu expects an L x d_in x d_h weight stack, got {w.data.shape}"
         )
     gain, bias = _layernorm_inputs(gain, bias, b.data.shape)
     wc = _centred(w.data)
-    y, xhat, inv = _layernorm_forward(x.data @ wc + _centred(b.data)[:, None, :], gain.data,
+    y, xhat, inv = _layernorm_forward(x.data @ wc + _centred(b.data)[..., None, :], gain.data,
                                       bias.data, _LN_EPS)
     out_data, y2, den = _gelu_forward(y)
 
@@ -828,25 +844,39 @@ def max_cosine(features: Tensor, centroids: np.ndarray, norms=None):
     return _make(out_data, (features,), bwd), idx
 
 
-def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean cross entropy of row-wise softmax(logits) against integer labels."""
+def cross_entropy(logits: Tensor, labels, means=None) -> Tensor:
+    """Mean cross entropy of row-wise softmax(logits) against integer labels.
+
+    With a leading seed axis, S x B x C logits and S x B labels, the value is
+    the sum of the S per-slice means, so slice s of the gradient is the
+    gradient of its own mean; each mean and each gradient slice is bit for
+    bit one call per slice. ``means``, an array of S entries, receives the
+    per-slice means when given.
+    """
     logits = _wrap(logits)
     labels = np.asarray(labels, dtype=np.intp)
-    n = logits.data.shape[0]
-    if labels.shape != (n,):
-        raise ContractError(f"labels shape {labels.shape} does not match batch {n}")
+    if logits.data.ndim not in (2, 3) or labels.shape != logits.data.shape[:-1]:
+        raise ContractError(f"labels shape {labels.shape} does not match logits "
+                            f"{logits.data.shape}")
+    n, k = logits.data.shape[-2:]
+    # one row per (slice, sample) of the flattened logits; the label's column
+    # in each
+    picks = (np.arange(labels.size), labels.ravel())
     z = logits.data - max_last(logits.data, keepdims=True)
     e = np.exp(z)
     total = sum_last(e)
-    loss = float(np.mean(np.log(total) - z[np.arange(n), labels]))
-    p = e / total[:, None]
+    slice_means = np.mean(np.log(total) - z.reshape(-1, k)[picks].reshape(labels.shape),
+                          axis=-1)
+    if means is not None:
+        means[...] = slice_means
+    p = e / total[..., None]
 
     def bwd(g):
         onehot = np.zeros_like(p)
-        onehot[np.arange(n), labels] = 1.0
+        onehot.reshape(-1, k)[picks] = 1.0
         _accum(logits, g * (p - onehot) / n)
 
-    return _make(np.asarray(loss), (logits,), bwd)
+    return _make(np.asarray(slice_means.sum()), (logits,), bwd)
 
 
 # -- gradient checking ----------------------------------------------------

@@ -63,20 +63,31 @@ def model_dims(cfg: ExperimentConfig) -> ModelDims:
     return ModelDims(cfg.benchmark.d_in, cfg.d_h, cfg.n_classes)
 
 
+def _sources(cfg: ExperimentConfig):
+    """(stacked features, labels) of each seed's source domain, built when
+    asked for, so that pretraining never holds every raw domain at once."""
+    for seed in cfg.seeds:
+        source = build_domain(cfg, seed, "source")
+        yield source.stack, source.labels
+
+
 @_quiet_floats
 def cmd_pretrain(cfg: ExperimentConfig, out_dir) -> dict:
     """Pretrain one source model per seed; writes checkpoints + summary.
-    Of the ``adapt`` block, only ``batch_size`` reaches a checkpoint."""
+
+    The seeds' models train together, in one ``pretrain_source`` call whose
+    every step is one stacked step for all of them; each checkpoint is the
+    one that training its seed alone writes. Of the ``adapt`` block, only
+    ``batch_size`` reaches a checkpoint."""
     cfg.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    models = [SourceModel(model_dims(cfg), seed=seed) for seed in cfg.seeds]
+    results = pretrain_source(models, _sources(cfg), epochs=cfg.pretrain_epochs,
+                              batch_size=cfg.adapt.batch_size,
+                              seeds=[PRETRAIN_SEED_OFFSET + seed for seed in cfg.seeds])
     summary = {"version": __version__, "config": cfg.recorded(), "seeds": {}}
-    for seed in cfg.seeds:
-        source = build_domain(cfg, seed, "source")
-        model = SourceModel(model_dims(cfg), seed=seed)
-        result = pretrain_source(model, source.stack, source.labels,
-                                 epochs=cfg.pretrain_epochs, batch_size=cfg.adapt.batch_size,
-                                 seed=PRETRAIN_SEED_OFFSET + seed)
+    for seed, model, result in zip(cfg.seeds, models, results):
         model.save(checkpoint_path(out, seed))
         summary["seeds"][str(seed)] = {
             "holdout_accuracy": result.holdout_accuracy,

@@ -14,6 +14,10 @@ The classifier scores both the fused representation and each modality
 embedding (shared weights). At test time only the encoder's linear layers
 and normalization affine parameters are trainable; the fusion block and
 classifier stay frozen.
+
+``pretrain_source`` trains the models of several seeds as one: a model
+whose every parameter stacks theirs on a leading seed axis runs the same
+block forward code on an S x 3 x B x d_in batch, one graph node per block.
 """
 
 from __future__ import annotations
@@ -60,7 +64,8 @@ class ModalityEncoder:
         self.norm_bias = Tensor(np.zeros((n, d_h)), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        """3 x B x d_h features of a standardized 3 x B x d_in input."""
+        """3 x B x d_h features of a standardized 3 x B x d_in input, or
+        S x 3 x B x d_h of S x 3 x B x d_in through S x 3 weight stacks."""
         return gc.linear_layernorm_gelu(x, self.weight, self.bias,
                                         self.norm_gain, self.norm_bias)
 
@@ -90,7 +95,9 @@ class FusionBlock:
         self.wv = Tensor(rng.normal(0.0, scale, (d_h, d_h)), requires_grad=True)
 
     def forward(self, features: Tensor) -> Tensor:
-        """B x d_h pooled representation of 3 x B x d_h features."""
+        """B x d_h pooled representation of 3 x B x d_h features, or
+        S x B x d_h of S x 3 x B x d_h features through S x d_h x d_h
+        projections."""
         return gc.attention_pool(features, self.wq, self.wk, self.wv)
 
     def parameters(self) -> dict:
@@ -104,7 +111,8 @@ class Classifier:
         self.bias = Tensor(np.zeros(n_classes), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        """Logits of B x d_h rows, or of each slice of a 3 x B x d_h stack."""
+        """Logits of B x d_h rows, or of each slice of a 3 x B x d_h stack;
+        an S x d_h x C weight scores slice s of S x B x d_h rows."""
         return gc.linear(x, self.weight, self.bias)
 
     def parameters(self) -> dict:
@@ -271,49 +279,114 @@ class PretrainResult:
     holdout_accuracy: float = 0.0
 
 
-def pretrain_source(model: SourceModel, features, labels: np.ndarray,
-                    epochs: int, batch_size: int, seed: int) -> PretrainResult:
-    """Supervised pretraining with cross entropy on the fused logits of
-    ``features``, stacked or by modality (see ``stack_modalities``), by AdamW
-    at ``PRETRAIN_LR`` and ``PRETRAIN_WEIGHT_DECAY``.
+def _stacked(models) -> SourceModel:
+    """A model whose every parameter stacks the models' own on a new leading
+    axis, slice i being model i's; it runs their blocks' forward code on a
+    stacked input, and its input statistics are unused."""
+    stacked = SourceModel(models[0].dims)
+    own = [m.named_parameters() for m in models]
+    for name, p in stacked.named_parameters().items():
+        p.data = np.stack([params[name].data for params in own])
+    return stacked
 
-    Standardization stats are estimated from the training split, which is
-    standardized once; each step gathers its rows from that 3 x n x d_in
-    array. The last ``HOLDOUT_FRAC`` of the data is held out for the
-    reported accuracy.
+
+def _split_rows(model: SourceModel, features, labels, seed: int):
+    """(standardized 3 x n_train x d_in training rows, training labels, raw
+    held-out features, held-out labels) of one model's data, whose input
+    statistics are set from the training rows. Features and labels of
+    different row counts are a ContractError."""
+    x, labels = stack_modalities(features), np.asarray(labels)
+    if labels.shape != x.shape[1:2]:
+        raise ContractError(f"seed {seed} has {x.shape[1]} feature rows and labels of "
+                            f"shape {labels.shape}")
+    n_train = x.shape[1] - int(round(x.shape[1] * HOLDOUT_FRAC))
+    model.set_input_stats(x[:, :n_train])
+    return (model.standardize(x[:, :n_train]), labels[:n_train],
+            x[:, n_train:].copy(), labels[n_train:])
+
+
+def pretrain_source(models, data, epochs: int, batch_size: int, seeds) -> list:
+    """Supervised pretraining of every model in lockstep, with cross entropy
+    on the fused logits, by AdamW at ``PRETRAIN_LR`` and
+    ``PRETRAIN_WEIGHT_DECAY``; one PretrainResult per model.
+
+    ``data`` holds one (features, labels) pair per model, features stacked or
+    by modality (see ``stack_modalities``), all of one row count and every
+    model of the same dims, else a ContractError before any step. Pairs are
+    read one at a time and none is kept once standardized, so a lazy caller
+    never holds every raw data set at once. Each model's input statistics
+    come from its training split; its last ``HOLDOUT_FRAC`` of rows is held
+    out for its reported accuracy.
+
+    Each step gathers every model's batch, by its own permutation from
+    ``seeds[i]``, into one S x 3 x B x d_in array for a model whose
+    parameters stack theirs (``_stacked``): one encoder, attention,
+    classifier and ``cross_entropy`` node (the sum of the per-model means),
+    one backward and one AdamW step. Every stacked op is bit for bit its
+    per-slice op, so each model ends as if trained alone, its parameters its
+    slices of the stacked storage.
     """
-    n = labels.shape[0]
-    n_hold = int(round(n * HOLDOUT_FRAC))
-    n_train = n - n_hold
-    x = stack_modalities(features)
-    train_feat, hold_feat = x[:, :n_train], x[:, n_train:]
-    train_y = labels[:n_train]
-    hold_y = labels[n_train:]
+    models, seeds = list(models), list(seeds)
+    if len(seeds) != len(models):
+        raise ContractError(f"{len(models)} models but {len(seeds)} seeds")
+    if any(m.dims != models[0].dims for m in models):
+        raise ContractError("the models to pretrain together have different dims")
+    data = iter(data)
+    splits = [_split_rows(model, *pair, seed) for model, seed, pair in zip(models, seeds, data)]
+    if len(splits) != len(models) or next(data, None) is not None:
+        raise ContractError(f"{len(models)} models need as many (features, labels) pairs")
+    if not models:
+        return []
+    rows = [len(y) + len(hold_y) for _, y, _, hold_y in splits]
+    if len(set(rows)) > 1:
+        raise ContractError(f"the seeds' data have {rows} rows; every seed's data has one "
+                            "row count")
+    train_x, train_y, holds, hold_ys = zip(*splits)
+    del splits   # so that each model's training rows are freed once stacked
+    train_x, train_y = np.stack(train_x), np.stack(train_y)
+    n_seeds, n_train = train_y.shape
+    # row offsets of every (model, modality) slice and every model's labels
+    # in the flattened training arrays, so one take gathers a step's batch
+    x_rows = train_x.reshape(-1, train_x.shape[-1])
+    x_start = n_train * np.arange(n_seeds * len(MODALITIES)).reshape(n_seeds, -1, 1)
+    y_start = n_train * np.arange(n_seeds)[:, None]
+    y_rows = train_y.reshape(-1)
 
-    model.set_input_stats(train_feat)
-    train_x = model.standardize(train_feat)
-    opt = AdamW(model.named_parameters(), PRETRAIN_LR, PRETRAIN_WEIGHT_DECAY)
-    rng = np.random.default_rng(seed)
-    result = PretrainResult()
+    stacked = _stacked(models)
+    opt = AdamW(stacked.named_parameters(), PRETRAIN_LR, PRETRAIN_WEIGHT_DECAY)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    results = [PretrainResult() for _ in models]
+    step_loss = np.empty(n_seeds)
     starts = range(0, n_train, batch_size)
     for epoch in range(epochs):
-        order = rng.permutation(n_train)
-        epoch_loss = 0.0
+        order = np.stack([rng.permutation(n_train) for rng in rngs])
+        epoch_loss = np.zeros(n_seeds)
         for start in starts:
-            idx = order[start : start + batch_size]
-            model.zero_grad()
-            logits = model.head(model.encoder.forward(Tensor(train_x.take(idx, axis=1))))
-            loss = gc.cross_entropy(logits, train_y[idx])
+            idx = order[:, start : start + batch_size]
+            stacked.zero_grad()
+            # the last step's graph lives until this step's loss is built.
+            # Freed at the end of its own step, it left a free top of the heap
+            # that glibc trimmed and faulted back in at every step: 236k
+            # minor faults in a fresh process's 3-seed severe pretrain, not 15k
+            logits = stacked.head(stacked.encoder.forward(
+                Tensor(x_rows.take(x_start + idx[:, None, :], axis=0))))
+            loss = gc.cross_entropy(logits, y_rows.take(y_start + idx), means=step_loss)
             if not np.isfinite(loss.data):
                 raise DivergenceError(f"non-finite pretraining loss at epoch {epoch}")
             gc.backward(loss)
             opt.step()
-            epoch_loss += loss.item()
-        result.losses.append(epoch_loss / max(len(starts), 1))
-    if n_hold:
-        preds = predict(model, hold_feat)
-        result.holdout_accuracy = float(np.mean(preds == hold_y))
-    return result
+            epoch_loss += step_loss
+        for result, mean_loss in zip(results, epoch_loss / max(len(starts), 1)):
+            result.losses.append(float(mean_loss))
+
+    stacked_params = stacked.named_parameters()
+    for i, (model, result) in enumerate(zip(models, results)):
+        for name, p in model.named_parameters().items():
+            p.data = stacked_params[name].data[i]
+        if len(hold_ys[i]):
+            preds = predict(model, holds[i])
+            result.holdout_accuracy = float(np.mean(preds == hold_ys[i]))
+    return results
 
 
 def predict(model: SourceModel, features) -> np.ndarray:

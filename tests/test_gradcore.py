@@ -335,6 +335,21 @@ def test_attention_pool_shape_mismatch():
         gc.attention_pool(Tensor(np.ones((0, 2, 3))), w, w, w)    # no tokens
     with pytest.raises(ContractError):
         gc.attention_pool(Tensor(np.ones((3, 2, 4))), w, w, w)
+    # a seed axis needs one projection stack per seed
+    with pytest.raises(ContractError):
+        gc.attention_pool(Tensor(np.ones((2, 3, 2, 3))), w, w, w)
+    ws = Tensor(np.ones((2, 3, 3)))
+    with pytest.raises(ContractError):
+        gc.attention_pool(Tensor(np.ones((3, 3, 2, 3))), ws, ws, ws)
+
+
+def test_cross_entropy_shape_mismatch():
+    with pytest.raises(ContractError):
+        gc.cross_entropy(Tensor(np.ones((4, 2))), [0, 1, 0])
+    with pytest.raises(ContractError):
+        gc.cross_entropy(Tensor(np.ones((2, 4, 2))), [0, 1, 0, 1])    # one label row
+    with pytest.raises(ContractError):
+        gc.cross_entropy(Tensor(np.ones((1, 2, 4, 2))), np.zeros((1, 2, 4), dtype=int))
 
 
 @settings(max_examples=80, deadline=None)
@@ -355,6 +370,73 @@ def test_attention_pool_softmax_equals_inline_arithmetic_bitwise(seed, n, b, d, 
     assert got[0].tobytes() == want[0].tobytes()
     assert ([None if g is None else g.tobytes() for g in got[1]]
             == [None if g is None else g.tobytes() for g in want[1]])
+
+
+def _assert_stack_equals_per_slice(op, stacks, weights):
+    """``op`` over leaves with a leading seed axis gives, in slice s of its
+    value and of every leaf's gradient, the bytes of ``op`` over slice s of
+    every leaf, signed zeros included; ``weights`` weigh the value for the
+    backward."""
+    value, grads = _value_and_grads(lambda: op(*stacks), stacks, weights)
+    for s in range(weights.data.shape[0]):
+        leaves = [Tensor(t.data[s], requires_grad=t.requires_grad) for t in stacks]
+        want, want_grads = _value_and_grads(lambda: op(*leaves), leaves, Tensor(weights.data[s]))
+        assert value[s].tobytes() == want.tobytes()
+        assert ([None if g is None else g[s].tobytes() for g in grads]
+                == [None if g is None else g.tobytes() for g in want_grads])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3), st.integers(1, 40),
+       st.integers(1, 6), st.integers(1, 5), st.sampled_from([0.1, 1.0, 30.0]), st.booleans())
+def test_attention_pool_over_seeds_equals_one_call_per_seed_bitwise(seed, n_seeds, n, b, d,
+                                                                     d_v, scale, frozen):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(0, scale, (n_seeds, n, b, d)), requires_grad=True)
+    wq, wk = (Tensor(rng.normal(0, 1, (n_seeds, d, d)), requires_grad=not frozen)
+              for _ in range(2))
+    wv = Tensor(rng.normal(0, 1, (n_seeds, d, d_v)), requires_grad=not frozen)
+    _assert_stack_equals_per_slice(gc.attention_pool, [x, wq, wk, wv],
+                                   Tensor(rng.normal(0, 1, (n_seeds, b, d_v))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 140), st.integers(1, 6),
+       st.integers(2, 4), st.sampled_from([1.0, 40.0]))
+def test_cross_entropy_over_seeds_equals_one_call_per_seed_bitwise(seed, n_seeds, b, d, c,
+                                                                   scale):
+    # the value is the sum of the per-seed means, which ``means`` receives;
+    # a scale of 40 makes some probabilities round to 0 or 1
+    rng = np.random.default_rng(seed)
+    logits = Tensor(rng.normal(0, scale, (n_seeds, b, c)), requires_grad=True)
+    labels = rng.integers(0, c, (n_seeds, b))
+    means = np.full(n_seeds, np.nan)
+    loss = gc.cross_entropy(logits, labels, means=means)
+    gc.backward(loss)
+    alone = [Tensor(logits.data[s], requires_grad=True) for s in range(n_seeds)]
+    for s, t in enumerate(alone):
+        one = gc.cross_entropy(t, labels[s])
+        gc.backward(one)
+        assert means[s].tobytes() == one.data.tobytes()
+        assert logits.grad[s].tobytes() == t.grad.tobytes()
+    assert loss.data.tobytes() == means.sum().tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 140), st.integers(1, 5),
+       st.integers(1, 6), st.integers(2, 4))
+def test_model_blocks_over_seeds_equal_one_call_per_seed_bitwise(seed, n_seeds, b, d_in, d, c):
+    # the encoder over S x 3 slices with S x 3 weight stacks, and the
+    # classifier with an S x d x c weight stack
+    rng = np.random.default_rng(seed)
+    leaves = [Tensor(rng.normal(0, 1, shape), requires_grad=True)
+              for shape in ((n_seeds, 3, b, d_in), (n_seeds, 3, d_in, d), (n_seeds, 3, d),
+                            (n_seeds, 3, d), (n_seeds, 3, d))]
+    _assert_stack_equals_per_slice(gc.linear_layernorm_gelu, leaves,
+                                   Tensor(rng.normal(0, 1, (n_seeds, 3, b, d))))
+    leaves = [Tensor(rng.normal(0, 1, shape), requires_grad=True)
+              for shape in ((n_seeds, b, d), (n_seeds, d, c), (n_seeds, c))]
+    _assert_stack_equals_per_slice(gc.linear, leaves, Tensor(rng.normal(0, 1, (n_seeds, b, c))))
 
 
 def test_unstack_rows_carry_their_gradients():

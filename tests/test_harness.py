@@ -124,6 +124,26 @@ def test_pretrain_checkpoints_byte_identical(tmp_path):
     assert a == b
 
 
+def test_pretrain_of_three_seeds_writes_what_each_seed_alone_writes(tmp_path):
+    # the seeds train as one stack; each checkpoint and summary entry is
+    # byte for byte that of a command on its seed alone
+    def entry(out, seed):
+        doc = json.loads((out / "pretrain_summary.json").read_text())
+        return json.dumps(doc["seeds"][str(seed)])
+
+    cfg = tiny_experiment()
+    cfg.seeds = [0, 1, 2]
+    together = tmp_path / "together"
+    harness.cmd_pretrain(cfg, together)
+    for seed in (0, 1, 2):
+        cfg.seeds = [seed]
+        alone = tmp_path / f"alone{seed}"
+        harness.cmd_pretrain(cfg, alone)
+        assert (harness.checkpoint_path(together, seed).read_bytes()
+                == harness.checkpoint_path(alone, seed).read_bytes())
+        assert entry(together, seed) == entry(alone, seed)
+
+
 def test_pretrain_checkpoint_reads_no_adapt_optimizer_setting(tmp_path):
     # pretraining's lr and weight decay are model constants, so a sweep of
     # adaptation's optimizer settings trains the same source model

@@ -104,10 +104,23 @@ def test_pretrain_step_graph_budget(monkeypatch):
     make = gc._make
     monkeypatch.setattr(gc, "_make", lambda *args: made.append(1) or make(*args))
     features, labels = _separable_data(np.random.default_rng(1), n=128)
-    pretrain_source(tiny_model(), features, labels, epochs=2, batch_size=64, seed=0)
+    pretrain_source([tiny_model()], [(features, labels)], epochs=2, batch_size=64, seeds=[0])
     # two steps per epoch on the 102 training rows, then one prediction of
     # the held-out rows (encoder, attention, classifier)
     assert len(made) == 2 * 2 * 4 + 3
+
+
+def test_pretrain_step_graph_budget_is_the_same_for_three_seeds(monkeypatch):
+    # the three models train as one stack: still 4 nodes a step, and one
+    # prediction of each model's held-out rows
+    made = []
+    make = gc._make
+    monkeypatch.setattr(gc, "_make", lambda *args: made.append(1) or make(*args))
+    rng = np.random.default_rng(1)
+    data = [_separable_data(rng, n=128) for _ in range(3)]
+    pretrain_source([tiny_model(s) for s in range(3)], data, epochs=2, batch_size=64,
+                    seeds=[0, 1, 2])
+    assert len(made) == 2 * 2 * 4 + 3 * 3
 
 
 def test_whole_model_grad_through_fusion():
@@ -233,17 +246,77 @@ def test_pretrain_learns_separable_data():
     rng = np.random.default_rng(0)
     features, labels = _separable_data(rng)
     model = SourceModel(ModelDims(d_in=4, d_h=6, n_classes=2), seed=0)
-    result = pretrain_source(model, features, labels, epochs=15, batch_size=64, seed=0)
+    [result] = pretrain_source([model], [(features, labels)], epochs=15, batch_size=64,
+                               seeds=[0])
     assert result.holdout_accuracy >= 0.9
     assert result.losses[-1] < result.losses[0]
 
 
 def test_nan_pretraining_loss_raises_divergence(monkeypatch):
     # finite fused logits whose loss is not finite stop the pretraining
-    monkeypatch.setattr(gc, "cross_entropy", lambda logits, y: gc.Tensor(np.asarray(np.nan)))
+    monkeypatch.setattr(gc, "cross_entropy",
+                        lambda logits, y, means: gc.Tensor(np.asarray(np.nan)))
     features, labels = _separable_data(np.random.default_rng(1), n=64)
     with pytest.raises(DivergenceError, match="non-finite pretraining loss at epoch 0"):
-        pretrain_source(tiny_model(), features, labels, epochs=1, batch_size=32, seed=0)
+        pretrain_source([tiny_model()], [(features, labels)], epochs=1, batch_size=32,
+                        seeds=[0])
+
+
+@pytest.mark.parametrize("n_labels", [90, 110])
+def test_pretrain_rejects_labels_of_another_row_count_before_any_step(monkeypatch, n_labels):
+    steps = []
+    monkeypatch.setattr(AdamW, "step", lambda opt: steps.append(1))
+    features, _ = _separable_data(np.random.default_rng(2), n=100)
+    labels = np.random.default_rng(3).integers(0, 2, n_labels)
+    message = f"100 feature rows and labels of shape \\({n_labels},\\)"
+    with pytest.raises(ContractError, match=message):
+        pretrain_source([tiny_model()], [(features, labels)], epochs=1, batch_size=32,
+                        seeds=[0])
+    assert steps == []
+
+
+def test_pretrain_rejects_seeds_of_different_row_counts_before_any_step(monkeypatch):
+    # the second seed's features and labels agree with each other, but not
+    # with the first seed's row count
+    steps = []
+    monkeypatch.setattr(AdamW, "step", lambda opt: steps.append(1))
+    rng = np.random.default_rng(4)
+    data = [_separable_data(rng, n=100), _separable_data(rng, n=110)]
+    with pytest.raises(ContractError, match="have \\[100, 110\\] rows"):
+        pretrain_source([tiny_model(0), tiny_model(1)], data, epochs=1, batch_size=32,
+                        seeds=[0, 1])
+    assert steps == []
+
+
+def test_pretrain_rejects_a_count_of_data_sets_other_than_the_models():
+    rng = np.random.default_rng(5)
+    pairs = [_separable_data(rng, n=40) for _ in range(3)]
+    for models, data, seeds in (([tiny_model()], pairs[:2], [0]),
+                                ([tiny_model(), tiny_model()], pairs[:1], [0, 1]),
+                                ([tiny_model()], pairs[:1], [0, 1])):
+        with pytest.raises(ContractError):
+            pretrain_source(models, data, epochs=1, batch_size=16, seeds=seeds)
+
+
+def test_pretraining_together_equals_pretraining_alone_bitwise():
+    # each model ends with the parameters, input statistics, losses and
+    # holdout accuracy of its own run, and its parameters are its slices of
+    # the stacked storage
+    rng = np.random.default_rng(6)
+    data = [_separable_data(rng, n=90) for _ in range(3)]
+    together = [tiny_model(s) for s in (4, 5, 6)]
+    results = pretrain_source(together, data, epochs=3, batch_size=32, seeds=[7, 8, 9])
+    for model, pair, seed, result in zip(together, data, (7, 8, 9), results):
+        alone = tiny_model(seed - 3)
+        [want] = pretrain_source([alone], [pair], epochs=3, batch_size=32, seeds=[seed])
+        assert result == want
+        got_state, want_state = model.state_arrays(), alone.state_arrays()
+        assert got_state.keys() == want_state.keys()
+        for name in got_state:
+            assert got_state[name].tobytes() == want_state[name].tobytes(), name
+    storage = together[0].encoder.weight.data.base
+    assert all(np.shares_memory(p.data, storage)
+               for m in together for p in m.named_parameters().values())
 
 
 def test_head_rejects_non_finite_fused_logits():

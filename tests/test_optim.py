@@ -157,8 +157,8 @@ def test_backward_accumulates_into_the_flat_buffer(monkeypatch):
     monkeypatch.setattr(AdamW, "step", checked)
     rng = np.random.default_rng(0)
     model = tiny_model()
-    pretrain_source(model, tiny_batch(rng, n=20), rng.integers(0, 2, 20), epochs=1,
-                    batch_size=16, seed=0)
+    pretrain_source([model], [(tiny_batch(rng, n=20), rng.integers(0, 2, 20))], epochs=1,
+                    batch_size=16, seeds=[0])
     assert seen == [True]
     state = tt.init_adapt_state(model, AdaptConfig(k=3, batch_size=24), "scanner")
     tt.adapt_batch(state, tiny_batch(rng, n=24))
