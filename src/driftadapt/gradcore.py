@@ -45,6 +45,9 @@ with these two, always as ``gc._make`` and ``gc._accum``, so a node counter
 patched onto ``gradcore._make`` sees every node.
 A Tensor has no arithmetic operators: every graph node is built by a named
 op, so ``1 - t`` is ``add(1.0, mul(t, -1.0))``.
+Parameters are created frozen and ``tracking`` alone marks them, for one
+training step (a pretraining step, a gradient variant's adaptation batch,
+the analytic pass of ``finite_diff_params``): no other forward builds a graph.
 Gradients accumulate with ``+=`` so a sum of losses can be backpropagated
 jointly or term by term with identical results. A tensor's first gradient
 is ``g + 0.0``, the bits of a sum that starts from zeros, written into its
@@ -64,6 +67,8 @@ with a ones vector does not give (``tests/test_gradcore.py`` pins it).
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -173,6 +178,20 @@ def _row_sums(x: np.ndarray, y=None) -> np.ndarray:
     the axis kept: one einsum, which sums each row on its own."""
     sums = np.einsum("...d->...", x) if y is None else np.einsum("...d,...d->...", x, y)
     return sums[..., None]
+
+
+@contextmanager
+def tracking(params):
+    """A training step: ``params`` require gradients, from a cleared
+    ``.grad``, inside the block, and on exit each gets back the flag it had."""
+    flags = [(p, p.requires_grad) for p in params]
+    for p, _ in flags:
+        p.requires_grad, p.grad = True, None
+    try:
+        yield
+    finally:
+        for p, flag in flags:
+            p.requires_grad = flag
 
 
 def backward(root: Tensor):
@@ -889,15 +908,12 @@ def finite_diff_params(loss_fn, params) -> float:
     ``.data`` of every parameter; it is re-evaluated at perturbed values.
     """
     params = list(params)
-    for p in params:
-        p.grad = None
-    out = loss_fn()
-    if not np.isfinite(out.data).all():
-        raise NumericError("loss value is not finite")
-    backward(out)
-    analytic = [
-        (p.grad.copy() if p.grad is not None else np.zeros_like(p.data)) for p in params
-    ]
+    with tracking(params):
+        out = loss_fn()
+        if not np.isfinite(out.data).all():
+            raise NumericError("loss value is not finite")
+        backward(out)
+    analytic = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
     worst = 0.0
     for p, ana in zip(params, analytic):
         flat = p.data.reshape(-1)

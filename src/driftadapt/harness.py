@@ -220,7 +220,6 @@ def cmd_export_embeddings(cfg: ExperimentConfig, ckpt_path, out_path):
     first config seed, tagged by domain."""
     cfg.validate()
     model = load_compatible(ckpt_path, cfg)
-    model.freeze()
     source, target = build_domains(cfg, cfg.seeds[0])
     # both domains are embedded before the file is opened, so a failed
     # forward leaves no partial CSV

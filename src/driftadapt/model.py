@@ -11,9 +11,9 @@ arrays. Slice i of everything belongs to ``MODALITIES[i]``. Checkpoints and
 because an optimizer may have moved the stack's storage since.
 
 The classifier scores both the fused representation and each modality
-embedding (shared weights). At test time only the encoder's linear layers
-and normalization affine parameters are trainable; the fusion block and
-classifier stay frozen.
+embedding (shared weights). Every parameter is created frozen; only
+``gc.tracking`` makes one require a gradient, for one training step. At test
+time that is the encoder's linear and norm-affine parameters alone.
 
 ``pretrain_source`` trains the models of several seeds as one: a model
 whose every parameter stacks theirs on a leading seed axis runs the same
@@ -58,10 +58,10 @@ class ModalityEncoder:
         n = len(MODALITIES)
         scale = 1.0 / np.sqrt(d_in)
         # one draw of n weights equals n draws of one, in modality order
-        self.weight = Tensor(rng.normal(0.0, scale, (n, d_in, d_h)), requires_grad=True)
-        self.bias = Tensor(np.zeros((n, d_h)), requires_grad=True)
-        self.norm_gain = Tensor(np.ones((n, d_h)), requires_grad=True)
-        self.norm_bias = Tensor(np.zeros((n, d_h)), requires_grad=True)
+        self.weight = Tensor(rng.normal(0.0, scale, (n, d_in, d_h)))
+        self.bias = Tensor(np.zeros((n, d_h)))
+        self.norm_gain = Tensor(np.ones((n, d_h)))
+        self.norm_bias = Tensor(np.zeros((n, d_h)))
 
     def forward(self, x: Tensor) -> Tensor:
         """3 x B x d_h features of a standardized 3 x B x d_in input, or
@@ -90,9 +90,9 @@ class FusionBlock:
     def __init__(self, d_h: int, rng: np.random.Generator):
         self.d_h = d_h
         scale = 1.0 / np.sqrt(d_h)
-        self.wq = Tensor(rng.normal(0.0, scale, (d_h, d_h)), requires_grad=True)
-        self.wk = Tensor(rng.normal(0.0, scale, (d_h, d_h)), requires_grad=True)
-        self.wv = Tensor(rng.normal(0.0, scale, (d_h, d_h)), requires_grad=True)
+        self.wq = Tensor(rng.normal(0.0, scale, (d_h, d_h)))
+        self.wk = Tensor(rng.normal(0.0, scale, (d_h, d_h)))
+        self.wv = Tensor(rng.normal(0.0, scale, (d_h, d_h)))
 
     def forward(self, features: Tensor) -> Tensor:
         """B x d_h pooled representation of 3 x B x d_h features, or
@@ -107,8 +107,8 @@ class FusionBlock:
 class Classifier:
     def __init__(self, d_h: int, n_classes: int, rng: np.random.Generator):
         scale = 1.0 / np.sqrt(d_h)
-        self.weight = Tensor(rng.normal(0.0, scale, (d_h, n_classes)), requires_grad=True)
-        self.bias = Tensor(np.zeros(n_classes), requires_grad=True)
+        self.weight = Tensor(rng.normal(0.0, scale, (d_h, n_classes)))
+        self.bias = Tensor(np.zeros(n_classes))
 
     def forward(self, x: Tensor) -> Tensor:
         """Logits of B x d_h rows, or of each slice of a 3 x B x d_h stack;
@@ -165,8 +165,6 @@ class SourceModel:
         # baseline re-estimates these from test batches
         self.input_mean = np.zeros((len(MODALITIES), dims.d_in))
         self.input_var = np.ones((len(MODALITIES), dims.d_in))
-        # every parameter tensor, for the per-batch gradient reset and freeze
-        self._parameters = tuple(self.named_parameters().values())
 
     # -- parameter registry ------------------------------------------------
 
@@ -183,16 +181,6 @@ class SourceModel:
         out = self.fusion.parameters()
         out.update(self.classifier.parameters())
         return out
-
-    def zero_grad(self):
-        for p in self._parameters:
-            p.grad = None
-
-    def freeze(self):
-        """Stop every parameter from requiring a gradient, so a forward
-        builds no autodiff graph."""
-        for p in self._parameters:
-            p.requires_grad = False
 
     def set_input_stats(self, features):
         self.input_mean, self.input_var = batch_stats(stack_modalities(features))
@@ -363,18 +351,18 @@ def pretrain_source(models, data, epochs: int, batch_size: int, seeds) -> list:
         epoch_loss = np.zeros(n_seeds)
         for start in starts:
             idx = order[:, start : start + batch_size]
-            stacked.zero_grad()
             # the last step's graph lives until this step's loss is built.
             # Freed at the end of its own step, it left a free top of the heap
             # that glibc trimmed and faulted back in at every step: 236k
             # minor faults in a fresh process's 3-seed severe pretrain, not 15k
-            logits = stacked.head(stacked.encoder.forward(
-                Tensor(x_rows.take(x_start + idx[:, None, :], axis=0))))
-            loss = gc.cross_entropy(logits, y_rows.take(y_start + idx), means=step_loss)
-            if not np.isfinite(loss.data):
-                raise DivergenceError(f"non-finite pretraining loss at epoch {epoch}")
-            gc.backward(loss)
-            opt.step()
+            with gc.tracking(opt.params):
+                logits = stacked.head(stacked.encoder.forward(
+                    Tensor(x_rows.take(x_start + idx[:, None, :], axis=0))))
+                loss = gc.cross_entropy(logits, y_rows.take(y_start + idx), means=step_loss)
+                if not np.isfinite(loss.data):
+                    raise DivergenceError(f"non-finite pretraining loss at epoch {epoch}")
+                gc.backward(loss)
+                opt.step()
             epoch_loss += step_loss
         for result, mean_loss in zip(results, epoch_loss / max(len(starts), 1)):
             result.losses.append(float(mean_loss))

@@ -26,6 +26,7 @@ class AdamW:
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
+        self.params = tuple(params.values())   # what a step's gc.tracking marks
         ends = np.cumsum([p.data.size for p in params.values()], dtype=np.intp)
         n = int(ends[-1]) if ends.size else 0
         self.flat = np.empty(n)

@@ -86,22 +86,22 @@ def _check_clustering(rng):
 
 
 def _check_loss_gradients(rng):
-    sims = Tensor(rng.uniform(-1, 1, (2, 5)), requires_grad=True)
-    logits = Tensor(rng.normal(0, 2, (7, 3)), requires_grad=True)
+    sims = Tensor(rng.uniform(-1, 1, (2, 5)))
+    logits = Tensor(rng.normal(0, 2, (7, 3)))
     labels = np.array([2, 0, 2, 2, 0, 3, 0])   # cluster 1 empty, cluster 3 a singleton
-    stacked = Tensor(rng.normal(0, 2, (2, 7, 3)), requires_grad=True)
+    stacked = Tensor(rng.normal(0, 2, (2, 7, 3)))
     # row 0: cluster 1 empty, cluster 2 a singleton; row 1: one cluster
     stacked_labels = np.array([[0, 2, 0, 3, 3, 0, 3], [1, 1, 1, 1, 1, 1, 1]])
-    features = Tensor(rng.normal(0, 1, (6, 4)), requires_grad=True)
+    features = Tensor(rng.normal(0, 1, (6, 4)))
     centroids = rng.normal(0, 1, (3, 4))
-    x = Tensor(rng.normal(0, 1, (5, 4)), requires_grad=True)
-    w = Tensor(rng.normal(0, 0.5, (4, 3)), requires_grad=True)
-    b = Tensor(rng.normal(0, 0.5, 3), requires_grad=True)
+    x = Tensor(rng.normal(0, 1, (5, 4)))
+    w = Tensor(rng.normal(0, 0.5, (4, 3)))
+    b = Tensor(rng.normal(0, 0.5, 3))
     classes = rng.integers(0, 3, 5)
-    tokens = Tensor(rng.normal(0, 1, (3, 3, 4)), requires_grad=True)
-    ws = [Tensor(rng.normal(0, 0.5, (4, 4)), requires_grad=True) for _ in range(3)]
-    inputs = Tensor(rng.normal(0, 1, (2, 5, 3)), requires_grad=True)
-    enc = [Tensor(rng.normal(0, s, shape), requires_grad=True)
+    tokens = Tensor(rng.normal(0, 1, (3, 3, 4)))
+    ws = [Tensor(rng.normal(0, 0.5, (4, 4))) for _ in range(3)]
+    inputs = Tensor(rng.normal(0, 1, (2, 5, 3)))
+    enc = [Tensor(rng.normal(0, s, shape))
            for s, shape in ((1.0, (2, 3, 4)), (0.5, (2, 4)), (1.0, (2, 4)), (0.5, (2, 4)))]
     losses = {
         "em_loss": (lambda: obj.em_loss(logits), [logits]),

@@ -56,14 +56,8 @@ def init_adapt_state(model: SourceModel, cfg: AdaptConfig,
                      seeded: list = None) -> AdaptState:
     cfg.validate()
     variant = MethodVariant(variant)
-    # only the encoders of a gradient variant train, so no other variant
-    # builds a graph; every flag is set, so a reused model adapts again
-    model.freeze()
-    opt = None
-    if variant in GRAD_VARIANTS:
-        for p in model.trainable_parameters().values():
-            p.requires_grad = True
-        opt = AdamW(model.trainable_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    opt = (AdamW(model.trainable_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+           if variant in GRAD_VARIANTS else None)
     return AdaptState(model=model, cfg=cfg, variant=variant, seed=seed, optimizer=opt,
                       seeded=[] if seeded is None else seeded)
 
@@ -103,35 +97,38 @@ def _init_banks(state: AdaptState, features: np.ndarray):
 
 def adapt_batch(state: AdaptState, batch) -> BatchResult:
     """Process one unlabeled target batch, a 3 x B x d_in stack or a
-    {modality: B x d_in} dict; updates state in place. A NumericError raised
-    on the way carries the batch's ``tau``."""
-    model, cfg = state.model, state.cfg
-    # the one gradient reset; _apply_step leaves its gradients in place,
-    # whether it steps or skips
-    model.zero_grad()
+    {modality: B x d_in} dict; updates state in place. A gradient variant's
+    batch is one ``gc.tracking`` step of its optimizer's parameters, whose
+    gradients ``_apply_step`` leaves in place. A NumericError raised on the
+    way carries the batch's ``tau``."""
     try:
-        features = model.embed(batch)
-        fused_logits = model.head(features)
-        # the batch's one softmax, kept on the node: the logged entropies,
-        # ST's pseudo-labels and the EM loss all read it
-        result = BatchResult(tau=state.tau, predictions=fused_logits.data.argmax(axis=1),
-                             entropies=gc.softmax_entropy(fused_logits)[1])
-
-        # SOURCE only predicts
-        if state.variant == MethodVariant.NORM:
-            _norm_update(model, batch, cfg.norm_momentum)
-        elif state.variant == MethodVariant.TENT_EM:
-            loss = obj.em_loss(fused_logits)
-            result.loss_row = {"em": loss.item(), "total": loss.item()}
-            _apply_step(state, loss, result)
-        elif state.variant == MethodVariant.ST:
-            _st_step(state, fused_logits, result)
-        elif state.variant in BANK_VARIANTS:
-            _cluster_step(state, features, fused_logits, result)
+        if state.optimizer is None:
+            return _predict_and_adapt(state, batch)
+        with gc.tracking(state.optimizer.params):
+            return _predict_and_adapt(state, batch)
     except NumericError as exc:
         exc.tau = state.tau
         raise
 
+
+def _predict_and_adapt(state: AdaptState, batch) -> BatchResult:
+    features = state.model.embed(batch)
+    fused_logits = state.model.head(features)
+    # the batch's one softmax, kept on the node: the logged entropies,
+    # ST's pseudo-labels and the EM loss all read it
+    result = BatchResult(tau=state.tau, predictions=fused_logits.data.argmax(axis=1),
+                         entropies=gc.softmax_entropy(fused_logits)[1])
+    # SOURCE only predicts
+    if state.variant == MethodVariant.NORM:
+        _norm_update(state.model, batch, state.cfg.norm_momentum)
+    elif state.variant == MethodVariant.TENT_EM:
+        loss = obj.em_loss(fused_logits)
+        result.loss_row = {"em": loss.item(), "total": loss.item()}
+        _apply_step(state, loss, result)
+    elif state.variant == MethodVariant.ST:
+        _st_step(state, fused_logits, result)
+    elif state.variant in BANK_VARIANTS:
+        _cluster_step(state, features, fused_logits, result)
     state.tau += 1
     return result
 
@@ -280,8 +277,7 @@ def run_stream(model: SourceModel, target: SyntheticDataset, cfg: AdaptConfig,
         final_preds = online_preds
     else:
         # second, post-adaptation inference pass over the full target set, in
-        # stream-sized chunks with every parameter frozen, so no graph is kept
-        model.freeze()
+        # stream-sized chunks, outside any training step, so it builds no graph
         final_preds = np.empty(n, dtype=np.int64)
         if state.bank is not None:
             indices = np.empty((len(MODALITIES), n), dtype=np.int64)

@@ -962,3 +962,40 @@ def test_finite_diff_raises_on_non_finite_perturbed_value():
     x = Tensor(1.0, requires_grad=True)
     with np.errstate(over="ignore"), pytest.raises(NumericError):
         gc.finite_diff_params(lambda: gc.tsum(gc.mul(x, np.finfo(float).max)), [x])
+
+
+def test_tracking_marks_a_step_and_gives_back_each_flag():
+    frozen, marked = Tensor(np.ones(2)), Tensor(np.ones(2), requires_grad=True)
+    frozen.grad = marked.grad = np.ones(2)
+    with gc.tracking([frozen, marked]):
+        assert frozen.requires_grad and marked.requires_grad
+        assert frozen.grad is None and marked.grad is None
+    assert (frozen.requires_grad, marked.requires_grad) == (False, True)
+    # a step that raises gives the flags back too
+    with pytest.raises(NumericError), gc.tracking([frozen]):
+        assert frozen.requires_grad
+        raise NumericError("not finite")
+    assert not frozen.requires_grad
+
+
+def test_finite_diff_leaves_each_flag_as_found_and_perturbs_without_a_graph(monkeypatch):
+    # the analytic pass alone is tracked, so the perturbed passes of frozen
+    # parameters build no node with parents
+    rng = np.random.default_rng(2)
+    w, v = Tensor(rng.normal(0, 1, (2, 3))), Tensor(rng.normal(0, 1, (3, 2)))
+    made, graphs = [], []
+    make = gc._make
+    monkeypatch.setattr(gc, "_make", lambda *args: made.append(make(*args)) or made[-1])
+
+    def loss():
+        made.clear()
+        out = gc.tsum(gc.gelu(gc.matmul(w, v)))
+        graphs.append(any(t._parents for t in made))
+        return out
+
+    assert gc.finite_diff_params(loss, [w, v]) < 1e-5
+    assert graphs == [True] + [False] * 2 * (w.data.size + v.data.size)
+    assert (w.requires_grad, v.requires_grad) == (False, False)
+    v.requires_grad = True
+    assert gc.finite_diff_params(loss, [w, v]) < 1e-5
+    assert (w.requires_grad, v.requires_grad) == (False, True)

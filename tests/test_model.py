@@ -6,7 +6,7 @@ import pytest
 from conftest import TINY_DIMS, tiny_batch, tiny_model
 from oracles import fusion_op_by_op
 
-from driftadapt import checkpoint, gradcore as gc
+from driftadapt import checkpoint, gradcore as gc, model as model_module
 from driftadapt.errors import CompatibilityError, ContractError, DivergenceError, NumericError
 from driftadapt.model import (
     MODALITIES,
@@ -62,10 +62,10 @@ def test_fusion_matches_op_by_op_composition():
     weights = gc.Tensor(rng.normal(0, 1, (7, 6)))
     results = []
     for forward in (fusion.forward, lambda f: fusion_op_by_op(fusion, f)):
-        for t in leaves:
-            t.grad = None
-        out = forward(features)
-        gc.backward(gc.tsum(gc.mul(out, weights)))
+        # the block's weights are created frozen; each pass is a training step
+        with gc.tracking(leaves):
+            out = forward(features)
+            gc.backward(gc.tsum(gc.mul(out, weights)))
         results.append((out.data, [t.grad.copy() for t in leaves]))
     (fused, fused_grads), (oracle, oracle_grads) = results
     np.testing.assert_allclose(fused, oracle, rtol=0.0, atol=1e-12)
@@ -78,7 +78,8 @@ def test_fused_logits_graph_size():
     # classifier node; one encoder node per modality made it 5, the op-by-op
     # encoders and classifier 15, a per-row fusion 50 more
     model = tiny_model()
-    _, _, fused_logits = model.forward_full(tiny_batch(np.random.default_rng(6)))
+    with gc.tracking(model.named_parameters().values()):
+        _, _, fused_logits = model.forward_full(tiny_batch(np.random.default_rng(6)))
     seen, stack = set(), [fused_logits]
     while stack:
         node = stack.pop()
@@ -121,6 +122,33 @@ def test_pretrain_step_graph_budget_is_the_same_for_three_seeds(monkeypatch):
     pretrain_source([tiny_model(s) for s in range(3)], data, epochs=2, batch_size=64,
                     seeds=[0, 1, 2])
     assert len(made) == 2 * 2 * 4 + 3 * 3
+
+
+def test_pretrained_models_predict_without_a_graph(monkeypatch):
+    # parameters are created frozen and each stacked step tracks its own, so
+    # no model leaves pretraining requiring a gradient, and neither the
+    # held-out predictions nor a later one build a node with parents
+    made, spans = [], []
+    make, predict_rows = gc._make, model_module.predict
+    monkeypatch.setattr(gc, "_make", lambda *args: made.append(make(*args)) or made[-1])
+
+    def spanned(model, features):
+        start = len(made)
+        preds = predict_rows(model, features)
+        spans.append(slice(start, len(made)))
+        return preds
+
+    monkeypatch.setattr(model_module, "predict", spanned)
+    rng = np.random.default_rng(1)
+    models = [tiny_model(s) for s in range(2)]
+    pretrain_source(models, [_separable_data(rng, n=128) for _ in models], epochs=1,
+                    batch_size=64, seeds=[0, 1])
+    assert not any(p.requires_grad for m in models for p in m.named_parameters().values())
+    spanned(models[0], _separable_data(rng, n=8)[0])
+    assert len(spans) == 3 and all(len(made[s]) == 3 for s in spans)
+    assert not any(t._parents for s in spans for t in made[s])
+    # the steps between them did build graphs
+    assert any(t._parents for t in made)
 
 
 def test_whole_model_grad_through_fusion():
@@ -341,9 +369,9 @@ def test_predict_returns_class_indices():
 def test_parameter_gradients_reach_all_trainables():
     model = tiny_model()
     batch = tiny_batch(np.random.default_rng(8), n=6)
-    model.zero_grad()
-    _, _, fused_logits = model.forward_full(batch)
-    gc.backward(gc.cross_entropy(fused_logits, [0, 1, 0, 1, 0, 1]))
+    with gc.tracking(model.named_parameters().values()):
+        _, _, fused_logits = model.forward_full(batch)
+        gc.backward(gc.cross_entropy(fused_logits, [0, 1, 0, 1, 0, 1]))
     for name, p in model.named_parameters().items():
         assert p.grad is not None, name
         assert np.any(p.grad != 0.0) or "bias" in name, name

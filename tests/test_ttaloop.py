@@ -12,7 +12,7 @@ from conftest import tiny_batch, tiny_model
 
 from driftadapt import centroids as cb, driftgen as dg, gradcore as gc, ttaloop as tt
 from driftadapt.config import AdaptConfig, BenchmarkConfig
-from driftadapt.errors import ContractError, DivergenceError
+from driftadapt.errors import ContractError, DivergenceError, NumericError
 from driftadapt.model import MODALITIES, ModalityEncoder, ModelDims, SourceModel
 from driftadapt.objectives import MethodVariant
 
@@ -281,13 +281,48 @@ def test_inference_variants_build_no_graph(monkeypatch, variant):
 
 
 @pytest.mark.parametrize("variant", ["st", "tent_em", "can", "scan", "scanner"])
-def test_gradient_runs_end_with_every_parameter_frozen(variant):
-    # the final pass runs on a frozen model, so it builds no graph, and the
-    # finished run leaves no parameter requiring a gradient
+def test_gradient_runs_end_with_every_parameter_frozen(monkeypatch, variant):
+    # each batch is a training step that builds a graph; the final pass runs
+    # outside any step, so it builds no node with parents, and the finished
+    # run leaves no parameter requiring a gradient
+    made, ends = [], []
+    make, adapt_batch = gc._make, tt.adapt_batch
+    monkeypatch.setattr(gc, "_make", lambda *args: made.append(make(*args)) or made[-1])
+    monkeypatch.setattr(tt, "adapt_batch", lambda state, batch: (
+        adapt_batch(state, batch), ends.append(len(made)))[0])
     target = _tiny_target()
     model = tiny_model(seed=1)
     model.set_input_stats(target.features)
     tt.run_stream(model, target, _cfg(batch_size=16), variant, seed=0)
+    steps, final = made[:ends[-1]], made[ends[-1]:]
+    assert len(ends) == 4 and any(t._parents for t in steps)
+    assert final and not any(t._parents for t in final)
+    assert not any(p.requires_grad for p in model.named_parameters().values())
+
+
+@pytest.mark.parametrize("where, error", [("head", NumericError),
+                                          ("_apply_step", DivergenceError)])
+@pytest.mark.parametrize("variant", ["st", "tent_em", "can", "scan", "scanner"])
+def test_a_run_that_raises_mid_stream_ends_with_every_parameter_frozen(
+        monkeypatch, variant, where, error):
+    # the third batch's step raises where such an error arises: a step
+    # releases its flags also when it does not finish
+    owner = SourceModel if where == "head" else tt
+    real, calls = getattr(owner, where), []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise error("raised at the third call")
+        return real(*args)
+
+    monkeypatch.setattr(owner, where, failing)
+    target = _tiny_target()
+    model = tiny_model(seed=1)
+    model.set_input_stats(target.features)
+    with pytest.raises(error):
+        tt.run_stream(model, target, _cfg(batch_size=16, st_confidence=0.51), variant, seed=0)
+    assert len(calls) == 3
     assert not any(p.requires_grad for p in model.named_parameters().values())
 
 
@@ -488,7 +523,7 @@ def test_nonfinite_grad_skips_step():
 @pytest.mark.parametrize("skip_at", [None, 1], ids=["steps", "skip1"])
 @pytest.mark.parametrize("variant", [v.value for v in tt.GRAD_VARIANTS])
 def test_each_backward_starts_from_clear_gradients(monkeypatch, variant, skip_at):
-    # adapt_batch's model.zero_grad() is the one gradient reset: no trainable
+    # adapt_batch's gc.tracking is the one gradient reset: no trainable
     # parameter holds a gradient at any backward, also after a batch whose
     # NaN gradients skipped its step
     model = tiny_model()
