@@ -287,6 +287,11 @@ def outlier_mask_loop(rng, n, frac):
     return mask
 
 
+# outliers are noise of this scale; the reference states it rather than
+# reading the program's own constant
+OUTLIER_SCALE = 3.0
+
+
 def reference_generate_domain(cores, domain, n, seed):
     """``driftgen.generate_domain`` as three separate modality arrays, each
     built from whole-array temporaries and an ``np.where`` over the outlier
@@ -306,12 +311,12 @@ def reference_generate_domain(cores, domain, n, seed):
         a, b = domain.maps[m]
         x = np.tanh(z @ a + b)
         x = x + domain.style_noise * rng.normal(0.0, 1.0, x.shape)
-        noise = dg._OUTLIER_SCALE * rng.normal(0.0, 1.0, x.shape)
+        noise = OUTLIER_SCALE * rng.normal(0.0, 1.0, x.shape)
         if domain.outlier_mode == "clump":
             d_in = x.shape[1]
             u = rng.normal(0.0, 1.0, d_in)
             u *= np.sqrt(d_in) / np.linalg.norm(u)
-            noise = dg._OUTLIER_SCALE * (
+            noise = OUTLIER_SCALE * (
                 u[None, :] + domain.outlier_spread * rng.normal(0.0, 1.0, x.shape)
             )
         features[m] = np.where(outlier[:, None], noise, x)

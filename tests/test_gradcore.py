@@ -20,12 +20,6 @@ from driftadapt.gradcore import Tensor
 TOL = 1e-6
 
 
-def _check(f, shape, seed=0, scale=1.0, tol=1e-6):
-    rng = np.random.default_rng(seed)
-    x = Tensor(scale * rng.normal(0.0, 1.0, shape), requires_grad=True)
-    assert gc.finite_diff_params(lambda: f(x), [x]) < tol
-
-
 # -- basic ops -------------------------------------------------------------
 
 
@@ -78,17 +72,64 @@ def test_sum_mean_axis():
 # -- finite-difference sweeps ---------------------------------------------
 
 
-def test_mul_grad():
-    _check(lambda t: gc.tsum(gc.mul(t, t)), (4, 3))
+def _draws(seed, *shapes):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(0.0, 1.0, shape) for shape in shapes]
 
 
-def test_matmul_grad():
-    w = np.random.default_rng(1).normal(0.0, 1.0, (3, 5))
-    _check(lambda t: gc.tsum(gc.matmul(t, Tensor(w))), (4, 3))
+_R34, _R43 = Tensor(np.arange(12.0).reshape(3, 4)), Tensor(np.arange(12.0).reshape(4, 3))
+_OTHER = Tensor(_draws(13, (5, 4))[0])
 
 
-def test_gelu_grad():
-    _check(lambda t: gc.tsum(gc.gelu(t)), (6,), scale=2.0)
+def _attention_style_composite(t):
+    # the fusion block's op pattern: rowdot + stack_cols + softmax + rowscale
+    scores = gc.stack_cols([gc.rowdot(t, _OTHER), gc.rowdot(t, t)])
+    attn = gc.softmax(scores)
+    out = gc.add(gc.rowscale(gc.col(attn, 0), t), gc.rowscale(gc.col(attn, 1), _OTHER))
+    return gc.tsum(gc.mul(out, _OTHER))
+
+
+def _weighted(op):
+    """The loss sum(op(*leaves) * weights), the weights drawn after the leaves."""
+    return lambda *args: gc.tsum(gc.mul(op(*args[:-1]), args[-1]))
+
+
+# op: (loss, seed, [(leaf shape, scale)], shapes of constants); the leaves
+# are scale * N(0, 1) and then the constants N(0, 1), drawn in order from
+# default_rng(seed); the loss takes the leaves, then the constants
+FD_SWEEPS = {
+    "mul": (lambda t: gc.tsum(gc.mul(t, t)), 0, [((4, 3), 1.0)], []),
+    "matmul": (lambda t: gc.tsum(gc.matmul(t, Tensor(_draws(1, (3, 5))[0]))), 0,
+               [((4, 3), 1.0)], []),
+    "gelu": (lambda t: gc.tsum(gc.gelu(t)), 0, [((6,), 2.0)], []),
+    "softmax": (lambda t: gc.tsum(gc.mul(gc.softmax(t, beta=3.0), _R34)), 0, [((3, 4), 1.0)], []),
+    "log_clamped_above_floor": (lambda t: gc.tsum(gc.log_clamped(t)), 3, [((5,), 0.1)], []),
+    "cosine_matrix": (lambda t: gc.tsum(gc.mul(gc.cosine_matrix(t, _draws(7, (3, 4))[0]), _R43)),
+                      5, [((4, 4), 1.0)], []),
+    "linear": (_weighted(gc.linear), 9, [((4, 3), 1.0), ((3, 2), 1.0), ((2,), 1.0)], [(4, 2)]),
+    "attention_style_composite": (_attention_style_composite, 13, [((5, 4), 1.0)], []),
+    # the leaf of layernorm_affine's input; its gain and bias get a gradient too
+    "layernorm_affine": (lambda t: gc.tsum(gc.mul(gc.layernorm_affine(
+        t, Tensor([1.5, 0.5, 2.0], requires_grad=True),
+        Tensor([0.1, -0.2, 0.0], requires_grad=True)), _R43)), 0, [((4, 3), 1.0)], []),
+    "cross_entropy": (lambda t: gc.cross_entropy(t, [0, 1]), 9, [((2, 2), 1.0)], []),
+    **{f"attention_pool_batch{b}": (_weighted(gc.attention_pool), 17 + b,
+                                    [((3, b, 5), 1.0)] + [((5, 5), 0.5)] * 3, [(b, 5)])
+       for b in (1, 4)},
+    **{f"linear_layernorm_gelu_batch{b}": (
+        _weighted(gc.linear_layernorm_gelu), 31 + b,
+        [((2, b, 3), 1.0), ((2, 3, 5), 1.0), ((2, 5), 0.5), ((2, 5), 1.0), ((2, 5), 0.5)],
+        [(2, b, 5)]) for b in (1, 4)},
+}
+
+
+@pytest.mark.parametrize("op", FD_SWEEPS)
+def test_finite_difference_sweep(op):
+    f, seed, leaves, constants = FD_SWEEPS[op]
+    rng = np.random.default_rng(seed)
+    leaves = [Tensor(scale * rng.normal(0.0, 1.0, s), requires_grad=True) for s, scale in leaves]
+    constants = [Tensor(rng.normal(0.0, 1.0, s)) for s in constants]
+    assert gc.finite_diff_params(lambda: f(*leaves, *constants), leaves) < TOL
 
 
 def test_gelu_forward_matches_closed_form():
@@ -96,16 +137,6 @@ def test_gelu_forward_matches_closed_form():
     c = np.sqrt(2.0 / np.pi)
     expected = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
     np.testing.assert_allclose(gc.gelu(Tensor(x)).data, expected, rtol=0.0, atol=1e-14)
-
-
-def test_softmax_grad():
-    _check(lambda t: gc.tsum(gc.mul(gc.softmax(t, beta=3.0),
-                                    Tensor(np.arange(12.0).reshape(3, 4)))),
-           (3, 4))
-
-
-def test_log_clamped_grad_above_floor():
-    _check(lambda t: gc.tsum(gc.log_clamped(t)), (5,), scale=0.1, seed=3)
 
 
 def test_log_clamped_zero_grad_below_floor():
@@ -118,22 +149,12 @@ def test_log_clamped_zero_grad_below_floor():
 def test_layernorm_affine_grad():
     gain = Tensor(np.array([1.5, 0.5, 2.0]), requires_grad=True)
     bias = Tensor(np.array([0.1, -0.2, 0.0]), requires_grad=True)
-    _check(lambda t: gc.tsum(gc.mul(gc.layernorm_affine(t, gain, bias),
-                                    Tensor(np.arange(12.0).reshape(4, 3)))),
-           (4, 3))
     err = gc.finite_diff_params(
         lambda: gc.tsum(gc.mul(
             gc.layernorm_affine(Tensor(np.arange(12.0).reshape(4, 3)), gain, bias),
             Tensor(np.arange(12.0).reshape(4, 3) * 0.3))),
         [gain, bias])
     assert err < 1e-6
-
-
-def test_cosine_matrix_grad():
-    c = np.random.default_rng(7).normal(0.0, 1.0, (3, 4))
-    _check(lambda t: gc.tsum(gc.mul(gc.cosine_matrix(t, c),
-                                    Tensor(np.arange(12.0).reshape(4, 3)))),
-           (4, 4), seed=5)
 
 
 def test_cosine_matrix_values_in_range():
@@ -287,35 +308,6 @@ def test_cross_entropy_matches_manual_and_grad():
     p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     expected = -np.mean(np.log(p[np.arange(2), labels]))
     assert loss.item() == pytest.approx(expected, abs=1e-12)
-    _check(lambda t: gc.cross_entropy(t, labels), (2, 2), seed=9)
-
-
-def test_attention_style_composite_grad():
-    # the fusion block's op pattern: rowdot + stack_cols + softmax + rowscale
-    rng = np.random.default_rng(13)
-    other = Tensor(rng.normal(0, 1, (5, 4)))
-
-    def f(t):
-        scores = gc.stack_cols([gc.rowdot(t, other), gc.rowdot(t, t)])
-        attn = gc.softmax(scores)
-        out = gc.add(gc.rowscale(gc.col(attn, 0), t),
-                     gc.rowscale(gc.col(attn, 1), other))
-        return gc.tsum(gc.mul(out, other))
-
-    _check(f, (5, 4), seed=13)
-
-
-@pytest.mark.parametrize("batch", [1, 4])
-def test_attention_pool_grad(batch):
-    rng = np.random.default_rng(17 + batch)
-    tokens = Tensor(rng.normal(0, 1, (3, batch, 5)), requires_grad=True)
-    wq, wk, wv = (Tensor(rng.normal(0, 0.5, (5, 5)), requires_grad=True) for _ in range(3))
-    weights = Tensor(rng.normal(0, 1, (batch, 5)))
-
-    def loss():
-        return gc.tsum(gc.mul(gc.attention_pool(tokens, wq, wk, wv), weights))
-
-    assert gc.finite_diff_params(loss, [tokens, wq, wk, wv]) < 1e-6
 
 
 def test_attention_pool_frozen_projections_get_no_grad():
@@ -582,27 +574,6 @@ def test_linear_equals_matmul_add_bitwise(seed, b, d_in, d):
     _assert_same_node(lambda: gc.linear(x, w, bias),
                       lambda: gc.add(gc.matmul(x, w), bias),
                       [x, w, bias], Tensor(rng.normal(0, 1, (b, d))))
-
-
-@pytest.mark.parametrize("batch", [1, 4])
-def test_linear_layernorm_gelu_grad(batch):
-    rng = np.random.default_rng(31 + batch)
-    leaves = [Tensor(rng.normal(0, s, shape), requires_grad=True)
-              for s, shape in ((1.0, (2, batch, 3)), (1.0, (2, 3, 5)), (0.5, (2, 5)),
-                               (1.0, (2, 5)), (0.5, (2, 5)))]
-    weights = Tensor(rng.normal(0, 1, (2, batch, 5)))
-    err = gc.finite_diff_params(
-        lambda: gc.tsum(gc.mul(gc.linear_layernorm_gelu(*leaves), weights)), leaves)
-    assert err < 1e-6
-
-
-def test_linear_grad():
-    rng = np.random.default_rng(9)
-    leaves = [Tensor(rng.normal(0, 1, shape), requires_grad=True)
-              for shape in ((4, 3), (3, 2), (2,))]
-    weights = Tensor(rng.normal(0, 1, (4, 2)))
-    assert gc.finite_diff_params(
-        lambda: gc.tsum(gc.mul(gc.linear(*leaves), weights)), leaves) < 1e-6
 
 
 def test_linear_frozen_operands_get_no_grad():

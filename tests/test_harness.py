@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import TINY_DIMS, tiny_experiment, tiny_model
 
 from driftadapt import (
-    centroids as cb, checkpoint, cli, driftgen, errors, gradcore as gc, harness, selftest,
-    ttaloop,
+    centroids as cb, checkpoint, cli, driftgen, errors, gradcore as gc, harness,
+    objectives as obj, selftest, ttaloop,
 )
 from driftadapt.cli import main as cli_main
 from driftadapt.config import (
@@ -48,18 +48,6 @@ def test_config_json_round_trip(tmp_path):
     assert back == cfg
 
 
-def test_config_unknown_field_rejected():
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"learning_rate": 0.1})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"adapt": {"momentum": 0.9}})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"out_dir": "runs"})
-    # the AdamW moment decays and eps are fixed optimizer constants
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"adapt": {"adam_beta1": 0.9}})
-
-
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
         AdaptConfig(k=0).validate()
@@ -73,6 +61,7 @@ def test_config_validation_errors():
         BenchmarkConfig(outlier_mode="mixed").validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(variants=["nonsense"]).validate()
+    BenchmarkConfig(n_source=1, n_target=1).validate()   # the smallest counts are valid
 
 
 # one out-of-range field for each entry point, which it would otherwise run with
@@ -112,16 +101,10 @@ def test_pretrain_writes_checkpoints_and_summary(tmp_path):
     assert (tmp_path / "pretrain_summary.json").exists()
     assert "0" in summary["seeds"]
     assert 0.0 <= summary["seeds"]["0"]["holdout_accuracy"] <= 1.0
-
-
-def test_pretrain_checkpoints_byte_identical(tmp_path):
-    cfg = tiny_experiment(tmp_path)
-    a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-    harness.cmd_pretrain(cfg, a_dir)
-    harness.cmd_pretrain(cfg, b_dir)
-    a = harness.checkpoint_path(a_dir, 0).read_bytes()
-    b = harness.checkpoint_path(b_dir, 0).read_bytes()
-    assert a == b
+    # a second run writes the same checkpoint bytes
+    harness.cmd_pretrain(cfg, tmp_path / "again")
+    assert (harness.checkpoint_path(tmp_path, 0).read_bytes()
+            == harness.checkpoint_path(tmp_path / "again", 0).read_bytes())
 
 
 def test_pretrain_of_three_seeds_writes_what_each_seed_alone_writes(tmp_path):
@@ -199,12 +182,7 @@ def test_adapt_outputs_and_aggregate(tmp_path):
     assert doc["aggregate"]["source"]["final_macro_f1"]["mean"] == pytest.approx(
         float(np.mean(src_f1))
     )
-
-
-def test_metrics_csv_matches_report(tmp_path):
-    cfg = tiny_experiment(tmp_path)
-    harness.cmd_pretrain(cfg, tmp_path)
-    doc = harness.cmd_adapt(cfg, tmp_path, tmp_path)
+    # metrics.csv holds the report's numbers
     with open(tmp_path / "metrics.csv") as fh:
         rows = list(csv.DictReader(fh))
     per_seed = [r for r in rows if r["seed"] != "mean"]
@@ -221,17 +199,17 @@ def test_metrics_csv_matches_report(tmp_path):
         for metric in METRICS:
             assert float(row[metric]) == pytest.approx(
                 doc["aggregate"][row["variant"]][metric]["mean"], abs=1e-6)
-
-
-def test_diagnostics_csv_has_trace_rows(tmp_path):
-    cfg = tiny_experiment(tmp_path)
-    harness.cmd_pretrain(cfg, tmp_path)
-    doc = harness.cmd_adapt(cfg, tmp_path, tmp_path)
+    # each run's diagnostics CSV has a row per batch
     run = next(r for r in doc["runs"] if r["variant"] == "scanner")
     with open(tmp_path / "diagnostics" / "scanner_seed0.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(run["loss_trace"])
     assert "gradient_norm" in rows[0] and "mean_entropy" in rows[0]
+    assert set(run["loss_trace"][0]) <= set(rows[0])   # a column per loss term
+    # a second adapt writes the same report bytes
+    harness.cmd_adapt(cfg, tmp_path, tmp_path / "again")
+    assert ((tmp_path / "report.json").read_bytes()
+            == (tmp_path / "again" / "report.json").read_bytes())
 
 
 def test_pretrain_outputs_independent_of_workers(tmp_path, monkeypatch):
@@ -251,15 +229,6 @@ def test_pretrain_outputs_independent_of_workers(tmp_path, monkeypatch):
     assert sorted(p.name for p in outs[1].iterdir()) == sorted(names)
     for name in names:
         assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
-
-
-def test_adapt_report_deterministic(tmp_path):
-    cfg = tiny_experiment(tmp_path)
-    harness.cmd_pretrain(cfg, tmp_path)
-    out_a, out_b = tmp_path / "ra", tmp_path / "rb"
-    harness.cmd_adapt(cfg, tmp_path, out_a)
-    harness.cmd_adapt(cfg, tmp_path, out_b)
-    assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
 
 
 def test_adapt_outputs_independent_of_workers(tmp_path):
@@ -681,6 +650,7 @@ def test_cli_export_embeddings(tmp_path, capsys):
     ])
     assert code == 0
     assert Path(out, "embeddings.csv").exists()
+    assert capsys.readouterr().out == f"wrote {Path(out, 'embeddings.csv')}\n"
 
 
 def test_cli_missing_config_file(tmp_path, capsys):
@@ -690,85 +660,37 @@ def test_cli_missing_config_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERROR io:")
 
 
-def test_cli_bad_config_contents(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"no_such_field": 1}))
-    code = cli_main(["pretrain", "--config", str(path), "--out", str(tmp_path)])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("ERROR config:")
-
-
-@pytest.mark.parametrize("raw", [{"adapt": {"batch_size": 0}}, {"d_h": 0}])
-def test_cli_zero_size_is_config_error(tmp_path, capsys, raw):
-    path = tmp_path / "zero.json"
-    path.write_text(json.dumps(raw))
-    code = cli_main(["pretrain", "--config", str(path), "--out", str(tmp_path)])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("ERROR config:")
-
-
-def _cli_config_error(tmp_path, capsys, text, *extra):
+@pytest.mark.parametrize("command, text, extra", [
+    ("adapt", '{"benchmark": {"n_cores": 0, "p_hate": []}}', ()),
+    ("adapt", '{"adapt": {"k": "5"}}', ()),
+    ("adapt", '{"seeds": ["a"]}', ()),
+    # Python's json module reads the bare NaN token as float("nan")
+    ("adapt", '{"adapt": {"lr": NaN}}', ()),
+    ("adapt", json.dumps(asdict(tiny_experiment())), ("--workers", "0")),
+    ("adapt", '{"adapt": ', ()),
+    ("adapt", '{"adapt": {"adam_beta1": 0.9}}', ()),
+    # a UTF-16 byte order mark and a truncated unit; a stray byte after UTF-8 JSON
+    ("adapt", b"\xff\xfe\x00", ()),
+    ("adapt", b'{"seeds": [0]}\xff', ()),
+    ("pretrain", '{"no_such_field": 1}', ()),
+    ("pretrain", '{"adapt": {"batch_size": 0}}', ()),
+    ("pretrain", '{"d_h": 0}', ()),
+    ("pretrain", '{"pretrain_epochs": -1}', ()),
+    # the class count is the binary benchmark's fixed 2, not a config field
+    ("adapt", '{"n_classes": 2}', ()),
+], ids=["zero_cores", "string_k", "string_seed", "nan_lr", "zero_workers", "malformed_json",
+        "adam_field", "utf16-truncated", "utf8-stray-byte", "bad_config_contents",
+        "zero_batch_size", "zero_d_h", "negative_pretrain_epochs", "n_classes"])
+def test_cli_config_error(tmp_path, capsys, command, text, extra):
     path = tmp_path / "probe.json"
     path.write_bytes(text.encode() if isinstance(text, str) else text)
-    code = cli_main(["adapt", "--config", str(path), "--out", str(tmp_path), *extra])
+    code = cli_main([command, "--config", str(path), "--out", str(tmp_path), *extra])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("ERROR config:") and "Traceback" not in captured.err
     assert len(captured.err.splitlines()) == 1 and captured.out == ""
-    assert not (tmp_path / "report.json").exists()
-    assert not (tmp_path / "diagnostics").exists()
-
-
-def test_cli_zero_cores_is_config_error(tmp_path, capsys):
-    _cli_config_error(tmp_path, capsys, '{"benchmark": {"n_cores": 0, "p_hate": []}}')
-
-
-def test_cli_string_k_is_config_error(tmp_path, capsys):
-    _cli_config_error(tmp_path, capsys, '{"adapt": {"k": "5"}}')
-
-
-def test_cli_string_seed_is_config_error(tmp_path, capsys):
-    _cli_config_error(tmp_path, capsys, '{"seeds": ["a"]}')
-
-
-def test_cli_nan_lr_is_config_error(tmp_path, capsys):
-    # Python's json module reads the bare NaN token as float("nan")
-    _cli_config_error(tmp_path, capsys, '{"adapt": {"lr": NaN}}')
-
-
-def test_cli_negative_pretrain_epochs_is_config_error(tmp_path, capsys):
-    path = tmp_path / "probe.json"
-    path.write_text('{"pretrain_epochs": -1}')
-    code = cli_main(["pretrain", "--config", str(path), "--out", str(tmp_path)])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("ERROR config:")
-    assert not harness.checkpoint_path(tmp_path, 0).exists()
-
-
-def test_cli_zero_workers_is_config_error(tmp_path, capsys):
-    _cli_config_error(tmp_path, capsys, _write_cfg(tmp_path).read_text(), "--workers", "0")
-
-
-def test_cli_malformed_json_is_config_error(tmp_path, capsys):
-    _cli_config_error(tmp_path, capsys, '{"adapt": ')
-
-
-# a UTF-16 byte order mark and a truncated unit; a stray byte after UTF-8 JSON
-@pytest.mark.parametrize("raw", [b"\xff\xfe\x00", b'{"seeds": [0]}\xff'],
-                         ids=["utf16-truncated", "utf8-stray-byte"])
-def test_cli_config_in_no_json_encoding_is_config_error(tmp_path, capsys, raw):
-    _cli_config_error(tmp_path, capsys, raw)
-
-
-def test_cli_adam_field_is_config_error(tmp_path, capsys):
-    _cli_config_error(tmp_path, capsys, '{"adapt": {"adam_beta1": 0.9}}')
-
-
-def test_cli_n_classes_field_is_config_error(tmp_path, capsys):
-    # the class count is the binary benchmark's fixed 2, not a config field
-    assert ExperimentConfig.n_classes == ExperimentConfig().n_classes == 2
-    assert "n_classes" not in ExperimentConfig().recorded()
-    _cli_config_error(tmp_path, capsys, '{"n_classes": 2}')
+    # no report, diagnostics or checkpoint: nothing is written
+    assert [p.name for p in tmp_path.iterdir()] == ["probe.json"]
 
 
 def test_cli_k_above_first_batch_is_config_error(tmp_path, capsys):
@@ -808,6 +730,10 @@ def test_preset_is_the_base_of_the_benchmark_block():
     assert cfg.benchmark == replace(severe, n_target=96)
     custom = ExperimentConfig.from_dict({"benchmark": {"preset": "custom"}}).benchmark
     assert custom == BenchmarkConfig(preset="custom")
+    # the benchmark that criterion 7 and the byte manifest run
+    assert preset_benchmark("collapse") == BenchmarkConfig(
+        preset="collapse", severity=0.8, p_hate=[0.3, 0.7, 0.35, 0.65], style_noise=0.1,
+        core_jitter=0.1, n_target=4096)
 
 
 @pytest.mark.parametrize("raw, extra", [
@@ -837,6 +763,9 @@ def test_recorded_config_states_only_the_numbers_that_ran(tmp_path, capsys):
                          "--preset", "severe"]) == 0
     capsys.readouterr()
     ran = {k: v for k, v in raw["benchmark"].items() if k != "preset"}
+    # the class count is the binary benchmark's fixed 2, never recorded
+    assert ExperimentConfig.n_classes == ExperimentConfig().n_classes == 2
+    assert "n_classes" not in ExperimentConfig().recorded()
     for name in ("pretrain_summary.json", "report.json"):
         recorded = json.loads((out / name).read_text())["config"]
         assert recorded["benchmark"] == ran
@@ -852,6 +781,11 @@ def test_recorded_config_states_only_the_numbers_that_ran(tmp_path, capsys):
     {"adapt": {"beta": -1.0}}, {"adapt": {"lr": -1e-3}}, [1, 2],
     {"benchmark": {"p_hate": [1.5, 0.0, 0.0, 0.0]}}, {"benchmark": {"core_jitter": -0.1}},
     {"benchmark": {"style_drift": -1.0}}, {"benchmark": {"label_noise": 1.5}},
+    # unknown fields; the AdamW moment decays and eps are fixed optimizer constants
+    {"learning_rate": 0.1}, {"adapt": {"momentum": 0.9}}, {"out_dir": "runs"},
+    {"adapt": {"adam_beta1": 0.9}},
+    {"benchmark": {"outlier_frac": 1.0}}, {"benchmark": {"outlier_frac": -0.1}},
+    {"seeds": []}, {"seeds": 0},
 ])
 def test_config_rejects_wrong_types_and_ranges(raw):
     with pytest.raises(ConfigError):
@@ -1088,9 +1022,6 @@ def test_unreadable_seed_inputs_fail_only_that_seeds_runs(tmp_path, capsys, monk
             (tmp_path / "clean" / "diagnostics" / name).read_bytes()
 
 
-_CLI = "import sys; from driftadapt.cli import main; sys.exit(main(sys.argv[1:]))"
-
-
 def test_cli_failures_print_only_their_error_lines(tmp_path):
     # stderr holds the ERROR lines alone, no numpy overflow warning. The CLI
     # runs in a child process, where no test harness captures warnings, and
@@ -1106,8 +1037,8 @@ def test_cli_failures_print_only_their_error_lines(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
 
     def cli(*argv):
-        done = subprocess.run([sys.executable, "-c", _CLI, *argv], capture_output=True,
-                              text=True, env=env)
+        done = subprocess.run([sys.executable, "-m", "driftadapt.cli", *argv],
+                              capture_output=True, text=True, env=env)
         return done.returncode, done.stderr.splitlines()
 
     assert cli("export-embeddings", "--config", str(cfg_path), "--out", str(tmp_path / "emb"),
@@ -1216,7 +1147,8 @@ def test_readme_error_table_lists_each_code_once():
 def test_cli_selftest(capsys):
     assert cli_main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
+    assert "PASS" in out and "FAIL" not in out and len(out.splitlines()) >= 5
+    assert out.splitlines()[0] == "PASS check_softmax: softmax positive and normalized"
 
 
 def test_cli_selftest_reports_an_error_as_one_failed_check(monkeypatch, capsys):
@@ -1233,7 +1165,19 @@ def test_cli_selftest_reports_an_error_as_one_failed_check(monkeypatch, capsys):
     assert "ERROR" not in captured.err
 
 
-def test_selftest_checks_cover_invariants():
-    results = run_selftest()
-    assert len(results) >= 5
-    assert all(ok for _, ok, _ in results)
+_MAX_COSINE, _PLOGP_BACKWARD = gc.max_cosine, obj._plogp_backward
+
+
+# a program broken in one place fails the checks that read that place
+@pytest.mark.parametrize("module, name, broken, failing", [
+    (gc, "max_cosine", lambda *a, **kw: (lambda s, idx: (gc.Tensor(s.data[..., :-1]),
+                                                         idx[..., :-1]))(*_MAX_COSINE(*a, **kw)),
+     {"check_cosine_bounds", "check_loss_gradients"}),
+    (selftest, "accuracy", lambda preds, labels: 2.0, {"check_metrics"}),
+    (cb, "_hartigan_refine", lambda x, centroids, labels: centroids, {"check_clustering"}),
+    (obj, "_plogp_backward", lambda *a: 2.0 * _PLOGP_BACKWARD(*a), {"check_loss_gradients"}),
+], ids=["max_cosine", "accuracy", "hartigan", "plogp_backward"])
+def test_selftest_fails_the_checks_a_broken_program_breaks(monkeypatch, module, name, broken,
+                                                          failing):
+    monkeypatch.setattr(module, name, broken)
+    assert {check for check, ok, _ in run_selftest() if not ok} == failing
