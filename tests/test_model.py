@@ -45,9 +45,13 @@ def test_forward_golden_values():
     batch = tiny_batch(np.random.default_rng(42))
     _, _, fused_logits = model.forward_full(batch)
     np.testing.assert_allclose(fused_logits.data, GOLDEN_FUSED, atol=1e-12)
-    # a second model of the seed gives the same bits
-    np.testing.assert_array_equal(tiny_model(seed=0).forward_full(batch)[2].data,
-                                  fused_logits.data)
+
+
+def test_forward_deterministic():
+    batch = tiny_batch(np.random.default_rng(7))
+    out1 = tiny_model(seed=3).forward_full(batch)[2].data
+    out2 = tiny_model(seed=3).forward_full(batch)[2].data
+    np.testing.assert_array_equal(out1, out2)
 
 
 def test_fusion_matches_op_by_op_composition():

@@ -141,15 +141,23 @@ def test_scan_variant_has_no_div_terms():
     assert "scan_v" in res.loss_row
 
 
-def test_run_stream_report_contents():
+def test_run_stream_deterministic():
     target = _tiny_target()
+    cfg = _cfg(batch_size=16)
     reports = []
-    for _ in range(2):   # a second run gives the same report
+    for _ in range(2):
         model = tiny_model(seed=1)
         model.set_input_stats(target.features)
-        reports.append(tt.run_stream(model, target, _cfg(batch_size=16), "scanner", seed=0))
-    report = reports[0]
-    assert report.to_dict() == reports[1].to_dict()
+        reports.append(tt.run_stream(model, target, cfg, "scanner", seed=0))
+    a, b = (r.to_dict() for r in reports)
+    assert a == b
+
+
+def test_run_stream_report_contents():
+    target = _tiny_target()
+    model = tiny_model(seed=1)
+    model.set_input_stats(target.features)
+    report = tt.run_stream(model, target, _cfg(batch_size=16), "scanner", seed=0)
     n_batches = int(np.ceil(len(target) / 16))
     assert len(report.loss_trace) == n_batches
     assert len(report.grad_norm_trace) == n_batches
