@@ -54,8 +54,7 @@ def test_bad_momentum_rejected():
         np.testing.assert_array_equal(bank.centroids, np.eye(2))
 
 
-def test_lloyd_sse_monotone():
-    rng = np.random.default_rng(0)
+def test_lloyd_sse_monotone(rng):
     x = cb.l2_normalize_rows(rng.normal(0, 1, (60, 5)))
     bank = cb.CentroidBank("v", centroids=x[:4].copy())
     sses = []

@@ -94,6 +94,15 @@ def test_entry_points_reject_a_directly_built_invalid_config(tmp_path, entry, bl
 # -- pretrain + adapt ------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def adapted(tmp_path_factory):
+    """(config, directory, report) of one pretrain and adapt run of the tiny
+    experiment, whose outputs the tests only read."""
+    cfg, out = tiny_experiment(), tmp_path_factory.mktemp("adapted")
+    harness.cmd_pretrain(cfg, out)
+    return cfg, out, harness.cmd_adapt(cfg, out, out)
+
+
 def test_pretrain_writes_checkpoints_and_summary(tmp_path):
     cfg = tiny_experiment(tmp_path)
     summary = harness.cmd_pretrain(cfg, tmp_path)
@@ -103,14 +112,11 @@ def test_pretrain_writes_checkpoints_and_summary(tmp_path):
     assert 0.0 <= summary["seeds"]["0"]["holdout_accuracy"] <= 1.0
 
 
-def test_pretrain_checkpoints_byte_identical(tmp_path):
-    cfg = tiny_experiment(tmp_path)
-    a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-    harness.cmd_pretrain(cfg, a_dir)
-    harness.cmd_pretrain(cfg, b_dir)
-    a = harness.checkpoint_path(a_dir, 0).read_bytes()
-    b = harness.checkpoint_path(b_dir, 0).read_bytes()
-    assert a == b
+def test_pretrain_checkpoints_byte_identical(tmp_path, adapted):
+    cfg, out, _ = adapted
+    harness.cmd_pretrain(cfg, tmp_path)
+    assert (harness.checkpoint_path(tmp_path, 0).read_bytes()
+            == harness.checkpoint_path(out, 0).read_bytes())
 
 
 def test_pretrain_of_three_seeds_writes_what_each_seed_alone_writes(tmp_path):
@@ -120,8 +126,7 @@ def test_pretrain_of_three_seeds_writes_what_each_seed_alone_writes(tmp_path):
         doc = json.loads((out / "pretrain_summary.json").read_text())
         return json.dumps(doc["seeds"][str(seed)])
 
-    cfg = tiny_experiment()
-    cfg.seeds = [0, 1, 2]
+    cfg = tiny_experiment(seeds=[0, 1, 2])
     together = tmp_path / "together"
     harness.cmd_pretrain(cfg, together)
     for seed in (0, 1, 2):
@@ -151,10 +156,7 @@ _RUN_BOTH = ("import sys; from driftadapt.cli import main; "
 def test_metrics_agree_across_blas_kernels(tmp_path):
     # bytes hold per BLAS kernel; across kernels the F1s are equal and the
     # gradient norms agree far inside 1e-9 relative (about 1e-15 measured)
-    cfg = tiny_experiment()
-    cfg.variants = ["source", "tent_em", "scanner"]
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(asdict(cfg)))
+    config = _write_cfg(tmp_path, tiny_experiment(variants=["source", "tent_em", "scanner"]))
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     env["PYTHONPATH"] = str(Path(harness.__file__).parents[1])   # the tree under test
     runs = []
@@ -172,14 +174,12 @@ def test_metrics_agree_across_blas_kernels(tmp_path):
         assert np.allclose(a["grad_norm_trace"], b["grad_norm_trace"], rtol=1e-9, atol=0.0)
 
 
-def test_adapt_outputs_and_aggregate(tmp_path):
-    cfg = tiny_experiment(tmp_path)
-    harness.cmd_pretrain(cfg, tmp_path)
-    doc = harness.cmd_adapt(cfg, tmp_path, tmp_path)
-    assert (tmp_path / "report.json").exists()
-    assert (tmp_path / "metrics.csv").exists()
+def test_adapt_outputs_and_aggregate(adapted):
+    cfg, out, doc = adapted
+    assert (out / "report.json").exists()
+    assert (out / "metrics.csv").exists()
     for variant in cfg.variants:
-        assert (tmp_path / "diagnostics" / f"{variant}_seed0.csv").exists()
+        assert (out / "diagnostics" / f"{variant}_seed0.csv").exists()
     assert set(doc["aggregate"]) == set(cfg.variants)
     runs = doc["runs"]
     assert len(runs) == len(cfg.variants) * len(cfg.seeds)
@@ -190,11 +190,9 @@ def test_adapt_outputs_and_aggregate(tmp_path):
     )
 
 
-def test_metrics_csv_matches_report(tmp_path):
-    cfg = tiny_experiment(tmp_path)
-    harness.cmd_pretrain(cfg, tmp_path)
-    doc = harness.cmd_adapt(cfg, tmp_path, tmp_path)
-    with open(tmp_path / "metrics.csv") as fh:
+def test_metrics_csv_matches_report(adapted):
+    _, out, doc = adapted
+    with open(out / "metrics.csv") as fh:
         rows = list(csv.DictReader(fh))
     per_seed = [r for r in rows if r["seed"] != "mean"]
     assert len(per_seed) == len(doc["runs"])
@@ -212,12 +210,10 @@ def test_metrics_csv_matches_report(tmp_path):
                 doc["aggregate"][row["variant"]][metric]["mean"], abs=1e-6)
 
 
-def test_diagnostics_csv_has_trace_rows(tmp_path):
-    cfg = tiny_experiment(tmp_path)
-    harness.cmd_pretrain(cfg, tmp_path)
-    doc = harness.cmd_adapt(cfg, tmp_path, tmp_path)
+def test_diagnostics_csv_has_trace_rows(adapted):
+    _, out, doc = adapted
     run = next(r for r in doc["runs"] if r["variant"] == "scanner")
-    with open(tmp_path / "diagnostics" / "scanner_seed0.csv") as fh:
+    with open(out / "diagnostics" / "scanner_seed0.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(run["loss_trace"])
     assert "gradient_norm" in rows[0] and "mean_entropy" in rows[0]
@@ -230,8 +226,7 @@ def test_pretrain_outputs_independent_of_workers(tmp_path, monkeypatch):
         raise AssertionError("cmd_pretrain started a process pool")
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
-    cfg = tiny_experiment(tmp_path)
-    cfg.seeds = [0, 1]
+    cfg = tiny_experiment(seeds=[0, 1])
     outs = {}
     for workers in (1, 2):
         cfg.workers = workers
@@ -243,19 +238,14 @@ def test_pretrain_outputs_independent_of_workers(tmp_path, monkeypatch):
         assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
 
 
-def test_adapt_report_deterministic(tmp_path):
-    cfg = tiny_experiment(tmp_path)
-    harness.cmd_pretrain(cfg, tmp_path)
-    out_a, out_b = tmp_path / "ra", tmp_path / "rb"
-    harness.cmd_adapt(cfg, tmp_path, out_a)
-    harness.cmd_adapt(cfg, tmp_path, out_b)
-    assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
+def test_adapt_report_deterministic(tmp_path, adapted):
+    cfg, out, _ = adapted
+    harness.cmd_adapt(cfg, out, tmp_path)
+    assert (tmp_path / "report.json").read_bytes() == (out / "report.json").read_bytes()
 
 
 def test_adapt_outputs_independent_of_workers(tmp_path):
-    cfg = tiny_experiment(tmp_path)
-    cfg.seeds = [0, 1]
-    cfg.variants = ["source", "tent_em", "scanner"]
+    cfg = tiny_experiment(seeds=[0, 1], variants=["source", "tent_em", "scanner"])
     harness.cmd_pretrain(cfg, tmp_path)
     outs = {}
     # 3 workers are more than the 2 seeds, so the pool starts 2 processes
@@ -297,8 +287,7 @@ class _RecordingPool:
 
 
 def test_adapt_pool_starts_no_more_processes_than_seeds(tmp_path, monkeypatch):
-    cfg = tiny_experiment(tmp_path)
-    cfg.seeds = [0, 1, 2]
+    cfg = tiny_experiment(seeds=[0, 1, 2])
     harness.cmd_pretrain(cfg, tmp_path)
     sizes = []
     monkeypatch.setattr(harness, "ProcessPoolExecutor",
@@ -313,9 +302,7 @@ def test_adapt_pool_starts_no_more_processes_than_seeds(tmp_path, monkeypatch):
 
 
 def test_adapt_builds_each_seed_target_once(tmp_path, monkeypatch):
-    cfg = tiny_experiment(tmp_path)
-    cfg.seeds = [0, 1]
-    cfg.variants = ["source", "scanner"]
+    cfg = tiny_experiment(seeds=[0, 1], variants=["source", "scanner"])
     harness.cmd_pretrain(cfg, tmp_path)
     calls = []
     build = harness.build_domain
@@ -330,9 +317,7 @@ def test_adapt_builds_each_seed_target_once(tmp_path, monkeypatch):
 
 
 def test_pool_workers_build_the_targets(tmp_path, monkeypatch):
-    cfg = tiny_experiment(tmp_path)
-    cfg.seeds = [0, 1]
-    cfg.workers = 2
+    cfg = tiny_experiment(seeds=[0, 1], workers=2)
     harness.cmd_pretrain(cfg, tmp_path)
     log = tmp_path / "build_domain_calls.txt"
     build = harness.build_domain
@@ -369,9 +354,7 @@ def _counting_kmeanspp(monkeypatch, fail_seeds=()):
 
 
 def test_adapt_seeds_each_seeds_banks_once(tmp_path, monkeypatch):
-    cfg = tiny_experiment(tmp_path)
-    cfg.seeds = [0, 1]
-    cfg.variants = ["can", "scan", "scanner"]
+    cfg = tiny_experiment(seeds=[0, 1], variants=["can", "scan", "scanner"])
     harness.cmd_pretrain(cfg, tmp_path)
     calls = _counting_kmeanspp(monkeypatch)
     shared = harness.cmd_adapt(cfg, tmp_path, tmp_path / "shared")
@@ -392,10 +375,7 @@ def test_adapt_seeds_each_seeds_banks_once(tmp_path, monkeypatch):
 
 
 def test_pool_seeds_each_seeds_banks_once(tmp_path, monkeypatch):
-    cfg = tiny_experiment(tmp_path)
-    cfg.seeds = [0, 1]
-    cfg.variants = ["can", "scan", "scanner"]
-    cfg.workers = 2
+    cfg = tiny_experiment(seeds=[0, 1], variants=["can", "scan", "scanner"], workers=2)
     harness.cmd_pretrain(cfg, tmp_path)
     log = tmp_path / "kmeanspp_seeds.txt"
     init = cb.init_kmeanspp
@@ -419,10 +399,7 @@ def test_pool_seeds_each_seeds_banks_once(tmp_path, monkeypatch):
                          ids=["1", "2", "1-102", "2-102"])
 def test_degenerate_bank_seeding_fails_each_bank_run_alone(tmp_path, monkeypatch, workers,
                                                            fail_seed):
-    cfg = tiny_experiment(tmp_path)
-    cfg.seeds = [0, 1]
-    cfg.variants = ["source", "can", "scanner"]
-    cfg.workers = workers
+    cfg = tiny_experiment(seeds=[0, 1], variants=["source", "can", "scanner"], workers=workers)
     harness.cmd_pretrain(cfg, tmp_path)
     clean = harness.cmd_adapt(cfg, tmp_path, tmp_path / "clean")
     # the pool's processes fork after the patch, so they run it too
@@ -524,20 +501,15 @@ def test_non_finite_checkpoint_entry_raises_compat_naming_it(tmp_path, name, val
         SourceModel.load(path, TINY_DIMS)
 
 
-def test_load_compatible_rejects_dim_mismatch(tmp_path):
-    cfg = tiny_experiment(tmp_path)
-    harness.cmd_pretrain(cfg, tmp_path)
-    bad = tiny_experiment(tmp_path)
-    bad.d_h = 12
+def test_load_compatible_rejects_dim_mismatch(adapted):
     with pytest.raises(CompatibilityError):
-        harness.load_compatible(harness.checkpoint_path(tmp_path, 0), bad)
+        harness.load_compatible(harness.checkpoint_path(adapted[1], 0), tiny_experiment(d_h=12))
 
 
-def test_export_embeddings(tmp_path):
-    cfg = tiny_experiment(tmp_path)
-    harness.cmd_pretrain(cfg, tmp_path)
+def test_export_embeddings(tmp_path, adapted):
+    cfg, ckpts, _ = adapted
     out_csv = tmp_path / "emb.csv"
-    harness.cmd_export_embeddings(cfg, harness.checkpoint_path(tmp_path, 0), out_csv)
+    harness.cmd_export_embeddings(cfg, harness.checkpoint_path(ckpts, 0), out_csv)
     with open(out_csv) as fh:
         rows = list(csv.reader(fh))
     n = cfg.benchmark.n_source + cfg.benchmark.n_target
@@ -547,24 +519,18 @@ def test_export_embeddings(tmp_path):
     assert len(rows[1]) == 3 + cfg.d_h
 
 
-def test_export_embeddings_builds_no_graph(tmp_path, monkeypatch):
-    cfg = tiny_experiment(tmp_path)
-    harness.cmd_pretrain(cfg, tmp_path)
-    made = []
-    make = gc._make
-    monkeypatch.setattr(gc, "_make", lambda *args: made.append(make(*args)) or made[-1])
-    harness.cmd_export_embeddings(cfg, harness.checkpoint_path(tmp_path, 0),
-                                  tmp_path / "emb.csv")
+def test_export_embeddings_builds_no_graph(tmp_path, adapted, made):
+    cfg, ckpts, _ = adapted
+    harness.cmd_export_embeddings(cfg, harness.checkpoint_path(ckpts, 0), tmp_path / "emb.csv")
     assert made and not any(t._parents for t in made)
 
 
 # -- CLI -------------------------------------------------------------------
 
 
-def _write_cfg(tmp_path):
-    cfg = tiny_experiment(tmp_path)
+def _write_cfg(tmp_path, cfg=None):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(asdict(cfg)))
+    path.write_text(json.dumps(asdict(cfg or tiny_experiment())))
     return path
 
 
@@ -595,11 +561,8 @@ def test_cli_adapt_prints_online_and_final_macro_f1(tmp_path, capsys):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_failed_run_stays_in_its_own_run(tmp_path, capsys, monkeypatch, workers):
-    cfg = tiny_experiment(tmp_path)
-    cfg.seeds = [0, 1]
-    cfg.variants = ["source", "scanner"]
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(asdict(cfg)))
+    cfg = tiny_experiment(seeds=[0, 1], variants=["source", "scanner"])
+    cfg_path = _write_cfg(tmp_path, cfg)
     harness.cmd_pretrain(cfg, tmp_path)
     clean, out = tmp_path / "clean", tmp_path / "out"
     argv = ["adapt", "--config", str(cfg_path), "--checkpoints", str(tmp_path),
@@ -969,8 +932,7 @@ def _fail_target(ckpt_dir, monkeypatch):
 def test_numeric_failures_record_the_batch_they_raised_at(tmp_path):
     # a huge step overflows the encoder a few batches in; the failed run
     # records that batch's index as a divergence does
-    cfg = tiny_experiment(tmp_path)
-    cfg.variants = ["tent_em", "scanner"]
+    cfg = tiny_experiment(variants=["tent_em", "scanner"])
     harness.cmd_pretrain(cfg, tmp_path)
     cfg.adapt.lr = 1e60
     doc = harness.cmd_adapt(cfg, tmp_path, tmp_path / "out")
@@ -1017,11 +979,8 @@ def _overflow_in_attention(ckpt_dir, monkeypatch):
                          ids=lambda f: f.__name__.lstrip("_"))
 def test_unreadable_seed_inputs_fail_only_that_seeds_runs(tmp_path, capsys, monkeypatch,
                                                            break_seed, workers):
-    cfg = tiny_experiment(tmp_path)
-    cfg.seeds = [0, 1]
-    cfg.variants = ["source", "scanner"]
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(asdict(cfg)))
+    cfg = tiny_experiment(seeds=[0, 1], variants=["source", "scanner"])
+    cfg_path = _write_cfg(tmp_path, cfg)
     harness.cmd_pretrain(cfg, tmp_path)
     harness.cmd_adapt(cfg, tmp_path, tmp_path / "clean")
     clean = json.loads((tmp_path / "clean" / "report.json").read_text())
@@ -1047,10 +1006,8 @@ def test_cli_failures_print_only_their_error_lines(tmp_path):
     # stderr holds the ERROR lines alone, no numpy overflow warning. The CLI
     # runs in a child process, where no test harness captures warnings, and
     # adapt runs each seed in a pool worker
-    cfg = tiny_experiment()
-    cfg.seeds = [0, 1]
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(asdict(cfg)))
+    cfg = tiny_experiment(seeds=[0, 1])
+    cfg_path = _write_cfg(tmp_path, cfg)
     for seed in cfg.seeds:
         tiny_model(seed).save(harness.checkpoint_path(tmp_path, seed))
     _overflow_in_attention(tmp_path, None)

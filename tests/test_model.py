@@ -97,13 +97,10 @@ def test_forward_is_the_fused_logits_of_forward_full():
     assert np.array_equal(predict(model, batch), fused.argmax(axis=1))
 
 
-def test_pretrain_step_graph_budget(monkeypatch):
+def test_pretrain_step_graph_budget(made):
     # the stacked encoder, attention, classifier and the loss; one encoder
     # per modality made it 6, and forward_full's unread modality logits and
     # the op-by-op blocks 22
-    made = []
-    make = gc._make
-    monkeypatch.setattr(gc, "_make", lambda *args: made.append(1) or make(*args))
     features, labels = _separable_data(np.random.default_rng(1), n=128)
     pretrain_source([tiny_model()], [(features, labels)], epochs=2, batch_size=64, seeds=[0])
     # two steps per epoch on the 102 training rows, then one prediction of
@@ -111,12 +108,9 @@ def test_pretrain_step_graph_budget(monkeypatch):
     assert len(made) == 2 * 2 * 4 + 3
 
 
-def test_pretrain_step_graph_budget_is_the_same_for_three_seeds(monkeypatch):
+def test_pretrain_step_graph_budget_is_the_same_for_three_seeds(made):
     # the three models train as one stack: still 4 nodes a step, and one
     # prediction of each model's held-out rows
-    made = []
-    make = gc._make
-    monkeypatch.setattr(gc, "_make", lambda *args: made.append(1) or make(*args))
     rng = np.random.default_rng(1)
     data = [_separable_data(rng, n=128) for _ in range(3)]
     pretrain_source([tiny_model(s) for s in range(3)], data, epochs=2, batch_size=64,
@@ -124,13 +118,11 @@ def test_pretrain_step_graph_budget_is_the_same_for_three_seeds(monkeypatch):
     assert len(made) == 2 * 2 * 4 + 3 * 3
 
 
-def test_pretrained_models_predict_without_a_graph(monkeypatch):
+def test_pretrained_models_predict_without_a_graph(monkeypatch, made):
     # parameters are created frozen and each stacked step tracks its own, so
     # no model leaves pretraining requiring a gradient, and neither the
     # held-out predictions nor a later one build a node with parents
-    made, spans = [], []
-    make, predict_rows = gc._make, model_module.predict
-    monkeypatch.setattr(gc, "_make", lambda *args: made.append(make(*args)) or made[-1])
+    spans, predict_rows = [], model_module.predict
 
     def spanned(model, features):
         start = len(made)
@@ -270,8 +262,7 @@ def _separable_data(rng, n=256, d_in=4):
     return features, labels
 
 
-def test_pretrain_learns_separable_data():
-    rng = np.random.default_rng(0)
+def test_pretrain_learns_separable_data(rng):
     features, labels = _separable_data(rng)
     model = SourceModel(ModelDims(d_in=4, d_h=6, n_classes=2), seed=0)
     [result] = pretrain_source([model], [(features, labels)], epochs=15, batch_size=64,

@@ -284,8 +284,7 @@ def test_adaptive_weights_hand_value():
     np.testing.assert_allclose(w.data, [1 / 3, 2 / 3], atol=1e-12)
 
 
-def test_adaptive_weights_sum_to_one_and_order():
-    rng = np.random.default_rng(0)
+def test_adaptive_weights_sum_to_one_and_order(rng):
     s = rng.uniform(-1, 1, 16)
     w = obj.adaptive_weights(Tensor(s), beta=7.0).data
     assert w.sum() == pytest.approx(1.0, abs=1e-12)

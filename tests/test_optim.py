@@ -137,7 +137,7 @@ def test_second_optimizer_takes_over_storage():
         first.step()
 
 
-def test_backward_accumulates_into_the_flat_buffer(monkeypatch):
+def test_backward_accumulates_into_the_flat_buffer(monkeypatch, rng):
     # after one pretraining step and one scanner batch, each optimized
     # parameter's .grad is its view of the flat gradient buffer, and the
     # step only reads it: the views are read-only while it runs
@@ -155,7 +155,6 @@ def test_backward_accumulates_into_the_flat_buffer(monkeypatch):
                 g.flags.writeable = True
 
     monkeypatch.setattr(AdamW, "step", checked)
-    rng = np.random.default_rng(0)
     model = tiny_model()
     pretrain_source([model], [(tiny_batch(rng, n=20), rng.integers(0, 2, 20))], epochs=1,
                     batch_size=16, seeds=[0])

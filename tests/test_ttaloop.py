@@ -31,6 +31,13 @@ def _tiny_target(seed=0, n=64):
     return dg.generate_domain(cores, tgt, n, seed=seed + 50)
 
 
+def _fitted_model(target):
+    """A seed-1 model whose input statistics are the target's."""
+    model = tiny_model(seed=1)
+    model.set_input_stats(target.features)
+    return model
+
+
 def _param_snapshot(model):
     return {k: p.data.copy() for k, p in model.named_parameters().items()}
 
@@ -146,8 +153,7 @@ def test_run_stream_deterministic():
     cfg = _cfg(batch_size=16)
     reports = []
     for _ in range(2):
-        model = tiny_model(seed=1)
-        model.set_input_stats(target.features)
+        model = _fitted_model(target)
         reports.append(tt.run_stream(model, target, cfg, "scanner", seed=0))
     a, b = (r.to_dict() for r in reports)
     assert a == b
@@ -155,8 +161,7 @@ def test_run_stream_deterministic():
 
 def test_run_stream_report_contents():
     target = _tiny_target()
-    model = tiny_model(seed=1)
-    model.set_input_stats(target.features)
+    model = _fitted_model(target)
     report = tt.run_stream(model, target, _cfg(batch_size=16), "scanner", seed=0)
     n_batches = int(np.ceil(len(target) / 16))
     assert len(report.loss_trace) == n_batches
@@ -171,8 +176,7 @@ def test_run_stream_report_contents():
 
 def test_run_stream_source_has_no_banks():
     target = _tiny_target()
-    model = tiny_model(seed=1)
-    model.set_input_stats(target.features)
+    model = _fitted_model(target)
     report = tt.run_stream(model, target, _cfg(), "source", seed=0)
     assert report.collapse_gap is None
     assert report.cluster_ratios == {}
@@ -183,8 +187,7 @@ def test_run_stream_source_has_no_banks():
 def test_final_pass_chunks_match_one_full_forward(monkeypatch, variant):
     # 70 rows in batches of 16: the last chunk of the final pass has 6 rows
     target = _tiny_target(n=70)
-    model = tiny_model(seed=1)
-    model.set_input_stats(target.features)
+    model = _fitted_model(target)
     states = []
     init = tt.init_adapt_state
     monkeypatch.setattr(tt, "init_adapt_state",
@@ -221,9 +224,7 @@ def test_seeded_bank_run_normalizes_no_rows_on_their_own(monkeypatch, variant):
     # seeded never calls l2_normalize_rows; the final pass once called it on
     # each of its 5 chunks
     target = _tiny_target(n=70)
-    models = [tiny_model(seed=1), tiny_model(seed=1)]
-    for model in models:
-        model.set_input_stats(target.features)
+    models = [_fitted_model(target), _fitted_model(target)]
     seeded = []
     tt.run_stream(models[0], target, _cfg(batch_size=16), variant, seed=0, seeded=seeded)
     assert len(seeded) == len(MODALITIES)
@@ -271,35 +272,28 @@ def test_only_source_skips_the_final_pass(monkeypatch, variant, passes):
     monkeypatch.setattr(SourceModel, "head",
                         lambda self, features: calls.append(1) or head(self, features))
     target = _tiny_target(n=70)
-    model = tiny_model(seed=1)
-    model.set_input_stats(target.features)
+    model = _fitted_model(target)
     tt.run_stream(model, target, _cfg(batch_size=16), variant, seed=0)
     assert len(calls) == passes * 5   # ceil(70 / 16) batches per pass
 
 
 @pytest.mark.parametrize("variant", ["source", "norm"])
-def test_inference_variants_build_no_graph(monkeypatch, variant):
-    made = []
-    make = gc._make
-    monkeypatch.setattr(gc, "_make", lambda *args: made.append(make(*args)) or made[-1])
+def test_inference_variants_build_no_graph(made, variant):
     state = tt.init_adapt_state(tiny_model(), _cfg(), variant)
     tt.adapt_batch(state, tiny_batch(np.random.default_rng(0), n=8))
     assert made and not any(t._parents for t in made)
 
 
 @pytest.mark.parametrize("variant", ["st", "tent_em", "can", "scan", "scanner"])
-def test_gradient_runs_end_with_every_parameter_frozen(monkeypatch, variant):
+def test_gradient_runs_end_with_every_parameter_frozen(monkeypatch, made, variant):
     # each batch is a training step that builds a graph; the final pass runs
     # outside any step, so it builds no node with parents, and the finished
     # run leaves no parameter requiring a gradient
-    made, ends = [], []
-    make, adapt_batch = gc._make, tt.adapt_batch
-    monkeypatch.setattr(gc, "_make", lambda *args: made.append(make(*args)) or made[-1])
+    ends, adapt_batch = [], tt.adapt_batch
     monkeypatch.setattr(tt, "adapt_batch", lambda state, batch: (
         adapt_batch(state, batch), ends.append(len(made)))[0])
     target = _tiny_target()
-    model = tiny_model(seed=1)
-    model.set_input_stats(target.features)
+    model = _fitted_model(target)
     tt.run_stream(model, target, _cfg(batch_size=16), variant, seed=0)
     steps, final = made[:ends[-1]], made[ends[-1]:]
     assert len(ends) == 4 and any(t._parents for t in steps)
@@ -325,8 +319,7 @@ def test_a_run_that_raises_mid_stream_ends_with_every_parameter_frozen(
 
     monkeypatch.setattr(owner, where, failing)
     target = _tiny_target()
-    model = tiny_model(seed=1)
-    model.set_input_stats(target.features)
+    model = _fitted_model(target)
     with pytest.raises(error):
         tt.run_stream(model, target, _cfg(batch_size=16, st_confidence=0.51), variant, seed=0)
     assert len(calls) == 3
@@ -341,18 +334,15 @@ def test_tent_em_loss_rows_log_em_as_the_total():
 
 def test_reused_model_adapts_again():
     target = _tiny_target()
-    model = tiny_model(seed=1)
-    model.set_input_stats(target.features)
+    model = _fitted_model(target)
     tt.run_stream(model, target, _cfg(), "scanner", seed=0)
     before = {k: p.data.copy() for k, p in model.trainable_parameters().items()}
     tt.run_stream(model, target, _cfg(), "scanner", seed=0)
     assert any(np.any(p.data != before[k]) for k, p in model.trainable_parameters().items())
 
 
-
 def _adapted_run(target, variant, seeded=None):
-    model = tiny_model(seed=1)
-    model.set_input_stats(target.features)
+    model = _fitted_model(target)
     return tt.run_stream(model, target, _cfg(batch_size=16), variant, seed=3,
                          seeded=seeded)
 
@@ -366,8 +356,7 @@ def test_stored_bank_seeds_stay_those_of_a_fresh_seeding(monkeypatch):
     seeded = []
     _adapted_run(target, "can", seeded)
     assert states[0].seeded is seeded and len(seeded) == len(MODALITIES)
-    model = tiny_model(seed=1)
-    model.set_input_stats(target.features)
+    model = _fitted_model(target)
     fresh = model.embed({m: target.features[m][:16] for m in MODALITIES}).data
     for i, (stored, own) in enumerate(zip(seeded, states[0].bank.centroids)):
         bank = cb.init_kmeanspp(fresh[i], 2, seed=3 * 101 + i)
@@ -420,8 +409,7 @@ def test_run_stream_batches_are_views_of_the_target_stack(monkeypatch, variant):
                         or norm_update(model, batch, momentum))
     monkeypatch.setattr(SourceModel, "embed",
                         lambda self, batch: seen["embed"].append(batch) or embed(self, batch))
-    model = tiny_model(seed=1)
-    model.set_input_stats(target.features)
+    model = _fitted_model(target)
     tt.run_stream(model, target, _cfg(batch_size=16), variant, seed=0)
     assert len(seen["adapt"]) == 5 and len(seen["embed"]) == 10
     assert len(seen["norm"]) == (5 if variant == "norm" else 0)
@@ -437,8 +425,7 @@ def test_adapt_batch_gives_the_same_bytes_on_a_stack_slice_and_a_dict(variant):
     target = _tiny_target(n=64)
     results, states = [], []
     for as_dict in (False, True):
-        model = tiny_model(seed=1)
-        model.set_input_stats(target.features)
+        model = _fitted_model(target)
         state = tt.init_adapt_state(model, _cfg(batch_size=16), variant, seed=0, seeded=[])
         rows = []
         for start in range(0, 64, 16):
@@ -465,8 +452,7 @@ def test_labels_never_reach_adaptation():
     )
     params = []
     for ds in (target, flipped):
-        model = tiny_model(seed=1)
-        model.set_input_stats(ds.features)
+        model = _fitted_model(ds)
         tt.run_stream(model, ds, _cfg(batch_size=16), "scanner", seed=0)
         params.append(_param_snapshot(model))
     for k in params[0]:
@@ -475,8 +461,7 @@ def test_labels_never_reach_adaptation():
 
 def test_adaptation_reduces_entropy_trace():
     target = _tiny_target(n=256)
-    model = tiny_model(seed=1)
-    model.set_input_stats(target.features)
+    model = _fitted_model(target)
     report = tt.run_stream(model, target, _cfg(batch_size=32, lr=5e-2),
                            "tent_em", seed=0)
     assert report.mean_entropy_trace[-1] < report.mean_entropy_trace[0]
@@ -499,7 +484,7 @@ def test_nonfinite_loss_raises_divergence_with_its_tau():
     assert (str(back), back.tau) == (str(info.value), 2)
 
 
-def test_nonfinite_grad_skips_step():
+def test_nonfinite_grad_skips_step(monkeypatch):
     model = tiny_model()
     state = tt.init_adapt_state(model, _cfg(), MethodVariant.TENT_EM)
     before = _param_snapshot(model)
@@ -507,21 +492,15 @@ def test_nonfinite_grad_skips_step():
     class FakeLoss:
         data = np.asarray(0.5)
 
-    # monkeypatch-free: drive _apply_step directly with a poisoned gradient
+    def poisoned(loss):
+        for p in model.trainable_parameters().values():
+            p.grad = np.full_like(p.data, np.nan)
+
+    # drive _apply_step directly with a poisoned gradient
+    monkeypatch.setattr(tt.gc, "backward", poisoned)
     res = tt.BatchResult(tau=0, predictions=np.zeros(1, dtype=np.int64),
                          entropies=np.zeros(1), loss_row={}, grad_norm=0.0)
-    import driftadapt.gradcore as gc_mod
-
-    orig_backward = gc_mod.backward
-    try:
-        def poisoned(loss):
-            for p in model.trainable_parameters().values():
-                p.grad = np.full_like(p.data, np.nan)
-
-        tt.gc.backward = poisoned
-        tt._apply_step(state, FakeLoss(), res)
-    finally:
-        tt.gc.backward = orig_backward
+    tt._apply_step(state, FakeLoss(), res)
     assert res.skipped
     for k, v in _param_snapshot(model).items():
         np.testing.assert_array_equal(v, before[k])
@@ -565,15 +544,14 @@ CLUSTER_BATCH_NODE_BUDGET = {"st": 5, "tent_em": 4, "can": 7, "scan": 7, "scanne
 
 
 @pytest.mark.parametrize("case", sorted(CLUSTER_BATCH_NODE_BUDGET))
-def test_cluster_batch_graph_size(monkeypatch, case):
+def test_cluster_batch_graph_size(monkeypatch, made, case):
     # after the banks are seeded at tau=0, a k=5 batch with every cluster
     # filled; st keeps some pseudo-labels, so every variant takes a step.
     # The batch builds one Tensor per node and one for the standardized
     # input, and no Assignment: a leaf Tensor per logged term and an
     # Assignment per bank made can, scan and scanner build 11, 14 and 21
-    made, tensors, assignments = [], [], []
-    make, init, real = gc._make, gc.Tensor.__init__, cb.Assignment
-    monkeypatch.setattr(gc, "_make", lambda *args: made.append(1) or make(*args))
+    tensors, assignments = [], []
+    init, real = gc.Tensor.__init__, cb.Assignment
     monkeypatch.setattr(gc.Tensor, "__init__",
                         lambda self, *a, **kw: tensors.append(1) or init(self, *a, **kw))
     monkeypatch.setattr(cb, "Assignment", lambda **kw: assignments.append(kw) or real(**kw))
@@ -615,12 +593,11 @@ def test_bank_batch_computes_its_norms_and_counts_once(monkeypatch, variant):
     assert stacked == []
 
 
-def test_grad_norm_sums_the_per_modality_slices_in_name_order():
+def test_grad_norm_sums_the_per_modality_slices_in_name_order(rng):
     # the trace keeps the bits of a sum over the 12 per-modality tensors, in
     # checkpoint-name order; magnitudes 1e-8 to 1e8 make the order matter
     model = tiny_model()
     params = model.trainable_parameters()
-    rng = np.random.default_rng(0)
     for p in params.values():
         p.grad = rng.normal(0, 1, p.data.shape) * 10.0 ** rng.integers(-8, 9, p.data.shape)
     per_modality = {f"enc.{m}.{name}": params[f"enc.{name}"].grad[i].copy()

@@ -26,9 +26,11 @@ thread, and writes nothing under that tree. Each pytest run is
 Hypothesis's example database and shrinking, in a copy whose
 ``.hypothesis/`` is removed after every run, so no replayed example can
 change a verdict, and a failing property stops at its first failing example.
-A mutant's run that outlasts its timeout is stopped with its whole process
-group and counts as killed. No more pytest processes run at once than
-there are CPUs.
+A mutant's run that outlasts its timeout (five times the unmutated run,
+plus ten seconds) is stopped with its whole process group and counts as
+killed; so does any other nonzero exit, a ``conftest.py`` that no longer
+imports among them, since the unmutated run passed with the same arguments.
+No more pytest processes run at once than there are CPUs.
 
     python tools/mutate.py list
     python tools/mutate.py screen --sample 40 --json screen.json
@@ -37,6 +39,8 @@ there are CPUs.
     python tools/mutate.py kills tests/test_gradcore.py --tree /path/to/parent --json old.json
     python tools/mutate.py compare old.json new.json
 
+``--sample n`` draws at most ``n`` mutants of each module, always the same
+ones for the same ``src/``.
 ``screen`` runs each mutant against its module's own test file
 (``tests/test_<module>.py``, or ``tests/test_harness.py`` for a module
 without one) with ``-x``, then the survivors against all of ``tests/`` with
@@ -88,6 +92,7 @@ settings.load_profile("mutate")
 """
 # a mutant's run may take this many times the unmutated run, plus SLACK_S
 TIMEOUT_FACTOR, SLACK_S = 5.0, 10.0
+SAMPLE_SEED = 0
 
 NEGATED = {ast.Lt: ">=", ast.GtE: "<", ast.Gt: "<=", ast.LtE: ">", ast.Eq: "!=",
            ast.NotEq: "==", ast.Is: "is not", ast.IsNot: "is", ast.In: "not in",
@@ -212,10 +217,10 @@ def all_mutants(tree: Path, modules=None) -> list[Mutant]:
             for m in mutants(name, (tree / PACKAGE / f"{name}.py").read_bytes())]
 
 
-def sample(found: list[Mutant], n: int | None, seed: int) -> list[Mutant]:
+def sample(found: list[Mutant], n: int | None) -> list[Mutant]:
     """At most ``n`` mutants of each module, drawn with a ``random.Random``
-    seeded by ``seed`` and the module's name, in source order; all of them
-    when ``n`` is None."""
+    seeded by ``SAMPLE_SEED`` and the module's name, in source order; all of
+    them when ``n`` is None."""
     if n is None:
         return found
     by_module = {}
@@ -223,7 +228,7 @@ def sample(found: list[Mutant], n: int | None, seed: int) -> list[Mutant]:
         by_module.setdefault(m.module, []).append(m)
     picked = set()
     for name, group in by_module.items():
-        picked.update(random.Random(f"{seed}:{name}").sample(group, min(n, len(group))))
+        picked.update(random.Random(f"{SAMPLE_SEED}:{name}").sample(group, min(n, len(group))))
     return [m for m in found if m in picked]
 
 
@@ -266,11 +271,9 @@ def run_pytest(root: Path, args, timeout: float | None):
 
 
 def _killed(code) -> bool:
-    if code == 0:
-        return False
-    if code in (None, 1, 2, 3):   # timeout, failures, interrupted, internal error
-        return True
-    raise RuntimeError(f"pytest exited {code}: a usage error or no tests collected")
+    """A timeout (None) or any nonzero exit kills: the unmutated run passed
+    with the same arguments."""
+    return code != 0
 
 
 class Copies:
@@ -323,13 +326,13 @@ class Copies:
             return list(pool.map(fn, items))
 
 
-def screen(tree, found, jobs=2, timeout=None) -> dict:
+def screen(tree, found, jobs=os.cpu_count() or 1) -> dict:
     """Each mutant against its module's own tests with ``-x``, then the
     survivors against all of ``tests/`` with ``-x``."""
     tree = Path(tree)
     with Copies(tree, jobs) as copies:
         spent = copies.baseline(["tests"])
-        limit = timeout or TIMEOUT_FACTOR * spent + SLACK_S
+        limit = TIMEOUT_FACTOR * spent + SLACK_S
         own = copies.map(lambda m: _killed(copies.run(m, ["-x", own_tests(tree, m.module)],
                                                       limit)), found)
         rest = [m for m, k in zip(found, own) if not k]
@@ -366,13 +369,14 @@ def failing_tests(junit: Path) -> list[str]:
     return sorted(failed)
 
 
-def kills(tree, test_files, found, jobs=2, timeout=None) -> dict:
+def kills(tree, test_files, found, jobs=os.cpu_count() or 1) -> dict:
     """Whole test files, without ``-x``, against each mutant: which tests
-    fail on it, or "timeout"."""
+    fail on it, or "timeout", or the exit code of a run that failed no test
+    (a ``conftest.py`` that no longer imports)."""
     tree = Path(tree)
     with Copies(tree, jobs) as copies:
         spent = copies.baseline(list(test_files))
-        limit = timeout or TIMEOUT_FACTOR * spent + SLACK_S
+        limit = TIMEOUT_FACTOR * spent + SLACK_S
 
         def one(m):
             with tempfile.TemporaryDirectory() as work:
@@ -380,8 +384,8 @@ def kills(tree, test_files, found, jobs=2, timeout=None) -> dict:
                 code = copies.run(m, [*test_files, f"--junitxml={junit}"], limit)
                 if code is None:
                     return "timeout"
-                _killed(code)
-                return failing_tests(junit) if junit.exists() else ["<no junit report>"]
+                failed = failing_tests(junit) if junit.exists() else []
+                return failed if failed or not _killed(code) else [f"<pytest exit {code}>"]
 
         results = copies.map(one, found)
     return {"tests": list(test_files), "mutants": {m.id: r for m, r in zip(found, results)}}
@@ -412,12 +416,7 @@ def main(argv=None) -> int:
         p.add_argument("--tree", default=".", help="the repository to copy (default: .)")
         p.add_argument("--modules", nargs="*", help="modules of src/driftadapt (default: all)")
         p.add_argument("--sample", type=int, help="at most this many mutants per module")
-        p.add_argument("--seed", type=int, default=0, help="seed of the sample")
         if name != "list":
-            p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-            p.add_argument("--timeout", type=float,
-                           help=f"seconds per mutant run (default: {TIMEOUT_FACTOR:g} times "
-                                f"the unmutated run plus {SLACK_S:g})")
             p.add_argument("--json", help="write the result to this file")
         if name == "kills":
             p.add_argument("tests", nargs="+", help="test files, relative to the tree")
@@ -437,7 +436,7 @@ def main(argv=None) -> int:
     modules = args.modules
     if args.command == "kills" and not modules:
         modules = sorted({n for t in args.tests for n in imported_modules(tree / t, tree)})
-    found = sample(all_mutants(tree, modules), args.sample, args.seed)
+    found = sample(all_mutants(tree, modules), args.sample)
     if args.command == "list":
         counts = {}
         for m in found:
@@ -448,18 +447,17 @@ def main(argv=None) -> int:
         return 0
     start = time.perf_counter()
     if args.command == "screen":
-        result = screen(tree, found, args.jobs, args.timeout)
+        result = screen(tree, found)
         for name, row in sorted(result["modules"].items()):
             print(f"{name}: {row['killed']}/{row['tried']} killed "
                   f"({row['killed_by_own']} by {own_tests(tree, name)})")
         for s in result["survivors"]:
             print(f"survivor {s['id']}: {s['line']}  ->  {s['mutated']}")
     else:
-        result = kills(tree, args.tests, found, args.jobs, args.timeout)
+        result = kills(tree, args.tests, found)
         print(f"{len(found)} mutants of {', '.join(modules)}; "
               f"{len(kill_set(result))} killed by {', '.join(args.tests)}")
-    result.update(sample=args.sample, seed=args.seed,
-                  seconds=round(time.perf_counter() - start, 1))
+    result.update(sample=args.sample, seconds=round(time.perf_counter() - start, 1))
     if args.json:
         Path(args.json).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     return 0
